@@ -101,6 +101,18 @@ impl BitSet {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
+    /// Grows the universe by one id, a member iff `member`.
+    #[inline]
+    pub(crate) fn push(&mut self, member: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if member {
+            self.insert(self.len - 1);
+        }
+    }
+
     /// Removes `i`.
     ///
     /// # Panics

@@ -140,7 +140,7 @@ where
         daemon,
         spec,
         conflicts,
-        gen: RowGen::new(),
+        gen: RowGen::default(),
         rows: HashMap::new(),
         legit: HashMap::new(),
         work: 0,

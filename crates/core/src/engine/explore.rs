@@ -1,35 +1,31 @@
-//! The shared flat-CSR transition engine.
+//! The shared transition engine: [`TransitionSystem`] and its queries.
 //!
 //! [`TransitionSystem::explore`] enumerates the full configuration space of
 //! an algorithm under a daemon and materialises the labelled transition
 //! graph that both the checker (`stab-checker`) and the Markov builder
-//! (`stab-markov`) analyse; [`TransitionSystem::explore_with`] selects
-//! between three traversals per run:
+//! (`stab-markov`) analyse; [`TransitionSystem::explore_with`] selects one
+//! of three modes per run:
 //!
-//! * **full sweep** ([`ExploreOptions::full`]) — the PR 1 path: in-place
-//!   mixed-radix [`ConfigCursor`] enumeration over `0..total`, chunked
-//!   across scoped threads, configuration ids equal to mixed-radix
-//!   indices;
+//! * **full sweep** ([`ExploreOptions::full`]) — configuration ids equal
+//!   mixed-radix indices over `0..total`;
 //! * **full sweep over a symmetry quotient**
 //!   ([`ExploreOptions::with_quotient`]: ring rotations, ring dihedral, or
 //!   the topology-derived automorphism group — leaf permutations on stars
 //!   and trees) — only the lexicographically-least orbit member gets an
-//!   id; successor edges are canonicalized (Booth's O(N) algorithm on
-//!   rings, plus a per-row memo of repeated successors), and parallel
-//!   edges produced by the folding are merged with their probabilities
-//!   summed. A per-run equivariance/spec-invariance gate rejects
-//!   algorithm–group combinations the quotient is unsound for
+//!   id, and parallel edges produced by the folding are merged with their
+//!   probabilities summed. A per-run equivariance/spec-invariance gate
+//!   rejects algorithm–group combinations the quotient is unsound for
 //!   ([`CoreError::QuotientUnsupported`]);
 //! * **on-the-fly reachable-only BFS** ([`ExploreOptions::reachable`]) —
-//!   breadth-first search from a designated initial set with hash-interned
-//!   configurations: only configurations reachable from the seeds get ids
-//!   (discovery order), and the CSR is built incrementally from the
-//!   frontier, so the explored size is bounded by the reachable set, not
-//!   the product space. Composes with the rotation quotient.
+//!   only configurations reachable from the seeds get ids (discovery
+//!   order), so the explored size is bounded by the reachable set, not
+//!   the product space. Composes with any quotient.
 //!
-//! The per-configuration successor computation (outcome sharing,
-//! delta-encoding, Gray-code subset walks) is shared by all three modes
-//! (`rowgen`). Every edge carries the uniform-randomized-scheduler
+//! One driver (`traverse`) runs all three: the mode only picks its id map
+//! (dense or interned), group (none or a [`GroupCanonicalizer`]) and
+//! frontier (fixed or growing). The per-configuration successor
+//! computation (outcome sharing, delta-encoding, Gray-code subset walks)
+//! is `rowgen`'s. Every edge carries the uniform-randomized-scheduler
 //! probability of Definition 6 (`1/#activations ×` the product of outcome
 //! probabilities), so the Markov builder reads its `Q` rows straight off
 //! the same structure the checker uses possibilistically.
@@ -75,7 +71,6 @@
 //! assert_eq!(quot.represented_configs(), 32);
 //! ```
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -85,27 +80,17 @@ use crate::algorithm::Algorithm;
 use crate::scheduler::{DaemonSpec, Distribution};
 use crate::space::SpaceIndexer;
 use crate::spec::Legitimacy;
-use crate::{CoreError, LocalState};
+use crate::CoreError;
 
 use super::bitset::BitSet;
 use super::csr::Csr;
-use super::cursor::ConfigCursor;
-use super::edgestore::{EdgeIter, EdgeStorage, EdgeStorageBuilder, EdgeStore, EdgeStoreKind};
+use super::edgestore::{EdgeIter, EdgeStorage, EdgeStore, EdgeStoreKind};
 use super::equivariance;
 use super::ids;
-use super::onthefly::{self, ExploreMode, ExploreOptions, Quotient, StateIds, TraversalMode};
-use super::parallel;
+use super::onthefly::{ExploreMode, ExploreOptions, Quotient, StateIds, TraversalMode};
 use super::quotient::GroupCanonicalizer;
-use super::resilience::{
-    self, Budget, Checkpointer, FinalMeta, Fnv, LabelBits, Replay, RunGuard, SnapshotSource,
-};
-use super::rowgen::RowGen;
-use super::spill::SpillConfig;
-
-/// Configurations per sequential batch when streaming a compressed store:
-/// bounds the transient flat rows to one batch while the byte stream
-/// grows, which is the whole point of the compressed tier.
-pub(super) const COMPRESSED_BATCH: u64 = 2048;
+use super::resilience::{self, Budget, Fnv, RunGuard};
+use super::traverse::{self, Frontier, IdMap};
 
 /// Process-wide exploration counter, incremented once per
 /// [`TransitionSystem::explore_with`] entry.
@@ -168,15 +153,17 @@ impl TransitionSystem {
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::TooManyEnabled`] from subset-daemon
-    /// enumeration past
-    /// [`DISTRIBUTED_ENUM_CAP`](crate::scheduler::DISTRIBUTED_ENUM_CAP)
-    /// simultaneously enabled processes.
+    /// * [`CoreError::TooManyEnabled`] — subset-daemon enumeration past
+    ///   [`DISTRIBUTED_ENUM_CAP`](crate::scheduler::DISTRIBUTED_ENUM_CAP)
+    ///   simultaneously enabled processes;
+    /// * [`CoreError::StateSpaceTooLarge`] — the space has more than
+    ///   `u32::MAX` configurations (the id width).
     ///
     /// # Panics
     ///
-    /// Panics if the network has more than 64 processes (bitmask encoding)
-    /// or the space has more than `u32::MAX` configurations.
+    /// Panics if the network has more than 64 processes (bitmask
+    /// encoding) or the space has more than `i64::MAX` configurations
+    /// (delta encoding).
     pub fn explore<A, L>(
         alg: &A,
         ix: &SpaceIndexer<A::State>,
@@ -206,13 +193,18 @@ impl TransitionSystem {
     ///   (e.g. Dijkstra's rooted ring under any ring quotient, or the
     ///   oriented token ring under a reflection quotient);
     /// * [`CoreError::StateSpaceTooLarge`] — a reachable-mode BFS interned
-    ///   more states than [`ExploreOptions::max_states`].
+    ///   more states than [`ExploreOptions::max_states`], or the explored
+    ///   states (the full space for the plain full sweep, the orbit
+    ///   representatives for a quotient sweep) exceed the `u32::MAX` id
+    ///   width;
+    /// * [`CoreError::StateCapExceedsIdWidth`] — a reachable-mode
+    ///   [`ExploreOptions::max_states`] above `u32::MAX`.
     ///
     /// # Panics
     ///
-    /// Panics if the network has more than 64 processes, or if the number
-    /// of *explored* states exceeds `u32::MAX` (for the plain full sweep,
-    /// the number of explored states is the full space).
+    /// Panics if the network has more than 64 processes (bitmask
+    /// encoding) or the space has more than `i64::MAX` configurations
+    /// (delta encoding).
     pub fn explore_with<A, L>(
         alg: &A,
         ix: &SpaceIndexer<A::State>,
@@ -236,6 +228,17 @@ impl TransitionSystem {
     /// after durable checkpoint frames
     /// ([`CoreError::Interrupted`]). Guarded runs traverse sequentially
     /// so every probe and frame sees a deterministic prefix.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`TransitionSystem::explore_with`], plus
+    /// [`CoreError::BudgetExhausted`] and [`CoreError::Interrupted`] from
+    /// the guard and [`CoreError::CheckpointIo`] from a checkpoint
+    /// directory.
+    ///
+    /// # Panics
+    ///
+    /// As [`TransitionSystem::explore_with`].
     pub fn explore_guarded<A, L>(
         alg: &A,
         ix: &SpaceIndexer<A::State>,
@@ -266,15 +269,15 @@ impl TransitionSystem {
         if let Some(canon) = &canon {
             equivariance::check_quotient_sound(alg, ix, daemon, spec, canon)?;
         }
-        match (&opts.mode, canon) {
-            (ExploreMode::Full, None) => Self::explore_full(alg, ix, daemon, spec, opts, guard),
-            (ExploreMode::Full, Some(canon)) => {
-                onthefly::explore_quotient_sweep(alg, ix, daemon, spec, canon, opts, guard)
-            }
-            (ExploreMode::Reachable { seeds }, canon) => {
-                onthefly::explore_reachable(alg, ix, daemon, spec, seeds, canon, opts, guard)
-            }
-        }
+        let frontier = match &opts.mode {
+            ExploreMode::Full => Frontier::Fixed,
+            ExploreMode::Reachable { seeds } => Frontier::Growing(seeds),
+        };
+        let id_map = match (&frontier, &canon) {
+            (Frontier::Fixed, None) => IdMap::Dense,
+            _ => IdMap::Interned,
+        };
+        traverse::traverse(alg, ix, daemon, spec, opts, guard, id_map, canon, frontier)
     }
 
     /// Reconstructs the completed exploration checkpointed under `dir`
@@ -296,103 +299,8 @@ impl TransitionSystem {
         resilience::resume_from_dir(dir.as_ref())
     }
 
-    /// The PR 1 full sweep: dense ids, parallel chunking onto the flat
-    /// store. With a compressed store — or any checkpoint or active
-    /// guard — the sweep runs in bounded *sequential* batches instead:
-    /// the compressed tier streams each batch's rows into the byte
-    /// encoding so peak memory stays `O(stream + batch)` rather than
-    /// `O(flat edges)`, and checkpoint frames / budget probes need a
-    /// deterministic prefix to snapshot.
-    fn explore_full<A, L>(
-        alg: &A,
-        ix: &SpaceIndexer<A::State>,
-        daemon: DaemonSpec,
-        spec: &L,
-        opts: &ExploreOptions<A::State>,
-        guard: &RunGuard,
-    ) -> Result<Self, CoreError>
-    where
-        A: Algorithm + Sync,
-        A::State: Sync,
-        L: Legitimacy<A::State> + Sync,
-    {
-        let kind = opts.edge_store;
-        let total = ix.total();
-        assert!(
-            total <= u32::MAX as u64,
-            "configuration ids must fit in u32"
-        );
-        let conflicts = conflict_masks(alg, daemon);
-        let spill = opts.effective_spill();
-        let mut merge = MergeState::new(kind, total as usize, &spill);
-        let mut ck = match &opts.checkpoint {
-            Some(cfg) => Some(Checkpointer::open(
-                cfg,
-                run_fingerprint(alg, ix, daemon, opts),
-                kind,
-                guard.faults(),
-            )?),
-            None => None,
-        };
-        let sequential = kind != EdgeStoreKind::Flat || ck.is_some() || guard.is_active();
-        if !sequential {
-            let chunks = parallel::map_chunks(total, |range| {
-                explore_chunk(alg, ix, daemon, spec, &conflicts, range)
-            })?;
-            for chunk in chunks {
-                merge.absorb(chunk);
-            }
-        } else {
-            let mut start = 0u64;
-            if let Some(ck) = &mut ck {
-                if let Some(replay) = ck.take_replay() {
-                    if replay.complete.is_some() {
-                        let dir = &opts.checkpoint.as_ref().expect("checkpoint configured").dir;
-                        return replay.into_transition_system(dir);
-                    }
-                    start = replay.cursor;
-                    merge = MergeState::from_replay(kind, total as usize, replay, &spill);
-                }
-            }
-            while start < total {
-                guard.probe("explore", merge.bytes_estimate(), start)?;
-                let end = (start + COMPRESSED_BATCH).min(total);
-                let chunk = explore_chunk(alg, ix, daemon, spec, &conflicts, start..end)?;
-                merge.absorb(chunk);
-                start = end;
-                if let Some(ck) = &mut ck {
-                    ck.tick(start, &merge.snapshot_source(None, &[]))?;
-                }
-            }
-            if let Some(ck) = &mut ck {
-                ck.finalize(
-                    total,
-                    &merge.snapshot_source(None, &[]),
-                    FinalMeta {
-                        dense_total: Some(total),
-                        canon: None,
-                        quotient: Quotient::None,
-                        traversal: TraversalMode::Full,
-                    },
-                )?;
-            }
-        }
-        let (forward, enabled, legit, initial, deterministic) = merge.finish();
-        Ok(TransitionSystem {
-            forward,
-            reverse: OnceLock::new(),
-            enabled,
-            legit,
-            initial,
-            deterministic,
-            states: StateIds::Dense { total },
-            canon: None,
-            quotient: Quotient::None,
-            traversal: TraversalMode::Full,
-        })
-    }
-
-    /// Assembles a system from the non-dense exploration paths.
+    /// Assembles a system from its parts (the traversal driver and
+    /// checkpoint replay).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn assemble(
         forward: EdgeStorage,
@@ -853,214 +761,6 @@ pub(super) fn conflict_masks<A: Algorithm>(alg: &A, daemon: DaemonSpec) -> Vec<u
                 .collect()
         }
     }
-}
-
-/// Per-chunk exploration output, merged in chunk order (shared with the
-/// quotient sweep in `onthefly`).
-pub(super) struct Chunk {
-    pub(super) counts: Vec<u32>,
-    pub(super) edges: Vec<Edge>,
-    pub(super) enabled: Vec<u64>,
-    pub(super) legit: Vec<bool>,
-    pub(super) initial: Vec<bool>,
-    pub(super) deterministic: bool,
-}
-
-impl Chunk {
-    pub(super) fn with_capacity(size: usize) -> Self {
-        Chunk {
-            counts: Vec::with_capacity(size),
-            edges: Vec::new(),
-            enabled: Vec::with_capacity(size),
-            legit: Vec::with_capacity(size),
-            initial: Vec::with_capacity(size),
-            deterministic: true,
-        }
-    }
-}
-
-/// Chunk-order accumulator feeding the selected edge store plus the
-/// per-configuration label vectors (shared by the full and quotient
-/// sweeps).
-pub(super) struct MergeState {
-    builder: EdgeStorageBuilder,
-    enabled: Vec<u64>,
-    legit: BitSet,
-    initial: BitSet,
-    deterministic: bool,
-    base: usize,
-}
-
-impl MergeState {
-    pub(super) fn new(kind: EdgeStoreKind, total: usize, spill: &SpillConfig) -> Self {
-        MergeState {
-            builder: EdgeStorageBuilder::with_spill(kind, spill),
-            enabled: Vec::with_capacity(total),
-            legit: BitSet::new(total),
-            initial: BitSet::new(total),
-            deterministic: true,
-            base: 0,
-        }
-    }
-
-    pub(super) fn absorb(&mut self, chunk: Chunk) {
-        self.builder.push_chunk(&chunk.counts, &chunk.edges);
-        self.enabled.extend_from_slice(&chunk.enabled);
-        for (i, &l) in chunk.legit.iter().enumerate() {
-            if l {
-                // lint: arith-ok(chunk-local index added to a state count bounded by the explored set)
-                self.legit.insert(self.base + i);
-            }
-        }
-        for (i, &l) in chunk.initial.iter().enumerate() {
-            if l {
-                // lint: arith-ok(chunk-local index added to a state count bounded by the explored set)
-                self.initial.insert(self.base + i);
-            }
-        }
-        self.deterministic &= chunk.deterministic;
-        // lint: arith-ok(state cursor advances by chunk sizes summing to the explored state count)
-        self.base += chunk.counts.len();
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(super) fn finish(self) -> (EdgeStorage, Vec<u64>, BitSet, BitSet, bool) {
-        (
-            self.builder.finish(),
-            self.enabled,
-            self.legit,
-            self.initial,
-            self.deterministic,
-        )
-    }
-
-    /// Heap bytes the edge builder currently holds (budget-probe input).
-    pub(super) fn bytes_estimate(&self) -> u64 {
-        self.builder.bytes_estimate()
-    }
-
-    /// The checkpoint view of the accumulated state (see
-    /// [`SnapshotSource`]); `table`/`seeds` are the traversal's
-    /// non-dense extras, empty for the plain full sweep.
-    pub(super) fn snapshot_source<'a>(
-        &'a self,
-        table: Option<&'a onthefly::StateTable>,
-        seeds: &'a [u32],
-    ) -> SnapshotSource<'a> {
-        SnapshotSource {
-            builder: &self.builder,
-            enabled: &self.enabled,
-            legit: LabelBits::Bits(&self.legit),
-            initial: LabelBits::Bits(&self.initial),
-            deterministic: self.deterministic,
-            table,
-            seeds,
-        }
-    }
-
-    /// Rebuilds the accumulator from a checkpoint replay so the sweep
-    /// continues from `replay.cursor` as if it had never stopped.
-    pub(super) fn from_replay(
-        kind: EdgeStoreKind,
-        total: usize,
-        replay: Replay,
-        spill: &SpillConfig,
-    ) -> Self {
-        debug_assert_eq!(replay.tier, kind);
-        let base = replay.cursor as usize;
-        let mut legit = BitSet::new(total);
-        for (i, &l) in replay.legit.iter().enumerate() {
-            if l {
-                legit.insert(i);
-            }
-        }
-        let mut initial = BitSet::new(total);
-        for (i, &l) in replay.initial.iter().enumerate() {
-            if l {
-                initial.insert(i);
-            }
-        }
-        MergeState {
-            builder: replay.builder.into_builder(kind, spill),
-            enabled: replay.enabled,
-            legit,
-            initial,
-            deterministic: replay.deterministic,
-            base,
-        }
-    }
-}
-
-/// FNV-1a fingerprint of a run's identity — algorithm, space, daemon,
-/// traversal mode (with seed indices), quotient, and edge-store tier. A
-/// checkpoint directory records it in every frame so a resumed run only
-/// adopts frames written by the same exploration.
-pub(super) fn run_fingerprint<A: Algorithm>(
-    alg: &A,
-    ix: &SpaceIndexer<A::State>,
-    daemon: DaemonSpec,
-    opts: &ExploreOptions<A::State>,
-) -> u64 {
-    let mut h = Fnv::new();
-    h.write(alg.name().as_bytes());
-    h.write_u64(alg.n() as u64);
-    h.write_u64(ix.total());
-    h.write(daemon.name().as_bytes());
-    h.write(opts.quotient.label().as_bytes());
-    h.write(opts.edge_store.label().as_bytes());
-    match &opts.mode {
-        ExploreMode::Full => h.write_u64(0),
-        ExploreMode::Reachable { seeds } => {
-            h.write_u64(1);
-            h.write_u64(seeds.len() as u64);
-            for cfg in seeds {
-                h.write_u64(ix.encode(cfg));
-            }
-        }
-    }
-    h.finish()
-}
-
-fn explore_chunk<A, L>(
-    alg: &A,
-    ix: &SpaceIndexer<A::State>,
-    daemon: DaemonSpec,
-    spec: &L,
-    conflicts: &[u64],
-    range: Range<u64>,
-) -> Result<Chunk, CoreError>
-where
-    A: Algorithm,
-    A::State: LocalState,
-    L: Legitimacy<A::State>,
-{
-    let size = (range.end - range.start) as usize;
-    let mut chunk = Chunk::with_capacity(size);
-    if size == 0 {
-        return Ok(chunk);
-    }
-    let mut gen = RowGen::new();
-    let mut cursor = ConfigCursor::new(ix, range.start);
-    for id in range.clone() {
-        let cfg = cursor.config();
-        chunk.legit.push(spec.is_legitimate(cfg));
-        chunk.initial.push(alg.is_initial(cfg));
-        let (mask, det) = gen.generate(alg, ix, daemon, conflicts, cfg, cursor.digits(), id)?;
-        chunk.deterministic &= det;
-        chunk.enabled.push(mask);
-        chunk
-            .counts
-            .push(ids::id_u32(gen.row.len(), "per-row edge count fits u32"));
-        chunk.edges.extend(gen.row.iter().map(|e| Edge {
-            to: ids::id_u32_wide(e.to, "target config ids fit the u32 id width"),
-            movers: e.movers,
-            prob: e.prob,
-        }));
-        if id + 1 < range.end {
-            cursor.advance();
-        }
-    }
-    Ok(chunk)
 }
 
 #[cfg(test)]

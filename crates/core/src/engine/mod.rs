@@ -52,6 +52,10 @@
 //!   stays the exact Definition 6 lumping. A per-run equivariance gate
 //!   rejects unsound algorithm–group combinations.
 //!
+//! All three modes run through one traversal driver, parameterised by id
+//! map (dense or interned) × group (none or a canonicalizer) × frontier
+//! (fixed or growing).
+//!
 //! Throughput is tracked per PR by `cargo run --release --bin exp_explore`
 //! (crate `stab-bench`), which writes `BENCH_explore.json`; see ROADMAP.md
 //! for the schema and the recorded speedups.
@@ -70,6 +74,7 @@ pub mod quotient;
 pub mod resilience;
 mod rowgen;
 pub mod spill;
+mod traverse;
 
 pub use bitset::BitSet;
 pub use csr::Csr;

@@ -1,10 +1,11 @@
-//! Traversal selection: the full mixed-radix sweep, the symmetry-quotient
-//! sweep, and on-the-fly reachable-only BFS with hash-interned
-//! configurations.
+//! Traversal selection: the options that pick one of three exploration
+//! modes — the full mixed-radix sweep, the symmetry-quotient sweep, and
+//! on-the-fly reachable-only BFS — plus the intern table behind the
+//! non-dense modes' ids.
 //!
 //! The full sweep materialises every configuration, so state-space size —
-//! not speed — caps the largest checkable instance. The two traversals
-//! here push past that cap along independent axes:
+//! not speed — caps the largest checkable instance. The other two modes
+//! push past that cap along independent axes:
 //!
 //! * the **quotient sweep** stores one representative per orbit of the
 //!   selected symmetry group ([`Quotient`]): ≈ `total / N` states on an
@@ -17,29 +18,19 @@
 //!   standard on-the-fly construction of explicit-state model checkers.
 //!
 //! Both compose: a reachable BFS over canonical representatives explores
-//! the quotient of the reachable set.
+//! the quotient of the reachable set. All three modes run through one
+//! driver (`traverse`), which the options parameterise by id map (dense
+//! or interned `StateTable` ids), group (none or a
+//! [`GroupCanonicalizer`](super::GroupCanonicalizer)) and frontier
+//! (fixed or growing).
 
 use std::collections::HashMap;
 
-use crate::algorithm::Algorithm;
 use crate::config::Configuration;
-use crate::scheduler::DaemonSpec;
-use crate::space::SpaceIndexer;
-use crate::spec::Legitimacy;
-use crate::CoreError;
 
-use super::bitset::BitSet;
-use super::edgestore::{EdgeStorageBuilder, EdgeStoreKind};
-use super::explore::{
-    conflict_masks, run_fingerprint, Chunk, Edge, MergeState, TransitionSystem, COMPRESSED_BATCH,
-};
+use super::edgestore::EdgeStoreKind;
 use super::ids;
-use super::parallel;
-use super::quotient::{CanonScratch, GroupCanonicalizer};
-use super::resilience::{
-    CheckpointConfig, Checkpointer, FinalMeta, LabelBits, RunGuard, SnapshotSource,
-};
-use super::rowgen::RowGen;
+use super::resilience::CheckpointConfig;
 use super::spill::SpillConfig;
 
 /// How to traverse the configuration space.
@@ -58,14 +49,15 @@ pub enum ExploreMode<S> {
 
 /// Symmetry reduction applied to configuration ids: which permutation
 /// group of the communication graph the exploration quotients by (one id
-/// per group orbit, see [`GroupCanonicalizer`]).
+/// per group orbit, see [`GroupCanonicalizer`](super::GroupCanonicalizer)).
 ///
 /// Every quotient requires the algorithm to respect the group and the
 /// specification to be invariant under it — both are checked per run by
 /// the engine's equivariance gate, which rejects unsound combinations
-/// with [`CoreError::QuotientUnsupported`] *per algorithm*, not per
-/// topology (e.g. Dijkstra's rooted ring is rejected on the very topology
-/// Herman's ring is accepted on).
+/// with
+/// [`CoreError::QuotientUnsupported`](crate::CoreError::QuotientUnsupported)
+/// *per algorithm*, not per topology (e.g. Dijkstra's rooted ring is
+/// rejected on the very topology Herman's ring is accepted on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Quotient {
     /// No reduction: one id per configuration.
@@ -97,7 +89,8 @@ impl Quotient {
     }
 }
 
-/// Which traversal produced a [`TransitionSystem`] (for reporting).
+/// Which traversal produced a [`TransitionSystem`](super::TransitionSystem)
+/// (for reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraversalMode {
     /// Full sweep (plain or quotient).
@@ -107,7 +100,7 @@ pub enum TraversalMode {
 }
 
 /// Per-run exploration options for
-/// [`TransitionSystem::explore_with`].
+/// [`TransitionSystem::explore_with`](super::TransitionSystem::explore_with).
 ///
 /// ```
 /// use stab_core::engine::{ExploreOptions, Quotient};
@@ -121,9 +114,10 @@ pub struct ExploreOptions<S> {
     /// Optional symmetry reduction.
     pub quotient: Quotient,
     /// Reachable-mode safety valve: the BFS fails with
-    /// [`CoreError::StateSpaceTooLarge`] once more states than this are
-    /// interned (default `u32::MAX`, the id-width limit; larger caps are
-    /// rejected with [`CoreError::StateCapExceedsIdWidth`]).
+    /// [`CoreError::StateSpaceTooLarge`](crate::CoreError::StateSpaceTooLarge)
+    /// once more states than this are interned (default `u32::MAX`, the
+    /// id-width limit; larger caps are rejected with
+    /// [`CoreError::StateCapExceedsIdWidth`](crate::CoreError::StateCapExceedsIdWidth)).
     pub max_states: u64,
     /// Which edge-store tier the exploration materialises (default
     /// [`EdgeStoreKind::Flat`]; select [`EdgeStoreKind::Compressed`] for
@@ -133,7 +127,8 @@ pub struct ExploreOptions<S> {
     /// (default off). With checkpointing the exploration runs
     /// sequentially so every frame snapshots a deterministic prefix; a
     /// re-run with the same options resumes from the frames on disk, and
-    /// [`TransitionSystem::resume`] reconstructs a completed run.
+    /// [`TransitionSystem::resume`](super::TransitionSystem::resume)
+    /// reconstructs a completed run.
     pub checkpoint: Option<CheckpointConfig>,
     /// Disk-tier spill placement and budgets (chunk size, pinned cache
     /// bytes); ignored by the in-RAM tiers. With no explicit directory
@@ -239,8 +234,10 @@ impl<S> ExploreOptions<S> {
     /// The spill configuration a run actually uses: an explicit
     /// directory wins; otherwise a checkpointed run anchors its spill
     /// at `<checkpoint-dir>/spill` (so a resumed run re-spills into
-    /// the same place [`TransitionSystem::resume`] reads), and an
-    /// unanchored run gets a per-process self-cleaning temp dir.
+    /// the same place
+    /// [`TransitionSystem::resume`](super::TransitionSystem::resume)
+    /// reads), and an unanchored run gets a per-process self-cleaning
+    /// temp dir.
     pub(super) fn effective_spill(&self) -> SpillConfig {
         let mut spill = self.spill.clone();
         if spill.dir.is_none() {
@@ -284,7 +281,7 @@ impl StateTable {
     /// Interns `full` (computing its orbit size on first sight) and
     /// returns its id.
     #[inline]
-    fn intern(&mut self, full: u64, orbit: impl FnOnce() -> u64) -> u32 {
+    pub(super) fn intern(&mut self, full: u64, orbit: impl FnOnce() -> u64) -> u32 {
         match self.ids.get(&full) {
             Some(&id) => id,
             None => {
@@ -342,406 +339,16 @@ impl StateTable {
     }
 }
 
-/// Merges consecutive equal `(to, movers)` edges of a sorted row, summing
-/// probabilities — the orbit multiplicities of quotient folding.
-fn merge_parallel_edges(row: &mut Vec<Edge>) {
-    if row.len() <= 1 {
-        return;
-    }
-    let mut write = 0;
-    for read in 1..row.len() {
-        if row[read].to == row[write].to && row[read].movers == row[write].movers {
-            row[write].prob += row[read].prob;
-        } else {
-            write += 1;
-            row[write] = row[read];
-        }
-    }
-    row.truncate(write + 1);
-}
-
-/// Full sweep over a symmetry quotient: pass 1 collects the canonical
-/// representatives (in ascending index order, chunked across threads),
-/// pass 2 explores exactly those rows with successors canonicalized
-/// (memoized per row — under the distributed daemon many activations of
-/// one configuration reach the same successor, and one Booth run serves
-/// them all).
-pub(super) fn explore_quotient_sweep<A, L>(
-    alg: &A,
-    ix: &SpaceIndexer<A::State>,
-    daemon: DaemonSpec,
-    spec: &L,
-    canon: GroupCanonicalizer,
-    opts: &ExploreOptions<A::State>,
-    guard: &RunGuard,
-) -> Result<TransitionSystem, CoreError>
-where
-    A: Algorithm + Sync,
-    A::State: Sync,
-    L: Legitimacy<A::State> + Sync,
-{
-    let total = ix.total();
-    let kind = opts.edge_store;
-    let spill = opts.effective_spill();
-    let quotient = opts.quotient;
-    let mut ck = match &opts.checkpoint {
-        Some(cfg) => Some(Checkpointer::open(
-            cfg,
-            run_fingerprint(alg, ix, daemon, opts),
-            kind,
-            guard.faults(),
-        )?),
-        None => None,
-    };
-    let mut replay = ck.as_mut().and_then(Checkpointer::take_replay);
-    if replay.as_ref().is_some_and(|r| r.complete.is_some()) {
-        let dir = &opts.checkpoint.as_ref().expect("checkpoint configured").dir;
-        return replay
-            .take()
-            .expect("checked above")
-            .into_transition_system(dir);
-    }
-    guard.probe("explore", 0, 0)?;
-    // Pass 1: representatives and their orbit sizes. A resumed run skips
-    // the pass — its first frame carried the whole table.
-    let mut start = 0u64;
-    let mut restored: Option<MergeState> = None;
-    let table = match replay {
-        Some(r) => {
-            let (full_of, orbit): (Vec<u64>, Vec<u64>) = r.table.iter().copied().unzip();
-            let t = StateTable::from_parts(full_of, orbit);
-            start = r.cursor;
-            restored = Some(MergeState::from_replay(kind, t.len(), r, &spill));
-            t
-        }
-        None => {
-            let rep_chunks = parallel::map_chunks(total, |range| -> Result<_, CoreError> {
-                let mut fulls = Vec::new();
-                let mut orbits = Vec::new();
-                let mut scratch = CanonScratch::default();
-                for full in range {
-                    if canon.is_canonical(full, &mut scratch) {
-                        fulls.push(full);
-                        orbits.push(canon.orbit(full, &mut scratch));
-                    }
-                }
-                Ok((fulls, orbits))
-            })?;
-            let mut table = StateTable::default();
-            for (fulls, orbits) in rep_chunks {
-                for (full, orbit) in fulls.into_iter().zip(orbits) {
-                    table.intern(full, || orbit);
-                }
-            }
-            table
-        }
-    };
-    let n_reps = table.len();
-    assert!(
-        n_reps <= u32::MAX as usize,
-        "quotient representatives must fit in u32 ids"
-    );
-    guard.probe("explore", 0, n_reps as u64)?;
-
-    // Pass 2: explore the representative rows; successors canonicalize to
-    // representatives, which are all in the table by construction. With a
-    // flat store the rows are produced by parallel chunks; a compressed
-    // store streams bounded sequential batches instead, so peak memory is
-    // the byte stream plus one batch of flat rows.
-    let conflicts = conflict_masks(alg, daemon);
-    let table_ref = &table;
-    let canon_ref = &canon;
-    let explore_range = |range: std::ops::Range<u64>| -> Result<Chunk, CoreError> {
-        let mut chunk = Chunk::with_capacity((range.end - range.start) as usize);
-        let mut gen = RowGen::new();
-        let mut digits = Vec::new();
-        let mut scratch = CanonScratch::default();
-        let mut row: Vec<Edge> = Vec::new();
-        // Per-row memo: successors repeat across activations, and each
-        // repeat would otherwise pay a fresh canonicalization.
-        let mut memo: HashMap<u64, u32> = HashMap::new();
-        for id in range {
-            // lint: cast-ok(chunk ranges stay within the u32 representative count)
-            let full = table_ref.full_of(id as u32);
-            let cfg = ix.decode(full);
-            ix.write_digits(full, &mut digits);
-            chunk.legit.push(spec.is_legitimate(&cfg));
-            chunk.initial.push(alg.is_initial(&cfg));
-            let (mask, det) = gen.generate(alg, ix, daemon, &conflicts, &cfg, &digits, full)?;
-            chunk.deterministic &= det;
-            chunk.enabled.push(mask);
-            row.clear();
-            memo.clear();
-            for e in &gen.row {
-                let to = *memo.entry(e.to).or_insert_with(|| {
-                    let cto = canon_ref.canonical(e.to, &mut scratch);
-                    table_ref
-                        .lookup(cto)
-                        .expect("canonical successors are representatives")
-                });
-                row.push(Edge {
-                    to,
-                    movers: e.movers,
-                    prob: e.prob,
-                });
-            }
-            row.sort_unstable_by_key(|e| (e.to, e.movers));
-            merge_parallel_edges(&mut row);
-            chunk
-                .counts
-                .push(ids::id_u32(row.len(), "per-row edge count fits u32"));
-            chunk.edges.extend_from_slice(&row);
-        }
-        Ok(chunk)
-    };
-    let mut merge = restored.unwrap_or_else(|| MergeState::new(kind, n_reps, &spill));
-    // Checkpointed or guarded runs take the sequential path regardless of
-    // tier, so frames and probes see a deterministic prefix.
-    let sequential = kind != EdgeStoreKind::Flat || ck.is_some() || guard.is_active();
-    if !sequential {
-        for chunk in parallel::map_chunks(n_reps as u64, explore_range)? {
-            merge.absorb(chunk);
-        }
-    } else {
-        while start < n_reps as u64 {
-            guard.probe("explore", merge.bytes_estimate(), start)?;
-            let end = (start + COMPRESSED_BATCH).min(n_reps as u64);
-            merge.absorb(explore_range(start..end)?);
-            start = end;
-            if let Some(ck) = &mut ck {
-                ck.tick(start, &merge.snapshot_source(Some(&table), &[]))?;
-            }
-        }
-        if let Some(ck) = &mut ck {
-            ck.finalize(
-                n_reps as u64,
-                &merge.snapshot_source(Some(&table), &[]),
-                FinalMeta {
-                    dense_total: None,
-                    canon: Some(&canon),
-                    quotient,
-                    traversal: TraversalMode::Full,
-                },
-            )?;
-        }
-    }
-    let (forward, enabled, legit, initial, deterministic) = merge.finish();
-    Ok(TransitionSystem::assemble(
-        forward,
-        enabled,
-        legit,
-        initial,
-        deterministic,
-        StateIds::Interned(table),
-        Some(canon),
-        quotient,
-        TraversalMode::Full,
-    ))
-}
-
-/// On-the-fly BFS from `seeds`: hash-interned ids in discovery order, the
-/// selected edge store built incrementally from the frontier (the BFS is
-/// row-at-a-time by nature, so the compressed tier streams with no
-/// batching at all). With a canonicalizer, every interned configuration
-/// is an orbit representative.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn explore_reachable<A, L>(
-    alg: &A,
-    ix: &SpaceIndexer<A::State>,
-    daemon: DaemonSpec,
-    spec: &L,
-    seeds: &[Configuration<A::State>],
-    canon: Option<GroupCanonicalizer>,
-    opts: &ExploreOptions<A::State>,
-    guard: &RunGuard,
-) -> Result<TransitionSystem, CoreError>
-where
-    A: Algorithm,
-    L: Legitimacy<A::State>,
-{
-    let max_states = opts.max_states;
-    // A cap above the id width could never be enforced — interning fails
-    // at u32 ids first — so reject it instead of silently clamping.
-    if max_states > u32::MAX as u64 {
-        return Err(CoreError::StateCapExceedsIdWidth {
-            requested: max_states,
-            limit: u32::MAX as u64,
-        });
-    }
-    let conflicts = conflict_masks(alg, daemon);
-    let mut table = StateTable::default();
-    let mut scratch = CanonScratch::default();
-
-    let canonical_of = |full: u64, scratch: &mut CanonScratch| match &canon {
-        None => full,
-        Some(c) => c.canonical(full, scratch),
-    };
-    // Seeds are interned first, so they occupy ids 0..#distinct-seeds and
-    // form the system's initial set.
-    let mut seed_ids = Vec::with_capacity(seeds.len());
-    for cfg in seeds {
-        let full = canonical_of(ix.encode(cfg), &mut scratch);
-        let id = table.intern(full, || match &canon {
-            None => 1,
-            Some(c) => c.orbit(full, &mut scratch),
-        });
-        seed_ids.push(id);
-    }
-
-    let mut gen = RowGen::new();
-    let mut digits = Vec::new();
-    let mut row: Vec<Edge> = Vec::new();
-    let spill = opts.effective_spill();
-    let mut builder = EdgeStorageBuilder::with_spill(opts.edge_store, &spill);
-    let mut enabled: Vec<u64> = Vec::new();
-    let mut legit_flags: Vec<bool> = Vec::new();
-    let mut deterministic = true;
-    let mut next = 0usize;
-
-    let mut ck = match &opts.checkpoint {
-        Some(cfg) => Some(Checkpointer::open(
-            cfg,
-            run_fingerprint(alg, ix, daemon, opts),
-            opts.edge_store,
-            guard.faults(),
-        )?),
-        None => None,
-    };
-    if let Some(c) = &mut ck {
-        if let Some(r) = c.take_replay() {
-            if r.complete.is_some() {
-                let dir = &opts.checkpoint.as_ref().expect("checkpoint configured").dir;
-                return r.into_transition_system(dir);
-            }
-            // The persisted table already contains the seeds and the
-            // un-explored frontier (entries past the cursor), so the
-            // fresh interning above is discarded wholesale.
-            let (full_of, orbit): (Vec<u64>, Vec<u64>) = r.table.iter().copied().unzip();
-            table = StateTable::from_parts(full_of, orbit);
-            seed_ids = r.seeds.clone();
-            next = r.cursor as usize;
-            enabled = r.enabled;
-            legit_flags = r.legit;
-            deterministic = r.deterministic;
-            builder = r.builder.into_builder(opts.edge_store, &spill);
-        }
-    }
-
-    // The intern table doubles as the BFS queue: ids are handed out in
-    // discovery order and `next` chases the growing tail.
-    let mut memo: HashMap<u64, u32> = HashMap::new();
-    while next < table.len() {
-        guard.probe("explore", builder.bytes_estimate(), next as u64)?;
-        let id = ids::id_u32(next, "interned state ids fit u32");
-        next += 1;
-        let full = table.full_of(id);
-        let cfg = ix.decode(full);
-        ix.write_digits(full, &mut digits);
-        legit_flags.push(spec.is_legitimate(&cfg));
-        let (mask, det) = gen.generate(alg, ix, daemon, &conflicts, &cfg, &digits, full)?;
-        deterministic &= det;
-        enabled.push(mask);
-        row.clear();
-        memo.clear();
-        for e in &gen.row {
-            // Per-row memo: repeated successors canonicalize (and intern)
-            // once.
-            let to = match memo.get(&e.to) {
-                Some(&to) => to,
-                None => {
-                    let cto = canonical_of(e.to, &mut scratch);
-                    let to = match table.lookup(cto) {
-                        Some(to) => to,
-                        None => table.intern(cto, || match &canon {
-                            None => 1,
-                            Some(c) => c.orbit(cto, &mut scratch),
-                        }),
-                    };
-                    memo.insert(e.to, to);
-                    to
-                }
-            };
-            row.push(Edge {
-                to,
-                movers: e.movers,
-                prob: e.prob,
-            });
-        }
-        if table.len() as u64 > max_states {
-            return Err(CoreError::StateSpaceTooLarge {
-                total: table.len() as u128,
-                cap: max_states,
-            });
-        }
-        row.sort_unstable_by_key(|e| (e.to, e.movers));
-        merge_parallel_edges(&mut row);
-        builder.push_row(&row);
-        if let Some(c) = &mut ck {
-            c.tick(
-                next as u64,
-                &SnapshotSource {
-                    builder: &builder,
-                    enabled: &enabled,
-                    legit: LabelBits::Flags(&legit_flags),
-                    initial: LabelBits::Empty,
-                    deterministic,
-                    table: Some(&table),
-                    seeds: &seed_ids,
-                },
-            )?;
-        }
-    }
-    if let Some(c) = &mut ck {
-        c.finalize(
-            next as u64,
-            &SnapshotSource {
-                builder: &builder,
-                enabled: &enabled,
-                legit: LabelBits::Flags(&legit_flags),
-                initial: LabelBits::Empty,
-                deterministic,
-                table: Some(&table),
-                seeds: &seed_ids,
-            },
-            FinalMeta {
-                dense_total: None,
-                canon: canon.as_ref(),
-                quotient: opts.quotient,
-                traversal: TraversalMode::Reachable,
-            },
-        )?;
-    }
-
-    let n = table.len();
-    let mut legit = BitSet::new(n);
-    for (i, &l) in legit_flags.iter().enumerate() {
-        if l {
-            legit.insert(i);
-        }
-    }
-    let mut initial = BitSet::new(n);
-    for &id in &seed_ids {
-        initial.insert(id as usize);
-    }
-    Ok(TransitionSystem::assemble(
-        builder.finish(),
-        enabled,
-        legit,
-        initial,
-        deterministic,
-        StateIds::Interned(table),
-        canon,
-        opts.quotient,
-        TraversalMode::Reachable,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::{ActionId, ActionMask};
+    use crate::algorithm::Algorithm;
+    use crate::engine::{BitSet, CanonScratch, Edge, TransitionSystem};
     use crate::outcome::Outcomes;
+    use crate::space::SpaceIndexer;
     use crate::view::View;
+    use crate::CoreError;
     use crate::{Daemon, Predicate};
     use stab_graph::{builders, Graph, NodeId};
 
@@ -1176,6 +783,123 @@ mod tests {
                 ));
             }
         }
+    }
+
+    /// `content_digest` of every mode on `CopyRing(5)`, recorded before
+    /// the three traversals became one driver: pins the explored systems
+    /// bit for bit (ids, edge order, probability bits, labels) on every
+    /// edge-store tier.
+    #[test]
+    fn golden_digests_pin_every_mode_on_every_tier() {
+        use super::super::edgestore::EdgeStoreKind;
+        let alg = CopyRing::new(5);
+        let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+        let spec = agreement();
+        let seed = Configuration::from_vec(vec![true, false, true, false, false]);
+        let modes: [ExploreOptions<bool>; 4] = [
+            ExploreOptions::full(),
+            ExploreOptions::full().with_ring_quotient(),
+            ExploreOptions::reachable(vec![seed.clone()]),
+            ExploreOptions::reachable(vec![seed]).with_ring_quotient(),
+        ];
+        let golden: [(Daemon, [u64; 4]); 2] = [
+            (
+                Daemon::Central,
+                [
+                    0xda98_07ed_7f7c_d316,
+                    0xdd3f_b7dd_e209_3239,
+                    0xe5e9_9007_b96d_a732,
+                    0x8bc1_8108_a1c5_f041,
+                ],
+            ),
+            (
+                Daemon::Synchronous,
+                [
+                    0x4c06_2b5c_864e_2ad3,
+                    0x56ad_0beb_3d11_e212,
+                    0x3ed8_0046_3ed3_2f5b,
+                    0x58f8_825a_83a2_3c38,
+                ],
+            ),
+        ];
+        for (daemon, digests) in golden {
+            for (opts, want) in modes.iter().zip(digests) {
+                for kind in [
+                    EdgeStoreKind::Flat,
+                    EdgeStoreKind::Compressed,
+                    EdgeStoreKind::Disk,
+                ] {
+                    let opts = opts.clone().with_edge_store(kind);
+                    let ts =
+                        TransitionSystem::explore_with(&alg, &ix, daemon, &spec, &opts).unwrap();
+                    assert_eq!(
+                        ts.content_digest(),
+                        want,
+                        "{daemon} {:?} {:?} on {kind:?}",
+                        opts.mode,
+                        opts.quotient
+                    );
+                }
+            }
+        }
+    }
+
+    /// The multi-chunk parallel sweep and the sequential batched sweep
+    /// build the same system. A budget that never trips activates the
+    /// guard, which forces sequential batches; the plain run fans out
+    /// whenever the host has more than one CPU (the full sweep has 8192
+    /// rows, the quotient sweep 14602 representatives).
+    #[test]
+    fn parallel_sweep_matches_sequential_batches() {
+        use crate::engine::{Budget, FaultPlan, RunGuard};
+        let spec = agreement();
+        for (n, opts) in [
+            (13, ExploreOptions::full()),
+            (18, ExploreOptions::full().with_ring_quotient()),
+        ] {
+            let alg = CopyRing::new(n);
+            let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+            for daemon in [Daemon::Central, Daemon::Synchronous] {
+                let plain =
+                    TransitionSystem::explore_with(&alg, &ix, daemon, &spec, &opts).unwrap();
+                assert!(plain.n_configs() >= 8192);
+                let guard = RunGuard::new(
+                    Budget::unlimited().with_max_states(u64::MAX),
+                    FaultPlan::none(),
+                );
+                assert!(guard.is_active());
+                let batched =
+                    TransitionSystem::explore_guarded(&alg, &ix, daemon, &spec, &opts, &guard)
+                        .unwrap();
+                assert_eq!(
+                    batched.content_digest(),
+                    plain.content_digest(),
+                    "ring {n} under {daemon} with {:?}",
+                    opts.quotient
+                );
+            }
+        }
+    }
+
+    /// A dense sweep past the u32 id width is a typed error, raised before
+    /// anything proportional to the space is allocated.
+    #[test]
+    fn dense_sweep_past_the_id_width_is_a_typed_error() {
+        let alg = CopyRing::new(33);
+        let ix = SpaceIndexer::new(&alg, 1 << 34).unwrap();
+        let err = TransitionSystem::explore_with(
+            &alg,
+            &ix,
+            Daemon::Central,
+            &agreement(),
+            &ExploreOptions::full(),
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::StateSpaceTooLarge { total, cap }
+                if total == 1 << 33 && cap == u32::MAX as u64
+        ));
     }
 
     #[test]

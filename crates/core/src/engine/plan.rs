@@ -420,7 +420,7 @@ where
     let count = req.sample_rows.clamp(1, total);
     let stride = (total / count).max(1);
     let conflicts = conflict_masks(alg, daemon);
-    let mut gen = RowGen::new();
+    let mut gen = RowGen::default();
     let mut digits = Vec::new();
     let mut edges = 0u64;
     for i in 0..count {

@@ -938,33 +938,16 @@ fn read_frame(path: &Path) -> Result<(u64, u64, u8, Vec<u8>), String> {
 // Snapshot source: a borrowed view of in-progress exploration state.
 // ---------------------------------------------------------------------------
 
-/// Label bits come from a [`BitSet`] in the sweep paths and a `Vec<bool>`
-/// in the BFS path; `Empty` stands for "all clear" (BFS has no initial
-/// bitmap — the seeds carry it).
-pub(super) enum LabelBits<'a> {
-    Bits(&'a BitSet),
-    Flags(&'a [bool]),
-    Empty,
-}
-
-impl LabelBits<'_> {
-    fn get(&self, i: usize) -> bool {
-        match self {
-            LabelBits::Bits(b) => b.get(i),
-            LabelBits::Flags(f) => f[i],
-            LabelBits::Empty => false,
-        }
-    }
-}
-
 /// A borrowed view of everything a delta frame snapshots. The exploration
 /// loops hand this to [`Checkpointer::tick`] at batch boundaries; the
 /// checkpointer's internal watermarks slice out just the delta.
 pub(super) struct SnapshotSource<'a> {
     pub(super) builder: &'a EdgeStorageBuilder,
     pub(super) enabled: &'a [u64],
-    pub(super) legit: LabelBits<'a>,
-    pub(super) initial: LabelBits<'a>,
+    pub(super) legit: &'a BitSet,
+    /// All clear under a growing frontier, whose seeds carry the
+    /// initial set.
+    pub(super) initial: &'a BitSet,
     pub(super) deterministic: bool,
     pub(super) table: Option<&'a StateTable>,
     pub(super) seeds: &'a [u32],
@@ -1508,32 +1491,17 @@ impl Replay {
                 dir: dir.display().to_string(),
             });
         };
-        let n = self.cursor as usize;
         let spill = SpillConfig {
             dir: Some(dir.join("spill")),
             ..SpillConfig::default()
         };
         let forward = self.builder.into_builder(self.tier, &spill).finish();
-        let mut legit = BitSet::new(n);
-        for (i, &l) in self.legit.iter().enumerate() {
-            if l {
-                legit.insert(i);
-            }
-        }
-        let mut initial = BitSet::new(n);
-        match fin.traversal {
-            TraversalMode::Reachable => {
-                for &s in &self.seeds {
-                    initial.insert(s as usize);
-                }
-            }
-            TraversalMode::Full => {
-                for (i, &b) in self.initial.iter().enumerate() {
-                    if b {
-                        initial.insert(i);
-                    }
-                }
-            }
+        let legit = BitSet::from_bools(&self.legit);
+        // A reachable run records its initial set as seeds (its initial
+        // bits are all clear); a sweep records bits and no seeds.
+        let mut initial = BitSet::from_bools(&self.initial);
+        for &s in &self.seeds {
+            initial.insert(s as usize);
         }
         let states = match fin.dense_total {
             Some(total) => StateIds::Dense { total },
@@ -1956,8 +1924,8 @@ mod tests {
             let src = SnapshotSource {
                 builder: &builder,
                 enabled: &enabled,
-                legit: LabelBits::Flags(&legit),
-                initial: LabelBits::Empty,
+                legit: &BitSet::from_bools(&legit),
+                initial: &BitSet::new(legit.len()),
                 deterministic: true,
                 table: None,
                 seeds: &[],

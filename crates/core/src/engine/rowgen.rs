@@ -31,6 +31,7 @@ pub(super) struct RawEdge {
 
 /// Reusable per-thread scratch: nothing here is allocated per
 /// configuration once the buffers have grown to their working sizes.
+#[derive(Default)]
 pub(super) struct RowGen {
     /// Enabled nodes of the current configuration, ascending.
     enabled_nodes: Vec<NodeId>,
@@ -50,18 +51,6 @@ pub(super) struct RowGen {
 }
 
 impl RowGen {
-    pub fn new() -> Self {
-        RowGen {
-            enabled_nodes: Vec::new(),
-            delta_spans: Vec::new(),
-            deltas: Vec::new(),
-            activations: Vec::new(),
-            branches: Vec::new(),
-            branches_next: Vec::new(),
-            row: Vec::new(),
-        }
-    }
-
     /// Fills `self.row` with the successor edges of the configuration
     /// `cfg` (mixed-radix index `id`, digits `digits`) under the lattice
     /// point `spec`, and returns `(enabled bitmask, deterministic here)`.

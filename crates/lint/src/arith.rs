@@ -45,6 +45,7 @@ pub const ARITH_PATHS: &[&str] = &[
     "crates/core/src/engine/resilience.rs",
     "crates/core/src/engine/rowgen.rs",
     "crates/core/src/engine/spill.rs",
+    "crates/core/src/engine/traverse.rs",
     "crates/markov/src/qstore.rs",
 ];
 
