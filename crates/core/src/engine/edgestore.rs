@@ -335,7 +335,7 @@ const INVERT_PROBE_STRIDE: usize = 1 << 16;
 /// [`invert_target_rows`] under a cooperative [`Budget`]: the full
 /// reverse-CSR allocation (4 B/entry data + 4 B/row counts + cursor) is
 /// probed on the `reverse` stage up front, and both decoding passes
-/// re-probe every [`INVERT_PROBE_STRIDE`] rows — the chunk-blocked
+/// re-probe every `INVERT_PROBE_STRIDE` (2^16) rows — the chunk-blocked
 /// external inversion runs row-sequentially, so on the disk tier chunks
 /// rotate through the cache exactly once per pass.
 ///

@@ -221,7 +221,7 @@ impl TransitionSystem {
     }
 
     /// [`TransitionSystem::explore_with`] under a [`RunGuard`]: the
-    /// guard's [`Budget`](super::Budget) is probed cooperatively at batch
+    /// guard's [`Budget`] is probed cooperatively at batch
     /// boundaries (exhaustion surfaces as
     /// [`CoreError::BudgetExhausted`] instead of an OOM kill), and its
     /// [`FaultPlan`](super::FaultPlan) injects deterministic kill-points

@@ -1,6 +1,6 @@
 //! The over-approximate workspace call graph.
 //!
-//! Edges connect [`resolve::Item`]s **by bare callee name**: a token
+//! Edges connect [`crate::resolve::Item`]s **by bare callee name**: a token
 //! `name` followed by `(` (a direct or method call), a turbofish
 //! `name::<…>(`, or a bare `name` in argument position (`name,` /
 //! `name)` — a function reference handed to a combinator, e.g.

@@ -144,7 +144,13 @@ pub fn default_roots(resolved: &Resolved) -> Vec<usize> {
         ("AbsorbingChain", "build_with"),
         ("AbsorbingChain", "from_transition_system"),
     ];
-    const FREE_ROOTS: &[&str] = &["gauss_seidel", "gauss_seidel_budgeted", "solve_dense"];
+    const FREE_ROOTS: &[&str] = &[
+        "gauss_seidel",
+        "gauss_seidel_budgeted",
+        "gauss_seidel_multi",
+        "solve_dense",
+        "solve_dense_multi",
+    ];
     let mut roots = Vec::new();
     for (idx, it) in resolved.items.iter().enumerate() {
         if it.in_test {

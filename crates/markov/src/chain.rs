@@ -288,8 +288,8 @@ impl<S: LocalState> AbsorbingChain<S> {
 
     /// The sparse `Q` store (transient-to-transient probabilities), in
     /// whichever tier the exploration selected. Iterate rows with
-    /// [`QStorage::row_iter`]; the solvers accept it directly through the
-    /// [`crate::qstore::QRows`] trait.
+    /// [`QStorage::row_iter`]; the solvers take the concrete tier inside
+    /// (through the [`crate::qstore::QRows`] trait).
     pub fn q(&self) -> &QStorage {
         &self.q
     }

@@ -6,6 +6,7 @@ use stab_core::{Configuration, LocalState};
 use crate::chain::AbsorbingChain;
 use crate::error::MarkovError;
 use crate::linalg;
+use crate::qstore::{QRows, QStorage};
 
 /// Above this many transient states the sparse Gauss–Seidel solver replaces
 /// dense Gaussian elimination.
@@ -79,26 +80,48 @@ impl HittingTimes {
     }
 }
 
+/// Solves `(I − Q) x = b` for every side in `bs` on one concrete `Q` tier:
+/// dense Gaussian elimination up to [`DENSE_LIMIT`] rows, budget-probed
+/// Gauss–Seidel above it.
+fn solve_on<M: QRows, const K: usize>(
+    q: &M,
+    bs: [&[f64]; K],
+    budget: &Budget,
+) -> Result<[Vec<f64>; K], MarkovError> {
+    let n = q.n_rows();
+    if n > DENSE_LIMIT {
+        return linalg::gauss_seidel_multi(q, bs, TOL, 1_000_000, budget);
+    }
+    let mut a = vec![vec![0.0; n]; n];
+    for (i, row) in a.iter_mut().enumerate() {
+        row[i] = 1.0;
+        for (j, p) in q.row_iter(i) {
+            row[j as usize] -= p;
+        }
+    }
+    linalg::solve_dense_multi(a, bs.map(<[f64]>::to_vec))
+}
+
 impl<S: LocalState> AbsorbingChain<S> {
-    /// Solves `(I − Q) x = b` by the size-appropriate solver: dense
-    /// Gaussian elimination below [`DENSE_LIMIT`], budget-probed
-    /// Gauss–Seidel above it. One entry probe of the `solver` stage covers
-    /// the dense path (whose runtime is bounded by the limit).
-    fn solve_fundamental(&self, b: Vec<f64>, budget: &Budget) -> Result<Vec<f64>, MarkovError> {
-        let n = self.n_transient();
-        debug_assert_eq!(b.len(), n);
+    /// Solves `(I − Q) x = b` for every right-hand side in `bs` with one
+    /// solve (see [`solve_on`]). The `Q` tier is dispatched once here, so
+    /// the solver's inner loop runs on the concrete store. One entry probe
+    /// of the `solver` stage covers the dense path (whose runtime is
+    /// bounded by the limit); a chain without transient states solves
+    /// trivially, unprobed.
+    fn solve_fundamental<const K: usize>(
+        &self,
+        bs: [&[f64]; K],
+        budget: &Budget,
+    ) -> Result<[Vec<f64>; K], MarkovError> {
+        if self.n_transient() == 0 {
+            return Ok(std::array::from_fn(|_| Vec::new()));
+        }
         budget.probe("solver", 0, 0)?;
-        if n <= DENSE_LIMIT {
-            let mut a = vec![vec![0.0; n]; n];
-            for (i, row) in a.iter_mut().enumerate() {
-                row[i] = 1.0;
-                for (j, q) in self.q().row_iter(i) {
-                    row[j as usize] -= q;
-                }
-            }
-            linalg::solve_dense(a, b)
-        } else {
-            linalg::gauss_seidel_budgeted(self.q(), &b, TOL, 1_000_000, budget)
+        match self.q() {
+            QStorage::Flat(q) => solve_on(q, bs, budget),
+            QStorage::Compressed(q) => solve_on(q, bs, budget),
+            QStorage::Disk(q) => solve_on(q, bs, budget),
         }
     }
 
@@ -123,12 +146,30 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// As [`AbsorbingChain::expected_steps`], plus the budget error above.
     pub fn expected_steps_with(&self, budget: &Budget) -> Result<HittingTimes, MarkovError> {
         self.almost_surely_absorbing()?;
-        let n = self.n_transient();
-        if n == 0 {
-            return Ok(HittingTimes { times: Vec::new() });
-        }
-        let times = self.solve_fundamental(vec![1.0; n], budget)?;
+        let [times] = self.solve_fundamental([&vec![1.0; self.n_transient()]], budget)?;
         Ok(HittingTimes { times })
+    }
+
+    /// The expected stabilization times and the absorption probabilities
+    /// from one solve with both right-hand sides (`1` and the one-step
+    /// absorption vector): each `Q` row is decoded once per sweep for
+    /// both. The results are bit-identical to
+    /// [`AbsorbingChain::expected_steps_with`] and
+    /// [`AbsorbingChain::absorption_probabilities_with`].
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::NotAbsorbing`] before any solving when absorption is
+    /// not almost sure; otherwise the first failing side's solver error
+    /// (expected times first), or the budget error.
+    pub fn expected_steps_and_absorption_with(
+        &self,
+        budget: &Budget,
+    ) -> Result<(HittingTimes, Vec<f64>), MarkovError> {
+        self.almost_surely_absorbing()?;
+        let ones = vec![1.0; self.n_transient()];
+        let [times, absorption] = self.solve_fundamental([&ones, self.absorb()], budget)?;
+        Ok((HittingTimes { times }, absorption))
     }
 
     /// The expected stabilization time from a specific configuration
@@ -167,10 +208,7 @@ impl<S: LocalState> AbsorbingChain<S> {
     pub fn expected_reward(&self, reward: &[f64]) -> Result<HittingTimes, MarkovError> {
         assert_eq!(reward.len(), self.n_transient(), "reward length mismatch");
         self.almost_surely_absorbing()?;
-        if self.n_transient() == 0 {
-            return Ok(HittingTimes { times: Vec::new() });
-        }
-        let times = self.solve_fundamental(reward.to_vec(), &Budget::unlimited())?;
+        let [times] = self.solve_fundamental([reward], &Budget::unlimited())?;
         Ok(HittingTimes { times })
     }
 
@@ -208,10 +246,8 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// Solver errors, plus [`MarkovError::Core`]`(BudgetExhausted)` when a
     /// probe trips.
     pub fn absorption_probabilities_with(&self, budget: &Budget) -> Result<Vec<f64>, MarkovError> {
-        if self.n_transient() == 0 {
-            return Ok(Vec::new());
-        }
-        self.solve_fundamental(self.absorb().to_vec(), budget)
+        let [probs] = self.solve_fundamental([self.absorb()], budget)?;
+        Ok(probs)
     }
 
     /// The CDF of the stabilization time from the uniform initial
@@ -342,7 +378,10 @@ mod tests {
         let times = chain.expected_steps().unwrap();
         // Cross-validate dense against Gauss–Seidel on the same rows.
         let n = chain.n_transient();
-        let gs = linalg::gauss_seidel(chain.q(), &vec![1.0; n], 1e-12, 1_000_000).unwrap();
+        let QStorage::Flat(q) = chain.q() else {
+            unreachable!("a default build stores Q flat")
+        };
+        let gs = linalg::gauss_seidel(q, &vec![1.0; n], 1e-12, 1_000_000).unwrap();
         for (i, g) in gs.iter().enumerate() {
             assert!((times.of_transient(i) - g).abs() < 1e-7);
         }

@@ -3,11 +3,19 @@
 //! sparse Gauss–Seidel for large ones (convergent because `Q` is
 //! substochastic with almost-sure absorption).
 //!
+//! Both solvers take `K` right-hand sides at once (the chain solves
+//! `b = 1` for expected times and `b = absorb` for absorption
+//! probabilities together), and the one-side entry points are the `K = 1`
+//! case of the same code. Each column of a `K`-side solve is bit-identical
+//! to its one-side solve: elimination pivots depend only on `A`, and a
+//! Gauss–Seidel side freezes at the sweep its own max-update falls below
+//! the tolerance.
+//!
 //! The sparse solver is generic over [`QRows`], so it runs unchanged over
-//! the flat [`QMatrix`](crate::QMatrix) and the compressed
-//! [`QStorage`](crate::QStorage) tiers — the latter re-decodes its byte
-//! stream every sweep, trading time for the memory that lets 10⁸-entry
-//! chains fit.
+//! the flat [`QMatrix`](crate::QMatrix), [`CompressedQ`](crate::CompressedQ)
+//! and disk tiers. Each sweep decodes every row once, for all right-hand
+//! sides together — on the compressed and disk tiers that decode is most
+//! of a sweep's cost, paid for the memory that lets 10⁸-entry chains fit.
 
 use stab_core::engine::Budget;
 
@@ -15,18 +23,36 @@ use crate::error::MarkovError;
 use crate::qstore::QRows;
 
 /// Solves the dense system `A x = b` by Gaussian elimination with partial
-/// pivoting, consuming the inputs.
+/// pivoting, consuming the inputs (the one-side case of
+/// [`solve_dense_multi`]).
 ///
 /// # Errors
 ///
 /// [`MarkovError::Singular`] on a vanishing pivot.
-// Indexed loops: the elimination reads row `col` while writing row `row`,
-// which iterator adapters cannot express without `split_at_mut` noise.
-#[allow(clippy::needless_range_loop)]
-pub fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, MarkovError> {
+pub fn solve_dense(a: Vec<Vec<f64>>, b: Vec<f64>) -> Result<Vec<f64>, MarkovError> {
+    let [x] = solve_dense_multi(a, [b])?;
+    Ok(x)
+}
+
+/// Solves `A X = B` for `K` right-hand-side columns with one elimination:
+/// the row swaps and multipliers are applied to every column, and each
+/// column is then back-substituted on its own, so column `k` is
+/// bit-identical to `solve_dense(a, bs[k])`.
+///
+/// # Errors
+///
+/// [`MarkovError::Singular`] on a vanishing pivot.
+///
+/// # Panics
+///
+/// Panics if `a` is not square or a column's length differs from it.
+pub fn solve_dense_multi<const K: usize>(
+    mut a: Vec<Vec<f64>>,
+    mut bs: [Vec<f64>; K],
+) -> Result<[Vec<f64>; K], MarkovError> {
     let n = a.len();
     assert!(a.iter().all(|row| row.len() == n), "matrix must be square");
-    assert_eq!(b.len(), n, "dimension mismatch");
+    assert!(bs.iter().all(|b| b.len() == n), "dimension mismatch");
     for col in 0..n {
         // Partial pivot.
         let pivot = (col..n)
@@ -36,29 +62,29 @@ pub fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, Ma
             return Err(MarkovError::Singular);
         }
         a.swap(col, pivot);
-        b.swap(col, pivot);
-        let inv = 1.0 / a[col][col];
-        for row in col + 1..n {
-            let factor = a[row][col] * inv;
+        bs.iter_mut().for_each(|b| b.swap(col, pivot));
+        let (top, rest) = a[col..].split_first_mut().expect("col < n");
+        let inv = 1.0 / top[col];
+        for (row, below) in rest.iter_mut().zip(col + 1..) {
+            let factor = row[col] * inv;
             if factor == 0.0 {
                 continue;
             }
-            for k in col..n {
-                a[row][k] -= factor * a[col][k];
-            }
-            b[row] -= factor * b[col];
+            let updates = row[col..].iter_mut().zip(&top[col..]);
+            updates.for_each(|(x, &t)| *x -= factor * t);
+            bs.iter_mut().for_each(|b| b[below] -= factor * b[col]);
         }
     }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k in row + 1..n {
-            acc -= a[row][k] * x[k];
+    // Back substitution, column by column.
+    Ok(bs.map(|b| {
+        let mut x = vec![0.0; n];
+        for row in (0..n).rev() {
+            let tail = a[row][row + 1..].iter().zip(&x[row + 1..]);
+            let acc = tail.fold(b[row], |acc, (&a_rk, &x_k)| acc - a_rk * x_k);
+            x[row] = acc / a[row][row];
         }
-        x[row] = acc / a[row][row];
-    }
-    Ok(x)
+        x
+    }))
 }
 
 /// Solves `(I − Q) x = b` by Gauss–Seidel iteration, where row `i` of the
@@ -81,10 +107,31 @@ pub fn gauss_seidel<M: QRows>(
     gauss_seidel_budgeted(q, b, tol, max_iter, &Budget::unlimited())
 }
 
-/// [`gauss_seidel`] under a cooperative [`Budget`]: each sweep probes the
-/// `solver` stage, so an exhausted wall-clock budget interrupts a slowly
-/// converging iteration with a typed error instead of spinning to
-/// `max_iter`.
+/// [`gauss_seidel`] under a cooperative [`Budget`] (the one-side case of
+/// [`gauss_seidel_multi`]).
+///
+/// # Errors
+///
+/// As [`gauss_seidel_multi`].
+pub fn gauss_seidel_budgeted<M: QRows>(
+    q: &M,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+    budget: &Budget,
+) -> Result<Vec<f64>, MarkovError> {
+    let [x] = gauss_seidel_multi(q, [b], tol, max_iter, budget)?;
+    Ok(x)
+}
+
+/// Gauss–Seidel over `K` right-hand sides at once: every sweep decodes
+/// each row of `q` once and updates every side that is still live. A side
+/// freezes once its own max-update falls below `tol`, so its iterates,
+/// sweep count and result are bit-identical to a one-side solve.
+///
+/// Each sweep probes the `solver` stage of `budget`, so an exhausted
+/// wall-clock budget interrupts a slowly converging iteration with a
+/// typed error instead of spinning to `max_iter`.
 ///
 /// The sweep order is block-structured by construction: rows were
 /// appended to the store in ascending index order, so on the disk tier
@@ -95,33 +142,39 @@ pub fn gauss_seidel<M: QRows>(
 ///
 /// # Errors
 ///
-/// As [`gauss_seidel`], plus
+/// [`MarkovError::SolverDiverged`] carrying the first unconverged side's
+/// own residual if some side is still live after `max_iter` sweeps, and
 /// [`MarkovError::Core`]`(`[`CoreError::BudgetExhausted`]`)` when a probe
 /// trips.
 ///
+/// # Panics
+///
+/// Panics if a side's length differs from `q`'s row count.
+///
 /// [`CoreError::BudgetExhausted`]: stab_core::CoreError::BudgetExhausted
-pub fn gauss_seidel_budgeted<M: QRows>(
+pub fn gauss_seidel_multi<M: QRows, const K: usize>(
     q: &M,
-    b: &[f64],
+    bs: [&[f64]; K],
     tol: f64,
     max_iter: usize,
     budget: &Budget,
-) -> Result<Vec<f64>, MarkovError> {
+) -> Result<[Vec<f64>; K], MarkovError> {
     let n = q.n_rows();
-    assert_eq!(b.len(), n, "dimension mismatch");
-    let mut x = b.to_vec();
-    let mut residual = f64::INFINITY;
+    assert!(bs.iter().all(|b| b.len() == n), "dimension mismatch");
+    let mut xs = bs.map(<[f64]>::to_vec);
+    let mut live = [true; K];
+    let mut residual = [f64::INFINITY; K];
     for sweep in 0..max_iter {
         budget.probe("solver", q.resident_bytes(), sweep as u64)?;
-        residual = 0.0;
+        residual = [0.0; K];
         for i in 0..n {
-            let mut acc = b[i];
+            let mut acc: [f64; K] = std::array::from_fn(|s| bs[s][i]);
             let mut diag = 0.0;
             for (j, p) in q.row_iter(i) {
                 if j as usize == i {
                     diag += p;
                 } else {
-                    acc += p * x[j as usize];
+                    (0..K).for_each(|s| acc[s] += p * xs[s][j as usize]);
                 }
             }
             // Self-loop mass folds into the diagonal: (1 − Q_ii) x_i = acc.
@@ -134,17 +187,21 @@ pub fn gauss_seidel_budgeted<M: QRows>(
                     residual: f64::INFINITY,
                 });
             }
-            let next = acc / denom;
-            residual = residual.max((next - x[i]).abs());
-            x[i] = next;
+            for s in (0..K).filter(|&s| live[s]) {
+                let next = acc[s] / denom;
+                residual[s] = residual[s].max((next - xs[s][i]).abs());
+                xs[s][i] = next;
+            }
         }
-        if residual < tol {
-            return Ok(x);
+        live = std::array::from_fn(|s| live[s] && residual[s] >= tol);
+        if !live.contains(&true) {
+            return Ok(xs);
         }
     }
+    let first_live = residual.iter().zip(live).find(|&(_, l)| l);
     Err(MarkovError::SolverDiverged {
         iterations: max_iter,
-        residual,
+        residual: first_live.map_or(f64::INFINITY, |(&r, _)| r),
     })
 }
 
@@ -246,6 +303,124 @@ mod tests {
         let q = QMatrix::from_rows(vec![vec![(0u32, 1.0)]]);
         let err = gauss_seidel(&q, &[1.0], 1e-12, 50).unwrap_err();
         assert!(matches!(err, MarkovError::SolverDiverged { .. }));
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The 4-state leaky chain of `gauss_seidel_matches_dense_on_random_chain`.
+    fn leaky4() -> QMatrix {
+        QMatrix::from_rows(vec![
+            vec![(1u32, 0.5), (2, 0.25)],
+            vec![(0u32, 0.3), (3, 0.3)],
+            vec![(2u32, 0.6), (0, 0.2)],
+            vec![(1u32, 0.9)],
+        ])
+    }
+
+    /// The smallest sweep cap under which a one-side solve converges.
+    fn sweeps_to_converge(q: &QMatrix, b: &[f64], tol: f64) -> usize {
+        (1..10_000)
+            .find(|&m| gauss_seidel(q, b, tol, m).is_ok())
+            .expect("converges")
+    }
+
+    #[test]
+    fn dense_columns_are_bit_identical_to_one_side_solves() {
+        // Zero leading diagonal forces a row swap; the third column is
+        // all zeros, so its multipliers meet exact zeros throughout.
+        let a = vec![
+            vec![0.0, 2.0, 1.0, 0.5],
+            vec![3.0, -1.0, 0.25, 0.0],
+            vec![1.0, 1.0 / 3.0, 4.0, -2.0],
+            vec![0.1, 0.0, 0.7, 5.0],
+        ];
+        let bs = [vec![1.0; 4], vec![0.3, -7.0, 1.0 / 7.0, 2.5], vec![0.0; 4]];
+        let multi = solve_dense_multi(a.clone(), bs.clone()).unwrap();
+        for (b, x) in bs.into_iter().zip(&multi) {
+            assert_eq!(bits(&solve_dense(a.clone(), b).unwrap()), bits(x));
+        }
+        let singular = vec![vec![1.0, 2.0], vec![2.0, 4.0]];
+        assert_eq!(
+            solve_dense_multi(singular, [vec![1.0, 2.0], vec![0.0, 1.0]]).unwrap_err(),
+            MarkovError::Singular
+        );
+    }
+
+    #[test]
+    fn gauss_seidel_sides_are_bit_identical_and_freeze_at_their_own_sweep() {
+        let q = leaky4();
+        let tol = 1e-13;
+        // Tolerances are absolute, so the scaled-down side converges in
+        // fewer sweeps than the unit side.
+        let ones = [1.0; 4];
+        let absorb = [0.25, 0.4, 0.2, 0.1];
+        let tiny = [1e-9, 0.0, 3e-9, 0.0];
+        let counts = [&ones, &absorb, &tiny].map(|b| sweeps_to_converge(&q, b, tol));
+        assert!(
+            counts[2] < counts[0] && counts[2] < counts[1],
+            "sides must converge at different sweeps: {counts:?}"
+        );
+        let unlimited = Budget::unlimited();
+        let multi =
+            gauss_seidel_multi(&q, [&ones[..], &absorb, &tiny], tol, 10_000, &unlimited).unwrap();
+        for (b, x) in [&ones[..], &absorb, &tiny].into_iter().zip(&multi) {
+            assert_eq!(bits(&gauss_seidel(&q, b, tol, 10_000).unwrap()), bits(x));
+        }
+        // A cap between the sweep counts: the early side converged, the
+        // others did not, and the error carries the first live side's own
+        // residual.
+        let cap = counts[2];
+        let err =
+            gauss_seidel_multi(&q, [&tiny[..], &ones, &absorb], tol, cap, &unlimited).unwrap_err();
+        assert_eq!(err, gauss_seidel(&q, &ones, tol, cap).unwrap_err());
+    }
+
+    #[test]
+    fn a_side_that_cannot_converge_reports_its_own_residual() {
+        // Two states swapping with no leakage: the zero side stays at its
+        // fixed point, the unit side grows by one per sweep forever.
+        let q = QMatrix::from_rows(vec![vec![(1u32, 1.0)], vec![(0u32, 1.0)]]);
+        let zero = [0.0; 2];
+        let ones = [1.0; 2];
+        let solo = gauss_seidel(&q, &ones, 1e-12, 50).unwrap_err();
+        assert!(matches!(
+            solo,
+            MarkovError::SolverDiverged { iterations: 50, residual } if residual >= 1.0
+        ));
+        let unlimited = Budget::unlimited();
+        for sides in [[&zero[..], &ones], [&ones[..], &zero]] {
+            let err = gauss_seidel_multi(&q, sides, 1e-12, 50, &unlimited).unwrap_err();
+            assert_eq!(err, solo);
+        }
+        // Two failing sides: the first one's residual is reported.
+        let threes = [3.0; 2];
+        let err = gauss_seidel_multi(&q, [&threes[..], &ones], 1e-12, 50, &unlimited);
+        assert_eq!(
+            err.unwrap_err(),
+            gauss_seidel(&q, &threes, 1e-12, 50).unwrap_err()
+        );
+        assert_ne!(
+            gauss_seidel(&q, &threes, 1e-12, 50).unwrap_err(),
+            solo,
+            "the two sides' residuals differ"
+        );
+    }
+
+    #[test]
+    fn multi_side_budget_probes_once_per_sweep() {
+        // Budget states are the sweep index: a limit of 3 admits sweeps
+        // 0..=3 and trips on the fifth, however many sides there are.
+        let q = leaky4();
+        let b = [1.0; 4];
+        let budget = Budget::unlimited().with_max_states(3);
+        let err = gauss_seidel_multi(&q, [&b[..], &b], 1e-13, 100, &budget).unwrap_err();
+        assert!(matches!(
+            err,
+            MarkovError::Core(stab_core::CoreError::BudgetExhausted { used: 4, .. })
+        ));
+        assert_eq!(budget.probes_seen(), 5);
     }
 
     #[test]

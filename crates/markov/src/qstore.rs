@@ -19,10 +19,13 @@
 //! `ExploreOptions::with_edge_store(EdgeStoreKind::Compressed)` keeps its
 //! memory profile through the whole Markov pipeline: the solvers
 //! ([`crate::linalg`]) iterate rows through the [`QRows`] trait and never
-//! materialise a flat copy. The tradeoff is deliberate: Gauss–Seidel
-//! sweeps re-decode the stream (and, on the disk tier, re-fault chunks
-//! through the cache) each iteration, paying time for the memory
-//! reduction that lets 10⁹-entry chains fit at all.
+//! materialise a flat copy. The chain matches on [`QStorage`] once per
+//! solve and hands the solver the concrete tier, so no per-entry tier
+//! dispatch sits in a sweep ([`QStorage::row_iter`] serves everything
+//! else). The tradeoff is deliberate: each Gauss–Seidel sweep decodes the
+//! stream (and, on the disk tier, re-faults chunks through the cache)
+//! once for all right-hand sides solved together, paying time for the
+//! memory reduction that lets 10⁹-entry chains fit at all.
 
 use stab_core::engine::edgestore::{invert_target_rows, DeltaStreamReader, DeltaStreamWriter};
 use stab_core::engine::spill::{SpillCursor, SpillSink, SpillStore};
@@ -32,8 +35,8 @@ use stab_core::engine::{Csr, EdgeStoreKind, SpillConfig};
 pub type QMatrix = Csr<(u32, f64)>;
 
 /// Row-iteration access to a sparse substochastic matrix, implemented by
-/// both tiers and by the runtime-selected [`QStorage`]. The solvers are
-/// generic over it.
+/// each concrete tier. The solvers are generic over it; the
+/// runtime-selected [`QStorage`] is matched once per solve instead.
 pub trait QRows {
     /// The row cursor.
     type Row<'a>: Iterator<Item = (u32, f64)>
@@ -274,7 +277,7 @@ impl QStorage {
     }
 
     /// Row `i` decoded into a fresh vector (test and display convenience;
-    /// the solvers iterate [`QStorage::row_iter`] without allocating).
+    /// the solvers iterate the concrete tier's rows without allocating).
     pub fn row_vec(&self, i: usize) -> Vec<(u32, f64)> {
         self.row_iter(i).collect()
     }
@@ -297,22 +300,6 @@ impl QStorage {
                 QRows::row_iter(q, i).map(|(j, _)| j)
             }),
         }
-    }
-}
-
-impl QRows for QStorage {
-    type Row<'a> = QRowIter<'a>;
-
-    fn n_rows(&self) -> usize {
-        QStorage::n_rows(self)
-    }
-
-    fn row_iter(&self, i: usize) -> QRowIter<'_> {
-        QStorage::row_iter(self, i)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        QStorage::resident_q_bytes(self)
     }
 }
 

@@ -10,7 +10,7 @@ use crate::run::run_once;
 use crate::stats::{Accumulator, Estimate};
 
 /// Batch parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchSettings {
     /// Number of runs.
     pub runs: u64,

@@ -109,41 +109,10 @@ pub const DEFAULT_CAP: u64 = u32::MAX as u64;
 #[derive(Debug, Clone, Copy)]
 pub struct NoSpec;
 
-/// Seeded Monte-Carlo stage configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct McConfig {
-    /// Number of runs.
-    pub runs: u64,
-    /// Per-run step budget; runs exceeding it count as failures.
-    pub max_steps: u64,
-    /// Base seed; the batch is deterministic in (config, algorithm).
-    pub seed: u64,
-    /// Worker threads (1 = sequential).
-    pub threads: usize,
-}
-
-impl Default for McConfig {
-    fn default() -> Self {
-        let b = BatchSettings::default();
-        McConfig {
-            runs: b.runs,
-            max_steps: b.max_steps,
-            seed: b.seed,
-            threads: b.threads,
-        }
-    }
-}
-
-impl McConfig {
-    fn settings(&self) -> BatchSettings {
-        BatchSettings {
-            runs: self.runs,
-            max_steps: self.max_steps,
-            seed: self.seed,
-            threads: self.threads,
-        }
-    }
-}
+/// Seeded Monte-Carlo stage configuration: the simulator's batch
+/// settings (runs, per-run step budget, base seed, worker threads). The
+/// batch is deterministic in (config, algorithm).
+pub type McConfig = BatchSettings;
 
 /// A planned, staged study of one `(algorithm, daemon, specification)`
 /// triple — see the [module docs](self) for the full pipeline.
@@ -367,10 +336,13 @@ where
     ///   starved downstream), because a resource-capped run must exit
     ///   cleanly with whatever it finished.
     ///
+    /// A Monte-Carlo request with zero runs records
+    /// [`Outcome::Degraded`] for that stage and no Monte-Carlo section.
+    ///
     /// # Panics
     ///
-    /// The Monte-Carlo stage inherits `stab_sim`'s panics: zero runs, or
-    /// no run converging within its step budget.
+    /// The Monte-Carlo stage inherits `stab_sim`'s panic when no run
+    /// converges within its step budget.
     pub fn run(&self) -> Result<StudyReport, CoreError> {
         let total_start = Instant::now();
         let ix = SpaceIndexer::new(self.alg, self.cap)?;
@@ -540,12 +512,8 @@ where
             // ---- Stage 4: exact expected times -----------------------
             if let Some(chain) = chain.filter(|_| self.expected) {
                 let start = Instant::now();
-                let budget = guard.budget();
-                match (
-                    chain.expected_steps_with(budget),
-                    chain.absorption_probabilities_with(budget),
-                ) {
-                    (Ok(times), Ok(probs)) => {
+                match chain.expected_steps_and_absorption_with(guard.budget()) {
+                    Ok((times, probs)) => {
                         let min_absorption = probs.into_iter().fold(1.0f64, f64::min);
                         expected_times = Some(ExpectedSection::Solved(ExpectedTimes {
                             n_transient: chain.n_transient() as u64,
@@ -559,13 +527,12 @@ where
                         }));
                         expected_outcome = Outcome::Complete;
                     }
-                    (Err(MarkovError::Core(e @ CoreError::BudgetExhausted { .. })), _)
-                    | (_, Err(MarkovError::Core(e @ CoreError::BudgetExhausted { .. }))) => {
+                    Err(MarkovError::Core(e @ CoreError::BudgetExhausted { .. })) => {
                         expected_outcome = Outcome::Degraded {
                             reason: e.to_string(),
                         };
                     }
-                    (Err(e), _) | (_, Err(e)) => {
+                    Err(e) => {
                         // "No finite expected time" is itself a result.
                         expected_times = Some(ExpectedSection::Unsolvable {
                             error: e.to_string(),
@@ -580,21 +547,25 @@ where
         // ---- Stage 5: seeded Monte-Carlo (needs no exploration, so it
         // runs even when the explore stage degraded) -------------------
         let mut monte_carlo_ms = None;
-        let monte_carlo = self.monte_carlo.as_ref().map(|config| {
-            let start = Instant::now();
-            let batch = estimate(self.alg, self.daemon, self.spec, &config.settings());
-            let section = McSection {
-                runs: batch.runs,
-                failures: batch.failures,
-                seed: config.seed,
-                max_steps: config.max_steps,
-                steps: EstimateRecord::from(&batch.steps),
-                moves: EstimateRecord::from(&batch.moves),
-                rounds: EstimateRecord::from(&batch.rounds),
-            };
-            monte_carlo_ms = Some(ms(start));
-            section
-        });
+        let monte_carlo = self
+            .monte_carlo
+            .as_ref()
+            .filter(|c| c.runs > 0)
+            .map(|config| {
+                let start = Instant::now();
+                let batch = estimate(self.alg, self.daemon, self.spec, config);
+                let section = McSection {
+                    runs: batch.runs,
+                    failures: batch.failures,
+                    seed: config.seed,
+                    max_steps: config.max_steps,
+                    steps: EstimateRecord::from(&batch.steps),
+                    moves: EstimateRecord::from(&batch.moves),
+                    rounds: EstimateRecord::from(&batch.rounds),
+                };
+                monte_carlo_ms = Some(ms(start));
+                section
+            });
 
         Ok(StudyReport {
             algorithm: self.alg.name(),
@@ -607,10 +578,12 @@ where
                 verdicts: verdicts_outcome,
                 chain_build: chain_build_outcome,
                 expected_solve: expected_outcome,
-                monte_carlo: if monte_carlo.is_some() {
-                    Outcome::Complete
-                } else {
-                    Outcome::Skipped
+                monte_carlo: match (&self.monte_carlo, &monte_carlo) {
+                    (_, Some(_)) => Outcome::Complete,
+                    (Some(_), None) => Outcome::Degraded {
+                        reason: "zero Monte-Carlo runs requested".to_string(),
+                    },
+                    (None, None) => Outcome::Skipped,
                 },
             },
             space: space_section,

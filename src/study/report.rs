@@ -32,6 +32,8 @@ pub enum Outcome {
     /// A budget probe tripped mid-stage: the stage's section is absent
     /// (or partial) and `reason` carries the rendered
     /// [`CoreError::BudgetExhausted`](stab_core::CoreError::BudgetExhausted).
+    /// A Monte-Carlo request for zero runs also degrades its stage, with
+    /// a reason saying so.
     Degraded {
         /// The rendered exhaustion error.
         reason: String,

@@ -21,6 +21,7 @@ use stab_algorithms::{
 use stab_checker::lattice::{Implied, VerdictPropagator};
 use stab_checker::theorems::{theorem5_and_7_agree, theorem6_separation};
 use stab_checker::{analyze, StabilizationReport};
+use stab_core::engine::{EdgeStoreKind, ExploreOptions, Quotient};
 use stab_core::DaemonSpec;
 
 const CAP: u64 = 1 << 22;
@@ -245,4 +246,102 @@ fn herman_at_the_synchronous_point() {
     assert!(theorem5_and_7_agree(&r), "Theorem 7");
     let legacy = analyze(&alg, Daemon::Synchronous, &alg.legitimacy(), CAP).unwrap();
     assert_same_sheet(&r, &legacy, "herman(7) under synchronous");
+}
+
+// ---------------------------------------------------------------------
+// Herman's ring: McIver–Morgan's worst-case expected stabilization time
+// ---------------------------------------------------------------------
+
+/// McIver and Morgan's closed form for Herman's synchronous ring of odd
+/// size `n`: the worst case over all configurations is three tokens at
+/// gaps `a + b + c = n`, with expected time `4abc / n`, maximised over
+/// the gaps.
+fn herman_worst_case(n: usize) -> f64 {
+    let mut best = 0.0f64;
+    for a in 1..n {
+        for b in 1..n - a {
+            let c = n - a - b;
+            best = best.max((4 * a * b * c) as f64 / n as f64);
+        }
+    }
+    best
+}
+
+/// Pins the closed form as the `Study` worst case of Herman's ring of
+/// size `n` on the given quotient, on each of the given edge tiers.
+fn assert_herman_worst_case(n: usize, quotient: Quotient, tiers: &[EdgeStoreKind]) {
+    let alg = HermanRing::on_ring(&builders::ring(n)).unwrap();
+    let spec = alg.legitimacy();
+    for &tier in tiers {
+        let label = format!("N={n} {} {}", quotient.label(), tier.label());
+        let opts = ExploreOptions::full()
+            .with_quotient(quotient)
+            .with_edge_store(tier);
+        let report = Study::of(&alg)
+            .daemon(Daemon::Synchronous)
+            .spec(&spec)
+            .expected_times()
+            .options(opts)
+            .run()
+            .unwrap();
+        assert_eq!(report.plan.edge_store, tier.label(), "{label}: tier");
+        let solved = report.expected_times.as_ref().unwrap().solved().unwrap();
+        assert!(
+            (solved.worst_case - herman_worst_case(n)).abs() < 1e-9,
+            "{label}: worst case {} vs 4abc/N {}",
+            solved.worst_case,
+            herman_worst_case(n)
+        );
+        assert!(
+            (solved.min_absorption - 1.0).abs() < 1e-9,
+            "{label}: absorbs almost surely"
+        );
+    }
+}
+
+const ALL_TIERS: [EdgeStoreKind; 3] = [
+    EdgeStoreKind::Flat,
+    EdgeStoreKind::Compressed,
+    EdgeStoreKind::Disk,
+];
+
+#[test]
+fn herman_closed_form_values() {
+    for (n, value) in [
+        (11, 17.454_545_454_5),
+        (13, 24.615_384_615_4),
+        (15, 33.333_333_333_3),
+    ] {
+        assert!((herman_worst_case(n) - value).abs() < 1e-9, "N={n}");
+    }
+}
+
+/// N = 11: the full sweep and both quotients, every tier (the full
+/// sweep's 2^11 configurations take the Gauss–Seidel path).
+#[test]
+fn herman11_worst_case_matches_mciver_morgan() {
+    for quotient in [
+        Quotient::None,
+        Quotient::RingRotation,
+        Quotient::RingDihedral,
+    ] {
+        assert_herman_worst_case(11, quotient, &ALL_TIERS);
+    }
+}
+
+/// N = 13 on both quotients, every tier (the rotation quotient's
+/// necklaces take the Gauss–Seidel path, the dihedral quotient's
+/// bracelets the dense one).
+#[test]
+fn herman13_worst_case_matches_mciver_morgan() {
+    for quotient in [Quotient::RingRotation, Quotient::RingDihedral] {
+        assert_herman_worst_case(13, quotient, &ALL_TIERS);
+    }
+}
+
+/// N = 15 on the benchmark showcase's configuration: the dihedral
+/// quotient on the compressed tier.
+#[test]
+fn herman15_worst_case_matches_mciver_morgan() {
+    assert_herman_worst_case(15, Quotient::RingDihedral, &[EdgeStoreKind::Compressed]);
 }

@@ -11,7 +11,7 @@ use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_core::engine::{Budget, FaultPlan};
 use stab_core::{CoreError, Daemon, FairnessSet};
 use stab_graph::builders;
-use weak_stabilization::study::{McConfig, Outcome, Study, StudyReport, Timings};
+use weak_stabilization::study::{ExpectedSection, McConfig, Outcome, Study, StudyReport, Timings};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -162,4 +162,58 @@ fn interrupted_then_resumed_herman13_study_matches_uninterrupted() {
         "resumed study diverged from the uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A zero-run Monte-Carlo request is valid: the stage degrades with a
+/// reason and no section instead of panicking inside the simulator, and
+/// every other stage is unaffected.
+#[test]
+fn zero_run_monte_carlo_degrades_instead_of_panicking() {
+    let alg = HermanRing::on_ring(&builders::ring(5)).unwrap();
+    let spec = alg.legitimacy();
+    let report = Study::of(&alg)
+        .daemon(Daemon::Synchronous)
+        .spec(&spec)
+        .expected_times()
+        .monte_carlo(McConfig {
+            runs: 0,
+            ..McConfig::default()
+        })
+        .run()
+        .unwrap();
+    assert!(report.monte_carlo.is_none());
+    assert!(report.timings_ms.monte_carlo.is_none());
+    match &report.status.monte_carlo {
+        Outcome::Degraded { reason } => assert!(reason.contains("zero"), "{reason}"),
+        other => panic!("expected a degraded Monte-Carlo stage, got {other:?}"),
+    }
+    assert_eq!(report.status.expected_solve, Outcome::Complete);
+    assert!(report.expected_times.unwrap().solved().is_some());
+}
+
+/// A non-absorbing chain is refused before any solve: the report records
+/// the `NotAbsorbing` finding as `Unsolvable`, with the same text as the
+/// chain's own error.
+#[test]
+fn non_absorbing_chain_is_unsolvable_with_the_not_absorbing_text() {
+    use stab_algorithms::TwoProcessToggle;
+    use stab_markov::AbsorbingChain;
+    let alg = TwoProcessToggle::new();
+    let spec = alg.legitimacy();
+    let report = Study::of(&alg)
+        .daemon(Daemon::Central)
+        .spec(&spec)
+        .expected_times()
+        .run()
+        .unwrap();
+    assert_eq!(report.status.expected_solve, Outcome::Complete);
+    let Some(ExpectedSection::Unsolvable { error }) = report.expected_times else {
+        panic!("expected an unsolvable section");
+    };
+    assert_eq!(
+        error,
+        "absorption is not almost sure: ⟨false, false⟩ cannot reach the legitimate set"
+    );
+    let chain = AbsorbingChain::build(&alg, Daemon::Central, &spec, 1 << 12).unwrap();
+    assert_eq!(error, chain.expected_steps().unwrap_err().to_string());
 }

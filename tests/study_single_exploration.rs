@@ -98,6 +98,9 @@ fn auto_planned_run_is_one_exploration() {
 /// plus the PR 4 rotation-quotient flat-tier arm up to solver tolerance.
 #[test]
 fn herman13_auto_plan_picks_quotient_and_compressed_and_matches_pr4() {
+    // This test opens no counter window, but its explorations must not
+    // land inside a sibling's.
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
     let spec = alg.legitimacy();
 
