@@ -1,21 +1,18 @@
 //! Strongly connected components over configuration subgraphs, and the
 //! fairness-filtered fair-cycle searches built on them.
 //!
-//! Tarjan walks the engine's edge store through zero-alloc row cursors
-//! ([`EdgeIter`]) — one live cursor per DFS frame — so it runs unchanged
-//! over the flat CSR, the compressed byte-stream, and the disk-spilled
-//! chunk tiers (a disk-tier cursor pins its chunk in the cache for the
-//! frame's lifetime); the `alive` masks are bit-packed [`BitSet`]s,
-//! matching the engine's label sets.
+//! The components come from the engine's one Tarjan pass
+//! ([`stab_core::engine::tarjan`]), fed the edge store's zero-alloc row
+//! cursors ([`EdgeIter`](stab_core::engine::EdgeIter)) — one live cursor
+//! per DFS frame — so it runs unchanged over the flat CSR, the compressed
+//! byte-stream, and the disk-spilled chunk tiers (a disk-tier cursor pins
+//! its chunk in the cache for the frame's lifetime); the `alive` masks
+//! are bit-packed [`BitSet`]s, matching the engine's label sets.
 
-use stab_core::engine::{BitSet, Budget, EdgeIter};
+use stab_core::engine::{tarjan, BitSet, Budget};
 use stab_core::{CoreError, LocalState};
 
 use crate::space::ExploredSpace;
-
-/// Nodes discovered between two cooperative budget probes of
-/// [`sccs_budgeted`].
-const PROBE_STRIDE: u32 = 4096;
 
 /// Iterative Tarjan SCC over the subgraph induced by `alive`. Returns the
 /// components (each a list of configuration ids); single nodes without a
@@ -25,10 +22,11 @@ pub fn sccs<S: LocalState>(space: &ExploredSpace<S>, alive: &BitSet) -> Vec<Vec<
 }
 
 /// [`sccs`] under a cooperative [`Budget`]: probes the `verdicts` stage at
-/// entry and every `PROBE_STRIDE` discovered nodes — each probe carrying
-/// the store's resident-set bytes (the disk tier's cache-pressure
-/// figure) — so an exhausted wall-clock, byte, or state budget surfaces
-/// as [`CoreError::BudgetExhausted`] instead of an unbounded walk.
+/// entry and every [`PROBE_STRIDE`](stab_core::engine::scc::PROBE_STRIDE)
+/// discovered nodes — each probe carrying the store's resident-set bytes
+/// (the disk tier's cache-pressure figure) — so an exhausted wall-clock,
+/// byte, or state budget surfaces as [`CoreError::BudgetExhausted`]
+/// instead of an unbounded walk.
 ///
 /// # Errors
 ///
@@ -39,81 +37,22 @@ pub fn sccs_budgeted<S: LocalState>(
     alive: &BitSet,
     budget: &Budget,
 ) -> Result<Vec<Vec<u32>>, CoreError> {
-    let n = space.total() as usize;
+    let n = space.total();
     budget.probe("verdicts", space.resident_edge_bytes(), 0)?;
-    debug_assert_eq!(alive.len(), n);
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = BitSet::new(n);
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
+    debug_assert_eq!(alive.len(), n as usize);
     let mut out: Vec<Vec<u32>> = Vec::new();
-
-    // Explicit DFS stack: (node, edge cursor). The cursor decodes the
-    // node's row lazily and resumes where the frame left off.
-    let mut call: Vec<(u32, EdgeIter<'_>)> = Vec::new();
-    // lint: cast-ok(config counts are bounded by the u32 id width)
-    for start in 0..n as u32 {
-        if !alive.get(start as usize) || index[start as usize] != u32::MAX {
-            continue;
-        }
-        call.push((start, space.edge_iter(start)));
-        index[start as usize] = next_index;
-        low[start as usize] = next_index;
-        next_index += 1;
-        if next_index.is_multiple_of(PROBE_STRIDE) {
-            budget.probe("verdicts", space.resident_edge_bytes(), next_index as u64)?;
-        }
-        stack.push(start);
-        on_stack.insert(start as usize);
-        while let Some(frame) = call.last_mut() {
-            let v = frame.0;
-            match frame.1.next() {
-                Some(e) => {
-                    let w = e.to;
-                    if !alive.get(w as usize) {
-                        continue;
-                    }
-                    if index[w as usize] == u32::MAX {
-                        index[w as usize] = next_index;
-                        low[w as usize] = next_index;
-                        next_index += 1;
-                        if next_index.is_multiple_of(PROBE_STRIDE) {
-                            budget.probe(
-                                "verdicts",
-                                space.resident_edge_bytes(),
-                                next_index as u64,
-                            )?;
-                        }
-                        stack.push(w);
-                        on_stack.insert(w as usize);
-                        call.push((w, space.edge_iter(w)));
-                    } else if on_stack.get(w as usize) {
-                        low[v as usize] = low[v as usize].min(index[w as usize]);
-                    }
-                }
-                None => {
-                    // v finished.
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        low[parent as usize] = low[parent as usize].min(low[v as usize]);
-                    }
-                    if low[v as usize] == index[v as usize] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack.remove(w as usize);
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        out.push(comp);
-                    }
-                }
-            }
-        }
-    }
+    tarjan(
+        n as usize,
+        (0..n).filter(|&v| alive.get(v as usize)),
+        |v| {
+            let edges = space.edge_iter(v).map(|e| e.to);
+            edges.filter(|&w| alive.get(w as usize))
+        },
+        |seen| budget.probe("verdicts", space.resident_edge_bytes(), u64::from(seen)),
+        // Stack pop order, the DFS root last: `some_cycle` and the lasso
+        // witnesses start from the first member with an internal edge.
+        |comp| out.push(comp.iter().rev().copied().collect()),
+    )?;
     Ok(out)
 }
 

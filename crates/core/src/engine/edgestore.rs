@@ -309,40 +309,27 @@ impl<'a> DeltaStreamReader<'a> {
     }
 }
 
-/// Counting-sort inversion shared by the compressed tiers (the flat
-/// tiers use [`Csr::invert`]): builds the u32-offset reverse CSR from a
-/// per-row target cursor, decoding each row twice.
-///
-/// # Panics
-///
-/// Panics if `n_entries` exceeds `u32::MAX` — the reverse CSR is
-/// u32-offset (checked, never silently wrapped).
-pub fn invert_target_rows<I>(
-    n_rows: usize,
-    n_entries: u64,
-    row_targets: impl Fn(usize) -> I,
-) -> Csr<u32>
-where
-    I: Iterator<Item = u32>,
-{
-    invert_target_rows_budgeted(n_rows, n_entries, row_targets, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
-}
-
 /// Rows decoded between two budget probes of the inversion passes.
 const INVERT_PROBE_STRIDE: usize = 1 << 16;
 
-/// [`invert_target_rows`] under a cooperative [`Budget`]: the full
-/// reverse-CSR allocation (4 B/entry data + 4 B/row counts + cursor) is
-/// probed on the `reverse` stage up front, and both decoding passes
-/// re-probe every `INVERT_PROBE_STRIDE` (2^16) rows — the chunk-blocked
-/// external inversion runs row-sequentially, so on the disk tier chunks
-/// rotate through the cache exactly once per pass.
+/// Counting-sort inversion shared by the compressed tiers (the flat
+/// tiers use [`Csr::invert`]): builds the u32-offset reverse CSR from a
+/// per-row target cursor, decoding each row twice, under a cooperative
+/// [`Budget`]. The full reverse-CSR allocation (4 B/entry data + 4 B/row
+/// counts + cursor) is probed on the `reverse` stage up front, and both
+/// decoding passes re-probe every `INVERT_PROBE_STRIDE` (2^16) rows —
+/// the chunk-blocked external inversion runs row-sequentially, so on the
+/// disk tier chunks rotate through the cache exactly once per pass.
 ///
 /// # Errors
 ///
 /// [`CoreError::BudgetExhausted`] when a probe trips; the partial CSR is
 /// discarded.
+///
+/// # Panics
+///
+/// Panics if `n_entries` exceeds `u32::MAX` — the reverse CSR is
+/// u32-offset (checked, never silently wrapped).
 pub fn invert_target_rows_budgeted<I>(
     n_rows: usize,
     n_entries: u64,

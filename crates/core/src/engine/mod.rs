@@ -73,6 +73,7 @@ pub mod plan;
 pub mod quotient;
 pub mod resilience;
 mod rowgen;
+pub mod scc;
 pub mod spill;
 mod traverse;
 
@@ -88,4 +89,5 @@ pub use onthefly::{ExploreMode, ExploreOptions, Quotient, TraversalMode};
 pub use plan::{Plan, PlanDecision, PlanRequest, DEFAULT_BYTE_BUDGET, DEFAULT_DISK_BYTE_BUDGET};
 pub use quotient::{least_rotation, CanonScratch, GroupCanonicalizer};
 pub use resilience::{Budget, CheckpointConfig, FaultPlan, RunGuard};
+pub use scc::tarjan;
 pub use spill::{SpillConfig, SpillStore};

@@ -21,12 +21,11 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use stab_core::engine::ids;
-use stab_core::engine::{
-    BitSet, EdgeStoreKind, ExploreOptions, GroupCanonicalizer, TransitionSystem,
-};
+use stab_core::engine::{BitSet, ExploreOptions, GroupCanonicalizer, TransitionSystem};
 use stab_core::{Algorithm, Configuration, DaemonSpec, Legitimacy, LocalState, SpaceIndexer};
 
 use crate::error::MarkovError;
+use crate::linalg;
 use crate::qstore::{QStorage, QStorageBuilder};
 
 /// The flat sparse transient-to-transient matrix `Q` in CSR form: row `i`
@@ -352,55 +351,31 @@ impl<S: LocalState> AbsorbingChain<S> {
     }
 
     /// Whether every transient state reaches absorption with probability 1
-    /// (backward closure of the absorbing mass; every stored edge has
-    /// positive probability) — the precondition for finite expected
-    /// hitting times. Computed once, lazily; builds that never ask never
-    /// pay for it.
+    /// (every stored edge has positive probability, so: whether every
+    /// state reaches a row with absorbing mass) — the precondition for
+    /// finite expected hitting times. Computed once, lazily; builds that
+    /// never ask never pay for it.
     ///
-    /// The in-RAM tiers run a BFS over the inverted `Q` CSR; the disk
-    /// tier never materialises the reverse at all — it iterates streaming
-    /// forward fixpoint sweeps (mark a row once some successor is
-    /// marked), rotating spill chunks through the pinned cache, so the
-    /// resident set stays the cache plus one bitset.
+    /// One pass over `Q`'s strongly connected blocks, sinks first (the
+    /// solver's block order): a block reaches absorption iff one of its
+    /// rows absorbs or steps into a block already known to. No tier
+    /// materialises the reverse of `Q`; the state is O(n) `u32`s and one
+    /// bitset.
     pub fn almost_surely_absorbing(&self) -> Result<(), MarkovError> {
         let outcome = self.absorbing.get_or_init(|| {
             let n = self.n_transient();
+            let successors = |i: u32| self.q.row_iter(i as usize).map(|(j, _)| j);
+            let (rows, ends) = linalg::blocks(n, successors);
             let mut can = BitSet::new(n);
-            if self.q.kind() == EdgeStoreKind::Disk {
-                for (i, &a) in self.absorb.iter().enumerate() {
-                    if a > 0.0 {
-                        can.insert(i);
-                    }
-                }
-                loop {
-                    let mut changed = false;
-                    for i in 0..n {
-                        if !can.get(i) && self.q.row_iter(i).any(|(j, _)| can.get(j as usize)) {
-                            can.insert(i);
-                            changed = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-            } else {
-                let reverse = self.q.invert_targets();
-                let mut stack: Vec<u32> = Vec::new();
-                for (i, &a) in self.absorb.iter().enumerate() {
-                    if a > 0.0 {
-                        can.insert(i);
-                        // lint: cast-ok(row indices are bounded by the u32 id width)
-                        stack.push(i as u32);
-                    }
-                }
-                while let Some(i) = stack.pop() {
-                    for &p in reverse.row(i as usize) {
-                        if !can.get(p as usize) {
-                            can.insert(p as usize);
-                            stack.push(p);
-                        }
-                    }
+            let mut start = 0;
+            for end in ends {
+                let block = &rows[start..end as usize];
+                start = end as usize;
+                let absorbs = |&i: &u32| {
+                    self.absorb[i as usize] > 0.0 || successors(i).any(|j| can.get(j as usize))
+                };
+                if block.iter().any(absorbs) {
+                    block.iter().for_each(|&i| can.insert(i as usize));
                 }
             }
             match (0..n).find(|&i| !can.get(i)) {

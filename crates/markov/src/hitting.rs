@@ -1,4 +1,13 @@
 //! Expected hitting times and hitting-time distributions.
+//!
+//! Every solve goes through one tier dispatch and one solver call for all
+//! its right-hand sides: dense elimination up to `DENSE_LIMIT` (600)
+//! transient states, Gauss–Seidel above it. Gauss–Seidel works through
+//! `Q`'s strongly connected blocks sinks first
+//! ([`linalg::gauss_seidel_multi`]); each side freezes per block at its
+//! own tolerance, so the fused expected-times-and-absorption solve is bit
+//! identical to the two solo solves, and a chain whose transient states
+//! form one block iterates exactly as a whole-chain sweep would.
 
 use stab_core::engine::Budget;
 use stab_core::{Configuration, LocalState};
@@ -82,7 +91,7 @@ impl HittingTimes {
 
 /// Solves `(I − Q) x = b` for every side in `bs` on one concrete `Q` tier:
 /// dense Gaussian elimination up to [`DENSE_LIMIT`] rows, budget-probed
-/// Gauss–Seidel above it.
+/// block-ordered Gauss–Seidel above it.
 fn solve_on<M: QRows, const K: usize>(
     q: &M,
     bs: [&[f64]; K],

@@ -22,12 +22,16 @@
 //! materialise a flat copy. The chain matches on [`QStorage`] once per
 //! solve and hands the solver the concrete tier, so no per-entry tier
 //! dispatch sits in a sweep ([`QStorage::row_iter`] serves everything
-//! else). The tradeoff is deliberate: each Gauss–Seidel sweep decodes the
-//! stream (and, on the disk tier, re-faults chunks through the cache)
-//! once for all right-hand sides solved together, paying time for the
-//! memory reduction that lets 10⁹-entry chains fit at all.
+//! else). The tradeoff is deliberate: each Gauss–Seidel sweep decodes
+//! its block's rows (and, on the disk tier, re-faults the chunks holding
+//! them through the cache) once for all right-hand sides solved
+//! together, paying time for the memory reduction that lets 10⁹-entry
+//! chains fit at all. The solver sweeps one strongly connected block at a
+//! time, sinks first, and a block stops being decoded once it converges;
+//! a block's rows need not be contiguous, so a sweep reads rows in
+//! ascending index order but may skip between chunks.
 
-use stab_core::engine::edgestore::{invert_target_rows, DeltaStreamReader, DeltaStreamWriter};
+use stab_core::engine::edgestore::{DeltaStreamReader, DeltaStreamWriter};
 use stab_core::engine::spill::{SpillCursor, SpillSink, SpillStore};
 use stab_core::engine::{Csr, EdgeStoreKind, SpillConfig};
 
@@ -281,26 +285,6 @@ impl QStorage {
     pub fn row_vec(&self, i: usize) -> Vec<(u32, f64)> {
         self.row_iter(i).collect()
     }
-
-    /// The reverse adjacency over columns (row `j` = rows with an entry
-    /// in column `j`, ascending with multiplicity), used by the
-    /// almost-sure-absorption closure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entry count exceeds `u32::MAX` (the reverse CSR is
-    /// u32-offset — checked, never silently wrapped).
-    pub fn invert_targets(&self) -> Csr<u32> {
-        match self {
-            QStorage::Flat(q) => q.invert(|&(j, _)| j),
-            QStorage::Compressed(q) => invert_target_rows(QRows::n_rows(q), q.n_entries, |i| {
-                QRows::row_iter(q, i).map(|(j, _)| j)
-            }),
-            QStorage::Disk(q) => invert_target_rows(QRows::n_rows(q), q.n_entries, |i| {
-                QRows::row_iter(q, i).map(|(j, _)| j)
-            }),
-        }
-    }
 }
 
 /// Tier-selected assembly of a `Q` store: rows appended in transient-index
@@ -437,8 +421,6 @@ mod tests {
             assert_eq!(&comp.row_vec(i), row, "row {i}");
             assert_eq!(&disk.row_vec(i), row, "row {i}");
         }
-        assert_eq!(flat.invert_targets(), comp.invert_targets());
-        assert_eq!(flat.invert_targets(), disk.invert_targets());
         assert!(comp.q_bytes() < flat.q_bytes());
         // The disk tier spills its whole stream; the resident set is the
         // side tables plus whatever the cache pins — for a stream smaller

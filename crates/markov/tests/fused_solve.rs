@@ -2,13 +2,16 @@
 //! `expected_steps_and_absorption_with` call must return exactly what
 //! `expected_steps_with` and `absorption_probabilities_with` return when
 //! run separately, bit for bit, on every `Q` tier and on both solver
-//! paths (dense elimination and Gauss–Seidel).
+//! paths (dense elimination and Gauss–Seidel) — and the Gauss–Seidel
+//! path's work, counted in decoded `Q` entries, is pinned.
+
+use std::cell::Cell;
 
 use stab_algorithms::{HermanRing, TwoProcessToggle};
 use stab_core::engine::{Budget, EdgeStoreKind, ExploreOptions, Quotient};
 use stab_core::{Algorithm, Daemon, Legitimacy, LocalState};
 use stab_graph::builders;
-use stab_markov::{AbsorbingChain, MarkovError};
+use stab_markov::{linalg, AbsorbingChain, MarkovError, QRows, QStorage};
 
 const CAP: u64 = 1 << 22;
 
@@ -111,4 +114,85 @@ fn fused_solve_refuses_a_non_absorbing_chain_before_solving() {
         assert_eq!(err, chain.expected_steps().unwrap_err());
         assert_eq!(expired.probes_seen(), 0, "no solver probe was taken");
     }
+}
+
+/// A `Q` tier that counts every entry its row cursors decode.
+struct Counting<'a, M> {
+    q: &'a M,
+    decoded: Cell<u64>,
+}
+
+struct CountingRow<'a, R> {
+    row: R,
+    decoded: &'a Cell<u64>,
+}
+
+impl<R: Iterator<Item = (u32, f64)>> Iterator for CountingRow<'_, R> {
+    type Item = (u32, f64);
+
+    fn next(&mut self) -> Option<(u32, f64)> {
+        let entry = self.row.next()?;
+        self.decoded.set(self.decoded.get() + 1);
+        Some(entry)
+    }
+}
+
+impl<M: QRows> QRows for Counting<'_, M> {
+    type Row<'b>
+        = CountingRow<'b, M::Row<'b>>
+    where
+        Self: 'b;
+
+    fn n_rows(&self) -> usize {
+        self.q.n_rows()
+    }
+
+    fn row_iter(&self, i: usize) -> Self::Row<'_> {
+        CountingRow {
+            row: self.q.row_iter(i),
+            decoded: &self.decoded,
+        }
+    }
+}
+
+/// Decoded `Q` entries of the fused Herman N=13 rotation-quotient solve
+/// when the solver swept the whole chain each time: 212 sweeps of all
+/// 88,828 entries.
+const WHOLE_CHAIN_DECODED: u64 = 18_831_536;
+
+/// The same solve, one strongly connected block at a time: one Tarjan
+/// pass over `Q`, then each block swept only until it converges.
+const BLOCK_DECODED: u64 = 1_681_644;
+
+#[test]
+fn fused_solve_work_is_pinned_in_decoded_entries() {
+    let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
+    let opts = ExploreOptions::full().with_quotient(Quotient::RingRotation);
+    let chain =
+        AbsorbingChain::build_with(&alg, Daemon::Synchronous, &alg.legitimacy(), CAP, &opts)
+            .unwrap();
+    let QStorage::Flat(q) = chain.q() else {
+        panic!("the default tier is flat");
+    };
+    let counting = Counting {
+        q,
+        decoded: Cell::new(0),
+    };
+    let ones = vec![1.0; chain.n_transient()];
+    let budget = Budget::unlimited();
+    let [times, absorption] = linalg::gauss_seidel_multi(
+        &counting,
+        [&ones, chain.absorb()],
+        1e-12,
+        1_000_000,
+        &budget,
+    )
+    .unwrap();
+    // It is the chain's own fused solve, bit for bit.
+    let (fused_times, fused_absorption) =
+        chain.expected_steps_and_absorption_with(&budget).unwrap();
+    assert_eq!(bits(&times), bits(fused_times.as_slice()));
+    assert_eq!(bits(&absorption), bits(&fused_absorption));
+    assert_eq!(counting.decoded.get(), BLOCK_DECODED);
+    const { assert!(BLOCK_DECODED * 10 <= WHOLE_CHAIN_DECODED) };
 }

@@ -46,7 +46,8 @@ where
 ///     &spec,
 ///     &BatchSettings { runs: 20, max_steps: 10, seed: 1, threads: 1 },
 ///     stab_sim::init::from_seeds(seeds),
-/// );
+/// )
+/// .expect("a legitimate start converges at once");
 /// assert_eq!(batch.failures, 0);
 /// assert_eq!(batch.steps.mean, 0.0);
 /// ```

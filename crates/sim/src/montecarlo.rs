@@ -54,6 +54,11 @@ pub struct BatchResult {
 ///
 /// Parallel and deterministic: run `i` always uses the RNG stream
 /// `seed ⊕ i`, whatever the thread count.
+///
+/// # Panics
+///
+/// Panics if `settings.runs` is zero or no run converges within
+/// `settings.max_steps` ([`estimate_with`] returns `None` instead).
 pub fn estimate<A, L>(
     alg: &A,
     daemon: impl Into<DaemonSpec>,
@@ -64,27 +69,30 @@ where
     A: Algorithm + Sync,
     L: Legitimacy<A::State> + Sync,
 {
+    assert!(settings.runs > 0, "at least one run required");
     estimate_with(alg, daemon, spec, settings, |alg, rng| {
         init::uniform_random(alg, rng)
     })
+    .expect("no run converged; raise max_steps or check the system is probabilistically self-stabilizing")
 }
 
 /// Like [`estimate`], but with a custom initial-configuration sampler
-/// (e.g. worst-case starts, or conditioned on illegitimacy).
+/// (e.g. worst-case starts, or conditioned on illegitimacy), and `None`
+/// instead of a panic when no run converges within `settings.max_steps`
+/// (zero runs included): there is no cost to estimate.
 pub fn estimate_with<A, L, F>(
     alg: &A,
     daemon: impl Into<DaemonSpec>,
     spec: &L,
     settings: &BatchSettings,
     make_initial: F,
-) -> BatchResult
+) -> Option<BatchResult>
 where
     A: Algorithm + Sync,
     L: Legitimacy<A::State> + Sync,
     F: Fn(&A, &mut StdRng) -> stab_core::Configuration<A::State> + Sync,
 {
     let daemon = daemon.into();
-    assert!(settings.runs > 0, "at least one run required");
     let threads = settings.threads.max(1);
     let chunk = settings.runs.div_ceil(threads as u64);
     let mut partials: Vec<(Accumulator, Accumulator, Accumulator, u64)> = Vec::new();
@@ -133,24 +141,20 @@ where
         rounds.merge(r);
         failures += f;
     }
-    assert!(
-        steps.count() > 0,
-        "no run converged; raise max_steps or check the system is probabilistically self-stabilizing"
-    );
-    BatchResult {
+    (steps.count() > 0).then(|| BatchResult {
         steps: steps.estimate(),
         moves: moves.estimate(),
         rounds: rounds.estimate(),
         failures,
         runs: settings.runs,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stab_algorithms::{HermanRing, TokenCirculation, TwoProcessToggle};
-    use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+    use stab_core::{Configuration, Daemon, ProjectedLegitimacy, Transformed};
     use stab_graph::builders;
     use stab_markov::AbsorbingChain;
 
@@ -270,10 +274,35 @@ mod tests {
                 threads: 2,
             },
             |a, _| a.legitimate_config(stab_graph::NodeId::new(0)),
-        );
+        )
+        .expect("legitimate starts converge at once");
         assert_eq!(batch.failures, 0);
         assert_eq!(batch.steps.mean, 0.0);
         assert_eq!(batch.steps.max, 0.0);
+    }
+
+    #[test]
+    fn no_converged_run_is_none_instead_of_a_panic() {
+        // Algorithm 3 under the central daemon never leaves ⟨false, false⟩.
+        let alg = TwoProcessToggle::new();
+        let spec = alg.legitimacy();
+        let stuck = Configuration::from_vec(vec![false, false]);
+        let settings = BatchSettings {
+            runs: 20,
+            max_steps: 50,
+            seed: 3,
+            threads: 2,
+        };
+        let batch = estimate_with(&alg, Daemon::Central, &spec, &settings, |_, _| {
+            stuck.clone()
+        });
+        assert!(batch.is_none());
+        let zero = BatchSettings {
+            runs: 0,
+            ..settings
+        };
+        let none = estimate_with(&alg, Daemon::Central, &spec, &zero, |_, _| stuck.clone());
+        assert!(none.is_none());
     }
 
     #[test]

@@ -98,7 +98,8 @@ use stab_core::engine::{
 };
 use stab_core::{Algorithm, CoreError, DaemonSpec, FairnessSet, Legitimacy, SpaceIndexer};
 use stab_markov::{AbsorbingChain, MarkovError};
-use stab_sim::montecarlo::{estimate, BatchSettings};
+use stab_sim::init::uniform_random;
+use stab_sim::montecarlo::{estimate_with, BatchSettings};
 
 /// Default configuration-space cap: the engine's u32 id width (larger
 /// spaces cannot be fully explored anyway).
@@ -336,13 +337,9 @@ where
     ///   starved downstream), because a resource-capped run must exit
     ///   cleanly with whatever it finished.
     ///
-    /// A Monte-Carlo request with zero runs records
-    /// [`Outcome::Degraded`] for that stage and no Monte-Carlo section.
-    ///
-    /// # Panics
-    ///
-    /// The Monte-Carlo stage inherits `stab_sim`'s panic when no run
-    /// converges within its step budget.
+    /// A Monte-Carlo request with zero runs, or whose runs all miss the
+    /// legitimate set within `max_steps`, records [`Outcome::Degraded`]
+    /// for that stage and no Monte-Carlo section.
     pub fn run(&self) -> Result<StudyReport, CoreError> {
         let total_start = Instant::now();
         let ix = SpaceIndexer::new(self.alg, self.cap)?;
@@ -551,10 +548,12 @@ where
             .monte_carlo
             .as_ref()
             .filter(|c| c.runs > 0)
-            .map(|config| {
+            .and_then(|config| {
                 let start = Instant::now();
-                let batch = estimate(self.alg, self.daemon, self.spec, config);
-                let section = McSection {
+                let batch = estimate_with(self.alg, self.daemon, self.spec, config, uniform_random);
+                monte_carlo_ms = Some(ms(start));
+                let batch = batch?;
+                Some(McSection {
                     runs: batch.runs,
                     failures: batch.failures,
                     seed: config.seed,
@@ -562,9 +561,7 @@ where
                     steps: EstimateRecord::from(&batch.steps),
                     moves: EstimateRecord::from(&batch.moves),
                     rounds: EstimateRecord::from(&batch.rounds),
-                };
-                monte_carlo_ms = Some(ms(start));
-                section
+                })
             });
 
         Ok(StudyReport {
@@ -580,8 +577,12 @@ where
                 expected_solve: expected_outcome,
                 monte_carlo: match (&self.monte_carlo, &monte_carlo) {
                     (_, Some(_)) => Outcome::Complete,
-                    (Some(_), None) => Outcome::Degraded {
-                        reason: "zero Monte-Carlo runs requested".to_string(),
+                    (Some(c), None) => Outcome::Degraded {
+                        reason: if c.runs == 0 {
+                            "zero Monte-Carlo runs requested".to_string()
+                        } else {
+                            format!("no Monte-Carlo run converged within {} steps", c.max_steps)
+                        },
                     },
                     (None, None) => Outcome::Skipped,
                 },

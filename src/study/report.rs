@@ -32,8 +32,9 @@ pub enum Outcome {
     /// A budget probe tripped mid-stage: the stage's section is absent
     /// (or partial) and `reason` carries the rendered
     /// [`CoreError::BudgetExhausted`](stab_core::CoreError::BudgetExhausted).
-    /// A Monte-Carlo request for zero runs also degrades its stage, with
-    /// a reason saying so.
+    /// A Monte-Carlo request for zero runs, or whose runs all miss the
+    /// legitimate set within `max_steps`, also degrades its stage, with a
+    /// reason saying so.
     Degraded {
         /// The rendered exhaustion error.
         reason: String,

@@ -191,6 +191,38 @@ fn zero_run_monte_carlo_degrades_instead_of_panicking() {
     assert!(report.expected_times.unwrap().solved().is_some());
 }
 
+/// A Monte-Carlo request whose runs all miss the legitimate set within
+/// `max_steps` degrades the stage instead of panicking in the simulator.
+/// With `max_steps: 0` only legitimate starts converge, and seed 1 draws
+/// ten illegitimate Herman N=11 starts.
+#[test]
+fn unconverged_monte_carlo_degrades_instead_of_panicking() {
+    let alg = HermanRing::on_ring(&builders::ring(11)).unwrap();
+    let spec = alg.legitimacy();
+    let report = Study::of(&alg)
+        .daemon(Daemon::Synchronous)
+        .spec(&spec)
+        .expected_times()
+        .monte_carlo(McConfig {
+            runs: 10,
+            max_steps: 0,
+            seed: 2,
+            threads: 1,
+        })
+        .run()
+        .unwrap();
+    assert!(report.monte_carlo.is_none());
+    match &report.status.monte_carlo {
+        Outcome::Degraded { reason } => assert_eq!(
+            reason, "no Monte-Carlo run converged within 0 steps",
+            "{reason}"
+        ),
+        other => panic!("expected a degraded Monte-Carlo stage, got {other:?}"),
+    }
+    assert_eq!(report.status.expected_solve, Outcome::Complete);
+    assert!(report.expected_times.unwrap().solved().is_some());
+}
+
 /// A non-absorbing chain is refused before any solve: the report records
 /// the `NotAbsorbing` finding as `Unsolvable`, with the same text as the
 /// chain's own error.
