@@ -1,5 +1,4 @@
-//! Shared utilities for the experiment binaries (`src/bin/*`) and the
-//! Criterion benches (`benches/*`).
+//! Shared utilities for the experiment binaries (`src/bin/*`).
 //!
 //! Every table and figure of the paper's evaluation — and the quantitative
 //! study its conclusion proposes — is regenerated by one binary here:

@@ -1,17 +1,19 @@
-//! Three-tier edge storage for transition systems: the flat [`Csr<Edge>`]
-//! tier (24 bytes per edge, slice access), a byte-packed compressed
-//! tier ([`CompressedEdges`]) for 10⁸+-edge systems, and a disk-spilling
-//! tier ([`DiskEdges`]) whose compressed byte stream lives in CRC-framed
-//! chunk files behind a pinned-budget cache, for 10⁹+-edge systems whose
-//! compressed stream itself exceeds RAM.
+//! Edge storage for transition systems: the flat [`Csr<Edge>`] tier
+//! (24 bytes per edge, slice access) and one byte-packed delta-stream
+//! store ([`DeltaStream`]) whose bytes live on one of two backings — a
+//! resident buffer (the compressed tier, for 10⁸+-edge systems) or
+//! CRC-framed chunk files behind a pinned-budget cache (the disk tier,
+//! for 10⁹+-edge systems whose stream itself exceeds RAM; see
+//! [`super::spill`]). `stab-markov` stores its transient matrix `Q` in
+//! the same stream type.
 //!
-//! # Why a second tier
+//! # Why a stream store
 //!
 //! Reachable-only exploration and symmetry quotients cap the largest
 //! checkable instance by *edge memory*, not time: every [`Edge`] costs
 //! `size_of::<Edge>()` = 24 bytes in the flat CSR, so Herman N=17
 //! (≈ 1.3·10⁸ edges for the full sweep) sits at the RAM ceiling. The
-//! compressed tier stores, per row,
+//! stream stores, per row,
 //!
 //! * the successor ids as **zig-zag varint deltas** — against the row's
 //!   own id for the first edge (delta encoding keeps successors close to
@@ -32,25 +34,30 @@
 //! than silently wrapped (the flat tier's u32 offsets *panic* past that
 //! point — see [`Csr::from_counts`]).
 //!
-//! Both tiers implement the [`EdgeStore`] trait; [`EdgeStorage`] is the
-//! runtime-selected store held by
+//! One writer ([`DeltaStreamWriter`]) builds a stream, spilling its
+//! pending tail at row boundaries when it has a spill sink; one cursor
+//! ([`StreamCursor`]) decodes a row on either backing. [`EdgeStorage`] is
+//! the runtime-selected store held by
 //! [`TransitionSystem`](super::TransitionSystem), chosen per run with
-//! [`ExploreOptions::with_edge_store`](super::ExploreOptions::with_edge_store).
-//! Decoding is allocation-free: [`EdgeIter`] is a cursor over the byte
-//! stream (or a slice iterator on the flat tier), which is what Tarjan,
-//! the reachability closures and the `Q`-row reads actually need.
+//! [`ExploreOptions::with_edge_store`](super::ExploreOptions::with_edge_store):
+//! its `Stream` variant serves both the compressed and the disk
+//! [`EdgeStoreKind`], told apart by the backing. Decoding is
+//! allocation-free: [`EdgeIter`] is a cursor over the byte stream (or a
+//! slice iterator on the flat tier), which is what Tarjan, the
+//! reachability closures and the `Q`-row reads actually need.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use super::csr::Csr;
 use super::explore::Edge;
 use super::ids;
 use super::resilience::Budget;
-use super::spill::{SpillConfig, SpillCursor, SpillSink, SpillStore};
+use super::spill::{self, SpillConfig, SpillSink, SpillStore};
 use crate::error::CoreError;
 
-/// Variable-byte (LEB128) and zig-zag primitives shared by the compressed
-/// edge stream and `stab-markov`'s compressed `Q` store.
+/// Variable-byte (LEB128) and zig-zag primitives of the delta stream.
 pub mod vbyte {
     /// Maps a signed delta onto the unsigned varint domain
     /// (0, −1, 1, −2, … ↦ 0, 1, 2, 3, …).
@@ -101,12 +108,17 @@ pub mod vbyte {
     }
 }
 
-/// Shared low-level writer for delta-compressed row streams: u64 byte
-/// offsets, zig-zag varint target deltas (base = the row's own index
-/// before its first item, then the previous target), and a dedup-interned
-/// probability table. [`CompressedEdgesBuilder`] and `stab-markov`'s
-/// compressed `Q` builder wrap it with their per-item payloads, so the
-/// subtle parts of the encoding live exactly once.
+/// The one writer of a [`DeltaStream`]: u64 byte offsets, zig-zag varint
+/// target deltas (base = the row's own index before its first item, then
+/// the previous target), and a dedup-interned probability table. Edge
+/// rows ([`EdgeStorageBuilder`]) and `stab-markov`'s `Q` rows write their
+/// per-item payloads through it, so the subtle parts of the encoding live
+/// exactly once.
+///
+/// A spilling writer ([`DeltaStreamWriter::spilling`]) hands its pending
+/// tail to a chunk file whenever the tail reaches the configured chunk
+/// size at a row boundary, so its resident set stays bounded by one
+/// chunk regardless of stream size.
 #[derive(Debug)]
 pub struct DeltaStreamWriter {
     offsets: Vec<u64>,
@@ -115,11 +127,12 @@ pub struct DeltaStreamWriter {
     prob_ids: HashMap<u64, u32>,
     n_items: u64,
     prev: i64,
-    /// Global byte offset of `stream[0]`: 0 for in-RAM streams, and the
-    /// number of already-spilled bytes once [`DeltaStreamWriter::drain`]
-    /// has handed prefixes of the stream to a chunk sink. `offsets` stay
-    /// global either way.
+    /// Global byte offset of `stream[0]`: 0 for a resident stream, and
+    /// the number of already-spilled bytes on a spilling one. `offsets`
+    /// stay global either way.
     base: u64,
+    /// The chunk writer of a spilling stream (`None`: all resident).
+    sink: Option<SpillSink>,
 }
 
 impl Default for DeltaStreamWriter {
@@ -129,17 +142,15 @@ impl Default for DeltaStreamWriter {
 }
 
 impl DeltaStreamWriter {
-    /// An empty stream positioned at row 0.
+    /// An empty resident stream positioned at row 0.
     pub fn new() -> Self {
-        DeltaStreamWriter {
-            offsets: vec![0],
-            stream: Vec::new(),
-            probs: Vec::new(),
-            prob_ids: HashMap::new(),
-            n_items: 0,
-            prev: 0,
-            base: 0,
-        }
+        Self::from_parts(vec![0], Vec::new(), Vec::new(), 0, None)
+    }
+
+    /// An empty stream spilling per `cfg` (a fresh self-cleaning
+    /// temporary directory when `cfg.dir` is `None`).
+    pub fn spilling(cfg: &SpillConfig) -> Self {
+        Self::from_parts(vec![0], Vec::new(), Vec::new(), 0, Some(cfg))
     }
 
     /// Writes the next item's target as a zig-zag varint delta and counts
@@ -174,61 +185,61 @@ impl DeltaStreamWriter {
     }
 
     /// Closes the current row: records its end offset (global, i.e.
-    /// including any drained prefix) and re-bases the delta encoding on
-    /// the next row's index.
+    /// including any spilled prefix), re-bases the delta encoding on the
+    /// next row's index, and — on a spilling writer — spills the pending
+    /// tail once it has reached the chunk size, so chunks always end on
+    /// row boundaries.
     pub fn end_row(&mut self) {
         // lint: arith-ok(byte offsets grow by in-memory buffer lengths; u64 outlives addressable memory)
         self.offsets.push(self.base + self.stream.len() as u64);
         self.prev = (self.offsets.len() - 1) as i64;
+        if let Some(sink) = &mut self.sink {
+            // lint: arith-ok(base advances by a spilled in-memory buffer length; u64 outlives addressable memory)
+            self.base += sink.maybe_spill(self.base, &mut self.stream);
+        }
     }
 
-    /// Bytes currently resident in the pending (undrained) stream tail.
-    pub fn pending_len(&self) -> usize {
-        self.stream.len()
+    /// Heap bytes held resident: the pending stream tail (the whole
+    /// stream when nothing spills), the offsets and the probability
+    /// table.
+    pub fn resident_bytes(&self) -> u64 {
+        // lint: arith-ok(approximate size accounting over resident buffer lengths)
+        (self.stream.len() + self.offsets.len() * 8 + self.probs.len() * 8) as u64
     }
 
-    /// Global byte offset at which the pending tail starts.
-    pub fn pending_base(&self) -> u64 {
-        self.base
+    /// Borrowed view of the in-progress stream `(offsets, probs,
+    /// n_items)` — the checkpoint snapshot surface (valid only at a row
+    /// boundary, i.e. right after [`DeltaStreamWriter::end_row`]); the
+    /// stream bytes are read through [`DeltaStreamWriter::byte_range`].
+    pub fn parts(&self) -> (&[u64], &[f64], u64) {
+        (&self.offsets, &self.probs, self.n_items)
     }
 
-    /// Hands the pending stream bytes to a chunk sink and re-bases the
-    /// writer past them: returns `(start, bytes)` where `start` is the
-    /// global offset of `bytes[0]`. Only valid at a row boundary (right
-    /// after [`DeltaStreamWriter::end_row`]), so spilled chunks always
-    /// end on row boundaries.
-    pub fn drain(&mut self) -> (u64, Vec<u8>) {
-        let start = self.base;
-        let bytes = std::mem::take(&mut self.stream);
-        // lint: arith-ok(base advances by a drained in-memory buffer length; u64 outlives addressable memory)
-        self.base += bytes.len() as u64;
-        (start, bytes)
-    }
-
-    /// Finalises into `(offsets, stream, probs, n_items)`.
-    pub fn into_parts(self) -> (Vec<u64>, Vec<u8>, Vec<f64>, u64) {
-        (self.offsets, self.stream, self.probs, self.n_items)
-    }
-
-    /// Borrowed view of the in-progress stream
-    /// `(offsets, stream, probs, n_items)` — the checkpoint snapshot
-    /// surface (valid only at a row boundary, i.e. right after
-    /// [`DeltaStreamWriter::end_row`]).
-    pub fn parts(&self) -> (&[u64], &[u8], &[f64], u64) {
-        (&self.offsets, &self.stream, &self.probs, self.n_items)
+    /// The global byte range `start..end` of the stream — borrowed while
+    /// it is resident, re-read from spilled chunks where it has left RAM
+    /// — so checkpoint frames can snapshot deltas on either backing.
+    pub fn byte_range(&self, start: u64, end: u64) -> Cow<'_, [u8]> {
+        spill::byte_range(self.sink.as_ref(), &self.stream, self.base, start, end)
     }
 
     /// Rebuilds an in-progress writer from checkpointed parts, positioned
     /// at the row boundary the parts were captured at: the prob-intern
     /// map is rebuilt from `probs` (ids are insertion order) and the
     /// delta base is re-derived from the offsets length, exactly as
-    /// [`DeltaStreamWriter::end_row`] left it.
+    /// [`DeltaStreamWriter::end_row`] left it. With `spill`, the restored
+    /// bytes re-spill as rows keep arriving.
     ///
     /// # Panics
     ///
     /// Panics if `offsets` is empty (a valid stream always starts with
     /// offset 0).
-    pub fn from_parts(offsets: Vec<u64>, stream: Vec<u8>, probs: Vec<f64>, n_items: u64) -> Self {
+    pub fn from_parts(
+        offsets: Vec<u64>,
+        stream: Vec<u8>,
+        probs: Vec<f64>,
+        n_items: u64,
+        spill: Option<&SpillConfig>,
+    ) -> Self {
         assert!(!offsets.is_empty(), "offsets must start with 0");
         let prob_ids = probs
             .iter()
@@ -250,17 +261,155 @@ impl DeltaStreamWriter {
             n_items,
             prev,
             base,
+            sink: spill.map(SpillSink::create),
+        }
+    }
+
+    /// Finalises the stream: a spilling writer drains its pending tail
+    /// into a last chunk and seals the chunk set behind its cache.
+    pub fn finish(mut self) -> DeltaStream {
+        let backing = match self.sink.take() {
+            Some(mut sink) => {
+                sink.spill(self.base, &mut self.stream);
+                Backing::Spilled(Box::new(sink.finish()))
+            }
+            None => Backing::Resident(Arc::new(self.stream)),
+        };
+        DeltaStream {
+            offsets: self.offsets,
+            probs: self.probs,
+            n_items: self.n_items,
+            backing,
         }
     }
 }
 
-/// The decoding counterpart of [`DeltaStreamWriter`]: a zero-alloc
-/// cursor over one row's span of a delta-compressed stream, holding the
-/// rebase / zig-zag-accumulation / prob-table invariants exactly once
-/// for both the edge tier and `stab-markov`'s `Q` tier.
+/// A finished delta stream: per-row byte-packed items delimited by u64
+/// offsets, plus the deduplicated probability table, with the stream
+/// bytes on one of two backings. The compressed tier keeps them in one
+/// resident buffer; the disk tier spills them to CRC-framed chunk files
+/// (see [`super::spill`]) and keeps only the offsets, the probability
+/// table and a pinned-budget chunk cache resident. Chunks end on row
+/// boundaries, so every row decodes from exactly one chunk.
+#[derive(Debug)]
+pub struct DeltaStream {
+    /// Global byte offset of each row's encoding (`n_rows + 1` entries,
+    /// monotone).
+    offsets: Vec<u64>,
+    /// Deduplicated probabilities, indexed by the stream's probability
+    /// ids.
+    probs: Vec<f64>,
+    /// Total items (edges, or `Q` entries) across all rows.
+    n_items: u64,
+    backing: Backing,
+}
+
+/// Where a [`DeltaStream`]'s bytes live.
+#[derive(Debug)]
+enum Backing {
+    /// The whole stream in one buffer, shared with its live cursors.
+    Resident(Arc<Vec<u8>>),
+    /// Chunk files behind a pinned-budget cache (boxed: the cache state
+    /// dwarfs the resident variant's one pointer).
+    Spilled(Box<SpillStore>),
+}
+
+impl DeltaStream {
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Total items across all rows (u64: representable past 2³²).
+    pub fn n_items(&self) -> u64 {
+        self.n_items
+    }
+
+    /// The byte offsets delimiting each row's encoding.
+    pub fn offsets(&self) -> &[u64] {
+        &self.offsets
+    }
+
+    /// The deduplicated probability table.
+    pub fn probs(&self) -> &[f64] {
+        &self.probs
+    }
+
+    /// The tier this backing implements: [`EdgeStoreKind::Compressed`]
+    /// when resident, [`EdgeStoreKind::Disk`] when spilled.
+    pub fn kind(&self) -> EdgeStoreKind {
+        match self.backing {
+            Backing::Resident(_) => EdgeStoreKind::Compressed,
+            Backing::Spilled(_) => EdgeStoreKind::Disk,
+        }
+    }
+
+    /// The chunk files and cache of a spilled stream; `None` when
+    /// resident.
+    pub fn spill_store(&self) -> Option<&SpillStore> {
+        match &self.backing {
+            Backing::Resident(_) => None,
+            Backing::Spilled(store) => Some(store),
+        }
+    }
+
+    /// Whether row `i` stores no items.
+    pub fn row_is_empty(&self, i: usize) -> bool {
+        self.offsets[i] == self.offsets[i + 1]
+    }
+
+    /// Offsets plus probability table: resident on either backing.
+    fn side_bytes(&self) -> u64 {
+        (self.offsets.len() * std::mem::size_of::<u64>()
+            + self.probs.len() * std::mem::size_of::<f64>()) as u64
+    }
+
+    /// Total footprint, comparable across backings: the side tables plus
+    /// the stream bytes, resident or spilled.
+    pub fn bytes(&self) -> u64 {
+        self.side_bytes()
+            + match &self.backing {
+                Backing::Resident(bytes) => bytes.len() as u64,
+                Backing::Spilled(store) => store.spilled_bytes(),
+            }
+    }
+
+    /// Bytes currently resident in RAM: the side tables plus the whole
+    /// buffer, or plus the cached chunks (the figure budget probes
+    /// report as cache pressure).
+    pub fn resident_bytes(&self) -> u64 {
+        self.side_bytes()
+            + match &self.backing {
+                Backing::Resident(bytes) => bytes.len() as u64,
+                Backing::Spilled(store) => store.resident_bytes(),
+            }
+    }
+
+    /// High-water mark of [`DeltaStream::resident_bytes`] (the cache's
+    /// peak, not its current occupancy, when spilled).
+    pub fn peak_resident_bytes(&self) -> u64 {
+        self.side_bytes()
+            + match &self.backing {
+                Backing::Resident(bytes) => bytes.len() as u64,
+                Backing::Spilled(store) => store.peak_resident_bytes(),
+            }
+    }
+
+    /// Stream bytes spilled to chunk files: zero when resident.
+    pub fn spilled_bytes(&self) -> u64 {
+        self.spill_store().map_or(0, SpillStore::spilled_bytes)
+    }
+}
+
+/// The one row cursor of a [`DeltaStream`], on either backing: a
+/// zero-alloc decoder over one row's span that pins the bytes it reads —
+/// the resident buffer, or the row's cached chunk — with an [`Arc`], so
+/// the chunk cache may rotate underneath it. It holds the rebase /
+/// zig-zag-accumulation / prob-table invariants exactly once for edge
+/// rows and `stab-markov`'s `Q` rows.
 #[derive(Debug, Clone)]
-pub struct DeltaStreamReader<'a> {
-    stream: &'a [u8],
+pub struct StreamCursor<'a> {
+    bytes: Arc<Vec<u8>>,
     pos: usize,
     end: usize,
     /// Delta base: the row id before the first item, then the previous
@@ -269,16 +418,35 @@ pub struct DeltaStreamReader<'a> {
     probs: &'a [f64],
 }
 
-impl<'a> DeltaStreamReader<'a> {
-    /// A cursor over row `row` spanning `offsets[row]..offsets[row + 1]`.
+impl<'a> StreamCursor<'a> {
+    /// A cursor over row `row` of `stream`, spanning
+    /// `offsets[row]..offsets[row + 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's spill chunk fails frame validation — a corrupt
+    /// chunk is refused, never decoded (use
+    /// [`SpillStore::verify_chunks`] for the fallible check).
     #[inline]
-    pub fn new(stream: &'a [u8], offsets: &[u64], row: usize, probs: &'a [f64]) -> Self {
-        DeltaStreamReader {
-            stream,
-            pos: offsets[row] as usize,
-            end: offsets[row + 1] as usize,
+    pub fn new(stream: &'a DeltaStream, row: usize) -> Self {
+        let (start, end) = (stream.offsets[row], stream.offsets[row + 1]);
+        let (bytes, base) = match &stream.backing {
+            Backing::Resident(bytes) => (Arc::clone(bytes), 0),
+            // An empty row touches no chunk.
+            Backing::Spilled(_) if start == end => (Arc::default(), start),
+            Backing::Spilled(store) => store.load_containing(start),
+        };
+        debug_assert!(
+            // lint: arith-ok(debug-only bound over a chunk table verified contiguous at load)
+            end <= base + bytes.len() as u64,
+            "row {row} spans a chunk boundary"
+        );
+        StreamCursor {
+            bytes,
+            pos: (start - base) as usize,
+            end: (end - base) as usize,
             prev: row as i64,
-            probs,
+            probs: &stream.probs,
         }
     }
 
@@ -292,29 +460,29 @@ impl<'a> DeltaStreamReader<'a> {
     /// [`DeltaStreamWriter::target`]).
     #[inline]
     pub fn target(&mut self) -> u32 {
-        self.prev += vbyte::unzigzag(vbyte::read(self.stream, &mut self.pos));
-        ids::delta_target(self.prev, "corrupt compressed delta stream")
+        self.prev += vbyte::unzigzag(vbyte::read(&self.bytes, &mut self.pos));
+        ids::delta_target(self.prev, "corrupt delta stream")
     }
 
     /// Decodes a raw payload varint.
     #[inline]
     pub fn raw(&mut self) -> u64 {
-        vbyte::read(self.stream, &mut self.pos)
+        vbyte::read(&self.bytes, &mut self.pos)
     }
 
     /// Decodes a probability-table id and resolves it.
     #[inline]
     pub fn prob(&mut self) -> f64 {
-        self.probs[vbyte::read(self.stream, &mut self.pos) as usize]
+        self.probs[vbyte::read(&self.bytes, &mut self.pos) as usize]
     }
 }
 
 /// Rows decoded between two budget probes of the inversion passes.
 const INVERT_PROBE_STRIDE: usize = 1 << 16;
 
-/// Counting-sort inversion shared by the compressed tiers (the flat
-/// tiers use [`Csr::invert`]): builds the u32-offset reverse CSR from a
-/// per-row target cursor, decoding each row twice, under a cooperative
+/// Counting-sort inversion of the stream tier (the flat tier uses
+/// [`Csr::invert`]): builds the u32-offset reverse CSR from a per-row
+/// target cursor, decoding each row twice, under a cooperative
 /// [`Budget`]. The full reverse-CSR allocation (4 B/entry data + 4 B/row
 /// counts + cursor) is probed on the `reverse` stage up front, and both
 /// decoding passes re-probe every `INVERT_PROBE_STRIDE` (2^16) rows —
@@ -405,287 +573,14 @@ impl EdgeStoreKind {
     }
 }
 
-/// Read access to per-row edge storage, implemented by both tiers and by
-/// the runtime-selected [`EdgeStorage`].
-pub trait EdgeStore {
-    /// Number of rows (explored configurations).
-    fn n_rows(&self) -> usize;
-    /// Total number of stored edges (u64: representable past 2³²).
-    fn n_edges(&self) -> u64;
-    /// Heap bytes held by the store (offsets + edge data + side tables).
-    fn edge_bytes(&self) -> u64;
-    /// Which tier this store is.
-    fn kind(&self) -> EdgeStoreKind;
-    /// Zero-alloc cursor over row `i`'s decoded edges, in `(to, movers)`
-    /// order.
-    fn row_iter(&self, i: usize) -> EdgeIter<'_>;
-    /// Whether row `i` stores no edges (terminal configuration).
-    fn row_is_empty(&self, i: usize) -> bool;
-}
-
-impl EdgeStore for Csr<Edge> {
-    fn n_rows(&self) -> usize {
-        Csr::n_rows(self)
-    }
-
-    fn n_edges(&self) -> u64 {
-        self.n_entries() as u64
-    }
-
-    fn edge_bytes(&self) -> u64 {
-        (self.n_entries() * std::mem::size_of::<Edge>()
-            + (Csr::n_rows(self) + 1) * std::mem::size_of::<u32>()) as u64
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        EdgeStoreKind::Flat
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        EdgeIter::Flat(self.row(i).iter())
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        self.row(i).is_empty()
-    }
-}
-
-/// The compressed tier: per-row zig-zag varint successor deltas plus a
-/// deduplicated probability table, delimited by u64 byte offsets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedEdges {
-    /// Byte offset of each row's encoding in `stream` (`n_rows + 1`
-    /// entries, monotone).
-    offsets: Vec<u64>,
-    /// The packed edge stream.
-    stream: Vec<u8>,
-    /// Deduplicated Definition 6 probabilities, indexed by the stream's
-    /// probability ids.
-    probs: Vec<f64>,
-    /// Total edges across all rows.
-    n_edges: u64,
-}
-
-impl CompressedEdges {
-    /// Number of distinct probabilities interned in the side table.
-    pub fn prob_table_len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// The byte offsets delimiting each row's encoding.
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// The packed edge stream bytes.
-    pub fn stream(&self) -> &[u8] {
-        &self.stream
-    }
-
-    /// The deduplicated probability table.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// Reassembles a store from checkpointed parts (inverse of the
-    /// accessors above).
-    pub fn from_parts(offsets: Vec<u64>, stream: Vec<u8>, probs: Vec<f64>, n_edges: u64) -> Self {
-        CompressedEdges {
-            offsets,
-            stream,
-            probs,
-            n_edges,
-        }
-    }
-}
-
-impl EdgeStore for CompressedEdges {
-    fn n_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn n_edges(&self) -> u64 {
-        self.n_edges
-    }
-
-    fn edge_bytes(&self) -> u64 {
-        (self.stream.len()
-            + self.offsets.len() * std::mem::size_of::<u64>()
-            + self.probs.len() * std::mem::size_of::<f64>()) as u64
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        EdgeStoreKind::Compressed
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        EdgeIter::Compressed(CompressedRow(DeltaStreamReader::new(
-            &self.stream,
-            &self.offsets,
-            i,
-            &self.probs,
-        )))
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        self.offsets[i] == self.offsets[i + 1]
-    }
-}
-
-/// Zero-alloc decoding cursor over one compressed edge row.
-#[derive(Debug, Clone)]
-pub struct CompressedRow<'a>(DeltaStreamReader<'a>);
-
-impl Iterator for CompressedRow<'_> {
-    type Item = Edge;
-
-    #[inline]
-    fn next(&mut self) -> Option<Edge> {
-        if self.0.done() {
-            return None;
-        }
-        Some(Edge {
-            to: self.0.target(),
-            movers: self.0.raw(),
-            prob: self.0.prob(),
-        })
-    }
-}
-
-/// The disk tier: the compressed encoding of [`CompressedEdges`], but
-/// with the byte stream spilled to CRC-framed chunk files (see
-/// [`super::spill`]); only the u64 row offsets, the deduplicated
-/// probability table and a pinned-budget chunk cache stay resident.
-/// Chunks end on row boundaries, so every row decodes from exactly one
-/// cached chunk.
-#[derive(Debug)]
-pub struct DiskEdges {
-    /// Global byte offset of each row's encoding (`n_rows + 1` entries,
-    /// monotone) — resident.
-    offsets: Vec<u64>,
-    /// Deduplicated Definition 6 probabilities — resident.
-    probs: Vec<f64>,
-    /// Total edges across all rows.
-    n_edges: u64,
-    /// The spilled chunk files plus their cache.
-    store: SpillStore,
-}
-
-impl DiskEdges {
-    /// Number of distinct probabilities interned in the side table.
-    pub fn prob_table_len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// The byte offsets delimiting each row's encoding.
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// The deduplicated probability table.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// Bytes currently resident in RAM: offsets + probability table +
-    /// cached chunks (the figure budget probes report as cache pressure).
-    pub fn resident_bytes(&self) -> u64 {
-        (self.offsets.len() * 8 + self.probs.len() * 8) as u64 + self.store.resident_bytes()
-    }
-
-    /// High-water mark of [`DiskEdges::resident_bytes`] across the
-    /// store's lifetime (cache peak, not current occupancy).
-    pub fn peak_resident_bytes(&self) -> u64 {
-        (self.offsets.len() * 8 + self.probs.len() * 8) as u64 + self.store.peak_resident_bytes()
-    }
-
-    /// Total payload bytes spilled to chunk files.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.store.spilled_bytes()
-    }
-
-    /// The spill directory holding the chunk files.
-    pub fn spill_dir(&self) -> &std::path::Path {
-        self.store.dir()
-    }
-
-    /// Re-validates every chunk file's frame (magic, length, CRC32C)
-    /// against the recorded metadata.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::CheckpointCorrupt`] naming the first bad chunk — a
-    /// torn or bit-flipped spill file is refused, never decoded.
-    pub fn verify_chunks(&self) -> Result<(), CoreError> {
-        self.store.verify_chunks()
-    }
-}
-
-impl EdgeStore for DiskEdges {
-    fn n_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn n_edges(&self) -> u64 {
-        self.n_edges
-    }
-
-    fn edge_bytes(&self) -> u64 {
-        // Total footprint (comparable across tiers): resident side
-        // tables plus the spilled stream bytes.
-        (self.offsets.len() * 8 + self.probs.len() * 8) as u64 + self.store.spilled_bytes()
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        EdgeStoreKind::Disk
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        EdgeIter::Disk(DiskRow {
-            cur: self.store.row_cursor(&self.offsets, i),
-            probs: &self.probs,
-        })
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        self.offsets[i] == self.offsets[i + 1]
-    }
-}
-
-/// Decoding cursor over one disk-tier row: owns a pinned reference to
-/// the row's cached chunk, so the cache may rotate underneath it.
-#[derive(Debug, Clone)]
-pub struct DiskRow<'a> {
-    cur: SpillCursor,
-    probs: &'a [f64],
-}
-
-impl Iterator for DiskRow<'_> {
-    type Item = Edge;
-
-    #[inline]
-    fn next(&mut self) -> Option<Edge> {
-        if self.cur.done() {
-            return None;
-        }
-        Some(Edge {
-            to: self.cur.target(),
-            movers: self.cur.raw(),
-            prob: self.probs[self.cur.raw() as usize],
-        })
-    }
-}
-
-/// Cursor over one row of any tier, yielding decoded [`Edge`]s by
+/// Cursor over one row of either tier, yielding decoded [`Edge`]s by
 /// value in `(to, movers)` order.
 #[derive(Debug, Clone)]
 pub enum EdgeIter<'a> {
     /// Slice walk over the flat tier.
     Flat(std::slice::Iter<'a, Edge>),
-    /// Varint decode over the compressed tier.
-    Compressed(CompressedRow<'a>),
-    /// Varint decode over a pinned chunk of the disk tier.
-    Disk(DiskRow<'a>),
+    /// Varint decode over the delta stream, resident or spilled.
+    Stream(StreamCursor<'a>),
 }
 
 impl Iterator for EdgeIter<'_> {
@@ -695,8 +590,12 @@ impl Iterator for EdgeIter<'_> {
     fn next(&mut self) -> Option<Edge> {
         match self {
             EdgeIter::Flat(it) => it.next().copied(),
-            EdgeIter::Compressed(it) => it.next(),
-            EdgeIter::Disk(it) => it.next(),
+            EdgeIter::Stream(cur) if cur.done() => None,
+            EdgeIter::Stream(cur) => Some(Edge {
+                to: cur.target(),
+                movers: cur.raw(),
+                prob: cur.prob(),
+            }),
         }
     }
 }
@@ -704,40 +603,79 @@ impl Iterator for EdgeIter<'_> {
 /// The per-run edge store of a [`TransitionSystem`](super::TransitionSystem):
 /// whichever tier [`ExploreOptions::with_edge_store`](super::ExploreOptions::with_edge_store)
 /// selected.
-// One instance per run, so the Disk variant's inline size is moot.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum EdgeStorage {
     /// Flat `Csr<Edge>` tier.
     Flat(Csr<Edge>),
-    /// Byte-packed compressed tier.
-    Compressed(CompressedEdges),
-    /// Disk-spilled compressed tier.
-    Disk(DiskEdges),
+    /// The delta stream: the compressed tier when resident, the disk
+    /// tier when spilled.
+    Stream(DeltaStream),
 }
 
 impl EdgeStorage {
-    /// Row `i` as a slice — **flat tier only**: `None` on the compressed
-    /// and disk tiers, whose rows exist only in decoded form (iterate
-    /// [`EdgeStore::row_iter`] instead).
-    pub fn try_row_slice(&self, i: usize) -> Option<&[Edge]> {
+    /// Number of rows (explored configurations).
+    pub fn n_rows(&self) -> usize {
         match self {
-            EdgeStorage::Flat(csr) => Some(csr.row(i)),
-            EdgeStorage::Compressed(_) | EdgeStorage::Disk(_) => None,
+            EdgeStorage::Flat(csr) => csr.n_rows(),
+            EdgeStorage::Stream(s) => s.n_rows(),
         }
     }
 
-    /// Row `i` as a slice — **flat tier only**.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the compressed tier; prefer
-    /// [`EdgeStorage::try_row_slice`] (or the typed
-    /// `CoreError::FlatStoreRequired` surface of
-    /// `TransitionSystem::edges`).
-    pub fn row_slice(&self, i: usize) -> &[Edge] {
-        self.try_row_slice(i)
-            .expect("edge slices exist only on the flat store; use row_iter / edge_iter")
+    /// Total number of stored edges (u64: representable past 2³²).
+    pub fn n_edges(&self) -> u64 {
+        match self {
+            EdgeStorage::Flat(csr) => csr.n_entries() as u64,
+            EdgeStorage::Stream(s) => s.n_items(),
+        }
+    }
+
+    /// Total footprint of the store (offsets + edge data + side tables),
+    /// comparable across tiers: on the disk tier, the resident side
+    /// tables plus the spilled stream bytes.
+    pub fn edge_bytes(&self) -> u64 {
+        match self {
+            EdgeStorage::Flat(csr) => {
+                (csr.n_entries() * std::mem::size_of::<Edge>()
+                    + (csr.n_rows() + 1) * std::mem::size_of::<u32>()) as u64
+            }
+            EdgeStorage::Stream(s) => s.bytes(),
+        }
+    }
+
+    /// Which tier this store is.
+    pub fn kind(&self) -> EdgeStoreKind {
+        match self {
+            EdgeStorage::Flat(_) => EdgeStoreKind::Flat,
+            EdgeStorage::Stream(s) => s.kind(),
+        }
+    }
+
+    /// Zero-alloc cursor over row `i`'s decoded edges, in `(to, movers)`
+    /// order.
+    #[inline]
+    pub fn row_iter(&self, i: usize) -> EdgeIter<'_> {
+        match self {
+            EdgeStorage::Flat(csr) => EdgeIter::Flat(csr.row(i).iter()),
+            EdgeStorage::Stream(s) => EdgeIter::Stream(StreamCursor::new(s, i)),
+        }
+    }
+
+    /// Whether row `i` stores no edges (terminal configuration).
+    pub fn row_is_empty(&self, i: usize) -> bool {
+        match self {
+            EdgeStorage::Flat(csr) => csr.row(i).is_empty(),
+            EdgeStorage::Stream(s) => s.row_is_empty(i),
+        }
+    }
+
+    /// Row `i` as a slice — **flat tier only**: `None` on the stream
+    /// tiers, whose rows exist only in decoded form (iterate
+    /// [`EdgeStorage::row_iter`] instead).
+    pub fn try_row_slice(&self, i: usize) -> Option<&[Edge]> {
+        match self {
+            EdgeStorage::Flat(csr) => Some(csr.row(i)),
+            EdgeStorage::Stream(_) => None,
+        }
     }
 
     /// The reverse adjacency as a `Csr<u32>` (row `j` = predecessors of
@@ -766,40 +704,34 @@ impl EdgeStorage {
     pub fn invert_targets_budgeted(&self, budget: &Budget) -> Result<Csr<u32>, CoreError> {
         match self {
             EdgeStorage::Flat(csr) => {
-                let full_bytes = csr.n_entries() as u64 * 4 + (Csr::n_rows(csr) as u64 + 1) * 4;
-                budget.probe("reverse", full_bytes, Csr::n_rows(csr) as u64)?;
+                let full_bytes = csr.n_entries() as u64 * 4 + (csr.n_rows() as u64 + 1) * 4;
+                budget.probe("reverse", full_bytes, csr.n_rows() as u64)?;
                 Ok(csr.invert(|e| e.to))
             }
-            EdgeStorage::Compressed(c) => invert_target_rows_budgeted(
-                EdgeStore::n_rows(c),
-                c.n_edges(),
-                |i| c.row_iter(i).map(|e| e.to),
-                budget,
-            ),
-            EdgeStorage::Disk(d) => invert_target_rows_budgeted(
-                EdgeStore::n_rows(d),
-                d.n_edges(),
-                |i| d.row_iter(i).map(|e| e.to),
+            EdgeStorage::Stream(s) => invert_target_rows_budgeted(
+                s.n_rows(),
+                s.n_items(),
+                |i| self.row_iter(i).map(|e| e.to),
                 budget,
             ),
         }
     }
 
     /// Bytes currently resident in RAM: equal to
-    /// [`EdgeStore::edge_bytes`] on the in-RAM tiers; on the disk tier,
+    /// [`EdgeStorage::edge_bytes`] on the in-RAM tiers; on the disk tier,
     /// only the offsets, probability table and cached chunks.
     pub fn resident_bytes(&self) -> u64 {
         match self {
-            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => self.edge_bytes(),
-            EdgeStorage::Disk(d) => d.resident_bytes(),
+            EdgeStorage::Flat(_) => self.edge_bytes(),
+            EdgeStorage::Stream(s) => s.resident_bytes(),
         }
     }
 
     /// Bytes spilled to chunk files: zero on the in-RAM tiers.
     pub fn spilled_bytes(&self) -> u64 {
         match self {
-            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => 0,
-            EdgeStorage::Disk(d) => d.spilled_bytes(),
+            EdgeStorage::Flat(_) => 0,
+            EdgeStorage::Stream(s) => s.spilled_bytes(),
         }
     }
 
@@ -807,177 +739,8 @@ impl EdgeStorage {
     /// on the in-RAM tiers, the cache's peak on the disk tier.
     pub fn peak_resident_bytes(&self) -> u64 {
         match self {
-            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => self.edge_bytes(),
-            EdgeStorage::Disk(d) => d.peak_resident_bytes(),
-        }
-    }
-}
-
-impl EdgeStore for EdgeStorage {
-    fn n_rows(&self) -> usize {
-        match self {
-            EdgeStorage::Flat(c) => EdgeStore::n_rows(c),
-            EdgeStorage::Compressed(c) => EdgeStore::n_rows(c),
-            EdgeStorage::Disk(d) => EdgeStore::n_rows(d),
-        }
-    }
-
-    fn n_edges(&self) -> u64 {
-        match self {
-            EdgeStorage::Flat(c) => EdgeStore::n_edges(c),
-            EdgeStorage::Compressed(c) => c.n_edges(),
-            EdgeStorage::Disk(d) => d.n_edges(),
-        }
-    }
-
-    fn edge_bytes(&self) -> u64 {
-        match self {
-            EdgeStorage::Flat(c) => EdgeStore::edge_bytes(c),
-            EdgeStorage::Compressed(c) => c.edge_bytes(),
-            EdgeStorage::Disk(d) => EdgeStore::edge_bytes(d),
-        }
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        match self {
-            EdgeStorage::Flat(_) => EdgeStoreKind::Flat,
-            EdgeStorage::Compressed(_) => EdgeStoreKind::Compressed,
-            EdgeStorage::Disk(_) => EdgeStoreKind::Disk,
-        }
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        match self {
-            EdgeStorage::Flat(c) => c.row_iter(i),
-            EdgeStorage::Compressed(c) => c.row_iter(i),
-            EdgeStorage::Disk(d) => d.row_iter(i),
-        }
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        match self {
-            EdgeStorage::Flat(c) => EdgeStore::row_is_empty(c, i),
-            EdgeStorage::Compressed(c) => c.row_is_empty(i),
-            EdgeStorage::Disk(d) => d.row_is_empty(i),
-        }
-    }
-}
-
-/// Incremental writer for the compressed tier: rows are appended in id
-/// order, each item encoded as `(target delta, movers, prob id)` through
-/// the shared [`DeltaStreamWriter`].
-#[derive(Debug, Default)]
-pub struct CompressedEdgesBuilder {
-    w: DeltaStreamWriter,
-}
-
-impl CompressedEdgesBuilder {
-    /// An empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends the next row (edges sorted by `(to, movers)`, as every
-    /// exploration path produces them).
-    pub fn push_row(&mut self, edges: &[Edge]) {
-        for e in edges {
-            self.w.target(e.to);
-            self.w.raw(e.movers);
-            self.w.prob(e.prob);
-        }
-        self.w.end_row();
-    }
-
-    /// Finalises the stream.
-    pub fn finish(self) -> CompressedEdges {
-        let (offsets, stream, probs, n_edges) = self.w.into_parts();
-        CompressedEdges {
-            offsets,
-            stream,
-            probs,
-            n_edges,
-        }
-    }
-
-    /// The underlying writer (checkpoint snapshot surface).
-    pub fn writer(&self) -> &DeltaStreamWriter {
-        &self.w
-    }
-
-    /// Rebuilds a builder around a restored writer.
-    pub fn from_writer(w: DeltaStreamWriter) -> Self {
-        CompressedEdgesBuilder { w }
-    }
-}
-
-/// Incremental writer for the disk tier: identical encoding to
-/// [`CompressedEdgesBuilder`], but whenever the pending stream tail
-/// reaches the configured chunk size at a row boundary it is drained
-/// into a CRC-framed chunk file, so the builder's resident set stays
-/// bounded by one chunk regardless of system size.
-#[derive(Debug)]
-pub struct DiskEdgesBuilder {
-    w: DeltaStreamWriter,
-    sink: SpillSink,
-}
-
-impl DiskEdgesBuilder {
-    /// An empty builder spilling per `cfg` (a fresh self-cleaning
-    /// temporary directory when `cfg.dir` is `None`).
-    pub fn new(cfg: &SpillConfig) -> Self {
-        DiskEdgesBuilder {
-            w: DeltaStreamWriter::new(),
-            sink: SpillSink::create(cfg),
-        }
-    }
-
-    /// Appends the next row (edges sorted by `(to, movers)`), spilling a
-    /// chunk when the pending tail is large enough.
-    pub fn push_row(&mut self, edges: &[Edge]) {
-        for e in edges {
-            self.w.target(e.to);
-            self.w.raw(e.movers);
-            self.w.prob(e.prob);
-        }
-        self.w.end_row();
-        self.sink.maybe_spill(&mut self.w);
-    }
-
-    /// The underlying writer (checkpoint snapshot surface; its pending
-    /// tail starts at [`DeltaStreamWriter::pending_base`], earlier bytes
-    /// are read back through [`DiskEdgesBuilder::byte_range`]).
-    pub fn writer(&self) -> &DeltaStreamWriter {
-        &self.w
-    }
-
-    /// Rebuilds a builder around a restored writer; the restored stream
-    /// bytes are re-spilled as rows keep arriving.
-    pub fn from_writer(w: DeltaStreamWriter, cfg: &SpillConfig) -> Self {
-        DiskEdgesBuilder {
-            w,
-            sink: SpillSink::create(cfg),
-        }
-    }
-
-    /// Copies the global byte range `start..end` of the stream —
-    /// re-reading spilled chunks where needed — so checkpoint frames can
-    /// snapshot deltas that have already left RAM.
-    pub fn byte_range(&self, start: u64, end: u64) -> Vec<u8> {
-        self.sink.byte_range(&self.w, start, end)
-    }
-
-    /// Finalises: drains the pending tail into a last chunk and seals
-    /// the chunk set behind its cache.
-    pub fn finish(mut self) -> DiskEdges {
-        if self.w.pending_len() > 0 {
-            self.sink.spill(&mut self.w);
-        }
-        let (offsets, _stream, probs, n_edges) = self.w.into_parts();
-        DiskEdges {
-            offsets,
-            probs,
-            n_edges,
-            store: self.sink.finish(),
+            EdgeStorage::Flat(_) => self.edge_bytes(),
+            EdgeStorage::Stream(s) => s.peak_resident_bytes(),
         }
     }
 }
@@ -994,11 +757,10 @@ pub enum EdgeStorageBuilder {
         /// Concatenated row data.
         edges: Vec<Edge>,
     },
-    /// Streams rows straight into the compressed encoding.
-    Compressed(CompressedEdgesBuilder),
-    /// Streams rows into the compressed encoding, spilling chunks to
-    /// disk as they fill.
-    Disk(DiskEdgesBuilder),
+    /// Streams rows into the delta encoding, each edge as `(target
+    /// delta, movers, prob id)` — resident, or spilling chunks to disk as
+    /// they fill.
+    Stream(DeltaStreamWriter),
 }
 
 impl EdgeStorageBuilder {
@@ -1016,10 +778,8 @@ impl EdgeStorageBuilder {
                 counts: Vec::new(),
                 edges: Vec::new(),
             },
-            EdgeStoreKind::Compressed => {
-                EdgeStorageBuilder::Compressed(CompressedEdgesBuilder::new())
-            }
-            EdgeStoreKind::Disk => EdgeStorageBuilder::Disk(DiskEdgesBuilder::new(cfg)),
+            EdgeStoreKind::Compressed => EdgeStorageBuilder::Stream(DeltaStreamWriter::new()),
+            EdgeStoreKind::Disk => EdgeStorageBuilder::Stream(DeltaStreamWriter::spilling(cfg)),
         }
     }
 
@@ -1032,20 +792,12 @@ impl EdgeStorageBuilder {
             EdgeStorageBuilder::Flat { counts, edges } => {
                 (edges.len() * std::mem::size_of::<Edge>() + counts.len() * 4) as u64
             }
-            EdgeStorageBuilder::Compressed(b) => {
-                let (offsets, stream, probs, _) = b.writer().parts();
-                // lint: arith-ok(approximate size accounting over resident buffer lengths)
-                (stream.len() + offsets.len() * 8 + probs.len() * 8) as u64
-            }
-            EdgeStorageBuilder::Disk(b) => {
-                let (offsets, _, probs, _) = b.writer().parts();
-                // lint: arith-ok(approximate size accounting over resident buffer lengths)
-                (b.writer().pending_len() + offsets.len() * 8 + probs.len() * 8) as u64
-            }
+            EdgeStorageBuilder::Stream(w) => w.resident_bytes(),
         }
     }
 
-    /// Appends the next row.
+    /// Appends the next row (edges sorted by `(to, movers)`, as every
+    /// exploration path produces them).
     ///
     /// # Panics
     ///
@@ -1057,8 +809,14 @@ impl EdgeStorageBuilder {
                 counts.push(u32::try_from(row.len()).expect("row length exceeds u32::MAX edges"));
                 edges.extend_from_slice(row);
             }
-            EdgeStorageBuilder::Compressed(b) => b.push_row(row),
-            EdgeStorageBuilder::Disk(b) => b.push_row(row),
+            EdgeStorageBuilder::Stream(w) => {
+                for e in row {
+                    w.target(e.to);
+                    w.raw(e.movers);
+                    w.prob(e.prob);
+                }
+                w.end_row();
+            }
         }
     }
 
@@ -1085,15 +843,14 @@ impl EdgeStorageBuilder {
     /// # Panics
     ///
     /// Panics on the flat tier past `u32::MAX` total edges
-    /// ([`Csr::from_counts`]'s checked offsets) — the compressed tiers
-    /// are the supported representations at that scale.
+    /// ([`Csr::from_counts`]'s checked offsets) — the stream tiers are
+    /// the supported representations at that scale.
     pub fn finish(self) -> EdgeStorage {
         match self {
             EdgeStorageBuilder::Flat { counts, edges } => {
                 EdgeStorage::Flat(Csr::from_counts(&counts, edges))
             }
-            EdgeStorageBuilder::Compressed(b) => EdgeStorage::Compressed(b.finish()),
-            EdgeStorageBuilder::Disk(b) => EdgeStorage::Disk(b.finish()),
+            EdgeStorageBuilder::Stream(w) => EdgeStorage::Stream(w.finish()),
         }
     }
 }
@@ -1130,6 +887,21 @@ mod tests {
         assert!(vbyte::zigzag(63) < 128);
     }
 
+    fn build(kind: EdgeStoreKind, rows: &[Vec<Edge>]) -> EdgeStorage {
+        let mut b = EdgeStorageBuilder::new(kind);
+        for r in rows {
+            b.push_row(r);
+        }
+        b.finish()
+    }
+
+    fn stream(store: &EdgeStorage) -> &DeltaStream {
+        match store {
+            EdgeStorage::Stream(s) => s,
+            EdgeStorage::Flat(_) => panic!("expected the stream tier"),
+        }
+    }
+
     #[test]
     fn compressed_round_trips_rows() {
         let rows: Vec<Vec<Edge>> = vec![
@@ -1137,38 +909,38 @@ mod tests {
             vec![],
             vec![edge(0, 0b11, 0.25), edge(1, 0b1, 0.25), edge(1, 0b10, 0.5)],
         ];
-        let mut b = CompressedEdgesBuilder::new();
-        for r in &rows {
-            b.push_row(r);
-        }
-        let store = b.finish();
-        assert_eq!(EdgeStore::n_rows(&store), 3);
+        let store = build(EdgeStoreKind::Compressed, &rows);
+        assert_eq!(store.n_rows(), 3);
         assert_eq!(store.n_edges(), 5);
-        // Two distinct probabilities interned.
-        assert_eq!(store.prob_table_len(), 2);
+        // Two distinct probabilities interned, held resident.
+        assert_eq!(stream(&store).probs().len(), 2);
+        assert!(stream(&store).spill_store().is_none());
         for (i, want) in rows.iter().enumerate() {
             let got: Vec<Edge> = store.row_iter(i).collect();
             assert_eq!(&got, want, "row {i}");
             assert_eq!(store.row_is_empty(i), want.is_empty());
+            // Stream rows exist only in decoded form.
+            assert!(store.try_row_slice(i).is_none());
         }
     }
 
     #[test]
     fn offsets_are_monotone_and_bytes_accounted() {
-        let mut b = CompressedEdgesBuilder::new();
-        for i in 0..50u32 {
-            let row: Vec<Edge> = (0..i % 7)
-                .map(|j| edge(i + j, 1 << (j % 8), 0.125))
-                .collect();
-            b.push_row(&row);
-        }
-        let store = b.finish();
-        for w in store.offsets().windows(2) {
+        let rows: Vec<Vec<Edge>> = (0..50u32)
+            .map(|i| {
+                (0..i % 7)
+                    .map(|j| edge(i + j, 1 << (j % 8), 0.125))
+                    .collect()
+            })
+            .collect();
+        let store = build(EdgeStoreKind::Compressed, &rows);
+        let s = stream(&store);
+        for w in s.offsets().windows(2) {
             assert!(w[0] <= w[1], "offsets monotone");
         }
         assert_eq!(
-            *store.offsets().last().unwrap() as usize,
-            store.edge_bytes() as usize - store.offsets().len() * 8 - store.prob_table_len() * 8
+            *s.offsets().last().unwrap() as usize,
+            store.edge_bytes() as usize - s.offsets().len() * 8 - s.probs().len() * 8
         );
     }
 
@@ -1272,14 +1044,5 @@ mod tests {
         assert_eq!(ra, rb);
         assert_eq!(ra, rc);
         assert_eq!(rb.row(2), &[0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "edge slices exist only on the flat store")]
-    fn compressed_row_slice_panics() {
-        let mut b = EdgeStorageBuilder::new(EdgeStoreKind::Compressed);
-        b.push_row(&[edge(0, 1, 1.0)]);
-        let store = b.finish();
-        let _ = store.row_slice(0);
     }
 }

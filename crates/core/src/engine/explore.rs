@@ -84,7 +84,7 @@ use crate::CoreError;
 
 use super::bitset::BitSet;
 use super::csr::Csr;
-use super::edgestore::{EdgeIter, EdgeStorage, EdgeStore, EdgeStoreKind};
+use super::edgestore::{EdgeIter, EdgeStorage, EdgeStoreKind};
 use super::equivariance;
 use super::ids;
 use super::onthefly::{ExploreMode, ExploreOptions, Quotient, StateIds, TraversalMode};

@@ -81,8 +81,8 @@ pub use bitset::BitSet;
 pub use csr::Csr;
 pub use cursor::ConfigCursor;
 pub use edgestore::{
-    CompressedEdges, CompressedEdgesBuilder, DiskEdges, DiskEdgesBuilder, EdgeIter, EdgeStorage,
-    EdgeStorageBuilder, EdgeStore, EdgeStoreKind,
+    DeltaStream, DeltaStreamWriter, EdgeIter, EdgeStorage, EdgeStorageBuilder, EdgeStoreKind,
+    StreamCursor,
 };
 pub use explore::{explore_count, node_mask, Edge, TransitionSystem};
 pub use onthefly::{ExploreMode, ExploreOptions, Quotient, TraversalMode};

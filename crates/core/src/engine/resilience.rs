@@ -68,9 +68,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::bitset::BitSet;
-use super::edgestore::{
-    CompressedEdgesBuilder, DeltaStreamWriter, DiskEdgesBuilder, EdgeStorageBuilder, EdgeStoreKind,
-};
+use super::edgestore::{DeltaStreamWriter, EdgeStorageBuilder, EdgeStoreKind};
 use super::explore::{Edge, TransitionSystem};
 use super::onthefly::{Quotient, StateIds, StateTable, TraversalMode};
 use super::quotient::{GroupCanonicalizer, Strategy};
@@ -1021,7 +1019,7 @@ impl Checkpointer {
                 ck.wm_table = replay.table.len();
                 ck.wm_edges = match &replay.builder {
                     ReplayBuilder::Flat { edges, .. } => edges.len(),
-                    ReplayBuilder::Compressed { .. } => 0,
+                    ReplayBuilder::Stream { .. } => 0,
                 };
                 prune_from(&cfg.dir, ck.seq)?;
                 ck.replay = Some(replay);
@@ -1122,39 +1120,23 @@ impl Checkpointer {
                 }
                 self.wm_edges = edges.len();
             }
-            EdgeStorageBuilder::Compressed(b) => {
-                debug_assert_eq!(self.tier, EdgeStoreKind::Compressed);
-                let (offsets, stream, probs, n_items) = b.writer().parts();
+            EdgeStorageBuilder::Stream(w) => {
+                debug_assert_ne!(self.tier, EdgeStoreKind::Flat);
+                // One layout for both backings — the checkpoint chain,
+                // not the spill directory, is the durability surface, so
+                // a disk-tier delta's stream bytes are read back from
+                // already-spilled chunks where needed.
+                let (offsets, probs, n_items) = w.parts();
                 e.u64(rows as u64);
                 for &o in &offsets[from + 1..to + 1] {
                     e.u64(o);
                 }
-                let bytes = &stream[offsets[from] as usize..offsets[to] as usize];
+                let bytes = w.byte_range(offsets[from], offsets[to]);
                 e.u64(bytes.len() as u64);
-                e.raw(bytes);
+                e.raw(&bytes);
                 // The interned-probability table is tiny and append-only
                 // in practice, but interning order is not a row-boundary
                 // invariant — persist it whole and let replay overwrite.
-                e.u64(probs.len() as u64);
-                for &p in probs {
-                    e.f64(p);
-                }
-                e.u64(n_items);
-            }
-            EdgeStorageBuilder::Disk(b) => {
-                debug_assert_eq!(self.tier, EdgeStoreKind::Disk);
-                // Same frame layout as the compressed tier — the
-                // checkpoint chain, not the spill directory, is the
-                // durability surface, so the delta's stream bytes are
-                // read back from already-spilled chunks where needed.
-                let (offsets, _, probs, n_items) = b.writer().parts();
-                e.u64(rows as u64);
-                for &o in &offsets[from + 1..to + 1] {
-                    e.u64(o);
-                }
-                let bytes = b.byte_range(offsets[from], offsets[to]);
-                e.u64(bytes.len() as u64);
-                e.raw(&bytes);
                 e.u64(probs.len() as u64);
                 for &p in probs {
                     e.f64(p);
@@ -1269,7 +1251,7 @@ enum BuilderDelta {
         counts: Vec<u32>,
         edges: Vec<Edge>,
     },
-    Compressed {
+    Stream {
         offsets: Vec<u64>,
         stream: Vec<u8>,
         probs: Vec<f64>,
@@ -1283,7 +1265,7 @@ pub(super) enum ReplayBuilder {
         counts: Vec<u32>,
         edges: Vec<Edge>,
     },
-    Compressed {
+    Stream {
         offsets: Vec<u64>,
         stream: Vec<u8>,
         probs: Vec<f64>,
@@ -1298,10 +1280,10 @@ impl ReplayBuilder {
                 counts: Vec::new(),
                 edges: Vec::new(),
             },
-            // The disk tier replays through the compressed accumulator —
-            // the chain carries the stream bytes; they are re-spilled to
-            // chunks as the resumed builder fills back up.
-            EdgeStoreKind::Compressed | EdgeStoreKind::Disk => ReplayBuilder::Compressed {
+            // Both stream tiers replay through one accumulator — the
+            // chain carries the stream bytes; on the disk tier they are
+            // re-spilled to chunks as the resumed builder fills back up.
+            EdgeStoreKind::Compressed | EdgeStoreKind::Disk => ReplayBuilder::Stream {
                 offsets: vec![0],
                 stream: Vec::new(),
                 probs: Vec::new(),
@@ -1311,8 +1293,8 @@ impl ReplayBuilder {
     }
 
     /// Converts into the live builder the exploration loop appends to
-    /// (`tier`/`spill` route the compressed accumulator back to a
-    /// disk-spilling builder when the chain was a disk-tier run).
+    /// (`tier`/`spill` make the stream writer spill again when the chain
+    /// was a disk-tier run).
     pub(super) fn into_builder(
         self,
         tier: EdgeStoreKind,
@@ -1320,19 +1302,18 @@ impl ReplayBuilder {
     ) -> EdgeStorageBuilder {
         match self {
             ReplayBuilder::Flat { counts, edges } => EdgeStorageBuilder::Flat { counts, edges },
-            ReplayBuilder::Compressed {
+            ReplayBuilder::Stream {
                 offsets,
                 stream,
                 probs,
                 n_items,
-            } => {
-                let w = DeltaStreamWriter::from_parts(offsets, stream, probs, n_items);
-                if tier == EdgeStoreKind::Disk {
-                    EdgeStorageBuilder::Disk(DiskEdgesBuilder::from_writer(w, spill))
-                } else {
-                    EdgeStorageBuilder::Compressed(CompressedEdgesBuilder::from_writer(w))
-                }
-            }
+            } => EdgeStorageBuilder::Stream(DeltaStreamWriter::from_parts(
+                offsets,
+                stream,
+                probs,
+                n_items,
+                (tier == EdgeStoreKind::Disk).then_some(spill),
+            )),
         }
     }
 }
@@ -1410,10 +1391,10 @@ impl Replay {
                 }
             }
             (
-                ReplayBuilder::Compressed {
+                ReplayBuilder::Stream {
                     offsets, stream, ..
                 },
-                BuilderDelta::Compressed {
+                BuilderDelta::Stream {
                     offsets: new_offsets,
                     stream: new_stream,
                     ..
@@ -1454,13 +1435,13 @@ impl Replay {
                 edges.extend(ne);
             }
             (
-                ReplayBuilder::Compressed {
+                ReplayBuilder::Stream {
                     offsets,
                     stream,
                     probs,
                     n_items,
                 },
-                BuilderDelta::Compressed {
+                BuilderDelta::Stream {
                     offsets: no,
                     stream: ns,
                     probs: np,
@@ -1606,7 +1587,7 @@ fn decode_payload(payload: &[u8], kind: u8) -> Result<DeltaFrame, String> {
                 probs.push(d.f64()?);
             }
             let n_items = d.u64()?;
-            BuilderDelta::Compressed {
+            BuilderDelta::Stream {
                 offsets,
                 stream,
                 probs,

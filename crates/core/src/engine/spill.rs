@@ -1,16 +1,18 @@
-//! Disk spilling for the compressed edge stream: CRC-framed chunk files
-//! behind a pinned-budget cache.
+//! The spilled backing of a [`DeltaStream`](super::edgestore::DeltaStream):
+//! CRC-framed chunk files behind a pinned-budget cache.
 //!
-//! The compressed tier's byte stream is sequential-append with u64 row
-//! offsets, so the disk tier cuts it into **chunks at row boundaries**
-//! and writes each chunk as one `WSR1` frame (the checkpoint format of
-//! [`super::resilience`]: magic + seq + CRC32C, staged to a `.tmp` and
-//! atomically renamed), named `chunk-NNNNNN.bin` inside the spill
-//! directory. Only the row offsets, the probability table and a bounded
-//! set of cached chunks stay resident; every row decodes from exactly
-//! one chunk, so row-sequential passes (exploration order, Tarjan's
-//! outer loop, `Q`-row sweeps, the external inversion) rotate each chunk
-//! through the cache once.
+//! A delta stream is sequential-append with u64 row offsets, so a
+//! spilling [`DeltaStreamWriter`](super::edgestore::DeltaStreamWriter)
+//! cuts it into **chunks at row boundaries** and writes each chunk as one
+//! `WSR1` frame (the checkpoint format of [`super::resilience`]: magic +
+//! seq + CRC32C, staged to a `.tmp` and atomically renamed), named
+//! `chunk-NNNNNN.bin` inside the spill directory. Only the row offsets,
+//! the probability table and a bounded set of cached chunks stay
+//! resident; every row decodes from exactly one chunk, so row-sequential
+//! passes (exploration order, Tarjan's outer loop, `Q`-row sweeps, the
+//! external inversion) rotate each chunk through the cache once. The
+//! edge store's disk tier and `stab-markov`'s disk-tier `Q` are the same
+//! stream on this backing.
 //!
 //! Integrity follows the checkpoint discipline: a torn or bit-flipped
 //! chunk fails its frame validation and is **refused** — fallibly via
@@ -20,14 +22,13 @@
 //! working storage, not a durability surface (the checkpoint chain is):
 //! re-exploration heals a damaged spill directory from scratch.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-use super::edgestore::{vbyte, DeltaStreamWriter};
-use super::ids;
 use super::resilience::{crc32c, FrameSink, FRAME_HEADER_LEN, FRAME_MAGIC};
 use crate::error::CoreError;
 
@@ -142,9 +143,9 @@ fn read_chunk(dir: &Path, meta: &ChunkMeta) -> Result<Vec<u8>, CoreError> {
     Ok(payload_vec)
 }
 
-/// Write side of the spill: owns the chunk directory while a disk-tier
-/// builder is running, draining the shared [`DeltaStreamWriter`]'s
-/// pending tail into chunk frames.
+/// Write side of the spill: owns the chunk directory while a spilling
+/// [`DeltaStreamWriter`](super::edgestore::DeltaStreamWriter) is
+/// running, turning its pending tail into chunk frames.
 ///
 /// Spill I/O failures panic with context rather than corrupting the
 /// store: there is no meaningful forward progress once the working
@@ -201,21 +202,25 @@ impl SpillSink {
         }
     }
 
-    /// Spills the writer's pending tail if it has reached the chunk
-    /// size. Call at row boundaries only.
-    pub fn maybe_spill(&mut self, w: &mut DeltaStreamWriter) {
-        if w.pending_len() as u64 >= self.chunk_bytes {
-            self.spill(w);
+    /// Spills `pending` — the stream bytes from global offset `start` —
+    /// if it has reached the chunk size, returning the bytes spilled.
+    /// Call at row boundaries only.
+    pub fn maybe_spill(&mut self, start: u64, pending: &mut Vec<u8>) -> u64 {
+        if pending.len() as u64 >= self.chunk_bytes {
+            self.spill(start, pending)
+        } else {
+            0
         }
     }
 
-    /// Unconditionally drains the writer's pending tail into a chunk
-    /// frame. Call at row boundaries only.
-    pub fn spill(&mut self, w: &mut DeltaStreamWriter) {
-        let (start, bytes) = w.drain();
-        if bytes.is_empty() {
-            return;
+    /// Unconditionally writes `pending` — the stream bytes from global
+    /// offset `start` — as one chunk frame and takes it (releasing its
+    /// buffer), returning the bytes spilled. Call at row boundaries only.
+    pub fn spill(&mut self, start: u64, pending: &mut Vec<u8>) -> u64 {
+        if pending.is_empty() {
+            return 0;
         }
+        let bytes = std::mem::take(pending);
         let seq = self.next_seq;
         let committed = chunk_path(&self.dir, seq);
         let tmp = committed.with_extension("tmp");
@@ -226,40 +231,11 @@ impl SpillSink {
         // the fsyncs (`durable: false`) but keep the atomic rename.
         sink.finish(false)
             .unwrap_or_else(|e| panic!("spill chunk write {} failed: {e}", committed.display()));
-        self.chunks.push(ChunkMeta {
-            seq,
-            start,
-            len: bytes.len() as u64,
-        });
-        self.spilled += bytes.len() as u64;
+        let len = bytes.len() as u64;
+        self.chunks.push(ChunkMeta { seq, start, len });
+        self.spilled += len;
         self.next_seq += 1;
-    }
-
-    /// Copies the global stream range `start..end`, re-reading spilled
-    /// chunks where the range has left RAM and finishing from the
-    /// writer's pending tail — the checkpoint-delta snapshot surface.
-    pub fn byte_range(&self, w: &DeltaStreamWriter, start: u64, end: u64) -> Vec<u8> {
-        assert!(start <= end, "byte range reversed");
-        let mut out = Vec::with_capacity((end - start) as usize);
-        let pending_base = w.pending_base();
-        let mut pos = start;
-        while pos < end.min(pending_base) {
-            let idx = chunk_index(&self.chunks, pos);
-            let c = &self.chunks[idx];
-            let bytes = read_chunk(&self.dir, c)
-                .unwrap_or_else(|e| panic!("spill chunk read-back failed: {e}"));
-            let take_end = end.min(chunk_end(c));
-            out.extend_from_slice(&bytes[(pos - c.start) as usize..(take_end - c.start) as usize]);
-            pos = take_end;
-        }
-        if end > pending_base {
-            let (_, pending, _, _) = w.parts();
-            let from = pos.max(pending_base);
-            out.extend_from_slice(
-                &pending[(from - pending_base) as usize..(end - pending_base) as usize],
-            );
-        }
-        out
+        len
     }
 
     /// Seals the chunk set behind its read cache (the caller has drained
@@ -274,6 +250,41 @@ impl SpillSink {
             temp: self.temp,
         }
     }
+}
+
+/// The global stream range `start..end` of a writer whose pending tail
+/// `pending` starts at global offset `pending_base`: borrowed when the
+/// range lies in the tail, otherwise copied, re-reading the chunks of
+/// `sink` where the range has left RAM — the checkpoint-delta snapshot
+/// surface. A writer without a sink has spilled nothing, so its tail
+/// starts at 0 and holds every range.
+pub(super) fn byte_range<'a>(
+    sink: Option<&SpillSink>,
+    pending: &'a [u8],
+    pending_base: u64,
+    start: u64,
+    end: u64,
+) -> Cow<'a, [u8]> {
+    assert!(start <= end, "byte range reversed");
+    let tail = |from: u64| &pending[(from - pending_base) as usize..(end - pending_base) as usize];
+    let Some(sink) = sink.filter(|_| start < pending_base) else {
+        return Cow::Borrowed(tail(start));
+    };
+    let mut out = Vec::with_capacity((end - start) as usize);
+    let mut pos = start;
+    while pos < end.min(pending_base) {
+        let idx = chunk_index(&sink.chunks, pos);
+        let c = &sink.chunks[idx];
+        let bytes = read_chunk(&sink.dir, c)
+            .unwrap_or_else(|e| panic!("spill chunk read-back failed: {e}"));
+        let take_end = end.min(chunk_end(c));
+        out.extend_from_slice(&bytes[(pos - c.start) as usize..(take_end - c.start) as usize]);
+        pos = take_end;
+    }
+    if end > pending_base {
+        out.extend_from_slice(tail(pos.max(pending_base)));
+    }
+    Cow::Owned(out)
 }
 
 /// Checked end offset of a chunk's global byte range (`start + len`).
@@ -325,9 +336,9 @@ struct ChunkCache {
 }
 
 /// Read side of the spill: the sealed chunk set plus a pinned-budget
-/// cache. Row cursors pin their chunk with an [`Arc`], so eviction under
-/// them is safe; the cache keeps at least one chunk resident regardless
-/// of budget.
+/// cache. Row cursors ([`StreamCursor`](super::edgestore::StreamCursor))
+/// pin their chunk with an [`Arc`], so eviction under them is safe; the
+/// cache keeps at least one chunk resident regardless of budget.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
@@ -421,34 +432,6 @@ impl SpillStore {
         (bytes, meta.start)
     }
 
-    /// A decoding cursor over row `row` of the stream delimited by the
-    /// global `offsets` (`n_rows + 1` entries) — the disk-tier
-    /// counterpart of
-    /// [`DeltaStreamReader::new`](super::edgestore::DeltaStreamReader::new).
-    pub fn row_cursor(&self, offsets: &[u64], row: usize) -> SpillCursor {
-        let (start, end) = (offsets[row], offsets[row + 1]);
-        if start == end {
-            return SpillCursor {
-                bytes: Arc::new(Vec::new()),
-                pos: 0,
-                end: 0,
-                prev: row as i64,
-            };
-        }
-        let (bytes, chunk_start) = self.load_containing(start);
-        debug_assert!(
-            // lint: arith-ok(debug-only bound over a chunk table verified contiguous at load)
-            end <= chunk_start + bytes.len() as u64,
-            "row {row} spans a chunk boundary"
-        );
-        SpillCursor {
-            bytes,
-            pos: (start - chunk_start) as usize,
-            end: (end - chunk_start) as usize,
-            prev: row as i64,
-        }
-    }
-
     /// Re-validates every chunk frame (magic, kind, sequence, length,
     /// CRC32C) and the contiguity of the recorded byte ranges.
     ///
@@ -480,61 +463,24 @@ impl SpillStore {
     }
 }
 
-/// Owned-chunk decoding cursor: the disk-tier counterpart of
-/// [`DeltaStreamReader`](super::edgestore::DeltaStreamReader), pinning
-/// its chunk so the cache may rotate underneath.
-#[derive(Debug, Clone)]
-pub struct SpillCursor {
-    bytes: Arc<Vec<u8>>,
-    pos: usize,
-    end: usize,
-    /// Delta base: the row id before the first item, then the previous
-    /// target.
-    prev: i64,
-}
-
-impl SpillCursor {
-    /// Whether the row's span is exhausted.
-    #[inline]
-    pub fn done(&self) -> bool {
-        self.pos >= self.end
-    }
-
-    /// Decodes the next item's target (call first per item).
-    #[inline]
-    pub fn target(&mut self) -> u32 {
-        self.prev += vbyte::unzigzag(vbyte::read(&self.bytes, &mut self.pos));
-        ids::delta_target(self.prev, "corrupt spill delta stream")
-    }
-
-    /// Decodes a raw payload varint.
-    #[inline]
-    pub fn raw(&mut self) -> u64 {
-        vbyte::read(&self.bytes, &mut self.pos)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::edgestore::{vbyte, DeltaStream, DeltaStreamWriter, StreamCursor};
     use super::*;
 
-    fn write_rows(cfg: &SpillConfig, rows: &[Vec<u32>]) -> (SpillStore, Vec<u64>) {
-        let mut w = DeltaStreamWriter::new();
-        let mut sink = SpillSink::create(cfg);
+    fn write_rows(cfg: &SpillConfig, rows: &[Vec<u32>]) -> DeltaStream {
+        let mut w = DeltaStreamWriter::spilling(cfg);
         for row in rows {
             for &t in row {
                 w.target(t);
             }
             w.end_row();
-            sink.maybe_spill(&mut w);
         }
-        sink.spill(&mut w);
-        let (offsets, _, _, _) = w.into_parts();
-        (sink.finish(), offsets)
+        w.finish()
     }
 
-    fn decode_row(store: &SpillStore, offsets: &[u64], row: usize) -> Vec<u32> {
-        let mut cur = store.row_cursor(offsets, row);
+    fn decode_row(stream: &DeltaStream, row: usize) -> Vec<u32> {
+        let mut cur = StreamCursor::new(stream, row);
         let mut out = Vec::new();
         while !cur.done() {
             out.push(cur.target());
@@ -557,7 +503,8 @@ mod tests {
             cache_bytes: 64,
             ..SpillConfig::default()
         };
-        let (store, offsets) = write_rows(&cfg, &rows);
+        let stream = write_rows(&cfg, &rows);
+        let store = stream.spill_store().unwrap();
         assert!(store.spilled_bytes() > 0);
         assert!(
             fs::read_dir(store.dir()).unwrap().count() > 3,
@@ -565,10 +512,10 @@ mod tests {
         );
         // Sequential, then deliberately cache-hostile random-ish order.
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(&decode_row(&store, &offsets, i), row, "row {i}");
+            assert_eq!(&decode_row(&stream, i), row, "row {i}");
         }
         for i in (0..rows.len()).rev().step_by(3) {
-            assert_eq!(decode_row(&store, &offsets, i), rows[i], "row {i}");
+            assert_eq!(decode_row(&stream, i), rows[i], "row {i}");
         }
         let (hits, misses) = store.cache_stats();
         assert!(hits > 0 && misses > 0, "hits {hits} misses {misses}");
@@ -591,14 +538,15 @@ mod tests {
             cache_bytes: 16, // room for ~one chunk: constant thrash
             ..SpillConfig::default()
         };
-        let (store, offsets) = write_rows(&cfg, &rows);
+        let stream = write_rows(&cfg, &rows);
+        let store = stream.spill_store().unwrap();
         let n_chunks = fs::read_dir(store.dir()).unwrap().count() as u64;
         assert!(n_chunks > 3, "need several chunks to thrash");
         // Two full passes, keeping every cursor alive the whole time.
         let mut pinned = Vec::new();
         for _pass in 0..2 {
             for (row, expected) in rows.iter().enumerate() {
-                let mut cur = store.row_cursor(&offsets, row);
+                let mut cur = StreamCursor::new(&stream, row);
                 let mut out = Vec::new();
                 while !cur.done() {
                     out.push(cur.target());
@@ -619,8 +567,7 @@ mod tests {
 
     #[test]
     fn byte_range_spans_chunks_and_pending_tail() {
-        let mut w = DeltaStreamWriter::new();
-        let mut sink = SpillSink::create(&SpillConfig {
+        let mut w = DeltaStreamWriter::spilling(&SpillConfig {
             chunk_bytes: 8,
             ..SpillConfig::default()
         });
@@ -631,13 +578,12 @@ mod tests {
             w.target(i * 3);
             vbyte::write(&mut reference, vbyte::zigzag(i as i64 * 3 - i as i64));
             w.end_row();
-            sink.maybe_spill(&mut w);
         }
         let total = *w.parts().0.last().unwrap();
-        let got = sink.byte_range(&w, 0, total);
+        let got = w.byte_range(0, total);
         assert_eq!(got, reference);
         for (a, b) in [(0u64, total / 3), (total / 3, total / 2), (1, total - 1)] {
-            assert_eq!(sink.byte_range(&w, a, b), got[a as usize..b as usize]);
+            assert_eq!(*w.byte_range(a, b), got[a as usize..b as usize]);
         }
     }
 
@@ -648,7 +594,8 @@ mod tests {
             chunk_bytes: 16,
             ..SpillConfig::default()
         };
-        let (store, _offsets) = write_rows(&cfg, &rows);
+        let stream = write_rows(&cfg, &rows);
+        let store = stream.spill_store().unwrap();
         store.verify_chunks().unwrap();
         // Flip one payload bit in the second chunk file.
         let victim = chunk_path(store.dir(), 1);
@@ -676,10 +623,10 @@ mod tests {
     #[test]
     fn temp_spill_dir_is_removed_on_drop() {
         let rows = demo_rows(16);
-        let (store, _) = write_rows(&SpillConfig::default(), &rows);
-        let dir = store.dir().to_path_buf();
+        let stream = write_rows(&SpillConfig::default(), &rows);
+        let dir = stream.spill_store().unwrap().dir().to_path_buf();
         assert!(dir.exists());
-        drop(store);
+        drop(stream);
         assert!(!dir.exists(), "temporary spill dir must self-clean");
     }
 
@@ -695,16 +642,16 @@ mod tests {
             chunk_bytes: 16,
             ..SpillConfig::default()
         };
-        let (store, offsets) = write_rows(&cfg, &demo_rows(64));
+        let stream = write_rows(&cfg, &demo_rows(64));
         let n_before = fs::read_dir(&base).unwrap().count();
         assert!(n_before > 1);
-        drop((store, offsets));
+        drop(stream);
         assert!(base.exists(), "explicit spill dir is user-owned");
         // Re-creating in the same dir prunes the stale chunks.
-        let (store2, offsets2) = write_rows(&cfg, &demo_rows(8));
-        store2.verify_chunks().unwrap();
-        assert_eq!(decode_row(&store2, &offsets2, 4), demo_rows(8)[4]);
-        drop(store2);
+        let stream2 = write_rows(&cfg, &demo_rows(8));
+        stream2.spill_store().unwrap().verify_chunks().unwrap();
+        assert_eq!(decode_row(&stream2, 4), demo_rows(8)[4]);
+        drop(stream2);
         let _ = fs::remove_dir_all(&base);
     }
 }

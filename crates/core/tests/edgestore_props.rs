@@ -1,8 +1,8 @@
-//! Property-test battery pinning the three-tier edge store
+//! Property-test battery pinning the edge store
 //! (`stab_core::engine::edgestore`): varint/zig-zag round trips,
 //! encode/decode round trips on arbitrary rows, monotone u64 offsets,
-//! byte accounting, statewise agreement between the compressed stream
-//! (in RAM or spilled to `WSR1` chunk files) and the flat `Csr<Edge>`
+//! byte accounting, statewise agreement between the delta stream
+//! (resident, or spilled to `WSR1` chunk files) and the flat `Csr<Edge>`
 //! tier, and the spill-integrity property: a torn or bit-flipped chunk
 //! is refused (typed error or panic) or served unchanged from cache —
 //! never decoded into a wrong system.
@@ -14,8 +14,7 @@ use proptest::prelude::*;
 
 use stab_core::engine::edgestore::vbyte;
 use stab_core::engine::{
-    CompressedEdgesBuilder, Csr, Edge, EdgeStorage, EdgeStorageBuilder, EdgeStore, EdgeStoreKind,
-    SpillConfig,
+    Csr, Edge, EdgeStorage, EdgeStorageBuilder, EdgeStoreKind, SpillConfig, SpillStore,
 };
 
 /// A small palette of realistic Definition 6 probabilities (products of
@@ -65,6 +64,15 @@ fn build_disk(rows: &[Vec<Edge>], chunk_bytes: u64, cache_bytes: u64) -> EdgeSto
     disk.finish()
 }
 
+/// The spilled backing of a disk-tier store, or `None` for any other
+/// store.
+fn spilled(store: &EdgeStorage) -> Option<&SpillStore> {
+    match store {
+        EdgeStorage::Stream(s) => s.spill_store(),
+        EdgeStorage::Flat(_) => None,
+    }
+}
+
 /// Decodes every row, or `None` if a decode panicked (a refused chunk).
 fn try_decode_all(store: &EdgeStorage, n_rows: usize) -> Option<Vec<Vec<Edge>>> {
     catch_unwind(AssertUnwindSafe(|| {
@@ -102,31 +110,33 @@ proptest! {
     fn compressed_round_trips_arbitrary_rows(
         rows in (1u32..200).prop_flat_map(|n| vec(row_strategy(n), 0..20)),
     ) {
-        let mut b = CompressedEdgesBuilder::new();
-        for r in &rows {
-            b.push_row(r);
-        }
-        let store = b.finish();
-        prop_assert_eq!(EdgeStore::n_rows(&store), rows.len());
+        let (_, comp) = build_both(&rows);
+        let EdgeStorage::Stream(store) = &comp else {
+            return Err(proptest::test_runner::TestCaseError::Fail(
+                "expected the stream variant".into(),
+            ));
+        };
+        prop_assert!(store.spill_store().is_none(), "compressed tier stays resident");
+        prop_assert_eq!(comp.n_rows(), rows.len());
         let want_edges: u64 = rows.iter().map(|r| r.len() as u64).sum();
-        prop_assert_eq!(store.n_edges(), want_edges);
+        prop_assert_eq!(comp.n_edges(), want_edges);
         // Offsets are monotone u64 byte positions ending at the stream's
         // length (edge_bytes minus the offset and prob tables).
         for w in store.offsets().windows(2) {
             prop_assert!(w[0] <= w[1], "offsets monotone");
         }
-        let stream_bytes = store.edge_bytes()
+        let stream_bytes = comp.edge_bytes()
             - (store.offsets().len() * 8) as u64
-            - (store.prob_table_len() * 8) as u64;
+            - (store.probs().len() * 8) as u64;
         prop_assert_eq!(*store.offsets().last().unwrap(), stream_bytes);
         // Statewise round trip.
         for (i, want) in rows.iter().enumerate() {
-            let got: Vec<Edge> = store.row_iter(i).collect();
+            let got: Vec<Edge> = comp.row_iter(i).collect();
             prop_assert_eq!(&got, want, "row {}", i);
-            prop_assert_eq!(store.row_is_empty(i), want.is_empty());
+            prop_assert_eq!(comp.row_is_empty(i), want.is_empty());
         }
         // Every interned probability is distinct and referenced.
-        prop_assert!(store.prob_table_len() <= PROBS.len());
+        prop_assert!(store.probs().len() <= PROBS.len());
     }
 
     /// The compressed tier decodes to exactly the rows the flat
@@ -171,14 +181,14 @@ proptest! {
             prop_assert_eq!(a, b, "row {}", i);
         }
         prop_assert_eq!(flat.invert_targets(), disk.invert_targets());
-        if let EdgeStorage::Disk(d) = &disk {
+        if let Some(d) = spilled(&disk) {
             d.verify_chunks().unwrap();
             // The cache respects its pinned budget (one chunk may stay
             // resident past it) and the residency math is coherent.
-            prop_assert!(d.resident_bytes() <= disk.edge_bytes());
-            prop_assert!(d.peak_resident_bytes() >= d.resident_bytes());
+            prop_assert!(disk.resident_bytes() <= disk.edge_bytes());
+            prop_assert!(disk.peak_resident_bytes() >= disk.resident_bytes());
         } else {
-            prop_assert!(false, "expected the disk variant");
+            prop_assert!(false, "expected the spilled backing");
         }
     }
 
@@ -200,13 +210,13 @@ proptest! {
     ) {
         let disk = build_disk(&rows, chunk_bytes, cache_bytes);
         let expected = try_decode_all(&disk, rows.len()).expect("pristine store decodes");
-        let EdgeStorage::Disk(d) = &disk else {
+        let Some(d) = spilled(&disk) else {
             return Err(proptest::test_runner::TestCaseError::Fail(
-                "expected the disk variant".into(),
+                "expected the spilled backing".into(),
             ));
         };
         prop_assert!(d.verify_chunks().is_ok());
-        let mut chunks: Vec<_> = std::fs::read_dir(d.spill_dir())
+        let mut chunks: Vec<_> = std::fs::read_dir(d.dir())
             .unwrap()
             .flatten()
             .map(|e| e.path())
@@ -252,7 +262,7 @@ proptest! {
         if edges >= 8 {
             prop_assert!(comp.edge_bytes() < flat.edge_bytes());
             let per_edge = (comp.edge_bytes() as f64
-                - (EdgeStore::n_rows(&comp) as u64 + 1) as f64 * 8.0
+                - (comp.n_rows() as u64 + 1) as f64 * 8.0
                 - 8.0 * PROBS.len() as f64)
                 / edges as f64;
             prop_assert!(per_edge <= 10.0, "stream bytes/edge {per_edge}");

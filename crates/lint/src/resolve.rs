@@ -31,8 +31,8 @@ pub struct Item {
     /// Bare function name.
     pub name: String,
     /// The `impl`/`trait` self type the item is defined under, if any
-    /// (last path segment: `impl EdgeStore for CompressedEdges` →
-    /// `CompressedEdges`; `trait QRows` → `QRows`).
+    /// (last path segment: `impl QRows for DeltaStream` →
+    /// `DeltaStream`; `trait QRows` → `QRows`).
     pub self_type: Option<String>,
     /// Module path derived from the file path plus inline `mod`
     /// nesting: `crates/core/src/engine/spill.rs` → `core::engine::spill`.

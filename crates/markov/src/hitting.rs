@@ -129,8 +129,7 @@ impl<S: LocalState> AbsorbingChain<S> {
         budget.probe("solver", 0, 0)?;
         match self.q() {
             QStorage::Flat(q) => solve_on(q, bs, budget),
-            QStorage::Compressed(q) => solve_on(q, bs, budget),
-            QStorage::Disk(q) => solve_on(q, bs, budget),
+            QStorage::Stream(q) => solve_on(q, bs, budget),
         }
     }
 

@@ -51,4 +51,4 @@ pub mod qstore;
 pub use chain::AbsorbingChain;
 pub use error::MarkovError;
 pub use hitting::HittingTimes;
-pub use qstore::{CompressedQ, QMatrix, QRows, QStorage};
+pub use qstore::{QMatrix, QRows, QStorage};

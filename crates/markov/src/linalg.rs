@@ -22,8 +22,10 @@
 //! rows form one block runs the plain whole-chain iteration, bit for bit.
 //!
 //! The sparse solver is generic over [`QRows`], so it runs unchanged over
-//! the flat [`QMatrix`](crate::QMatrix), [`CompressedQ`](crate::CompressedQ)
-//! and disk tiers. The block order costs one extra decode of `Q` (the
+//! the flat [`QMatrix`](crate::QMatrix) and over the delta stream that
+//! holds the compressed and disk tiers
+//! ([`DeltaStream`](stab_core::engine::DeltaStream), resident or
+//! spilled). The block order costs one extra decode of `Q` (the
 //! Tarjan walk) and O(n) `u32`s; each sweep then decodes its block's rows
 //! once, for all right-hand sides together — on the compressed and disk
 //! tiers that decode is most of a sweep's cost, paid for the memory that

@@ -1,18 +1,18 @@
-//! Two-tier storage for the transient-to-transient matrix `Q`, mirroring
-//! the engine's edge-store tiers (`stab_core::engine::edgestore`).
+//! Storage for the transient-to-transient matrix `Q`, in the engine's
+//! edge-store tiers (`stab_core::engine::edgestore`).
 //!
 //! The flat tier is the classic [`QMatrix`] — a `Csr<(u32, f64)>` holding
 //! `(column, probability)` pairs, 12–16 bytes per entry plus u32 offsets.
-//! The compressed tier ([`CompressedQ`]) packs each row as zig-zag varint
-//! **column deltas** (against the row's own transient index first, then
-//! the previous column — rows are sorted by column) plus a varint index
-//! into a deduplicated probability table, delimited by u64 byte offsets.
-//!
-//! The disk tier ([`DiskQ`]) goes one step further: the same compressed
-//! byte stream is spilled to `WSR1` chunk files through the engine's
-//! shared spill machinery (`stab_core::engine::spill`), and rows decode
-//! out of a pinned-budget chunk cache. Only the u64 offsets, the
-//! probability table, and the cache stay resident.
+//! The compressed and disk tiers are one type, the engine's
+//! [`DeltaStream`]: each row packs zig-zag varint **column deltas**
+//! (against the row's own transient index first, then the previous
+//! column — rows are sorted by column) plus a varint index into a
+//! deduplicated probability table, delimited by u64 byte offsets. The
+//! compressed tier keeps the stream in one resident buffer; the disk tier
+//! spills it to `WSR1` chunk files through the engine's shared spill
+//! machinery (`stab_core::engine::spill`), and rows decode out of a
+//! pinned-budget chunk cache, with only the u64 offsets, the probability
+//! table, and the cache resident.
 //!
 //! [`AbsorbingChain`](crate::AbsorbingChain) picks the tier matching the
 //! transition system it was built from, so a run selected with
@@ -20,7 +20,7 @@
 //! memory profile through the whole Markov pipeline: the solvers
 //! ([`crate::linalg`]) iterate rows through the [`QRows`] trait and never
 //! materialise a flat copy. The chain matches on [`QStorage`] once per
-//! solve and hands the solver the concrete tier, so no per-entry tier
+//! solve and hands the solver the concrete store, so no per-entry tier
 //! dispatch sits in a sweep ([`QStorage::row_iter`] serves everything
 //! else). The tradeoff is deliberate: each Gauss–Seidel sweep decodes
 //! its block's rows (and, on the disk tier, re-faults the chunks holding
@@ -31,9 +31,9 @@
 //! a block's rows need not be contiguous, so a sweep reads rows in
 //! ascending index order but may skip between chunks.
 
-use stab_core::engine::edgestore::{DeltaStreamReader, DeltaStreamWriter};
-use stab_core::engine::spill::{SpillCursor, SpillSink, SpillStore};
-use stab_core::engine::{Csr, EdgeStoreKind, SpillConfig};
+use stab_core::engine::{
+    Csr, DeltaStream, DeltaStreamWriter, EdgeStoreKind, SpillConfig, StreamCursor,
+};
 
 /// The flat `Q` tier: row `i` holds `(j, Q_ij)` entries sorted by `j`.
 pub type QMatrix = Csr<(u32, f64)>;
@@ -72,21 +72,13 @@ impl QRows for QMatrix {
     }
 }
 
-/// The compressed `Q` tier: byte-packed column deltas + interned
-/// probability table, u64 row offsets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedQ {
-    offsets: Vec<u64>,
-    stream: Vec<u8>,
-    probs: Vec<f64>,
-    n_entries: u64,
-}
-
-/// Zero-alloc decoding cursor over one compressed `Q` row.
+/// Zero-alloc decoding cursor over one stream-tier `Q` row, resident or
+/// spilled (a spilled row's chunk is pinned by the cursor, so eviction
+/// under it is safe).
 #[derive(Debug, Clone)]
-pub struct CompressedQRow<'a>(DeltaStreamReader<'a>);
+pub struct QStreamRow<'a>(StreamCursor<'a>);
 
-impl Iterator for CompressedQRow<'_> {
+impl Iterator for QStreamRow<'_> {
     type Item = (u32, f64);
 
     #[inline]
@@ -98,90 +90,34 @@ impl Iterator for CompressedQRow<'_> {
     }
 }
 
-impl QRows for CompressedQ {
-    type Row<'a> = CompressedQRow<'a>;
+impl QRows for DeltaStream {
+    type Row<'a> = QStreamRow<'a>;
 
     fn n_rows(&self) -> usize {
-        self.offsets.len() - 1
+        DeltaStream::n_rows(self)
     }
 
-    fn row_iter(&self, i: usize) -> CompressedQRow<'_> {
-        CompressedQRow(DeltaStreamReader::new(
-            &self.stream,
-            &self.offsets,
-            i,
-            &self.probs,
-        ))
-    }
-}
-
-/// The disk `Q` tier: the compressed byte stream spilled to `WSR1`
-/// chunk files, rows decoded out of a pinned-budget chunk cache. `Q` is
-/// working state (never checkpointed), so the spill always lives in a
-/// self-cleaning per-process temp directory sized by the engine's
-/// default chunk/cache budgets.
-#[derive(Debug)]
-pub struct DiskQ {
-    offsets: Vec<u64>,
-    probs: Vec<f64>,
-    n_entries: u64,
-    store: SpillStore,
-}
-
-/// Zero-alloc decoding cursor over one disk-tier `Q` row (the chunk is
-/// pinned by the cursor, so eviction under it is safe).
-#[derive(Debug, Clone)]
-pub struct DiskQRow<'a> {
-    cur: SpillCursor,
-    probs: &'a [f64],
-}
-
-impl Iterator for DiskQRow<'_> {
-    type Item = (u32, f64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, f64)> {
-        if self.cur.done() {
-            return None;
-        }
-        let j = self.cur.target();
-        Some((j, self.probs[self.cur.raw() as usize]))
-    }
-}
-
-impl QRows for DiskQ {
-    type Row<'a> = DiskQRow<'a>;
-
-    fn n_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn row_iter(&self, i: usize) -> DiskQRow<'_> {
-        DiskQRow {
-            cur: self.store.row_cursor(&self.offsets, i),
-            probs: &self.probs,
-        }
+    fn row_iter(&self, i: usize) -> QStreamRow<'_> {
+        QStreamRow(StreamCursor::new(self, i))
     }
 
     fn resident_bytes(&self) -> u64 {
-        (self.offsets.len() * std::mem::size_of::<u64>()
-            + self.probs.len() * std::mem::size_of::<f64>()) as u64
-            + self.store.resident_bytes()
+        match self.spill_store() {
+            Some(_) => DeltaStream::resident_bytes(self),
+            None => 0,
+        }
     }
 }
 
 /// The per-run `Q` store of an [`AbsorbingChain`](crate::AbsorbingChain):
 /// whichever tier matches the transition system's edge store.
-// One instance per chain, so the Disk variant's inline size is moot.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum QStorage {
     /// Flat CSR tier.
     Flat(QMatrix),
-    /// Byte-packed compressed tier.
-    Compressed(CompressedQ),
-    /// Chunk-spilled disk tier.
-    Disk(DiskQ),
+    /// The delta stream: the compressed tier when resident, the disk
+    /// tier when spilled.
+    Stream(DeltaStream),
 }
 
 /// Cursor over one row of either `Q` tier.
@@ -189,10 +125,8 @@ pub enum QStorage {
 pub enum QRowIter<'a> {
     /// Slice walk over the flat tier.
     Flat(std::iter::Copied<std::slice::Iter<'a, (u32, f64)>>),
-    /// Varint decode over the compressed tier.
-    Compressed(CompressedQRow<'a>),
-    /// Varint decode out of the disk tier's chunk cache.
-    Disk(DiskQRow<'a>),
+    /// Varint decode over the delta stream.
+    Stream(QStreamRow<'a>),
 }
 
 impl Iterator for QRowIter<'_> {
@@ -202,8 +136,7 @@ impl Iterator for QRowIter<'_> {
     fn next(&mut self) -> Option<(u32, f64)> {
         match self {
             QRowIter::Flat(it) => it.next(),
-            QRowIter::Compressed(it) => it.next(),
-            QRowIter::Disk(it) => it.next(),
+            QRowIter::Stream(it) => it.next(),
         }
     }
 }
@@ -213,8 +146,7 @@ impl QStorage {
     pub fn kind(&self) -> EdgeStoreKind {
         match self {
             QStorage::Flat(_) => EdgeStoreKind::Flat,
-            QStorage::Compressed(_) => EdgeStoreKind::Compressed,
-            QStorage::Disk(_) => EdgeStoreKind::Disk,
+            QStorage::Stream(q) => q.kind(),
         }
     }
 
@@ -222,41 +154,30 @@ impl QStorage {
     pub fn n_rows(&self) -> usize {
         match self {
             QStorage::Flat(q) => QMatrix::n_rows(q),
-            QStorage::Compressed(q) => QRows::n_rows(q),
-            QStorage::Disk(q) => QRows::n_rows(q),
+            QStorage::Stream(q) => q.n_rows(),
         }
     }
 
-    /// Total stored entries (u64 — representable past 2³² on the
-    /// compressed tier).
+    /// Total stored entries (u64 — representable past 2³² on the stream
+    /// tiers).
     pub fn n_entries(&self) -> u64 {
         match self {
             QStorage::Flat(q) => q.n_entries() as u64,
-            QStorage::Compressed(q) => q.n_entries,
-            QStorage::Disk(q) => q.n_entries,
+            QStorage::Stream(q) => q.n_items(),
         }
     }
 
     /// Heap bytes held by the store (offsets + entries + side tables) —
-    /// the `Q`-side analogue of the engine's `edge_bytes`.
+    /// the `Q`-side analogue of the engine's `edge_bytes`. On the disk
+    /// tier this is the total comparable footprint: resident side tables
+    /// plus the spilled stream (which the other tiers hold in RAM).
     pub fn q_bytes(&self) -> u64 {
         match self {
             QStorage::Flat(q) => {
                 (q.n_entries() * std::mem::size_of::<(u32, f64)>()
                     + (QMatrix::n_rows(q) + 1) * std::mem::size_of::<u32>()) as u64
             }
-            QStorage::Compressed(q) => {
-                (q.stream.len()
-                    + q.offsets.len() * std::mem::size_of::<u64>()
-                    + q.probs.len() * std::mem::size_of::<f64>()) as u64
-            }
-            // Total comparable footprint: resident side tables plus the
-            // spilled stream (which other tiers hold in RAM).
-            QStorage::Disk(q) => {
-                (q.offsets.len() * std::mem::size_of::<u64>()
-                    + q.probs.len() * std::mem::size_of::<f64>()) as u64
-                    + q.store.spilled_bytes()
-            }
+            QStorage::Stream(q) => q.bytes(),
         }
     }
 
@@ -265,8 +186,8 @@ impl QStorage {
     /// 0 on the in-RAM tiers.
     pub fn resident_q_bytes(&self) -> u64 {
         match self {
-            QStorage::Flat(_) | QStorage::Compressed(_) => 0,
-            QStorage::Disk(q) => QRows::resident_bytes(q),
+            QStorage::Flat(_) => 0,
+            QStorage::Stream(q) => QRows::resident_bytes(q),
         }
     }
 
@@ -275,8 +196,7 @@ impl QStorage {
     pub fn row_iter(&self, i: usize) -> QRowIter<'_> {
         match self {
             QStorage::Flat(q) => QRowIter::Flat(q.row(i).iter().copied()),
-            QStorage::Compressed(q) => QRowIter::Compressed(QRows::row_iter(q, i)),
-            QStorage::Disk(q) => QRowIter::Disk(QRows::row_iter(q, i)),
+            QStorage::Stream(q) => QRowIter::Stream(QRows::row_iter(q, i)),
         }
     }
 
@@ -298,18 +218,10 @@ pub enum QStorageBuilder {
         /// Concatenated row data.
         entries: Vec<(u32, f64)>,
     },
-    /// Streams rows straight into the compressed encoding — each item is
-    /// `(column delta, prob id)` through the engine's shared
-    /// [`DeltaStreamWriter`].
-    Compressed(DeltaStreamWriter),
-    /// Streams the compressed encoding and spills sealed chunks to a
-    /// temp directory as the pending tail crosses the chunk size.
-    Disk {
-        /// The shared delta encoder (its pending tail is what spills).
-        w: DeltaStreamWriter,
-        /// The chunk writer.
-        sink: SpillSink,
-    },
+    /// Streams rows into the engine's delta encoding — each item is
+    /// `(column delta, prob id)` — resident, or spilling sealed chunks to
+    /// a temp directory as the pending tail crosses the chunk size.
+    Stream(DeltaStreamWriter),
 }
 
 impl QStorageBuilder {
@@ -320,13 +232,12 @@ impl QStorageBuilder {
                 counts: Vec::new(),
                 entries: Vec::new(),
             },
-            EdgeStoreKind::Compressed => QStorageBuilder::Compressed(DeltaStreamWriter::new()),
+            EdgeStoreKind::Compressed => QStorageBuilder::Stream(DeltaStreamWriter::new()),
             // `Q` is never checkpointed, so the spill is always a
             // self-cleaning temp directory with the default budgets.
-            EdgeStoreKind::Disk => QStorageBuilder::Disk {
-                w: DeltaStreamWriter::new(),
-                sink: SpillSink::create(&SpillConfig::default()),
-            },
+            EdgeStoreKind::Disk => {
+                QStorageBuilder::Stream(DeltaStreamWriter::spilling(&SpillConfig::default()))
+            }
         }
     }
 
@@ -339,20 +250,12 @@ impl QStorageBuilder {
                     .push(u32::try_from(row.len()).expect("Q row length exceeds u32::MAX entries"));
                 entries.extend_from_slice(row);
             }
-            QStorageBuilder::Compressed(w) => {
+            QStorageBuilder::Stream(w) => {
                 for &(j, p) in row {
                     w.target(j);
                     w.prob(p);
                 }
                 w.end_row();
-            }
-            QStorageBuilder::Disk { w, sink } => {
-                for &(j, p) in row {
-                    w.target(j);
-                    w.prob(p);
-                }
-                w.end_row();
-                sink.maybe_spill(w);
             }
         }
     }
@@ -363,28 +266,7 @@ impl QStorageBuilder {
             QStorageBuilder::Flat { counts, entries } => {
                 QStorage::Flat(QMatrix::from_counts(&counts, entries))
             }
-            QStorageBuilder::Compressed(w) => {
-                let (offsets, stream, probs, n_entries) = w.into_parts();
-                QStorage::Compressed(CompressedQ {
-                    offsets,
-                    stream,
-                    probs,
-                    n_entries,
-                })
-            }
-            QStorageBuilder::Disk { mut w, mut sink } => {
-                if w.pending_len() > 0 {
-                    sink.spill(&mut w);
-                }
-                let (offsets, stream, probs, n_entries) = w.into_parts();
-                debug_assert!(stream.is_empty(), "disk builder spills its whole stream");
-                QStorage::Disk(DiskQ {
-                    offsets,
-                    probs,
-                    n_entries,
-                    store: sink.finish(),
-                })
-            }
+            QStorageBuilder::Stream(w) => QStorage::Stream(w.finish()),
         }
     }
 }
@@ -428,8 +310,11 @@ mod tests {
         // (never exceed) the total footprint.
         assert!(disk.resident_q_bytes() <= disk.q_bytes());
         match &disk {
-            QStorage::Disk(q) => assert!(q.store.spilled_bytes() > 0, "disk Q must spill"),
-            _ => unreachable!(),
+            QStorage::Stream(q) => assert!(
+                q.spill_store().is_some_and(|s| s.spilled_bytes() > 0),
+                "disk Q must spill"
+            ),
+            QStorage::Flat(_) => unreachable!(),
         }
     }
 
