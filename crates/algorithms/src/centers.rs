@@ -169,7 +169,7 @@ impl Legitimacy<u8> for CentersCorrect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stab_core::{semantics, Activation, Daemon};
+    use stab_core::{semantics, Activation, DaemonSpec};
     use stab_graph::{builders, trees};
 
     fn cf(g: &Graph) -> CenterFinding {
@@ -290,7 +290,7 @@ mod tests {
         let ix = stab_core::SpaceIndexer::new(&a, 1 << 22).unwrap();
         for idx in (0..ix.total()).step_by(11) {
             let cfg = ix.decode(idx);
-            for (_, dist) in semantics::all_steps(&a, Daemon::Distributed, &cfg).unwrap() {
+            for (_, dist) in semantics::all_steps(&a, DaemonSpec::distributed(), &cfg).unwrap() {
                 for (_, next) in dist {
                     // encode() panics if any state leaves the declared space.
                     let _ = ix.encode(&next);

@@ -41,7 +41,7 @@ impl DijkstraRing {
     ///
     /// ```
     /// use stab_algorithms::DijkstraRing;
-    /// use stab_core::{Algorithm, Daemon};
+    /// use stab_core::{Algorithm, DaemonSpec};
     /// use stab_graph::builders;
     ///
     /// let alg = DijkstraRing::on_ring(&builders::ring(4)).unwrap();

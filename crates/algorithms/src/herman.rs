@@ -141,7 +141,7 @@ impl Legitimacy<bool> for SingleHermanToken {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use stab_core::{semantics, Daemon, SpaceIndexer};
+    use stab_core::{semantics, DaemonSpec, SpaceIndexer};
     use stab_graph::builders;
 
     fn alg(n: usize) -> HermanRing {
@@ -186,16 +186,18 @@ mod tests {
             let mut cfg = ix.decode(seed_cfg * 11 % ix.total());
             let mut steps = 0usize;
             while !spec.is_legitimate(&cfg) {
-                let (_, next) = semantics::sample_step(&a, Daemon::Synchronous, &cfg, &mut rng)
-                    .expect("never terminal");
+                let (_, next) =
+                    semantics::sample_step(&a, DaemonSpec::synchronous(), &cfg, &mut rng)
+                        .expect("never terminal");
                 cfg = next;
                 steps += 1;
                 assert!(steps < 100_000, "no convergence from index {seed_cfg}");
             }
             // Closure: remains single-token afterwards.
             for _ in 0..20 {
-                let (_, next) = semantics::sample_step(&a, Daemon::Synchronous, &cfg, &mut rng)
-                    .expect("never terminal");
+                let (_, next) =
+                    semantics::sample_step(&a, DaemonSpec::synchronous(), &cfg, &mut rng)
+                        .expect("never terminal");
                 cfg = next;
                 assert!(spec.is_legitimate(&cfg), "closure violated");
             }

@@ -170,7 +170,7 @@ impl Legitimacy<u8> for SingleToken {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stab_core::{semantics, Activation, Daemon, SpaceIndexer};
+    use stab_core::{semantics, Activation, DaemonSpec, SpaceIndexer};
     use stab_graph::builders;
 
     fn alg(n: usize) -> TokenCirculation {
@@ -233,7 +233,7 @@ mod tests {
         let spec = a.legitimacy();
         let ix = SpaceIndexer::new(&a, 1 << 22).unwrap();
         for cfg in ix.iter().filter(|c| spec.is_legitimate(c)) {
-            for daemon in Daemon::ALL {
+            for daemon in DaemonSpec::LEGACY {
                 for (_, dist) in semantics::all_steps(&a, daemon, &cfg).unwrap() {
                     for (_, next) in dist {
                         assert!(spec.is_legitimate(&next));
@@ -252,7 +252,7 @@ mod tests {
         let ix = SpaceIndexer::new(&a, 1 << 22).unwrap();
         for cfg in ix.iter() {
             let before = a.token_holders(&cfg).len();
-            for (_, dist) in semantics::all_steps(&a, Daemon::Distributed, &cfg).unwrap() {
+            for (_, dist) in semantics::all_steps(&a, DaemonSpec::distributed(), &cfg).unwrap() {
                 for (_, next) in dist {
                     let after = a.token_holders(&next).len();
                     assert!(

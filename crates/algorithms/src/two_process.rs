@@ -105,7 +105,7 @@ impl Legitimacy<bool> for BothTrue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stab_core::{semantics, Activation, Daemon};
+    use stab_core::{semantics, Activation, DaemonSpec};
 
     fn cfg(p: bool, q: bool) -> Configuration<bool> {
         Configuration::from_vec(vec![p, q])
@@ -140,7 +140,7 @@ mod tests {
     fn only_synchronous_step_converges_from_false_false() {
         let a = TwoProcessToggle::new();
         let c = cfg(false, false);
-        let steps = semantics::all_steps(&a, Daemon::Distributed, &c).unwrap();
+        let steps = semantics::all_steps(&a, DaemonSpec::distributed(), &c).unwrap();
         assert_eq!(steps.len(), 3);
         for (act, dist) in steps {
             let next = &dist[0].1;

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use stab_algorithms::{
     CenterFinding, DijkstraRing, GreedyColoring, HermanRing, ParentLeader, TokenCirculation,
 };
-use stab_core::{semantics, Activation, Algorithm, Configuration, Daemon, Legitimacy};
+use stab_core::{semantics, Activation, Algorithm, Configuration, DaemonSpec, Legitimacy};
 use stab_graph::{builders, metrics, trees, NodeId, PortId};
 
 /// Random ring size and a random configuration over `[0, m_N)`.
@@ -65,7 +65,7 @@ proptest! {
         let enabled = alg.enabled_nodes(&cfg);
         prop_assume!(!enabled.is_empty());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let act = Daemon::Distributed.sample(alg.graph(), &enabled, &mut rng);
+        let act = DaemonSpec::distributed().sample(alg.graph(), &enabled, &mut rng);
         let next = semantics::deterministic_successor(&alg, &cfg, &act);
         prop_assert!(alg.token_holders(&next).len() <= alg.token_holders(&cfg).len());
     }

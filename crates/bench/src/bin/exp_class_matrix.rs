@@ -20,7 +20,7 @@ use stab_algorithms::{
 };
 use stab_bench::Table;
 use stab_checker::{analyze, StabilizationReport};
-use stab_core::{Daemon, Fairness, ProjectedLegitimacy, Transformed};
+use stab_core::{DaemonSpec, Fairness, ProjectedLegitimacy, Transformed};
 use stab_graph::builders;
 
 const CAP: u64 = 1 << 22;
@@ -31,7 +31,11 @@ fn push(rows: &mut Vec<StabilizationReport>, r: StabilizationReport) {
 
 fn main() {
     let mut rows: Vec<StabilizationReport> = Vec::new();
-    let daemons = [Daemon::Central, Daemon::Distributed, Daemon::Synchronous];
+    let daemons = [
+        DaemonSpec::central(),
+        DaemonSpec::distributed(),
+        DaemonSpec::synchronous(),
+    ];
 
     // Algorithm 1 on rings 3..=6.
     for n in 3..=6usize {
@@ -100,11 +104,11 @@ fn main() {
         let spec = alg.legitimacy();
         push(
             &mut rows,
-            analyze(&alg, Daemon::Synchronous, &spec, CAP).unwrap(),
+            analyze(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap(),
         );
         push(
             &mut rows,
-            analyze(&alg, Daemon::Distributed, &spec, CAP).unwrap(),
+            analyze(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap(),
         );
     }
     for g in [builders::path(3), builders::path(4), builders::ring(4)] {
@@ -123,7 +127,7 @@ fn main() {
                 .unwrap()
                 .legitimacy(),
         );
-        for d in [Daemon::Distributed, Daemon::Synchronous] {
+        for d in [DaemonSpec::distributed(), DaemonSpec::synchronous()] {
             push(&mut rows, analyze(&alg, d, &spec, CAP).unwrap());
         }
     }
@@ -138,7 +142,7 @@ fn main() {
             .unwrap()
             .legitimacy(),
     );
-    for d in [Daemon::Distributed, Daemon::Synchronous] {
+    for d in [DaemonSpec::distributed(), DaemonSpec::synchronous()] {
         push(&mut rows, analyze(&calg, d, &cspec, CAP).unwrap());
     }
 
@@ -197,7 +201,7 @@ fn main() {
     checks.push((
         "Theorem 1: weak == self(unfair) on synchronous deterministic rows",
         rows.iter()
-            .filter(|r| r.daemon == Daemon::Synchronous && r.deterministic)
+            .filter(|r| r.daemon == DaemonSpec::synchronous() && r.deterministic)
             .all(|r| r.weak.holds() == r.self_unfair.holds()),
     ));
     // Theorems 2 + 6 on Algorithm 1 (distributed rows).
@@ -205,7 +209,8 @@ fn main() {
         "Theorems 2+6: Algorithm 1 weak ✓ / self(strongly-fair) ✗ under distributed",
         rows.iter()
             .filter(|r| {
-                r.algorithm.starts_with("token-circulation") && r.daemon == Daemon::Distributed
+                r.algorithm.starts_with("token-circulation")
+                    && r.daemon == DaemonSpec::distributed()
             })
             .all(|r| r.is_weak_stabilizing() && !r.self_under(Fairness::StronglyFair).holds()),
     ));
@@ -213,7 +218,9 @@ fn main() {
     checks.push((
         "Theorem 4: Algorithm 2 weak ✓ / self(strongly-fair) ✗ under distributed",
         rows.iter()
-            .filter(|r| r.algorithm.starts_with("parent-leader") && r.daemon == Daemon::Distributed)
+            .filter(|r| {
+                r.algorithm.starts_with("parent-leader") && r.daemon == DaemonSpec::distributed()
+            })
             .all(|r| r.is_weak_stabilizing() && !r.self_under(Fairness::StronglyFair).holds()),
     ));
     // Theorems 8–9: transformed rows are probabilistically self-stabilizing.
@@ -222,7 +229,8 @@ fn main() {
         rows.iter()
             .filter(|r| {
                 r.algorithm.starts_with("Trans(")
-                    && (r.daemon == Daemon::Synchronous || r.daemon == Daemon::Distributed)
+                    && (r.daemon == DaemonSpec::synchronous()
+                        || r.daemon == DaemonSpec::distributed())
             })
             .all(|r| r.is_probabilistically_self_stabilizing()),
     ));
@@ -230,14 +238,14 @@ fn main() {
     checks.push((
         "Dijkstra: self(strongly-fair) ✓ under central",
         rows.iter()
-            .filter(|r| r.algorithm.starts_with("dijkstra") && r.daemon == Daemon::Central)
+            .filter(|r| r.algorithm.starts_with("dijkstra") && r.daemon == DaemonSpec::central())
             .all(|r| r.is_self_stabilizing(Fairness::StronglyFair)),
     ));
     // Herman: probabilistically self-stabilizing under the synchronous daemon.
     checks.push((
         "Herman: prob ✓ under synchronous",
         rows.iter()
-            .filter(|r| r.algorithm.starts_with("herman") && r.daemon == Daemon::Synchronous)
+            .filter(|r| r.algorithm.starts_with("herman") && r.daemon == DaemonSpec::synchronous())
             .all(|r| r.is_probabilistically_self_stabilizing()),
     ));
     // Hierarchy strictness: the matrix itself witnesses a strict step at
@@ -266,12 +274,14 @@ fn main() {
         "Coloring: self ✓ @ central, weak-not-self @ distributed",
         rows.iter()
             .filter(|r| r.algorithm.starts_with("greedy-coloring"))
-            .all(|r| match r.daemon.legacy() {
-                Some(Daemon::Central) => r.is_self_stabilizing(Fairness::Unfair),
-                Some(Daemon::Distributed) => {
+            .all(|r| {
+                if r.daemon == DaemonSpec::central() {
+                    r.is_self_stabilizing(Fairness::Unfair)
+                } else if r.daemon == DaemonSpec::distributed() {
                     r.is_weak_stabilizing() && !r.self_under(Fairness::StronglyFair).holds()
+                } else {
+                    true
                 }
-                _ => true,
             }),
     ));
 

@@ -10,13 +10,13 @@
 
 use stab_algorithms::{GreedyColoring, TokenCirculation, TwoProcessToggle};
 use stab_bench::{fmt3, Table};
-use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 
 const CAP: u64 = 1 << 22;
 
-fn sweep<F>(label: &str, daemon: Daemon, table: &mut Table, build: F) -> (f64, f64)
+fn sweep<F>(label: &str, daemon: DaemonSpec, table: &mut Table, build: F) -> (f64, f64)
 where
     F: Fn(f64) -> (f64, f64),
 {
@@ -46,12 +46,12 @@ fn main() {
     // Trans(Algorithm 3) under the synchronous scheduler.
     let toggle_best = sweep(
         "Trans(two-process-toggle)",
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &mut table,
         |p| {
             let alg = Transformed::with_bias(TwoProcessToggle::new(), p);
             let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-            let chain = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+            let chain = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
             let t = chain.expected_steps().unwrap();
             (t.worst_case(), t.average_uniform(chain.n_configs()))
         },
@@ -60,7 +60,7 @@ fn main() {
     // Trans(Algorithm 1) on the 4-ring under the synchronous scheduler.
     let token_best = sweep(
         "Trans(token-circulation N=4)",
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &mut table,
         |p| {
             let alg =
@@ -70,7 +70,7 @@ fn main() {
                     .unwrap()
                     .legitimacy(),
             );
-            let chain = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+            let chain = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
             let t = chain.expected_steps().unwrap();
             (t.worst_case(), t.average_uniform(chain.n_configs()))
         },
@@ -81,7 +81,7 @@ fn main() {
     // *disagree*, so intermediate p is forced.
     let twins_best = sweep(
         "Trans(coloring twins)",
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &mut table,
         |p| {
             let alg = Transformed::with_bias(GreedyColoring::new(&builders::path(2)).unwrap(), p);
@@ -90,7 +90,7 @@ fn main() {
                     .unwrap()
                     .legitimacy(),
             );
-            let chain = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+            let chain = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
             let t = chain.expected_steps().unwrap();
             (t.worst_case(), t.average_uniform(chain.n_configs()))
         },

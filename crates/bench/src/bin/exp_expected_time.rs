@@ -20,13 +20,13 @@ use stab_algorithms::{
 };
 use stab_bench::{fmt3, Table};
 use stab_core::engine::{EdgeStoreKind, ExploreOptions};
-use stab_core::{Algorithm, Daemon, Legitimacy, LocalState, ProjectedLegitimacy, Transformed};
+use stab_core::{Algorithm, DaemonSpec, Legitimacy, LocalState, ProjectedLegitimacy, Transformed};
 use stab_graph::builders;
 use weak_stabilization::study::Study;
 
 const CAP: u64 = 1 << 22;
 
-fn row<A, L>(table: &mut Table, alg: &A, daemon: Daemon, spec: &L)
+fn row<A, L>(table: &mut Table, alg: &A, daemon: DaemonSpec, spec: &L)
 where
     A: Algorithm + Sync,
     A::State: LocalState + Sync,
@@ -87,10 +87,10 @@ fn main() {
                 .unwrap()
                 .legitimacy(),
         );
-        row(&mut t, &mk(), Daemon::Central, &spec);
-        row(&mut t, &mk(), Daemon::Synchronous, &spec);
+        row(&mut t, &mk(), DaemonSpec::central(), &spec);
+        row(&mut t, &mk(), DaemonSpec::synchronous(), &spec);
         if n <= 5 {
-            row(&mut t, &mk(), Daemon::Distributed, &spec);
+            row(&mut t, &mk(), DaemonSpec::distributed(), &spec);
         }
     }
 
@@ -102,7 +102,11 @@ fn main() {
     ] {
         let alg = Transformed::new(ParentLeader::on_tree(&g).unwrap());
         let spec = ProjectedLegitimacy::new(ParentLeader::on_tree(&g).unwrap().legitimacy());
-        for d in [Daemon::Central, Daemon::Distributed, Daemon::Synchronous] {
+        for d in [
+            DaemonSpec::central(),
+            DaemonSpec::distributed(),
+            DaemonSpec::synchronous(),
+        ] {
             row(&mut t, &alg, d, &spec);
         }
     }
@@ -110,7 +114,7 @@ fn main() {
     // Trans(Algorithm 3).
     let toggle = Transformed::new(TwoProcessToggle::new());
     let tspec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-    for d in [Daemon::Distributed, Daemon::Synchronous] {
+    for d in [DaemonSpec::distributed(), DaemonSpec::synchronous()] {
         row(&mut t, &toggle, d, &tspec);
     }
 
@@ -118,12 +122,12 @@ fn main() {
     let g = builders::path(4);
     let clead = Transformed::new(CenterLeader::on_tree(&g).unwrap());
     let cspec = ProjectedLegitimacy::new(CenterLeader::on_tree(&g).unwrap().legitimacy());
-    for d in [Daemon::Distributed, Daemon::Synchronous] {
+    for d in [DaemonSpec::distributed(), DaemonSpec::synchronous()] {
         row(&mut t, &clead, d, &cspec);
     }
     let col = Transformed::new(GreedyColoring::new(&g).unwrap());
     let colspec = ProjectedLegitimacy::new(GreedyColoring::new(&g).unwrap().legitimacy());
-    for d in [Daemon::Distributed, Daemon::Synchronous] {
+    for d in [DaemonSpec::distributed(), DaemonSpec::synchronous()] {
         row(&mut t, &col, d, &colspec);
     }
 
@@ -132,12 +136,12 @@ fn main() {
     for n in [3usize, 5, 7] {
         let alg = HermanRing::on_ring(&builders::ring(n)).unwrap();
         let spec = alg.legitimacy();
-        row(&mut t, &alg, Daemon::Synchronous, &spec);
+        row(&mut t, &alg, DaemonSpec::synchronous(), &spec);
     }
     for n in [3usize, 4, 5] {
         let alg = DijkstraRing::on_ring(&builders::ring(n)).unwrap();
         let spec = alg.legitimacy();
-        row(&mut t, &alg, Daemon::Central, &spec);
+        row(&mut t, &alg, DaemonSpec::central(), &spec);
     }
 
     print!("{}", t.to_markdown());
@@ -171,7 +175,7 @@ fn main() {
             .with_ring_quotient()
             .with_edge_store(kind);
         let report = Study::of(alg)
-            .daemon(Daemon::Synchronous)
+            .daemon(DaemonSpec::synchronous())
             .spec(&spec)
             .cap(CAP)
             .expected_times()

@@ -123,7 +123,7 @@ use stab_core::engine::{
     EdgeStoreKind, ExploreMode, ExploreOptions, Plan, PlanRequest, Quotient, TransitionSystem,
 };
 use stab_core::{
-    semantics, Algorithm, Configuration, Daemon, FairnessSet, Legitimacy, SpaceIndexer,
+    semantics, Algorithm, Configuration, DaemonSpec, FairnessSet, Legitimacy, SpaceIndexer,
 };
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
@@ -147,7 +147,7 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 
 /// The seed exploration path, for the baseline measurement: decode +
 /// all_steps + encode per successor, nested rows.
-fn reference_explore<A, L>(alg: &A, daemon: Daemon, spec: &L) -> (u64, usize)
+fn reference_explore<A, L>(alg: &A, daemon: DaemonSpec, spec: &L) -> (u64, usize)
 where
     A: Algorithm,
     L: Legitimacy<A::State>,
@@ -185,7 +185,7 @@ where
 }
 
 /// The seed Markov chain build, for the baseline measurement.
-fn reference_chain<A, L>(alg: &A, daemon: Daemon, spec: &L) -> usize
+fn reference_chain<A, L>(alg: &A, daemon: DaemonSpec, spec: &L) -> usize
 where
     A: Algorithm,
     L: Legitimacy<A::State>,
@@ -259,7 +259,7 @@ fn mode_label<S>(opts: &ExploreOptions<S>) -> &'static str {
 /// per-stage time and the last report.
 fn measure_study<A, L>(
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     opts: Option<&ExploreOptions<A::State>>,
     cap: u64,
@@ -339,7 +339,7 @@ fn case_from_report(
 }
 
 /// A PR 1 style row: engine full sweep vs the seed implementation.
-fn run_case<A, L>(name: &str, alg: &A, daemon: Daemon, spec: &L, reps: usize) -> CaseResult
+fn run_case<A, L>(name: &str, alg: &A, daemon: DaemonSpec, spec: &L, reps: usize) -> CaseResult
 where
     A: Algorithm + Sync,
     A::State: Sync,
@@ -370,7 +370,7 @@ where
 fn run_mode_case<A, L>(
     name: &str,
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     opts: &ExploreOptions<A::State>,
     cap: u64,
@@ -415,7 +415,7 @@ where
 fn run_store_trio<A, L>(
     name: &str,
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     opts: &ExploreOptions<A::State>,
     cap: u64,
@@ -460,7 +460,7 @@ where
 fn run_big_compressed_case<A, L>(
     name: &str,
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     opts: &ExploreOptions<A::State>,
     cap: u64,
@@ -495,7 +495,7 @@ where
 fn run_checkpoint_overhead_case<A, L>(
     name: &str,
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     cap: u64,
     dir: &Path,
@@ -563,7 +563,7 @@ where
 /// the planner consults the equivariance gate and the byte budget on its
 /// own. Its serialized `StudyReport` is written to `STUDY_report.json`
 /// for the CI shape check and the planner-vs-measured tier assertion.
-fn run_planned_case<A, L>(name: &str, alg: &A, daemon: Daemon, spec: &L, cap: u64) -> CaseResult
+fn run_planned_case<A, L>(name: &str, alg: &A, daemon: DaemonSpec, spec: &L, cap: u64) -> CaseResult
 where
     A: Algorithm + Sync,
     A::State: Sync,
@@ -623,7 +623,7 @@ fn disk_sweep_main(n: usize) {
     let plan = Plan::compute(
         &alg,
         &ix,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &spec,
         &PlanRequest::default(),
     )
@@ -639,7 +639,7 @@ fn disk_sweep_main(n: usize) {
     );
     let opts = ExploreOptions::full().with_edge_store(EdgeStoreKind::Disk);
     let start = Instant::now();
-    let ts = TransitionSystem::explore_with(&alg, &ix, Daemon::Synchronous, &spec, &opts)
+    let ts = TransitionSystem::explore_with(&alg, &ix, DaemonSpec::synchronous(), &spec, &opts)
         .expect("disk sweep");
     let secs = start.elapsed().as_secs_f64();
     let peak = ts.peak_resident_edge_bytes();
@@ -738,7 +738,7 @@ fn main() {
     results.push(run_case(
         "token_ring/N=7/distributed",
         &tr7,
-        Daemon::Distributed,
+        DaemonSpec::distributed(),
         &tr7.legitimacy(),
         5,
     ));
@@ -748,7 +748,7 @@ fn main() {
     results.push(run_case(
         "token_ring/N=6/distributed",
         &tr6,
-        Daemon::Distributed,
+        DaemonSpec::distributed(),
         &tr6.legitimacy(),
         3,
     ));
@@ -758,7 +758,7 @@ fn main() {
     results.push(run_case(
         "token_ring/N=10/central",
         &tr10,
-        Daemon::Central,
+        DaemonSpec::central(),
         &tr10.legitimacy(),
         3,
     ));
@@ -768,7 +768,7 @@ fn main() {
     results.push(run_case(
         "herman/N=9/synchronous",
         &herman9,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman9.legitimacy(),
         3,
     ));
@@ -780,7 +780,7 @@ fn main() {
     results.push(run_mode_case(
         "token_ring/N=10/central",
         &tr10,
-        Daemon::Central,
+        DaemonSpec::central(),
         &tr10.legitimacy(),
         &ExploreOptions::full().with_ring_quotient(),
         CAP,
@@ -794,7 +794,7 @@ fn main() {
     results.push(run_mode_case(
         "herman/N=13/synchronous",
         &herman13,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman13.legitimacy(),
         &ExploreOptions::full().with_ring_quotient(),
         CAP,
@@ -805,7 +805,7 @@ fn main() {
     results.push(run_mode_case(
         "herman/N=15/synchronous",
         &herman15,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman15.legitimacy(),
         &ExploreOptions::full().with_ring_quotient(),
         CAP,
@@ -818,7 +818,7 @@ fn main() {
     results.push(run_mode_case(
         "herman/N=17/synchronous",
         &herman17,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman17.legitimacy(),
         &ExploreOptions::full().with_ring_quotient(),
         BIG_CAP,
@@ -834,7 +834,7 @@ fn main() {
     results.push(run_mode_case(
         "herman/N=13/synchronous",
         &herman13,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman13.legitimacy(),
         &ExploreOptions::full().with_quotient(Quotient::RingDihedral),
         CAP,
@@ -844,7 +844,7 @@ fn main() {
     results.push(run_mode_case(
         "herman/N=15/synchronous",
         &herman15,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman15.legitimacy(),
         &ExploreOptions::full().with_quotient(Quotient::RingDihedral),
         CAP,
@@ -855,7 +855,7 @@ fn main() {
     results.push(run_mode_case(
         "herman/N=17/synchronous",
         &herman17,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman17.legitimacy(),
         &ExploreOptions::full().with_quotient(Quotient::RingDihedral),
         BIG_CAP,
@@ -871,7 +871,7 @@ fn main() {
     results.push(run_mode_case(
         "coloring/star(12)/central",
         &star12,
-        Daemon::Central,
+        DaemonSpec::central(),
         &star12.legitimacy(),
         &ExploreOptions::full().with_quotient(Quotient::Automorphism),
         CAP,
@@ -888,7 +888,7 @@ fn main() {
     results.push(run_mode_case(
         "coloring/grid(2x4)/central",
         &grid24,
-        Daemon::Central,
+        DaemonSpec::central(),
         &grid24.legitimacy(),
         &ExploreOptions::full().with_quotient(Quotient::Automorphism),
         CAP,
@@ -907,7 +907,7 @@ fn main() {
     results.extend(run_store_trio(
         "herman/N=15/synchronous",
         &herman15,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman15.legitimacy(),
         &ExploreOptions::full(),
         CAP,
@@ -925,7 +925,7 @@ fn main() {
     results.push(run_checkpoint_overhead_case(
         "herman/N=15/synchronous",
         &herman15,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman15.legitimacy(),
         CAP,
         &ck_dir,
@@ -944,7 +944,7 @@ fn main() {
     results.push(run_big_compressed_case(
         "herman/N=17/synchronous",
         &herman17,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman17.legitimacy(),
         &ExploreOptions::full(),
         BIG_CAP,
@@ -960,7 +960,7 @@ fn main() {
     results.push(run_mode_case(
         "token_ring/N=12/central",
         &tr12,
-        Daemon::Central,
+        DaemonSpec::central(),
         &tr12.legitimacy(),
         &reach_quot,
         BIG_CAP,
@@ -978,7 +978,7 @@ fn main() {
     results.push(run_planned_case(
         "herman/N=15/synchronous",
         &herman15,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman15.legitimacy(),
         CAP,
     ));

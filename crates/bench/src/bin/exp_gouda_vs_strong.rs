@@ -10,7 +10,7 @@
 
 use stab_algorithms::TokenCirculation;
 use stab_checker::{analyze, theorems, Witness};
-use stab_core::{Daemon, Fairness};
+use stab_core::{DaemonSpec, Fairness};
 use stab_graph::builders;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     println!();
     let alg = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
     let spec = alg.legitimacy();
-    let report = analyze(&alg, Daemon::Distributed, &spec, 1 << 22).unwrap();
+    let report = analyze(&alg, DaemonSpec::distributed(), &spec, 1 << 22).unwrap();
 
     println!("{report}");
     println!();

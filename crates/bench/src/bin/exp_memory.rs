@@ -17,7 +17,7 @@ use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_bench::Table;
 use stab_checker::ExploredSpace;
 use stab_core::engine::{EdgeStoreKind, ExploreOptions};
-use stab_core::{Algorithm, Configuration, Daemon, Legitimacy, LocalState};
+use stab_core::{Algorithm, Configuration, DaemonSpec, Legitimacy, LocalState};
 use stab_graph::builders;
 use stab_graph::ring::smallest_non_divisor;
 use stab_markov::AbsorbingChain;
@@ -36,7 +36,7 @@ fn store_rows<A, L>(
     table: &mut Table,
     name: &str,
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     opts: &ExploreOptions<A::State>,
     mode: &str,
@@ -119,7 +119,7 @@ fn main() {
         &mut t,
         "herman/N=13/synchronous",
         &herman13,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman13.legitimacy(),
         &ExploreOptions::full(),
         "full",
@@ -131,7 +131,7 @@ fn main() {
         &mut t,
         "herman/N=15/synchronous",
         &herman15,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &herman15.legitimacy(),
         &ExploreOptions::full().with_ring_quotient(),
         "full+rot",
@@ -145,7 +145,7 @@ fn main() {
         &mut t,
         "token_ring/N=10/central",
         &tr10,
-        Daemon::Central,
+        DaemonSpec::central(),
         &tr10.legitimacy(),
         &ExploreOptions::reachable(vec![seed]),
         "reachable",

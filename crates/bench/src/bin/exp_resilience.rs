@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use stab_algorithms::HermanRing;
 use stab_core::engine::{Budget, EdgeStoreKind, ExploreOptions, FaultPlan};
-use stab_core::{CoreError, Daemon, FairnessSet};
+use stab_core::{CoreError, DaemonSpec, FairnessSet};
 use stab_graph::builders;
 use weak_stabilization::study::{McConfig, Outcome, Study, StudyReport, Timings};
 
@@ -76,7 +76,7 @@ fn study<'a>(
     disk: bool,
 ) -> Study<'a, HermanRing, &'a stab_algorithms::herman::SingleHermanToken> {
     let mut s = Study::of(alg)
-        .daemon(Daemon::Synchronous)
+        .daemon(DaemonSpec::synchronous())
         .spec(spec)
         .verdicts(FairnessSet::ALL)
         .expected_times();

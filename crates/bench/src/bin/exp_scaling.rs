@@ -7,7 +7,7 @@
 use stab_algorithms::{DijkstraRing, HermanRing, TokenCirculation};
 use stab_bench::{fmt3, fmt_ci, log_log_slope, Table};
 use stab_core::engine::ExploreOptions;
-use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 use stab_sim::montecarlo::{estimate, BatchSettings};
@@ -36,7 +36,11 @@ fn main() {
     let mut slopes: Vec<(String, f64)> = Vec::new();
 
     // Trans(Algorithm 1) under central-randomized and synchronous.
-    for daemon in [Daemon::Central, Daemon::Synchronous, Daemon::Distributed] {
+    for daemon in [
+        DaemonSpec::central(),
+        DaemonSpec::synchronous(),
+        DaemonSpec::distributed(),
+    ] {
         let mut pts = Vec::new();
         for n in [4usize, 8, 16, 32] {
             let alg = Transformed::new(TokenCirculation::on_ring(&builders::ring(n)).unwrap());
@@ -74,7 +78,7 @@ fn main() {
         let spec = alg.legitimacy();
         let b = estimate(
             &alg,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &spec,
             &settings(300, 7 + n as u64),
         );
@@ -91,7 +95,7 @@ fn main() {
         if n <= 15 {
             let opts = ExploreOptions::full().with_ring_quotient();
             let chain =
-                AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, 1 << 26, &opts)
+                AbsorbingChain::build_with(&alg, DaemonSpec::synchronous(), &spec, 1 << 26, &opts)
                     .expect("quotient chain");
             let times = chain.expected_steps().expect("Herman absorbs a.s.");
             let avg = times.average_weighted(chain.transient_orbits(), chain.represented_configs());
@@ -115,8 +119,9 @@ fn main() {
         let alg = HermanRing::on_ring(&builders::ring(n)).unwrap();
         let spec = alg.legitimacy();
         let opts = ExploreOptions::full().with_ring_quotient();
-        let chain = AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, 1 << 26, &opts)
-            .expect("quotient chain");
+        let chain =
+            AbsorbingChain::build_with(&alg, DaemonSpec::synchronous(), &spec, 1 << 26, &opts)
+                .expect("quotient chain");
         let times = chain.expected_steps().expect("Herman absorbs a.s.");
         let avg = times.average_weighted(chain.transient_orbits(), chain.represented_configs());
         exact.row(vec![
@@ -135,7 +140,7 @@ fn main() {
         let spec = alg.legitimacy();
         let b = estimate(
             &alg,
-            Daemon::Central,
+            DaemonSpec::central(),
             &spec,
             &settings(300, 1000 + n as u64),
         );

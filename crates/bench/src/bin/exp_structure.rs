@@ -17,12 +17,12 @@ use stab_algorithms::{
 };
 use stab_bench::Table;
 use stab_checker::{scc_summary, ExploredSpace};
-use stab_core::{Algorithm, Daemon, Legitimacy, LocalState};
+use stab_core::{Algorithm, DaemonSpec, Legitimacy, LocalState};
 use stab_graph::builders;
 
 const CAP: u64 = 1 << 22;
 
-fn census<A, L>(table: &mut Table, alg: &A, daemon: Daemon, spec: &L)
+fn census<A, L>(table: &mut Table, alg: &A, daemon: DaemonSpec, spec: &L)
 where
     A: Algorithm + Sync,
     A::State: LocalState + Sync,
@@ -57,26 +57,31 @@ fn main() {
     ]);
 
     let dij = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
-    census(&mut t, &dij, Daemon::Central, &dij.legitimacy());
-    census(&mut t, &dij, Daemon::Distributed, &dij.legitimacy());
+    census(&mut t, &dij, DaemonSpec::central(), &dij.legitimacy());
+    census(&mut t, &dij, DaemonSpec::distributed(), &dij.legitimacy());
 
     let tc = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
-    census(&mut t, &tc, Daemon::Central, &tc.legitimacy());
-    census(&mut t, &tc, Daemon::Distributed, &tc.legitimacy());
+    census(&mut t, &tc, DaemonSpec::central(), &tc.legitimacy());
+    census(&mut t, &tc, DaemonSpec::distributed(), &tc.legitimacy());
 
     let pl = ParentLeader::on_tree(&builders::figure2_tree()).unwrap();
-    census(&mut t, &pl, Daemon::Distributed, &pl.legitimacy());
+    census(&mut t, &pl, DaemonSpec::distributed(), &pl.legitimacy());
 
     let toggle = TwoProcessToggle::new();
-    census(&mut t, &toggle, Daemon::Central, &toggle.legitimacy());
-    census(&mut t, &toggle, Daemon::Distributed, &toggle.legitimacy());
+    census(&mut t, &toggle, DaemonSpec::central(), &toggle.legitimacy());
+    census(
+        &mut t,
+        &toggle,
+        DaemonSpec::distributed(),
+        &toggle.legitimacy(),
+    );
 
     let gadget = FairnessGadget::new();
-    census(&mut t, &gadget, Daemon::Central, &gadget.legitimacy());
+    census(&mut t, &gadget, DaemonSpec::central(), &gadget.legitimacy());
 
     let col = GreedyColoring::new(&builders::path(4)).unwrap();
-    census(&mut t, &col, Daemon::Central, &col.legitimacy());
-    census(&mut t, &col, Daemon::Distributed, &col.legitimacy());
+    census(&mut t, &col, DaemonSpec::central(), &col.legitimacy());
+    census(&mut t, &col, DaemonSpec::distributed(), &col.legitimacy());
 
     print!("{}", t.to_markdown());
     println!();

@@ -20,7 +20,7 @@ use crate::verdict::{Verdict, Witness};
 /// enumeration too large for `cap`).
 pub fn analyze<A, L>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     spec: &L,
     cap: u64,
 ) -> Result<StabilizationReport, CoreError>
@@ -52,7 +52,7 @@ where
 /// [`CoreError::QuotientUnsupported`] for non-ring quotient requests.
 pub fn analyze_with<A, L>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     spec: &L,
     cap: u64,
     opts: &stab_core::engine::ExploreOptions<A::State>,
@@ -351,7 +351,7 @@ pub struct StabilizationReport {
     /// Specification name.
     pub spec: String,
     /// Scheduler the space was explored under (a lattice point; the
-    /// paper's four daemons are the named legacy points).
+    /// paper's four daemons are the named points).
     pub daemon: DaemonSpec,
     /// Number of configurations.
     pub states: u64,
@@ -459,7 +459,7 @@ impl fmt::Display for StabilizationReport {
 mod tests {
     use super::*;
     use stab_algorithms::{DijkstraRing, GreedyColoring, TokenCirculation, TwoProcessToggle};
-    use stab_core::Daemon;
+    use stab_core::DaemonSpec;
     use stab_graph::builders;
 
     const CAP: u64 = 1 << 22;
@@ -470,7 +470,7 @@ mod tests {
     fn algorithm1_classification_on_figure1_ring() {
         let alg = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
         let spec = alg.legitimacy();
-        let r = analyze(&alg, Daemon::Distributed, &spec, CAP).unwrap();
+        let r = analyze(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap();
         assert!(r.deterministic);
         assert!(r.closure.holds());
         assert!(r.weak.holds(), "Theorem 2");
@@ -492,7 +492,7 @@ mod tests {
     fn dijkstra_is_self_stabilizing_under_central() {
         let alg = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
         let spec = alg.legitimacy();
-        let r = analyze(&alg, Daemon::Central, &spec, CAP).unwrap();
+        let r = analyze(&alg, DaemonSpec::central(), &spec, CAP).unwrap();
         assert!(r.closure.holds());
         assert!(r.weak.holds());
         assert!(r.self_unfair.holds());
@@ -508,7 +508,7 @@ mod tests {
     fn two_process_toggle_classification() {
         let alg = TwoProcessToggle::new();
         let spec = alg.legitimacy();
-        let r = analyze(&alg, Daemon::Distributed, &spec, CAP).unwrap();
+        let r = analyze(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap();
         assert!(r.closure.holds());
         assert!(r.weak.holds());
         assert!(!r.self_unfair.holds());
@@ -525,7 +525,7 @@ mod tests {
     fn two_process_toggle_needs_simultaneity() {
         let alg = TwoProcessToggle::new();
         let spec = alg.legitimacy();
-        let r = analyze(&alg, Daemon::Central, &spec, CAP).unwrap();
+        let r = analyze(&alg, DaemonSpec::central(), &spec, CAP).unwrap();
         assert!(
             !r.weak.holds(),
             "no central-daemon path from (F,F) to (T,T)"
@@ -545,9 +545,9 @@ mod tests {
         let g = builders::path(3);
         let alg = GreedyColoring::new(&g).unwrap();
         let spec = alg.legitimacy();
-        let central = analyze(&alg, Daemon::Central, &spec, CAP).unwrap();
+        let central = analyze(&alg, DaemonSpec::central(), &spec, CAP).unwrap();
         assert!(central.is_self_stabilizing(Fairness::Unfair));
-        let dist = analyze(&alg, Daemon::Distributed, &spec, CAP).unwrap();
+        let dist = analyze(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap();
         assert!(dist.is_weak_stabilizing());
         assert!(!dist.is_self_stabilizing(Fairness::StronglyFair));
         assert!(dist.is_probabilistically_self_stabilizing());
@@ -563,21 +563,21 @@ mod tests {
         let reports = vec![
             analyze(
                 &TokenCirculation::on_ring(&ring).unwrap(),
-                Daemon::Distributed,
+                DaemonSpec::distributed(),
                 &TokenCirculation::on_ring(&ring).unwrap().legitimacy(),
                 CAP,
             )
             .unwrap(),
             analyze(
                 &TwoProcessToggle::new(),
-                Daemon::Central,
+                DaemonSpec::central(),
                 &TwoProcessToggle::new().legitimacy(),
                 CAP,
             )
             .unwrap(),
             analyze(
                 &GreedyColoring::new(&path).unwrap(),
-                Daemon::Synchronous,
+                DaemonSpec::synchronous(),
                 &GreedyColoring::new(&path).unwrap().legitimacy(),
                 CAP,
             )
@@ -598,7 +598,7 @@ mod tests {
     fn budgeted_analysis_degrades_instead_of_running_unbounded() {
         let alg = TwoProcessToggle::new();
         let spec = alg.legitimacy();
-        let space = ExploredSpace::explore(&alg, Daemon::Distributed, &spec, CAP).unwrap();
+        let space = ExploredSpace::explore(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap();
         let expired = Budget::unlimited().with_wall_time(std::time::Duration::ZERO);
         let err = analyze_space_budgeted(&space, "toggle".into(), "all-true".into(), &expired)
             .unwrap_err();
@@ -625,7 +625,7 @@ mod tests {
     fn report_accessors_and_table() {
         let alg = TwoProcessToggle::new();
         let spec = alg.legitimacy();
-        let r = analyze(&alg, Daemon::Distributed, &spec, CAP).unwrap();
+        let r = analyze(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap();
         assert_eq!(r.self_under(Fairness::Gouda), &r.self_gouda);
         assert!(r.table_row().contains("two-process-toggle"));
         assert!(StabilizationReport::table_header().contains("self(Gouda)"));

@@ -31,12 +31,12 @@
 //!
 //! ```
 //! use stab_algorithms::TokenCirculation;
-//! use stab_core::{Daemon, Fairness};
+//! use stab_core::{DaemonSpec, Fairness};
 //! use stab_graph::builders;
 //!
 //! let alg = TokenCirculation::on_ring(&builders::ring(5)).unwrap();
 //! let spec = alg.legitimacy();
-//! let report = stab_checker::analyze(&alg, Daemon::Distributed, &spec, 1 << 22).unwrap();
+//! let report = stab_checker::analyze(&alg, DaemonSpec::distributed(), &spec, 1 << 22).unwrap();
 //! assert!(report.closure.holds());
 //! assert!(report.weak.holds(), "Theorem 2: weak-stabilizing");
 //! assert!(!report.self_under(Fairness::StronglyFair).holds(),

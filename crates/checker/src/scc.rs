@@ -120,12 +120,12 @@ pub fn some_cycle<S: LocalState>(
 mod tests {
     use super::*;
     use stab_algorithms::TwoProcessToggle;
-    use stab_core::{Configuration, Daemon};
+    use stab_core::{Configuration, DaemonSpec};
 
     fn toggle_space() -> ExploredSpace<bool> {
         let a = TwoProcessToggle::new();
         let spec = a.legitimacy();
-        ExploredSpace::explore(&a, Daemon::Central, &spec, 1 << 10).unwrap()
+        ExploredSpace::explore(&a, DaemonSpec::central(), &spec, 1 << 10).unwrap()
     }
 
     #[test]

@@ -50,12 +50,7 @@ impl<S: stab_core::LocalState> ExploredSpace<S> {
     ///
     /// Panics if the network has more than 64 processes (bitmask encoding);
     /// exhaustive checking far below that limit is already intractable.
-    pub fn explore<A, L>(
-        alg: &A,
-        daemon: impl Into<DaemonSpec>,
-        spec: &L,
-        cap: u64,
-    ) -> Result<Self, CoreError>
+    pub fn explore<A, L>(alg: &A, daemon: DaemonSpec, spec: &L, cap: u64) -> Result<Self, CoreError>
     where
         A: Algorithm<State = S> + Sync,
         L: Legitimacy<S> + Sync,
@@ -82,21 +77,21 @@ impl<S: stab_core::LocalState> ExploredSpace<S> {
     /// use stab_algorithms::HermanRing;
     /// use stab_checker::ExploredSpace;
     /// use stab_core::engine::ExploreOptions;
-    /// use stab_core::Daemon;
+    /// use stab_core::DaemonSpec;
     /// use stab_graph::builders;
     ///
     /// let alg = HermanRing::on_ring(&builders::ring(7)).unwrap();
     /// let spec = alg.legitimacy();
     /// let opts = ExploreOptions::full().with_ring_quotient();
-    /// let space =
-    ///     ExploredSpace::explore_with(&alg, Daemon::Synchronous, &spec, 1 << 20, &opts).unwrap();
+    /// let daemon = DaemonSpec::synchronous();
+    /// let space = ExploredSpace::explore_with(&alg, daemon, &spec, 1 << 20, &opts).unwrap();
     /// // 20 binary 7-necklaces stand in for all 2^7 = 128 configurations.
     /// assert_eq!(space.total(), 20);
     /// assert_eq!(space.represented_configs(), 128);
     /// ```
     pub fn explore_with<A, L>(
         alg: &A,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         spec: &L,
         cap: u64,
         opts: &ExploreOptions<S>,
@@ -106,7 +101,6 @@ impl<S: stab_core::LocalState> ExploredSpace<S> {
         L: Legitimacy<S> + Sync,
         S: Sync,
     {
-        let daemon = daemon.into();
         let indexer = SpaceIndexer::new(alg, cap)?;
         let ts = TransitionSystem::explore_with(alg, &indexer, daemon, spec, opts)?;
         Ok(ExploredSpace {
@@ -128,12 +122,12 @@ impl<S: stab_core::LocalState> ExploredSpace<S> {
     /// through the system's own state table.
     pub fn from_transition_system(
         indexer: SpaceIndexer<S>,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         ts: TransitionSystem,
     ) -> Self {
         ExploredSpace {
             indexer,
-            daemon: daemon.into(),
+            daemon,
             ts,
         }
     }
@@ -141,11 +135,7 @@ impl<S: stab_core::LocalState> ExploredSpace<S> {
     /// Wraps an already-built transition system (differential tests build
     /// reference systems by independent means and compare analyses).
     #[doc(hidden)]
-    pub fn from_parts(
-        indexer: SpaceIndexer<S>,
-        daemon: impl Into<DaemonSpec>,
-        ts: TransitionSystem,
-    ) -> Self {
+    pub fn from_parts(indexer: SpaceIndexer<S>, daemon: DaemonSpec, ts: TransitionSystem) -> Self {
         assert_eq!(
             indexer.total(),
             ts.n_configs() as u64,
@@ -356,14 +346,14 @@ impl<S: stab_core::LocalState> ExploredSpace<S> {
 mod tests {
     use super::*;
     use stab_algorithms::{TokenCirculation, TwoProcessToggle};
-    use stab_core::Daemon;
+    use stab_core::DaemonSpec;
     use stab_graph::builders;
 
     #[test]
     fn explores_two_process_toggle_under_distributed() {
         let a = TwoProcessToggle::new();
         let spec = a.legitimacy();
-        let space = ExploredSpace::explore(&a, Daemon::Distributed, &spec, 1 << 10).unwrap();
+        let space = ExploredSpace::explore(&a, DaemonSpec::distributed(), &spec, 1 << 10).unwrap();
         assert_eq!(space.total(), 4);
         assert!(space.deterministic());
         assert_eq!(space.legit_count(), 1);
@@ -384,7 +374,7 @@ mod tests {
     fn synchronous_daemon_gives_single_edge_per_config() {
         let a = TwoProcessToggle::new();
         let spec = a.legitimacy();
-        let space = ExploredSpace::explore(&a, Daemon::Synchronous, &spec, 1 << 10).unwrap();
+        let space = ExploredSpace::explore(&a, DaemonSpec::synchronous(), &spec, 1 << 10).unwrap();
         for id in 0..space.total() {
             assert!(
                 space.edges(id).unwrap().len() <= 1,
@@ -397,7 +387,7 @@ mod tests {
     fn reachability_sets_are_consistent() {
         let a = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
         let spec = a.legitimacy();
-        let space = ExploredSpace::explore(&a, Daemon::Central, &spec, 1 << 20).unwrap();
+        let space = ExploredSpace::explore(&a, DaemonSpec::central(), &spec, 1 << 20).unwrap();
         // I = C: everything is reachable.
         assert!(space.reachable_from_initial().is_full());
         // Algorithm 1 is weak-stabilizing: everything can reach L.
@@ -408,7 +398,7 @@ mod tests {
     fn path_finds_short_convergence_route() {
         let a = TwoProcessToggle::new();
         let spec = a.legitimacy();
-        let space = ExploredSpace::explore(&a, Daemon::Distributed, &spec, 1 << 10).unwrap();
+        let space = ExploredSpace::explore(&a, DaemonSpec::distributed(), &spec, 1 << 10).unwrap();
         let ff = space.id_of(&stab_core::Configuration::from_vec(vec![false, false]));
         let path = space
             .path(|id| id == ff, |id| space.is_legit(id))
@@ -420,7 +410,7 @@ mod tests {
     fn render_shows_configuration() {
         let a = TwoProcessToggle::new();
         let spec = a.legitimacy();
-        let space = ExploredSpace::explore(&a, Daemon::Central, &spec, 1 << 10).unwrap();
+        let space = ExploredSpace::explore(&a, DaemonSpec::central(), &spec, 1 << 10).unwrap();
         let id = space.id_of(&stab_core::Configuration::from_vec(vec![true, false]));
         assert_eq!(space.render(id), "⟨true, false⟩");
     }

@@ -424,7 +424,7 @@ fn same_distribution<S: LocalState>(a: &Outcomes<S>, b: &Outcomes<S>) -> bool {
 mod tests {
     use super::*;
     use stab_algorithms::{DijkstraRing, TokenCirculation, TwoProcessToggle};
-    use stab_core::Daemon;
+    use stab_core::DaemonSpec;
     use stab_graph::builders;
 
     #[test]
@@ -432,8 +432,8 @@ mod tests {
         // Deterministic self-stabilization under every fairness level
         // means no recurrent component survives outside L.
         let alg = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
-        let space =
-            ExploredSpace::explore(&alg, Daemon::Central, &alg.legitimacy(), 1 << 22).unwrap();
+        let space = ExploredSpace::explore(&alg, DaemonSpec::central(), &alg.legitimacy(), 1 << 22)
+            .unwrap();
         let s = scc_summary(&space);
         assert_eq!(s.recurrent_components, 0, "{s:?}");
         assert_eq!(s.closed_components, 0);
@@ -448,7 +448,8 @@ mod tests {
         // exactly possible convergence.
         let alg = TokenCirculation::on_ring(&builders::ring(5)).unwrap();
         let space =
-            ExploredSpace::explore(&alg, Daemon::Distributed, &alg.legitimacy(), 1 << 22).unwrap();
+            ExploredSpace::explore(&alg, DaemonSpec::distributed(), &alg.legitimacy(), 1 << 22)
+                .unwrap();
         let s = scc_summary(&space);
         assert!(s.recurrent_components > 0, "{s:?}");
         assert_eq!(
@@ -463,8 +464,8 @@ mod tests {
         // Not even weak-stabilizing: the illegitimate region is one closed
         // recurrent component.
         let alg = TwoProcessToggle::new();
-        let space =
-            ExploredSpace::explore(&alg, Daemon::Central, &alg.legitimacy(), 1 << 10).unwrap();
+        let space = ExploredSpace::explore(&alg, DaemonSpec::central(), &alg.legitimacy(), 1 << 10)
+            .unwrap();
         let s = scc_summary(&space);
         assert_eq!(s.closed_components, 1, "{s:?}");
         assert_eq!(s.largest_recurrent, 3);

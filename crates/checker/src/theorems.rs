@@ -2,7 +2,7 @@
 //! instances. Each function returns a machine verdict used by the
 //! integration tests and the experiment binaries.
 
-use stab_core::{Algorithm, CoreError, Daemon, Fairness, Legitimacy};
+use stab_core::{Algorithm, CoreError, DaemonSpec, Fairness, Legitimacy};
 
 use crate::analysis::{analyze, StabilizationReport};
 
@@ -37,7 +37,7 @@ where
     L: Legitimacy<A::State> + Sync,
 {
     Ok(Theorem1 {
-        report: analyze(alg, Daemon::Synchronous, spec, cap)?,
+        report: analyze(alg, DaemonSpec::synchronous(), spec, cap)?,
     })
 }
 
@@ -95,7 +95,7 @@ mod tests {
     fn theorem6_on_algorithm1() {
         let ring = builders::ring(6);
         let tc = TokenCirculation::on_ring(&ring).unwrap();
-        let report = analyze(&tc, Daemon::Distributed, &tc.legitimacy(), CAP).unwrap();
+        let report = analyze(&tc, DaemonSpec::distributed(), &tc.legitimacy(), CAP).unwrap();
         assert!(theorem6_separation(&report));
         assert!(theorem5_and_7_agree(&report));
     }

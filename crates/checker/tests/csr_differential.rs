@@ -18,7 +18,7 @@ use stab_checker::space::Edge;
 use stab_checker::ExploredSpace;
 use stab_core::engine::{node_mask, BitSet, Csr, TransitionSystem};
 use stab_core::{
-    semantics, Algorithm, Daemon, Legitimacy, LocalState, ProjectedLegitimacy, SpaceIndexer,
+    semantics, Algorithm, DaemonSpec, Legitimacy, LocalState, ProjectedLegitimacy, SpaceIndexer,
     Transformed,
 };
 use stab_graph::builders;
@@ -28,7 +28,7 @@ const CAP: u64 = 1 << 22;
 /// Seed-style exploration: nested rows, full decode/encode per step.
 fn reference_system<A, L>(
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     ix: &SpaceIndexer<A::State>,
 ) -> TransitionSystem
@@ -134,7 +134,7 @@ where
     A::State: Sync,
     L: Legitimacy<A::State> + Sync,
 {
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         let label = format!("{} under {daemon}", alg.name());
         let space = ExploredSpace::explore(alg, daemon, spec, CAP).expect("engine explore");
         let ix = SpaceIndexer::new(alg, CAP).unwrap();

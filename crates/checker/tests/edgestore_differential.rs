@@ -12,7 +12,7 @@ use stab_algorithms::{
 use stab_checker::analysis::{analyze_space, StabilizationReport};
 use stab_checker::ExploredSpace;
 use stab_core::engine::{EdgeStoreKind, ExploreOptions};
-use stab_core::{Algorithm, Daemon, Legitimacy, LocalState};
+use stab_core::{Algorithm, DaemonSpec, Legitimacy, LocalState};
 use stab_graph::builders;
 
 const CAP: u64 = 1 << 22;
@@ -46,7 +46,7 @@ where
     A::State: LocalState + Sync,
     L: Legitimacy<A::State> + Sync,
 {
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         let flat = ExploredSpace::explore_with(alg, daemon, spec, CAP, opts).expect("flat explore");
         let fr = analyze_space(&flat, alg.name(), spec.name());
         for kind in [EdgeStoreKind::Compressed, EdgeStoreKind::Disk] {

@@ -4,13 +4,13 @@
 
 use stab_algorithms::{FairnessGadget, TokenCirculation, TwoProcessToggle};
 use stab_checker::analyze;
-use stab_core::{Daemon, Fairness};
+use stab_core::{DaemonSpec, Fairness};
 use stab_graph::builders;
 
 #[test]
 fn separates_weak_from_strong_fairness() {
     let alg = FairnessGadget::new();
-    for daemon in [Daemon::Central, Daemon::Distributed] {
+    for daemon in [DaemonSpec::central(), DaemonSpec::distributed()] {
         let r = analyze(&alg, daemon, &alg.legitimacy(), 1 << 10).unwrap();
         assert!(r.closure.holds());
         assert!(r.weak.holds());
@@ -33,14 +33,14 @@ fn synchronous_run_converges_immediately() {
     // Under the synchronous daemon both processes move at (0,0): P1
     // finishes in the first step from X, and from Y the toggle leads to X.
     let alg = FairnessGadget::new();
-    let r = analyze(&alg, Daemon::Synchronous, &alg.legitimacy(), 1 << 10).unwrap();
+    let r = analyze(&alg, DaemonSpec::synchronous(), &alg.legitimacy(), 1 << 10).unwrap();
     assert!(r.self_under(Fairness::Unfair).holds());
 }
 
 #[test]
 fn weakly_fair_witness_is_the_toggle_cycle() {
     let alg = FairnessGadget::new();
-    let r = analyze(&alg, Daemon::Central, &alg.legitimacy(), 1 << 10).unwrap();
+    let r = analyze(&alg, DaemonSpec::central(), &alg.legitimacy(), 1 << 10).unwrap();
     let w = r.self_under(Fairness::WeaklyFair).witness().expect("lasso");
     let text = w.to_string();
     assert!(text.contains("⟨0, 0⟩") || text.contains("⟨1, 0⟩"), "{text}");
@@ -58,13 +58,19 @@ fn weakly_fair_witness_is_the_toggle_cycle() {
 fn full_hierarchy_strictness() {
     // weakly-fair ✗ / strongly-fair ✓ :
     let gadget = FairnessGadget::new();
-    let g = analyze(&gadget, Daemon::Central, &gadget.legitimacy(), 1 << 10).unwrap();
+    let g = analyze(
+        &gadget,
+        DaemonSpec::central(),
+        &gadget.legitimacy(),
+        1 << 10,
+    )
+    .unwrap();
     assert!(!g.self_under(Fairness::WeaklyFair).holds());
     assert!(g.self_under(Fairness::StronglyFair).holds());
 
     // strongly-fair ✗ / Gouda ✓ :
     let tc = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
-    let t = analyze(&tc, Daemon::Distributed, &tc.legitimacy(), 1 << 22).unwrap();
+    let t = analyze(&tc, DaemonSpec::distributed(), &tc.legitimacy(), 1 << 22).unwrap();
     assert!(!t.self_under(Fairness::StronglyFair).holds());
     assert!(t.self_under(Fairness::Gouda).holds());
 
@@ -73,7 +79,13 @@ fn full_hierarchy_strictness() {
     // Here we confirm at least that unfair is the weakest level on the
     // toggle (everything fails) and the hierarchy is monotone everywhere.
     let toggle = TwoProcessToggle::new();
-    let r = analyze(&toggle, Daemon::Distributed, &toggle.legitimacy(), 1 << 10).unwrap();
+    let r = analyze(
+        &toggle,
+        DaemonSpec::distributed(),
+        &toggle.legitimacy(),
+        1 << 10,
+    )
+    .unwrap();
     let ladder: Vec<bool> = Fairness::ALL
         .iter()
         .map(|&f| r.self_under(f).holds())

@@ -19,7 +19,7 @@ use stab_algorithms::{DijkstraRing, GreedyColoring, HermanRing, TokenCirculation
 use stab_checker::analysis::{analyze_space, StabilizationReport};
 use stab_checker::ExploredSpace;
 use stab_core::engine::{ExploreOptions, Quotient};
-use stab_core::{Algorithm, Configuration, Daemon, Legitimacy, SpaceIndexer};
+use stab_core::{Algorithm, Configuration, DaemonSpec, Legitimacy, SpaceIndexer};
 use stab_graph::builders;
 
 const CAP: u64 = 1 << 22;
@@ -61,7 +61,7 @@ where
     A::State: Sync,
     L: Legitimacy<A::State> + Sync,
 {
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         let label = format!("{} under {daemon} ({quotient:?})", alg.name());
         let full = ExploredSpace::explore(alg, daemon, spec, CAP).expect("full explore");
         let opts = ExploreOptions::full().with_quotient(quotient);
@@ -232,7 +232,7 @@ fn automorphism_quotient_on_rings_is_dihedral() {
     let spec = alg.legitimacy();
     let dihedral = ExploredSpace::explore_with(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &spec,
         CAP,
         &ExploreOptions::full().with_quotient(Quotient::RingDihedral),
@@ -240,7 +240,7 @@ fn automorphism_quotient_on_rings_is_dihedral() {
     .unwrap();
     let auto = ExploredSpace::explore_with(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &spec,
         CAP,
         &ExploreOptions::full().with_quotient(Quotient::Automorphism),
@@ -287,7 +287,7 @@ fn dijkstra_rejected_for_rotation_and_reflection_quotients() {
         Quotient::RingDihedral,
         Quotient::Automorphism,
     ] {
-        for daemon in [Daemon::Central, Daemon::Distributed] {
+        for daemon in [DaemonSpec::central(), DaemonSpec::distributed()] {
             let opts = ExploreOptions::full().with_quotient(quotient);
             let err = ExploredSpace::explore_with(&alg, daemon, &spec, CAP, &opts).unwrap_err();
             assert!(
@@ -308,15 +308,15 @@ fn oriented_token_ring_rejected_for_reflection_quotients() {
         let alg = TokenCirculation::on_ring(&builders::ring(n)).unwrap();
         let spec = alg.legitimacy();
         let opts = ExploreOptions::full().with_quotient(Quotient::RingDihedral);
-        let err =
-            ExploredSpace::explore_with(&alg, Daemon::Central, &spec, CAP, &opts).unwrap_err();
+        let err = ExploredSpace::explore_with(&alg, DaemonSpec::central(), &spec, CAP, &opts)
+            .unwrap_err();
         assert!(
             matches!(err, stab_core::CoreError::QuotientUnsupported { .. }),
             "token ring N={n} reflection: {err}"
         );
         // Rotations remain sound for the same instance.
         let rot = ExploreOptions::full().with_quotient(Quotient::RingRotation);
-        assert!(ExploredSpace::explore_with(&alg, Daemon::Central, &spec, CAP, &rot).is_ok());
+        assert!(ExploredSpace::explore_with(&alg, DaemonSpec::central(), &spec, CAP, &rot).is_ok());
     }
 }
 
@@ -362,7 +362,8 @@ fn differing_leaf_programs_rejected_for_leaf_quotients() {
         c.states()[1..].iter().all(|&b| b)
     });
     let opts = ExploreOptions::full().with_quotient(Quotient::Automorphism);
-    let err = ExploredSpace::explore_with(&alg, Daemon::Central, &spec, CAP, &opts).unwrap_err();
+    let err =
+        ExploredSpace::explore_with(&alg, DaemonSpec::central(), &spec, CAP, &opts).unwrap_err();
     assert!(
         matches!(err, stab_core::CoreError::QuotientUnsupported { .. }),
         "{err}"
@@ -379,7 +380,8 @@ fn quotient_rejects_non_ring_topologies() {
     let alg = GreedyColoring::new(&g).unwrap();
     let spec = alg.legitimacy();
     let opts = ExploreOptions::full().with_ring_quotient();
-    let err = ExploredSpace::explore_with(&alg, Daemon::Central, &spec, CAP, &opts).unwrap_err();
+    let err =
+        ExploredSpace::explore_with(&alg, DaemonSpec::central(), &spec, CAP, &opts).unwrap_err();
     assert!(matches!(
         err,
         stab_core::CoreError::QuotientUnsupported { .. }
@@ -394,7 +396,7 @@ fn reachable_with_all_seeds_equals_full() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
     let ix = SpaceIndexer::new(&alg, CAP).unwrap();
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         let label = format!("token ring under {daemon}");
         let full = ExploredSpace::explore(&alg, daemon, &spec, CAP).unwrap();
         let seeds: Vec<Configuration<u8>> = ix.iter().collect();
@@ -429,8 +431,9 @@ fn reachable_from_strict_seeds_matches_full_reachability() {
     let spec = alg.legitimacy();
     let seed = Configuration::from_vec(vec![1u8, 0, 1, 0, 1]);
     let opts = ExploreOptions::reachable(vec![seed.clone()]);
-    let reach = ExploredSpace::explore_with(&alg, Daemon::Distributed, &spec, CAP, &opts).unwrap();
-    let full = ExploredSpace::explore(&alg, Daemon::Distributed, &spec, CAP).unwrap();
+    let reach =
+        ExploredSpace::explore_with(&alg, DaemonSpec::distributed(), &spec, CAP, &opts).unwrap();
+    let full = ExploredSpace::explore(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap();
 
     // The explored set is exactly the full-space forward closure of the
     // seed.

@@ -33,7 +33,7 @@
 //! ```
 //! use stab_core::engine::{ExploreOptions, TransitionSystem};
 //! use stab_core::{
-//!     ActionId, ActionMask, Algorithm, Daemon, Outcomes, Predicate, SpaceIndexer, View,
+//!     ActionId, ActionMask, Algorithm, DaemonSpec, Outcomes, Predicate, SpaceIndexer, View,
 //! };
 //! use stab_graph::{builders, Graph, NodeId};
 //!
@@ -61,12 +61,13 @@
 //! });
 //!
 //! // Full sweep: 2^5 = 32 configurations.
-//! let full = TransitionSystem::explore(&alg, &ix, Daemon::Central, &spec).unwrap();
+//! let full = TransitionSystem::explore(&alg, &ix, DaemonSpec::central(), &spec).unwrap();
 //! assert_eq!(full.n_configs(), 32);
 //!
 //! // Rotation quotient: 8 binary necklaces represent all 32.
 //! let opts = ExploreOptions::full().with_ring_quotient();
-//! let quot = TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).unwrap();
+//! let central = DaemonSpec::central();
+//! let quot = TransitionSystem::explore_with(&alg, &ix, central, &spec, &opts).unwrap();
 //! assert_eq!(quot.n_configs(), 8);
 //! assert_eq!(quot.represented_configs(), 32);
 //! ```
@@ -146,9 +147,8 @@ pub struct TransitionSystem {
 
 impl TransitionSystem {
     /// Explores the full configuration space of `alg` under `daemon` (any
-    /// [`DaemonSpec`] lattice point, or a legacy
-    /// [`Daemon`](crate::Daemon) value), labelling configurations with
-    /// `spec`. `ix` must be the indexer of `alg`'s space. Equivalent to
+    /// [`DaemonSpec`] lattice point), labelling configurations with `spec`.
+    /// `ix` must be the indexer of `alg`'s space. Equivalent to
     /// [`TransitionSystem::explore_with`] under [`ExploreOptions::full`].
     ///
     /// # Errors
@@ -167,7 +167,7 @@ impl TransitionSystem {
     pub fn explore<A, L>(
         alg: &A,
         ix: &SpaceIndexer<A::State>,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         spec: &L,
     ) -> Result<Self, CoreError>
     where
@@ -208,7 +208,7 @@ impl TransitionSystem {
     pub fn explore_with<A, L>(
         alg: &A,
         ix: &SpaceIndexer<A::State>,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         spec: &L,
         opts: &ExploreOptions<A::State>,
     ) -> Result<Self, CoreError>
@@ -242,7 +242,7 @@ impl TransitionSystem {
     pub fn explore_guarded<A, L>(
         alg: &A,
         ix: &SpaceIndexer<A::State>,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         spec: &L,
         opts: &ExploreOptions<A::State>,
         guard: &RunGuard,
@@ -252,7 +252,6 @@ impl TransitionSystem {
         A::State: Sync,
         L: Legitimacy<A::State> + Sync,
     {
-        let daemon = daemon.into();
         EXPLORE_CALLS.fetch_add(1, Ordering::Relaxed);
         let n = alg.n();
         assert!(n <= 64, "bitmask encoding supports at most 64 processes");
@@ -767,11 +766,11 @@ pub(super) fn conflict_masks<A: Algorithm>(alg: &A, daemon: DaemonSpec) -> Vec<u
 mod tests {
     use super::*;
     use crate::algorithm::test_support::Infection;
-    use crate::scheduler::Daemon;
+    use crate::scheduler::DaemonSpec;
     use crate::{semantics, Predicate};
     use stab_graph::builders;
 
-    fn infection_system(daemon: Daemon) -> (Infection, SpaceIndexer<u8>, TransitionSystem) {
+    fn infection_system(daemon: DaemonSpec) -> (Infection, SpaceIndexer<u8>, TransitionSystem) {
         let alg = Infection {
             g: builders::path(3),
         };
@@ -785,7 +784,7 @@ mod tests {
 
     #[test]
     fn engine_matches_reference_semantics_on_infection() {
-        for daemon in Daemon::ALL {
+        for daemon in DaemonSpec::LEGACY {
             let (alg, ix, ts) = infection_system(daemon);
             assert_eq!(ts.n_configs() as u64, ix.total());
             for idv in 0..ix.total() {
@@ -820,7 +819,7 @@ mod tests {
 
     #[test]
     fn edge_probabilities_sum_to_one_per_nonterminal_config() {
-        for daemon in Daemon::ALL {
+        for daemon in DaemonSpec::LEGACY {
             let (_, _, ts) = infection_system(daemon);
             for id in 0..ts.n_configs() {
                 if ts.is_terminal(id) {
@@ -838,7 +837,7 @@ mod tests {
 
     #[test]
     fn closures_and_labels_are_consistent() {
-        let (_, ix, ts) = infection_system(Daemon::Central);
+        let (_, ix, ts) = infection_system(DaemonSpec::central());
         // Legitimate: exactly the all-ones configuration.
         assert_eq!(ts.legit_count(), 1);
         assert!(ts.deterministic());
@@ -861,7 +860,7 @@ mod tests {
 
     #[test]
     fn dense_mapping_is_the_identity() {
-        let (_, ix, ts) = infection_system(Daemon::Central);
+        let (_, ix, ts) = infection_system(DaemonSpec::central());
         assert_eq!(ts.traversal(), TraversalMode::Full);
         assert_eq!(ts.quotient(), Quotient::None);
         assert!(ts.canonicalizer().is_none());
@@ -876,7 +875,7 @@ mod tests {
 
     #[test]
     fn locally_central_respects_independence() {
-        let (_, _, ts) = infection_system(Daemon::LocallyCentral);
+        let (_, _, ts) = infection_system(DaemonSpec::locally_central());
         let g = builders::path(3);
         for id in 0..ts.n_configs() {
             for e in ts.edges(id).unwrap() {
@@ -926,7 +925,8 @@ mod tests {
         };
         let ix = SpaceIndexer::new(&alg, 1 << 30).unwrap();
         let spec = Predicate::new("none", |_: &crate::Configuration<bool>| false);
-        let err = TransitionSystem::explore(&alg, &ix, Daemon::Distributed, &spec).unwrap_err();
+        let err =
+            TransitionSystem::explore(&alg, &ix, DaemonSpec::distributed(), &spec).unwrap_err();
         assert!(matches!(err, CoreError::TooManyEnabled { enabled: 22, .. }));
     }
 }

@@ -349,7 +349,7 @@ mod tests {
     use crate::space::SpaceIndexer;
     use crate::view::View;
     use crate::CoreError;
-    use crate::{Daemon, Predicate};
+    use crate::{DaemonSpec, Predicate};
     use stab_graph::{builders, Graph, NodeId};
 
     /// One-bit anonymous ring algorithm: copy the predecessor when
@@ -401,7 +401,7 @@ mod tests {
         let alg = CopyRing::new(4);
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
         let spec = agreement();
-        for daemon in Daemon::ALL {
+        for daemon in DaemonSpec::LEGACY {
             let full = TransitionSystem::explore(&alg, &ix, daemon, &spec).unwrap();
             // Seeding with every configuration in index order makes BFS
             // hand out ids equal to mixed-radix indices.
@@ -432,7 +432,8 @@ mod tests {
         // reach only a strict subset of the 16 configurations.
         let seed = Configuration::from_vec(vec![true, false, false, false]);
         let opts = ExploreOptions::reachable(vec![seed.clone()]);
-        let ts = TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).unwrap();
+        let ts =
+            TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts).unwrap();
         assert!(ts.n_configs() < 16, "strict subset, got {}", ts.n_configs());
         // The seed is the whole initial set and has id 0.
         assert_eq!(ts.initial().count_ones(), 1);
@@ -454,8 +455,8 @@ mod tests {
         let spec = agreement();
         let seeds: Vec<_> = ix.iter().collect();
         let opts = ExploreOptions::reachable(seeds).with_max_states(7);
-        let err =
-            TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).unwrap_err();
+        let err = TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts)
+            .unwrap_err();
         assert!(matches!(err, CoreError::StateSpaceTooLarge { cap: 7, .. }));
     }
 
@@ -465,7 +466,8 @@ mod tests {
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
         let spec = agreement();
         let opts = ExploreOptions::full().with_ring_quotient();
-        let ts = TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).unwrap();
+        let ts =
+            TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts).unwrap();
         // 8 binary 5-necklaces; orbits tile the 32-configuration space.
         assert_eq!(ts.n_configs(), 8);
         assert_eq!(ts.represented_configs(), 32);
@@ -501,8 +503,8 @@ mod tests {
         let spec = agreement();
         let seeds: Vec<_> = ix.iter().collect();
         let opts = ExploreOptions::reachable(seeds).with_max_states(u32::MAX as u64 + 1);
-        let err =
-            TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).unwrap_err();
+        let err = TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts)
+            .unwrap_err();
         assert!(matches!(
             err,
             CoreError::StateCapExceedsIdWidth {
@@ -513,7 +515,9 @@ mod tests {
         // The id-width cap itself is fine.
         let seeds: Vec<_> = ix.iter().collect();
         let opts = ExploreOptions::reachable(seeds).with_max_states(u32::MAX as u64);
-        assert!(TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).is_ok());
+        assert!(
+            TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts).is_ok()
+        );
     }
 
     #[test]
@@ -529,7 +533,7 @@ mod tests {
             ExploreOptions::reachable(seeds.clone()),
             ExploreOptions::reachable(seeds).with_ring_quotient(),
         ];
-        for daemon in Daemon::ALL {
+        for daemon in DaemonSpec::LEGACY {
             for opts in &mode_opts {
                 let flat = TransitionSystem::explore_with(&alg, &ix, daemon, &spec, opts).unwrap();
                 for kind in [EdgeStoreKind::Compressed, EdgeStoreKind::Disk] {
@@ -619,7 +623,7 @@ mod tests {
             let alg = CopyRing::new(5);
             let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
             let spec = agreement();
-            for daemon in Daemon::ALL {
+            for daemon in DaemonSpec::LEGACY {
                 for opts in variants(&ix) {
                     let plain =
                         TransitionSystem::explore_with(&alg, &ix, daemon, &spec, &opts).unwrap();
@@ -652,7 +656,7 @@ mod tests {
             let spec = agreement();
             for opts in variants(&ix) {
                 let plain =
-                    TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts)
+                    TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts)
                         .unwrap();
                 for kill in 1..=4u64 {
                     let dir = tmp_dir("kill");
@@ -664,7 +668,7 @@ mod tests {
                     let first = TransitionSystem::explore_guarded(
                         &alg,
                         &ix,
-                        Daemon::Central,
+                        DaemonSpec::central(),
                         &spec,
                         &ck_opts,
                         &guard,
@@ -677,7 +681,7 @@ mod tests {
                             TransitionSystem::explore_with(
                                 &alg,
                                 &ix,
-                                Daemon::Central,
+                                DaemonSpec::central(),
                                 &spec,
                                 &ck_opts,
                             )
@@ -706,14 +710,14 @@ mod tests {
             let plain = TransitionSystem::explore_with(
                 &alg,
                 &ix,
-                Daemon::Central,
+                DaemonSpec::central(),
                 &spec,
                 &ExploreOptions::full(),
             )
             .unwrap();
             let dir = tmp_dir("corrupt");
             let opts: ExploreOptions<bool> = ExploreOptions::full().with_checkpoint(&dir, 2);
-            TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).unwrap();
+            TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts).unwrap();
             let frames = crate::engine::resilience::list_frames(&dir);
             FaultPlan::flip_bit(frames.last().unwrap(), 123).unwrap();
             // The final frame is gone, so cold resume refuses...
@@ -723,7 +727,8 @@ mod tests {
             ));
             // ...but re-exploring adopts the valid prefix and heals.
             let healed =
-                TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts).unwrap();
+                TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts)
+                    .unwrap();
             assert_eq!(healed.content_digest(), plain.content_digest());
             assert_eq!(
                 TransitionSystem::resume(&dir).unwrap().content_digest(),
@@ -743,7 +748,7 @@ mod tests {
             let err = TransitionSystem::explore_guarded(
                 &alg,
                 &ix,
-                Daemon::Central,
+                DaemonSpec::central(),
                 &spec,
                 &ExploreOptions::reachable(seeds),
                 &guard,
@@ -768,7 +773,7 @@ mod tests {
                 let err = TransitionSystem::explore_guarded(
                     &alg,
                     &ix,
-                    Daemon::Central,
+                    DaemonSpec::central(),
                     &spec,
                     &opts,
                     &guard,
@@ -802,9 +807,9 @@ mod tests {
             ExploreOptions::reachable(vec![seed.clone()]),
             ExploreOptions::reachable(vec![seed]).with_ring_quotient(),
         ];
-        let golden: [(Daemon, [u64; 4]); 2] = [
+        let golden: [(DaemonSpec, [u64; 4]); 2] = [
             (
-                Daemon::Central,
+                DaemonSpec::central(),
                 [
                     0xda98_07ed_7f7c_d316,
                     0xdd3f_b7dd_e209_3239,
@@ -813,7 +818,7 @@ mod tests {
                 ],
             ),
             (
-                Daemon::Synchronous,
+                DaemonSpec::synchronous(),
                 [
                     0x4c06_2b5c_864e_2ad3,
                     0x56ad_0beb_3d11_e212,
@@ -859,7 +864,7 @@ mod tests {
         ] {
             let alg = CopyRing::new(n);
             let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
-            for daemon in [Daemon::Central, Daemon::Synchronous] {
+            for daemon in [DaemonSpec::central(), DaemonSpec::synchronous()] {
                 let plain =
                     TransitionSystem::explore_with(&alg, &ix, daemon, &spec, &opts).unwrap();
                 assert!(plain.n_configs() >= 8192);
@@ -890,7 +895,7 @@ mod tests {
         let err = TransitionSystem::explore_with(
             &alg,
             &ix,
-            Daemon::Central,
+            DaemonSpec::central(),
             &agreement(),
             &ExploreOptions::full(),
         )
@@ -911,7 +916,7 @@ mod tests {
         let quotient_sweep = TransitionSystem::explore_with(
             &alg,
             &ix,
-            Daemon::Central,
+            DaemonSpec::central(),
             &spec,
             &ExploreOptions::full().with_ring_quotient(),
         )
@@ -919,7 +924,7 @@ mod tests {
         let reach_quotient = TransitionSystem::explore_with(
             &alg,
             &ix,
-            Daemon::Central,
+            DaemonSpec::central(),
             &spec,
             &ExploreOptions::reachable(seeds).with_ring_quotient(),
         )

@@ -44,7 +44,7 @@
 //!
 //! ```
 //! use stab_core::engine::{EdgeStoreKind, Plan, PlanRequest, Quotient};
-//! use stab_core::{Daemon, SpaceIndexer};
+//! use stab_core::{DaemonSpec, SpaceIndexer};
 //! # use stab_core::{ActionId, ActionMask, Algorithm, Outcomes, Predicate, View};
 //! # use stab_graph::{builders, Graph, NodeId};
 //! # struct Flip { g: Graph }
@@ -66,7 +66,8 @@
 //! let spec = Predicate::new("agreement", |c: &stab_core::Configuration<bool>| {
 //!     c.states().iter().all(|&b| b) || c.states().iter().all(|&b| !b)
 //! });
-//! let plan = Plan::compute(&alg, &ix, Daemon::Central, &spec, &PlanRequest::default()).unwrap();
+//! let req = PlanRequest::default();
+//! let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
 //! // Anonymous uniform ring + invariant spec: the full dihedral group is
 //! // sound, and 64 configurations sit far below any byte budget.
 //! assert_eq!(plan.quotient, Quotient::Automorphism);
@@ -270,7 +271,7 @@ impl Plan {
     pub fn compute<A, L>(
         alg: &A,
         ix: &SpaceIndexer<A::State>,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         spec: &L,
         req: &PlanRequest,
     ) -> Result<Plan, CoreError>
@@ -278,7 +279,6 @@ impl Plan {
         A: Algorithm,
         L: Legitimacy<A::State>,
     {
-        let daemon = daemon.into();
         let total = ix.total();
         let (sampled_rows, est_edges_per_config) = estimate_out_degree(alg, ix, daemon, req)?;
         // lint: cast-ok(sizing estimate, not an id; ceil of a non-negative count)
@@ -526,7 +526,7 @@ mod tests {
     use super::*;
     use crate::algorithm::test_support::Infection;
     use crate::engine::TransitionSystem;
-    use crate::{Configuration, Daemon, Predicate};
+    use crate::{Configuration, DaemonSpec, Predicate};
     use stab_graph::builders;
 
     fn all_ones(c: &Configuration<u8>) -> bool {
@@ -544,11 +544,17 @@ mod tests {
     fn small_space_estimates_exactly_and_stays_flat() {
         let (alg, spec) = infection();
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
-        let plan =
-            Plan::compute(&alg, &ix, Daemon::Central, &spec, &PlanRequest::default()).unwrap();
+        let plan = Plan::compute(
+            &alg,
+            &ix,
+            DaemonSpec::central(),
+            &spec,
+            &PlanRequest::default(),
+        )
+        .unwrap();
         // 8 configurations < 64 samples: the estimate is exhaustive, so
         // it matches the real exploration exactly.
-        let ts = TransitionSystem::explore(&alg, &ix, Daemon::Central, &spec).unwrap();
+        let ts = TransitionSystem::explore(&alg, &ix, DaemonSpec::central(), &spec).unwrap();
         assert_eq!(plan.sampled_rows, 8);
         assert_eq!(plan.est_full_edges, ts.n_edges());
         assert_eq!(plan.edge_store, EdgeStoreKind::Flat);
@@ -557,7 +563,8 @@ mod tests {
         // but infection is symmetric, so any outcome of the gate is
         // acceptable here — what matters is that the plan's options run.
         let opts = plan.options::<u8>();
-        let planned = TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts);
+        let planned =
+            TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts);
         assert!(planned.is_ok());
     }
 
@@ -566,7 +573,7 @@ mod tests {
         let (alg, spec) = infection();
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
         let req = PlanRequest::default().with_byte_budget(8);
-        let plan = Plan::compute(&alg, &ix, Daemon::Central, &spec, &req).unwrap();
+        let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
         assert_eq!(plan.edge_store, EdgeStoreKind::Compressed);
         let store = plan
             .decisions
@@ -590,7 +597,7 @@ mod tests {
         let req = PlanRequest::default()
             .with_byte_budget(8)
             .with_disk_byte_budget(8);
-        let plan = Plan::compute(&alg, &ix, Daemon::Central, &spec, &req).unwrap();
+        let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
         assert_eq!(plan.edge_store, EdgeStoreKind::Disk);
         let store = plan
             .decisions
@@ -605,7 +612,8 @@ mod tests {
         // The planned options must actually run on the disk tier.
         let opts = plan.options::<u8>();
         assert_eq!(opts.edge_store, EdgeStoreKind::Disk);
-        let planned = TransitionSystem::explore_with(&alg, &ix, Daemon::Central, &spec, &opts);
+        let planned =
+            TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts);
         assert!(planned.is_ok());
     }
 
@@ -613,24 +621,30 @@ mod tests {
     fn analysis_budget_boundary_is_exact() {
         let (alg, spec) = infection();
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
-        let probe =
-            Plan::compute(&alg, &ix, Daemon::Central, &spec, &PlanRequest::default()).unwrap();
+        let probe = Plan::compute(
+            &alg,
+            &ix,
+            DaemonSpec::central(),
+            &spec,
+            &PlanRequest::default(),
+        )
+        .unwrap();
         // Budget exactly at the flat analysis estimate: flat still fits.
         let req = PlanRequest::default().with_byte_budget(probe.est_analysis_flat_bytes);
-        let plan = Plan::compute(&alg, &ix, Daemon::Central, &spec, &req).unwrap();
+        let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
         assert_eq!(plan.edge_store, EdgeStoreKind::Flat);
         // One byte below, with the ceiling at the compressed estimate:
         // compressed fits exactly.
         let req = PlanRequest::default()
             .with_byte_budget(probe.est_analysis_flat_bytes - 1)
             .with_disk_byte_budget(probe.est_analysis_compressed_bytes);
-        let plan = Plan::compute(&alg, &ix, Daemon::Central, &spec, &req).unwrap();
+        let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
         assert_eq!(plan.edge_store, EdgeStoreKind::Compressed);
         // One byte below the compressed estimate: spill.
         let req = PlanRequest::default()
             .with_byte_budget(probe.est_analysis_flat_bytes - 1)
             .with_disk_byte_budget(probe.est_analysis_compressed_bytes - 1);
-        let plan = Plan::compute(&alg, &ix, Daemon::Central, &spec, &req).unwrap();
+        let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
         assert_eq!(plan.edge_store, EdgeStoreKind::Disk);
     }
 
@@ -641,7 +655,7 @@ mod tests {
         let req = PlanRequest::default()
             .with_quotient(Quotient::None)
             .with_edge_store(EdgeStoreKind::Compressed);
-        let plan = Plan::compute(&alg, &ix, Daemon::Central, &spec, &req).unwrap();
+        let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
         assert_eq!(plan.quotient, Quotient::None);
         assert_eq!(plan.group_order, 1);
         assert_eq!(plan.edge_store, EdgeStoreKind::Compressed);
@@ -682,8 +696,14 @@ mod tests {
         };
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
         let spec = Predicate::new("root-set", |c: &Configuration<bool>| *c.get(0.into()));
-        let plan =
-            Plan::compute(&alg, &ix, Daemon::Central, &spec, &PlanRequest::default()).unwrap();
+        let plan = Plan::compute(
+            &alg,
+            &ix,
+            DaemonSpec::central(),
+            &spec,
+            &PlanRequest::default(),
+        )
+        .unwrap();
         assert_eq!(plan.quotient, Quotient::None);
         assert_eq!(plan.group_order, 1);
         let q = plan

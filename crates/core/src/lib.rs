@@ -14,8 +14,8 @@
 //! * **Schedulers** (a.k.a. daemons, [`DaemonSpec`]) are points of the
 //!   composable (distribution × fairness × boundedness) lattice of the
 //!   Dubois–Tixeuil taxonomy; the paper's four daemons — central,
-//!   distributed, synchronous, locally central — are named points (and the
-//!   legacy [`Daemon`] enum still spells them). Each point has an
+//!   distributed, synchronous, locally central — are named points
+//!   ([`DaemonSpec::LEGACY`]). Each point has an
 //!   enumerated form (for exhaustive checking) and the *randomized* form of
 //!   Definition 6 (uniform choice, for Markov analysis and simulation).
 //! * **Fairness** ([`Fairness`]) ranges over unfair (the paper's "proper"),
@@ -88,7 +88,7 @@ pub use exec::Trace;
 pub use fairness::{Fairness, FairnessSet};
 pub use outcome::Outcomes;
 pub use restricted::Restricted;
-pub use scheduler::{Activation, Boundedness, Daemon, DaemonSpec, Distribution};
+pub use scheduler::{Activation, Boundedness, DaemonSpec, Distribution};
 pub use space::SpaceIndexer;
 pub use spec::{Legitimacy, Predicate};
 pub use transformer::{Coined, ProjectedLegitimacy, Transformed};

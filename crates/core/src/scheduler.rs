@@ -32,12 +32,10 @@
 //! * [`DaemonSpec::locally_central`] — any non-empty subset containing no
 //!   two neighbours: `KCentral { k: None, radius: 1 }`.
 //!
-//! The legacy [`Daemon`] enum still names these four points directly (every
-//! engine entry point accepts `impl Into<DaemonSpec>`, so `Daemon::Central`
-//! and `DaemonSpec::central()` are interchangeable), and its `activations`/
-//! `sample` methods are kept as *independent* reference implementations so
-//! the differential suites can pin the lattice path against the pre-lattice
-//! enumeration bit for bit.
+//! [`DaemonSpec::LEGACY`] lists the four in that order, for sweep-style
+//! experiments. The lattice property tests pin their enumeration and
+//! seeded sampling bit for bit against an independent reference
+//! implementation.
 //!
 //! Each lattice point exists in two forms: **enumerated**
 //! ([`DaemonSpec::activations`]) for exhaustive model checking, and
@@ -71,7 +69,7 @@
 //! # Quotients on non-ring topologies
 //!
 //! Lattice points interact with the symmetry machinery exactly as the four
-//! legacy daemons do: the per-run equivariance gate
+//! named daemons do: the per-run equivariance gate
 //! (`engine::ExploreOptions` with a quotient) re-validates, per
 //! `(algorithm, daemon)` pair, that the rows of the generated transition
 //! system commute with each group generator. This matters for the grid
@@ -180,164 +178,6 @@ impl fmt::Display for Activation {
     }
 }
 
-/// The four classic daemons, as a closed enum.
-///
-/// These are shorthand for the corresponding [`DaemonSpec`] lattice points
-/// (every engine entry point accepts `impl Into<DaemonSpec>`); the enum is
-/// kept because sweep-style experiments iterate [`Daemon::ALL`] and because
-/// its [`Daemon::activations`]/[`Daemon::sample`] bodies serve as the
-/// independent pre-lattice reference for the differential suites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Daemon {
-    /// Exactly one enabled process moves per step.
-    Central,
-    /// Any non-empty subset of enabled processes moves per step.
-    Distributed,
-    /// Every enabled process moves, every step.
-    Synchronous,
-    /// Any non-empty subset of pairwise non-adjacent enabled processes.
-    LocallyCentral,
-}
-
-impl Daemon {
-    /// All four daemons, for sweep-style experiments.
-    pub const ALL: [Daemon; 4] = [
-        Daemon::Central,
-        Daemon::Distributed,
-        Daemon::Synchronous,
-        Daemon::LocallyCentral,
-    ];
-
-    /// Short stable name for tables and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Daemon::Central => "central",
-            Daemon::Distributed => "distributed",
-            Daemon::Synchronous => "synchronous",
-            Daemon::LocallyCentral => "locally-central",
-        }
-    }
-
-    /// The lattice point this daemon names (see [`DaemonSpec`]).
-    pub fn spec(self) -> DaemonSpec {
-        DaemonSpec::from(self)
-    }
-
-    /// Enumerates every activation this daemon allows given the enabled set.
-    ///
-    /// This is the *reference* enumeration for the four legacy lattice
-    /// points, kept deliberately independent of
-    /// [`DaemonSpec::activations`] (which generalizes it to every
-    /// `(k, radius)` pair) so the differential suites can pin the lattice
-    /// path against it bit for bit. Returns an empty vector when `enabled`
-    /// is empty (terminal configuration — no step exists).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::TooManyEnabled`] if the distributed or locally-central
-    /// daemon would enumerate more than `2^DISTRIBUTED_ENUM_CAP` subsets.
-    pub fn activations(
-        self,
-        graph: &Graph,
-        enabled: &[NodeId],
-    ) -> Result<Vec<Activation>, CoreError> {
-        if enabled.is_empty() {
-            return Ok(Vec::new());
-        }
-        match self {
-            Daemon::Central => Ok(enabled.iter().map(|&v| Activation::singleton(v)).collect()),
-            Daemon::Synchronous => Ok(vec![Activation::new(enabled.to_vec())]),
-            Daemon::Distributed => subsets(enabled, |_| true),
-            Daemon::LocallyCentral => subsets(enabled, |nodes| is_independent(graph, nodes)),
-        }
-    }
-
-    /// Samples an activation according to the **randomized scheduler** of
-    /// Definition 6: uniformly among the activations this daemon allows.
-    ///
-    /// Like [`Daemon::activations`], this is the independent reference
-    /// implementation for the four legacy points; the generalized form is
-    /// [`DaemonSpec::sample`], whose random streams coincide with this one
-    /// on those points. Central, distributed and synchronous sampling is
-    /// exactly uniform and allocation-light even for thousands of enabled
-    /// processes. The locally-central daemon uses rejection sampling with a
-    /// singleton fallback after 64 failures (every allowed activation keeps
-    /// strictly positive probability, which is all the probabilistic
-    /// convergence arguments require).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `enabled` is empty: terminal configurations have no steps.
-    pub fn sample<R: Rng + ?Sized>(
-        self,
-        graph: &Graph,
-        enabled: &[NodeId],
-        rng: &mut R,
-    ) -> Activation {
-        assert!(
-            !enabled.is_empty(),
-            "cannot schedule in a terminal configuration"
-        );
-        match self {
-            Daemon::Central => {
-                let i = rng.random_range(0..enabled.len());
-                Activation::singleton(enabled[i])
-            }
-            Daemon::Synchronous => Activation::new(enabled.to_vec()),
-            Daemon::Distributed => loop {
-                let nodes: Vec<NodeId> = enabled
-                    .iter()
-                    .copied()
-                    .filter(|_| rng.random::<bool>())
-                    .collect();
-                if !nodes.is_empty() {
-                    return Activation::new(nodes);
-                }
-            },
-            Daemon::LocallyCentral => {
-                for _ in 0..64 {
-                    let nodes: Vec<NodeId> = enabled
-                        .iter()
-                        .copied()
-                        .filter(|_| rng.random::<bool>())
-                        .collect();
-                    if !nodes.is_empty() && is_independent(graph, &nodes) {
-                        return Activation::new(nodes);
-                    }
-                }
-                let i = rng.random_range(0..enabled.len());
-                Activation::singleton(enabled[i])
-            }
-        }
-    }
-
-    /// Number of activations the daemon allows for `k` enabled processes
-    /// (locally-central depends on the graph, so it is counted by
-    /// enumeration there).
-    pub fn activation_count(self, graph: &Graph, enabled: &[NodeId]) -> u128 {
-        // lint: cast-ok(enabled sets are bounded by the node count, far below u32)
-        let k = enabled.len() as u32;
-        if k == 0 {
-            return 0;
-        }
-        match self {
-            Daemon::Central => k as u128,
-            Daemon::Synchronous => 1,
-            Daemon::Distributed => (1u128 << k) - 1,
-            Daemon::LocallyCentral => self
-                .activations(graph, enabled)
-                .map(|v| v.len() as u128)
-                .unwrap_or(0),
-        }
-    }
-}
-
-impl fmt::Display for Daemon {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Which subsets of the enabled set a daemon may activate in one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Distribution {
@@ -411,23 +251,15 @@ impl Boundedness {
 ///
 /// The paper's four daemons are the named points [`DaemonSpec::central`],
 /// [`DaemonSpec::distributed`], [`DaemonSpec::synchronous`] and
-/// [`DaemonSpec::locally_central`]; the legacy [`Daemon`] enum converts
-/// into them losslessly and back via [`DaemonSpec::legacy`]:
+/// [`DaemonSpec::locally_central`], listed by [`DaemonSpec::LEGACY`]:
 ///
 /// ```
-/// use stab_core::{Daemon, DaemonSpec};
-/// for d in Daemon::ALL {
-///     let spec = DaemonSpec::from(d);
-///     assert_eq!(spec.legacy(), Some(d));
-///     assert_eq!(spec.name(), d.name());
-/// }
-/// assert_eq!(DaemonSpec::central(), DaemonSpec::from(Daemon::Central));
-/// assert_eq!(DaemonSpec::distributed(), DaemonSpec::from(Daemon::Distributed));
-/// assert_eq!(DaemonSpec::synchronous(), DaemonSpec::from(Daemon::Synchronous));
-/// assert_eq!(DaemonSpec::locally_central(), DaemonSpec::from(Daemon::LocallyCentral));
+/// use stab_core::DaemonSpec;
+/// let names: Vec<String> = DaemonSpec::LEGACY.iter().map(DaemonSpec::name).collect();
+/// assert_eq!(names, ["central", "distributed", "synchronous", "locally-central"]);
 /// ```
 ///
-/// Points outside the legacy four compose freely:
+/// Other points compose freely:
 ///
 /// ```
 /// use stab_core::{Boundedness, DaemonSpec, Distribution, Fairness};
@@ -438,7 +270,6 @@ impl Boundedness {
 /// };
 /// assert_eq!(d.name(), "2-central-r1+weakly-fair+b3");
 /// assert!(d.refines(DaemonSpec::distributed()));
-/// assert_eq!(d.legacy(), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DaemonSpec {
@@ -451,7 +282,8 @@ pub struct DaemonSpec {
 }
 
 impl DaemonSpec {
-    /// The paper's four daemons as lattice points, in [`Daemon::ALL`] order.
+    /// The paper's four daemons as lattice points: central, distributed,
+    /// synchronous, locally-central.
     pub const LEGACY: [DaemonSpec; 4] = [
         DaemonSpec::central(),
         DaemonSpec::distributed(),
@@ -513,37 +345,11 @@ impl DaemonSpec {
         self
     }
 
-    /// The legacy [`Daemon`] this point encodes, if it is one of the four.
-    ///
-    /// Only the exact encodings used by the named constructors round-trip;
-    /// behaviourally equivalent but distinct encodings (e.g. `k = Some(1)`
-    /// with a positive radius) return `None`.
-    pub fn legacy(&self) -> Option<Daemon> {
-        if self.fairness != Fairness::Unfair || self.bound != Boundedness::Unbounded {
-            return None;
-        }
-        match self.distribution {
-            Distribution::Synchronous => Some(Daemon::Synchronous),
-            Distribution::KCentral {
-                k: Some(1),
-                radius: 0,
-            } => Some(Daemon::Central),
-            Distribution::KCentral { k: None, radius: 0 } => Some(Daemon::Distributed),
-            Distribution::KCentral { k: None, radius: 1 } => Some(Daemon::LocallyCentral),
-            Distribution::KCentral { .. } => None,
-        }
-    }
-
-    /// Stable name for tables, reports and run fingerprints.
-    ///
-    /// The four legacy points keep their historical names (`"central"`,
-    /// `"distributed"`, `"synchronous"`, `"locally-central"`), so study
-    /// reports and exploration fingerprints are unchanged for them; other
-    /// points compose as `<distribution>[+<fairness>][+b<bound>]`.
+    /// Stable name for tables, reports and run fingerprints:
+    /// `<distribution>[+<fairness>][+b<bound>]`. The four named points
+    /// read `"central"`, `"distributed"`, `"synchronous"` and
+    /// `"locally-central"`.
     pub fn name(&self) -> String {
-        if let Some(d) = self.legacy() {
-            return d.name().to_string();
-        }
         let mut s = match self.distribution {
             Distribution::Synchronous => "synchronous".to_string(),
             Distribution::KCentral {
@@ -586,8 +392,8 @@ impl DaemonSpec {
 
     /// The fairness assumptions at least as strong as this daemon's own:
     /// the set of self-stabilization verdicts meaningful under it. For the
-    /// unfair legacy points this is every assumption, which is the checker
-    /// default.
+    /// named points, all unfair, this is every assumption, which is the
+    /// checker default.
     pub fn implied_verdicts(&self) -> FairnessSet {
         Fairness::ALL
             .into_iter()
@@ -596,8 +402,7 @@ impl DaemonSpec {
     }
 
     /// Enumerates every activation this lattice point allows given the
-    /// enabled set. On the four legacy points this reproduces
-    /// [`Daemon::activations`] exactly — same activations, same order.
+    /// enabled set, in ascending subset-mask order.
     ///
     /// Returns an empty vector when `enabled` is empty (terminal
     /// configuration — no step exists).
@@ -617,8 +422,7 @@ impl DaemonSpec {
         match self.distribution {
             Distribution::Synchronous => Ok(vec![Activation::new(enabled.to_vec())]),
             // k = 1: singletons trivially satisfy every spacing constraint,
-            // and the direct path has no enumeration cap (like the legacy
-            // central daemon).
+            // and the direct path has no enumeration cap.
             Distribution::KCentral { k: Some(1), .. } => {
                 Ok(enabled.iter().map(|&v| Activation::singleton(v)).collect())
             }
@@ -630,10 +434,10 @@ impl DaemonSpec {
     }
 
     /// Samples an activation according to the randomized scheduler of
-    /// Definition 6. On the four legacy points this consumes the random
-    /// stream exactly as [`Daemon::sample`] does, so seeded simulations are
-    /// reproducible across the enum/lattice boundary.
+    /// Definition 6.
     ///
+    /// Central, distributed and synchronous sampling is exactly uniform
+    /// and allocation-light even for thousands of enabled processes.
     /// Constrained points (`k` finite and above 1, or a positive radius)
     /// use rejection sampling with a singleton fallback after 64 failures;
     /// every allowed activation keeps strictly positive probability, which
@@ -687,48 +491,6 @@ impl DaemonSpec {
             }
         }
     }
-
-    /// Number of activations this point allows for the given enabled set
-    /// (constrained points are counted by enumeration).
-    pub fn activation_count(&self, graph: &Graph, enabled: &[NodeId]) -> u128 {
-        // lint: cast-ok(enabled sets are bounded by the node count, far below u32)
-        let n = enabled.len() as u32;
-        if n == 0 {
-            return 0;
-        }
-        match self.distribution {
-            Distribution::Synchronous => 1,
-            Distribution::KCentral { k: Some(1), .. } => u128::from(n),
-            Distribution::KCentral { k: None, radius: 0 } => (1u128 << n) - 1,
-            Distribution::KCentral { .. } => self
-                .activations(graph, enabled)
-                .map(|v| v.len() as u128)
-                .unwrap_or(0),
-        }
-    }
-}
-
-impl From<Daemon> for DaemonSpec {
-    fn from(d: Daemon) -> Self {
-        match d {
-            Daemon::Central => DaemonSpec::central(),
-            Daemon::Distributed => DaemonSpec::distributed(),
-            Daemon::Synchronous => DaemonSpec::synchronous(),
-            Daemon::LocallyCentral => DaemonSpec::locally_central(),
-        }
-    }
-}
-
-impl PartialEq<Daemon> for DaemonSpec {
-    fn eq(&self, other: &Daemon) -> bool {
-        self.legacy() == Some(*other)
-    }
-}
-
-impl PartialEq<DaemonSpec> for Daemon {
-    fn eq(&self, other: &DaemonSpec) -> bool {
-        other.legacy() == Some(*self)
-    }
 }
 
 impl fmt::Display for DaemonSpec {
@@ -737,8 +499,8 @@ impl fmt::Display for DaemonSpec {
     }
 }
 
-/// Enumerates the non-empty subsets of `enabled` passing `keep`, in the
-/// mask order both the legacy daemons and the lattice points share.
+/// Enumerates the non-empty subsets of `enabled` passing `keep`, in
+/// ascending mask order.
 fn subsets(
     enabled: &[NodeId],
     keep: impl Fn(&[NodeId]) -> bool,
@@ -850,7 +612,9 @@ mod tests {
     #[test]
     fn central_daemon_enumerates_singletons() {
         let g = builders::path(4);
-        let acts = Daemon::Central.activations(&g, &nodes(&[0, 2])).unwrap();
+        let acts = DaemonSpec::central()
+            .activations(&g, &nodes(&[0, 2]))
+            .unwrap();
         assert_eq!(acts.len(), 2);
         assert!(acts.iter().all(|a| a.len() == 1));
     }
@@ -858,7 +622,7 @@ mod tests {
     #[test]
     fn synchronous_daemon_has_single_choice() {
         let g = builders::path(4);
-        let acts = Daemon::Synchronous
+        let acts = DaemonSpec::synchronous()
             .activations(&g, &nodes(&[0, 1, 3]))
             .unwrap();
         assert_eq!(acts.len(), 1);
@@ -868,7 +632,7 @@ mod tests {
     #[test]
     fn distributed_daemon_enumerates_all_nonempty_subsets() {
         let g = builders::path(5);
-        let acts = Daemon::Distributed
+        let acts = DaemonSpec::distributed()
             .activations(&g, &nodes(&[0, 1, 2]))
             .unwrap();
         assert_eq!(acts.len(), 7); // 2^3 - 1
@@ -880,7 +644,7 @@ mod tests {
     fn locally_central_excludes_adjacent_pairs() {
         let g = builders::path(3);
         // Nodes 0 and 1 are adjacent; 0 and 2 are not.
-        let acts = Daemon::LocallyCentral
+        let acts = DaemonSpec::locally_central()
             .activations(&g, &nodes(&[0, 1, 2]))
             .unwrap();
         // Allowed: {0}, {1}, {2}, {0,2}. Forbidden: {0,1}, {1,2}, {0,1,2}.
@@ -892,12 +656,8 @@ mod tests {
     #[test]
     fn empty_enabled_set_has_no_activations() {
         let g = builders::path(3);
-        for d in Daemon::ALL {
+        for d in DaemonSpec::LEGACY {
             assert!(d.activations(&g, &[]).unwrap().is_empty());
-            assert_eq!(d.activation_count(&g, &[]), 0);
-            let spec = DaemonSpec::from(d);
-            assert!(spec.activations(&g, &[]).unwrap().is_empty());
-            assert_eq!(spec.activation_count(&g, &[]), 0);
         }
     }
 
@@ -905,7 +665,9 @@ mod tests {
     fn distributed_enumeration_cap() {
         let g = builders::ring(30);
         let enabled: Vec<NodeId> = g.nodes().collect();
-        let err = Daemon::Distributed.activations(&g, &enabled).unwrap_err();
+        let err = DaemonSpec::distributed()
+            .activations(&g, &enabled)
+            .unwrap_err();
         assert_eq!(
             err,
             CoreError::TooManyEnabled {
@@ -913,11 +675,7 @@ mod tests {
                 cap: DISTRIBUTED_ENUM_CAP
             }
         );
-        let err = DaemonSpec::distributed()
-            .activations(&g, &enabled)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::TooManyEnabled { enabled: 30, .. }));
-        // The central point has no cap, like the legacy enum.
+        // The central point enumerates singletons directly, with no cap.
         assert_eq!(
             DaemonSpec::central()
                 .activations(&g, &enabled)
@@ -928,27 +686,18 @@ mod tests {
     }
 
     #[test]
-    fn activation_counts_match_enumeration() {
-        let g = builders::ring(5);
-        let enabled = nodes(&[0, 1, 3]);
-        for d in Daemon::ALL {
-            let count = d.activation_count(&g, &enabled);
-            let enumerated = d.activations(&g, &enabled).unwrap().len() as u128;
-            assert_eq!(count, enumerated, "daemon {d}");
-        }
-    }
-
-    #[test]
     fn sampling_respects_daemon_shape() {
         let g = builders::ring(6);
         let enabled = nodes(&[0, 2, 4]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         for _ in 0..100 {
-            assert_eq!(Daemon::Central.sample(&g, &enabled, &mut rng).len(), 1);
-            assert_eq!(Daemon::Synchronous.sample(&g, &enabled, &mut rng).len(), 3);
-            let d = Daemon::Distributed.sample(&g, &enabled, &mut rng);
+            let central = DaemonSpec::central().sample(&g, &enabled, &mut rng);
+            assert_eq!(central.len(), 1);
+            let sync = DaemonSpec::synchronous().sample(&g, &enabled, &mut rng);
+            assert_eq!(sync.len(), 3);
+            let d = DaemonSpec::distributed().sample(&g, &enabled, &mut rng);
             assert!(!d.nodes().is_empty() && d.len() <= 3);
-            let lc = Daemon::LocallyCentral.sample(&g, &enabled, &mut rng);
+            let lc = DaemonSpec::locally_central().sample(&g, &enabled, &mut rng);
             assert!(is_independent(&g, lc.nodes()));
         }
     }
@@ -963,7 +712,7 @@ mod tests {
         let trials = 14_000;
         for _ in 0..trials {
             *counts
-                .entry(Daemon::Distributed.sample(&g, &enabled, &mut rng))
+                .entry(DaemonSpec::distributed().sample(&g, &enabled, &mut rng))
                 .or_default() += 1;
         }
         assert_eq!(counts.len(), 7);
@@ -981,49 +730,16 @@ mod tests {
     fn sampling_empty_enabled_panics() {
         let g = builders::path(3);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let _ = Daemon::Central.sample(&g, &[], &mut rng);
+        let _ = DaemonSpec::central().sample(&g, &[], &mut rng);
     }
 
     #[test]
     fn daemon_names_are_stable() {
-        assert_eq!(Daemon::Central.to_string(), "central");
-        assert_eq!(Daemon::Distributed.to_string(), "distributed");
-        assert_eq!(Daemon::Synchronous.to_string(), "synchronous");
-        assert_eq!(Daemon::LocallyCentral.to_string(), "locally-central");
-        // The lattice points reuse the legacy names verbatim, so report
-        // strings and run fingerprints are stable across the encoding.
-        for d in Daemon::ALL {
-            assert_eq!(DaemonSpec::from(d).to_string(), d.to_string());
-        }
-    }
-
-    #[test]
-    fn lattice_points_match_legacy_enumeration() {
-        let g = builders::ring(6);
-        let enabled = nodes(&[0, 1, 3, 4]);
-        for d in Daemon::ALL {
-            let legacy = d.activations(&g, &enabled).unwrap();
-            let lattice = DaemonSpec::from(d).activations(&g, &enabled).unwrap();
-            assert_eq!(legacy, lattice, "daemon {d}: order and support");
-        }
-    }
-
-    #[test]
-    fn lattice_points_match_legacy_sampling_streams() {
-        let g = builders::ring(6);
-        let enabled = nodes(&[0, 1, 3, 4]);
-        for d in Daemon::ALL {
-            let spec = DaemonSpec::from(d);
-            let mut r1 = rand::rngs::StdRng::seed_from_u64(7);
-            let mut r2 = rand::rngs::StdRng::seed_from_u64(7);
-            for _ in 0..200 {
-                assert_eq!(
-                    d.sample(&g, &enabled, &mut r1),
-                    spec.sample(&g, &enabled, &mut r2),
-                    "daemon {d}"
-                );
-            }
-        }
+        // Report strings and run fingerprints depend on these names.
+        assert_eq!(DaemonSpec::central().to_string(), "central");
+        assert_eq!(DaemonSpec::distributed().to_string(), "distributed");
+        assert_eq!(DaemonSpec::synchronous().to_string(), "synchronous");
+        assert_eq!(DaemonSpec::locally_central().to_string(), "locally-central");
     }
 
     #[test]
@@ -1041,7 +757,6 @@ mod tests {
         // C(4,1) + C(4,2) = 4 + 6.
         assert_eq!(acts.len(), 10);
         assert!(acts.iter().all(|a| a.len() <= 2));
-        assert_eq!(two_central.activation_count(&g, &enabled), 10);
     }
 
     #[test]
@@ -1103,19 +818,6 @@ mod tests {
         assert!(set.contains(Fairness::WeaklyFair));
         assert!(set.contains(Fairness::StronglyFair));
         assert!(set.contains(Fairness::Gouda));
-    }
-
-    #[test]
-    fn legacy_equality_bridges_enum_and_spec() {
-        for d in Daemon::ALL {
-            assert_eq!(DaemonSpec::from(d), d);
-            assert_eq!(d, DaemonSpec::from(d));
-        }
-        assert_ne!(DaemonSpec::central(), Daemon::Distributed);
-        let off_lattice = DaemonSpec::distributed().with_fairness(Fairness::Gouda);
-        for d in Daemon::ALL {
-            assert_ne!(off_lattice, d);
-        }
     }
 
     #[test]

@@ -120,15 +120,13 @@ pub fn deterministic_successor<A: Algorithm>(
 
 /// Samples one step under the randomized form of `daemon` (Definition 6):
 /// samples an activation uniformly, then samples each activated process's
-/// outcome. Returns `None` if `cfg` is terminal. Accepts any lattice point
-/// (`DaemonSpec` or a legacy `Daemon` value).
+/// outcome. Returns `None` if `cfg` is terminal.
 pub fn sample_step<A: Algorithm, R: Rng + ?Sized>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     cfg: &Configuration<A::State>,
     rng: &mut R,
 ) -> Option<(Activation, Configuration<A::State>)> {
-    let daemon = daemon.into();
     let enabled = alg.enabled_nodes(cfg);
     if enabled.is_empty() {
         return None;
@@ -149,8 +147,7 @@ pub fn sample_step<A: Algorithm, R: Rng + ?Sized>(
 
 /// Every step the enumerated `daemon` allows from `cfg`: one entry per
 /// activation, each carrying its successor distribution. Terminal
-/// configurations yield an empty vector. Accepts any lattice point
-/// (`DaemonSpec` or a legacy `Daemon` value).
+/// configurations yield an empty vector.
 ///
 /// # Errors
 ///
@@ -158,10 +155,9 @@ pub fn sample_step<A: Algorithm, R: Rng + ?Sized>(
 /// enumeration.
 pub fn all_steps<A: Algorithm>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     cfg: &Configuration<A::State>,
 ) -> Result<Vec<Step<A::State>>, CoreError> {
-    let daemon = daemon.into();
     let enabled = alg.enabled_nodes(cfg);
     let activations = daemon.activations(alg.graph(), &enabled)?;
     Ok(activations
@@ -218,7 +214,7 @@ mod tests {
     use crate::action::{ActionId, ActionMask};
     use crate::algorithm::test_support::Infection;
     use crate::outcome::Outcomes;
-    use crate::scheduler::Daemon;
+    use crate::scheduler::DaemonSpec;
     use crate::view::View;
     use rand::SeedableRng;
     use stab_graph::{builders, Graph};
@@ -356,11 +352,11 @@ mod tests {
         let a = infection();
         let cfg = Configuration::from_vec(vec![1, 0, 1, 0]);
         // Enabled: nodes 1 and 3.
-        let steps = all_steps(&a, Daemon::Distributed, &cfg).unwrap();
+        let steps = all_steps(&a, DaemonSpec::distributed(), &cfg).unwrap();
         assert_eq!(steps.len(), 3); // {1}, {3}, {1,3}
-        let steps = all_steps(&a, Daemon::Central, &cfg).unwrap();
+        let steps = all_steps(&a, DaemonSpec::central(), &cfg).unwrap();
         assert_eq!(steps.len(), 2);
-        let steps = all_steps(&a, Daemon::Synchronous, &cfg).unwrap();
+        let steps = all_steps(&a, DaemonSpec::synchronous(), &cfg).unwrap();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].1[0].1.states(), &[1, 1, 1, 1]);
     }
@@ -369,10 +365,12 @@ mod tests {
     fn terminal_configuration_has_no_steps() {
         let a = infection();
         let cfg = Configuration::from_vec(vec![0, 0, 0, 0]);
-        assert!(all_steps(&a, Daemon::Distributed, &cfg).unwrap().is_empty());
+        assert!(all_steps(&a, DaemonSpec::distributed(), &cfg)
+            .unwrap()
+            .is_empty());
         assert!(synchronous_step(&a, &cfg).is_none());
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        assert!(sample_step(&a, Daemon::Central, &cfg, &mut rng).is_none());
+        assert!(sample_step(&a, DaemonSpec::central(), &cfg, &mut rng).is_none());
     }
 
     #[test]
@@ -381,7 +379,7 @@ mod tests {
         let mut cfg = Configuration::from_vec(vec![1, 0, 0, 0]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let mut steps = 0;
-        while let Some((_, next)) = sample_step(&a, Daemon::Central, &cfg, &mut rng) {
+        while let Some((_, next)) = sample_step(&a, DaemonSpec::central(), &cfg, &mut rng) {
             cfg = next;
             steps += 1;
             assert!(steps <= 3, "infection on a 4-path needs at most 3 steps");

@@ -1,14 +1,15 @@
 //! Property-test battery for the daemon lattice (`stab_core::DaemonSpec`):
 //! enumeration/sampling agreement, refinement-order laws, semantic
-//! soundness of refinement (activation inclusion), and lossless
-//! round-tripping of the paper's four daemons through the lattice
-//! encoding — on randomly drawn lattice points, graphs and enabled sets.
+//! soundness of refinement (activation inclusion) on randomly drawn
+//! lattice points, graphs and enabled sets — and, on the paper's four
+//! named points, agreement with an independent pre-lattice reference
+//! implementation of their enumeration and sampling.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use stab_core::{Activation, Boundedness, Daemon, DaemonSpec, Distribution, Fairness};
+use stab_core::{Activation, Boundedness, DaemonSpec, Distribution, Fairness};
 use stab_graph::{builders, Graph, NodeId};
 
 /// Random lattice point: any distribution × fairness × boundedness
@@ -106,7 +107,7 @@ proptest! {
 
     /// `activations()` is exactly the brute-force filter of all non-empty
     /// enabled subsets by the distribution's independently written
-    /// predicate, and `activation_count()` agrees with its length.
+    /// predicate.
     #[test]
     fn enumeration_matches_the_predicate(
         spec in any_spec(),
@@ -135,7 +136,6 @@ proptest! {
                 "membership mismatch for {:?}", cand
             );
         }
-        prop_assert_eq!(spec.activation_count(&g, &enabled), acts.len() as u128);
     }
 
     /// Every sampled activation is one of the enumerated ones, and on
@@ -230,54 +230,147 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The four legacy points (deterministic, not property-based)
+// The four named points (deterministic, not property-based)
 // ---------------------------------------------------------------------
 
-/// `Daemon → DaemonSpec → Daemon` is the identity, names are preserved,
-/// and the legacy points are pairwise distinct lattice points.
-#[test]
-fn legacy_points_round_trip() {
-    for d in Daemon::ALL {
-        let spec = DaemonSpec::from(d);
-        assert_eq!(spec.legacy(), Some(d), "{d} round trip");
-        assert_eq!(spec.name(), d.name(), "{d} name");
-        assert_eq!(spec, d, "{d} PartialEq<Daemon>");
-        assert_eq!(d.spec(), spec, "{d} Daemon::spec agrees with From");
+/// The paper's four daemons as they were written before the lattice:
+/// the independent reference that [`DaemonSpec`]'s enumeration and
+/// sampling must reproduce on the named points.
+#[derive(Clone, Copy, Debug)]
+enum Daemon {
+    Central,
+    Distributed,
+    Synchronous,
+    LocallyCentral,
+}
+
+/// Each reference daemon next to the lattice point that names it.
+const NAMED: [(Daemon, DaemonSpec); 4] = [
+    (Daemon::Central, DaemonSpec::central()),
+    (Daemon::Distributed, DaemonSpec::distributed()),
+    (Daemon::Synchronous, DaemonSpec::synchronous()),
+    (Daemon::LocallyCentral, DaemonSpec::locally_central()),
+];
+
+/// Whether no two of `nodes` are adjacent in `g`.
+fn independent(g: &Graph, nodes: &[NodeId]) -> bool {
+    nodes
+        .iter()
+        .enumerate()
+        .all(|(i, &a)| nodes[i + 1..].iter().all(|&b| !g.are_adjacent(a, b)))
+}
+
+/// Reference enumeration: every activation `d` allows, in ascending
+/// subset-mask order.
+fn reference_activations(d: Daemon, g: &Graph, enabled: &[NodeId]) -> Vec<Activation> {
+    if enabled.is_empty() {
+        return Vec::new();
     }
-    for (i, a) in DaemonSpec::LEGACY.iter().enumerate() {
-        for b in &DaemonSpec::LEGACY[i + 1..] {
-            assert_ne!(a, b, "legacy points are distinct");
+    let subsets = |keep: &dyn Fn(&[NodeId]) -> bool| -> Vec<Activation> {
+        (1usize..1 << enabled.len())
+            .map(|m| subset(enabled, m))
+            .filter(|nodes| keep(nodes))
+            .map(Activation::new)
+            .collect()
+    };
+    match d {
+        Daemon::Central => enabled.iter().map(|&v| Activation::singleton(v)).collect(),
+        Daemon::Synchronous => vec![Activation::new(enabled.to_vec())],
+        Daemon::Distributed => subsets(&|_| true),
+        Daemon::LocallyCentral => subsets(&|nodes| independent(g, nodes)),
+    }
+}
+
+/// Reference sampler (Definition 6): uniform singletons, uniform
+/// non-empty subsets by per-process coin flips, the full enabled set, and
+/// rejection sampling of independent subsets with a singleton fallback
+/// after 64 failures.
+fn reference_sample(d: Daemon, g: &Graph, enabled: &[NodeId], rng: &mut StdRng) -> Activation {
+    let coin_subset = |rng: &mut StdRng| -> Vec<NodeId> {
+        enabled
+            .iter()
+            .copied()
+            .filter(|_| rng.random::<bool>())
+            .collect()
+    };
+    match d {
+        Daemon::Central => Activation::singleton(enabled[rng.random_range(0..enabled.len())]),
+        Daemon::Synchronous => Activation::new(enabled.to_vec()),
+        Daemon::Distributed => loop {
+            let nodes = coin_subset(rng);
+            if !nodes.is_empty() {
+                return Activation::new(nodes);
+            }
+        },
+        Daemon::LocallyCentral => {
+            for _ in 0..64 {
+                let nodes = coin_subset(rng);
+                if !nodes.is_empty() && independent(g, &nodes) {
+                    return Activation::new(nodes);
+                }
+            }
+            Activation::singleton(enabled[rng.random_range(0..enabled.len())])
         }
     }
 }
 
-/// On the legacy points, the lattice enumeration reproduces the enum
+/// The named points keep the names that report strings and run
+/// fingerprints are built from, and are pairwise distinct lattice points.
+#[test]
+fn named_points_keep_their_names() {
+    let names: Vec<String> = DaemonSpec::LEGACY.iter().map(DaemonSpec::name).collect();
+    assert_eq!(
+        names,
+        ["central", "distributed", "synchronous", "locally-central"]
+    );
+    for (i, a) in DaemonSpec::LEGACY.iter().enumerate() {
+        for b in &DaemonSpec::LEGACY[i + 1..] {
+            assert_ne!(a, b, "named points are distinct");
+        }
+    }
+    assert_eq!(DaemonSpec::LEGACY, NAMED.map(|(_, spec)| spec));
+}
+
+/// On the named points, the lattice enumeration reproduces the reference
 /// enumeration exactly — same activations in the same order — and seeded
-/// sampling consumes the random stream identically.
+/// sampling consumes the random stream identically, draw after draw.
 #[test]
 fn legacy_points_enumerate_and_sample_identically() {
     for g in [builders::ring(5), builders::path(4), builders::star(5)] {
         let all: Vec<NodeId> = g.nodes().collect();
-        for d in Daemon::ALL {
-            let spec = DaemonSpec::from(d);
+        for (d, spec) in NAMED {
+            assert!(spec.activations(&g, &[]).unwrap().is_empty());
             for mask in 1usize..1 << all.len().min(5) {
                 let enabled = subset(&all, mask);
-                assert_eq!(
-                    spec.activations(&g, &enabled).unwrap(),
-                    d.activations(&g, &enabled).unwrap(),
-                    "{d} activations on {enabled:?}"
-                );
-                assert_eq!(
-                    spec.activation_count(&g, &enabled),
-                    d.activation_count(&g, &enabled),
-                    "{d} count on {enabled:?}"
-                );
-                for seed in 0..8u64 {
-                    let a = spec.sample(&g, &enabled, &mut StdRng::seed_from_u64(seed));
-                    let b = d.sample(&g, &enabled, &mut StdRng::seed_from_u64(seed));
-                    assert_eq!(a, b, "{d} sample @ seed {seed} on {enabled:?}");
-                }
+                assert_same_activations_and_stream(d, spec, &g, &enabled);
             }
+        }
+    }
+    // On K12 with every process enabled only 12 of the 4095 subsets are
+    // independent, so most locally-central draws end in the singleton
+    // fallback, which the small graphs above almost never reach.
+    let k12 = builders::complete(12);
+    let all: Vec<NodeId> = k12.nodes().collect();
+    for (d, spec) in NAMED {
+        assert_same_activations_and_stream(d, spec, &k12, &all);
+    }
+}
+
+fn assert_same_activations_and_stream(d: Daemon, spec: DaemonSpec, g: &Graph, enabled: &[NodeId]) {
+    assert_eq!(
+        spec.activations(g, enabled).unwrap(),
+        reference_activations(d, g, enabled),
+        "{spec} activations on {enabled:?}"
+    );
+    for seed in 0..8u64 {
+        let mut r1 = StdRng::seed_from_u64(seed);
+        let mut r2 = StdRng::seed_from_u64(seed);
+        for draw in 0..25 {
+            assert_eq!(
+                spec.sample(g, enabled, &mut r1),
+                reference_sample(d, g, enabled, &mut r2),
+                "{spec} draw {draw} @ seed {seed} on {enabled:?}"
+            );
         }
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 use stab_core::{
-    semantics, ActionId, ActionMask, Activation, Algorithm, Configuration, Daemon, Outcomes,
+    semantics, ActionId, ActionMask, Activation, Algorithm, Configuration, DaemonSpec, Outcomes,
     SpaceIndexer, Transformed, View,
 };
 use stab_graph::{builders, Graph, NodeId};
@@ -94,14 +94,14 @@ proptest! {
     fn daemon_activation_counts(k in 1usize..8) {
         let g = builders::complete(10);
         let enabled: Vec<NodeId> = (0..k).map(NodeId::new).collect();
-        let central = Daemon::Central.activations(&g, &enabled).unwrap();
+        let central = DaemonSpec::central().activations(&g, &enabled).unwrap();
         prop_assert_eq!(central.len(), k);
-        let sync = Daemon::Synchronous.activations(&g, &enabled).unwrap();
+        let sync = DaemonSpec::synchronous().activations(&g, &enabled).unwrap();
         prop_assert_eq!(sync.len(), 1);
-        let dist = Daemon::Distributed.activations(&g, &enabled).unwrap();
+        let dist = DaemonSpec::distributed().activations(&g, &enabled).unwrap();
         prop_assert_eq!(dist.len(), (1usize << k) - 1);
         // On a complete graph, locally-central = central (all adjacent).
-        let lc = Daemon::LocallyCentral.activations(&g, &enabled).unwrap();
+        let lc = DaemonSpec::locally_central().activations(&g, &enabled).unwrap();
         prop_assert_eq!(lc.len(), k);
     }
 
@@ -112,16 +112,16 @@ proptest! {
         let g = builders::ring(16);
         let enabled: Vec<NodeId> = (0..k).map(NodeId::new).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for daemon in Daemon::ALL {
+        for daemon in DaemonSpec::LEGACY {
             let act = daemon.sample(&g, &enabled, &mut rng);
             prop_assert!(!act.is_empty());
             for v in act.nodes() {
                 prop_assert!(enabled.contains(v));
             }
-            match daemon {
-                Daemon::Central => prop_assert_eq!(act.len(), 1),
-                Daemon::Synchronous => prop_assert_eq!(act.len(), k),
-                _ => {}
+            if daemon == DaemonSpec::central() {
+                prop_assert_eq!(act.len(), 1);
+            } else if daemon == DaemonSpec::synchronous() {
+                prop_assert_eq!(act.len(), k);
             }
         }
     }
@@ -193,7 +193,7 @@ proptest! {
         let enabled = alg.enabled_nodes(&cfg);
         prop_assume!(!enabled.is_empty());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let act = Daemon::Distributed.sample(alg.graph(), &enabled, &mut rng);
+        let act = DaemonSpec::distributed().sample(alg.graph(), &enabled, &mut rng);
         let dist = semantics::successor_distribution(&alg, &cfg, &act);
         let mass: f64 = dist.iter().map(|(p, _)| p).sum();
         prop_assert!((mass - 1.0).abs() < 1e-9, "mass {}", mass);

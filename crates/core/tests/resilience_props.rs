@@ -15,7 +15,7 @@ use stab_core::engine::{
     Budget, EdgeStoreKind, ExploreOptions, FaultPlan, RunGuard, TransitionSystem,
 };
 use stab_core::{
-    ActionId, ActionMask, Algorithm, Configuration, CoreError, Daemon, Outcomes, Predicate,
+    ActionId, ActionMask, Algorithm, Configuration, CoreError, DaemonSpec, Outcomes, Predicate,
     SpaceIndexer, View,
 };
 use stab_graph::{builders, Graph, NodeId};
@@ -98,7 +98,7 @@ fn opts_for(compressed: bool) -> ExploreOptions<bool> {
 fn checkpointed_run(
     alg: &CopyRing,
     ix: &SpaceIndexer<bool>,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     compressed: bool,
     tag: &str,
 ) -> (PathBuf, u64) {
@@ -137,7 +137,7 @@ proptest! {
     ) {
         let alg = CopyRing::new(n);
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
-        let daemon = Daemon::ALL[daemon_ix % Daemon::ALL.len()];
+        let daemon = DaemonSpec::LEGACY[daemon_ix % DaemonSpec::LEGACY.len()];
         let (dir, digest) = checkpointed_run(&alg, &ix, daemon, compressed, "flip");
 
         let frames = list_frames(&dir);
@@ -177,7 +177,7 @@ proptest! {
     ) {
         let alg = CopyRing::new(n);
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
-        let daemon = Daemon::ALL[daemon_ix % Daemon::ALL.len()];
+        let daemon = DaemonSpec::LEGACY[daemon_ix % DaemonSpec::LEGACY.len()];
         let (dir, digest) = checkpointed_run(&alg, &ix, daemon, compressed, "trunc");
 
         let frames = list_frames(&dir);
@@ -211,7 +211,7 @@ proptest! {
     ) {
         let alg = CopyRing::new(n);
         let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
-        let daemon = Daemon::ALL[daemon_ix % Daemon::ALL.len()];
+        let daemon = DaemonSpec::LEGACY[daemon_ix % DaemonSpec::LEGACY.len()];
         let spec = agreement();
         let opts = opts_for(compressed);
         let plain = TransitionSystem::explore_with(&alg, &ix, daemon, &spec, &opts)

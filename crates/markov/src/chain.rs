@@ -92,12 +92,7 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// # Errors
     ///
     /// Propagates enumeration errors ([`MarkovError::Core`]).
-    pub fn build<A, L>(
-        alg: &A,
-        daemon: impl Into<DaemonSpec>,
-        spec: &L,
-        cap: u64,
-    ) -> Result<Self, MarkovError>
+    pub fn build<A, L>(alg: &A, daemon: DaemonSpec, spec: &L, cap: u64) -> Result<Self, MarkovError>
     where
         A: Algorithm<State = S> + Sync,
         L: Legitimacy<S> + Sync,
@@ -117,15 +112,15 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// ```
     /// use stab_algorithms::HermanRing;
     /// use stab_core::engine::ExploreOptions;
-    /// use stab_core::Daemon;
+    /// use stab_core::DaemonSpec;
     /// use stab_graph::builders;
     /// use stab_markov::AbsorbingChain;
     ///
     /// let alg = HermanRing::on_ring(&builders::ring(5)).unwrap();
     /// let spec = alg.legitimacy();
     /// let opts = ExploreOptions::full().with_ring_quotient();
-    /// let quotient =
-    ///     AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, 1 << 20, &opts).unwrap();
+    /// let daemon = DaemonSpec::synchronous();
+    /// let quotient = AbsorbingChain::build_with(&alg, daemon, &spec, 1 << 20, &opts).unwrap();
     /// // The lumped chain is exactly stochastic and absorbs almost surely.
     /// assert!(quotient.validate_stochastic());
     /// assert!(quotient.almost_surely_absorbing().is_ok());
@@ -135,7 +130,7 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// ```
     pub fn build_with<A, L>(
         alg: &A,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         spec: &L,
         cap: u64,
         opts: &ExploreOptions<S>,
@@ -145,7 +140,6 @@ impl<S: LocalState> AbsorbingChain<S> {
         L: Legitimacy<S> + Sync,
         S: Sync,
     {
-        let daemon = daemon.into();
         let indexer = SpaceIndexer::new(alg, cap)?;
         let ts = TransitionSystem::explore_with(alg, &indexer, daemon, spec, opts)?;
         Ok(Self::from_transition_system(indexer, daemon, &ts))
@@ -160,10 +154,9 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// afterwards.
     pub fn from_transition_system(
         indexer: SpaceIndexer<S>,
-        daemon: impl Into<DaemonSpec>,
+        daemon: DaemonSpec,
         ts: &TransitionSystem,
     ) -> Self {
-        let daemon = daemon.into();
         let total = ts.n_configs();
         let dense = ts.traversal() == stab_core::engine::TraversalMode::Full
             && ts.quotient() == stab_core::engine::Quotient::None;
@@ -397,14 +390,14 @@ impl<S: LocalState> AbsorbingChain<S> {
 mod tests {
     use super::*;
     use stab_algorithms::{HermanRing, TokenCirculation, TwoProcessToggle};
-    use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+    use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
     use stab_graph::builders;
 
     #[test]
     fn toggle_under_distributed_daemon() {
         let a = TwoProcessToggle::new();
         let chain =
-            AbsorbingChain::build(&a, Daemon::Distributed, &a.legitimacy(), 1 << 12).unwrap();
+            AbsorbingChain::build(&a, DaemonSpec::distributed(), &a.legitimacy(), 1 << 12).unwrap();
         assert_eq!(chain.n_configs(), 4);
         assert_eq!(chain.n_transient(), 3);
         assert!(chain.validate_stochastic());
@@ -419,7 +412,8 @@ mod tests {
     #[test]
     fn toggle_under_central_daemon_is_not_absorbing() {
         let a = TwoProcessToggle::new();
-        let chain = AbsorbingChain::build(&a, Daemon::Central, &a.legitimacy(), 1 << 12).unwrap();
+        let chain =
+            AbsorbingChain::build(&a, DaemonSpec::central(), &a.legitimacy(), 1 << 12).unwrap();
         assert!(matches!(
             chain.almost_surely_absorbing(),
             Err(MarkovError::NotAbsorbing { .. })
@@ -430,7 +424,7 @@ mod tests {
     fn transformed_toggle_under_synchronous_is_absorbing() {
         let a = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let chain = AbsorbingChain::build(&a, Daemon::Synchronous, &spec, 1 << 12).unwrap();
+        let chain = AbsorbingChain::build(&a, DaemonSpec::synchronous(), &spec, 1 << 12).unwrap();
         // 16 coined configurations, 4 of which project to (T,T).
         assert_eq!(chain.n_configs(), 16);
         assert_eq!(chain.n_transient(), 12);
@@ -442,7 +436,7 @@ mod tests {
     fn herman_synchronous_chain() {
         let a = HermanRing::on_ring(&builders::ring(3)).unwrap();
         let chain =
-            AbsorbingChain::build(&a, Daemon::Synchronous, &a.legitimacy(), 1 << 12).unwrap();
+            AbsorbingChain::build(&a, DaemonSpec::synchronous(), &a.legitimacy(), 1 << 12).unwrap();
         assert_eq!(chain.n_configs(), 8);
         // Legitimate: exactly one token = 6 configurations (3 positions × 2
         // bit patterns each); transient: the two uniform configurations.
@@ -454,7 +448,8 @@ mod tests {
     #[test]
     fn token_ring_under_central_daemon() {
         let a = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
-        let chain = AbsorbingChain::build(&a, Daemon::Central, &a.legitimacy(), 1 << 20).unwrap();
+        let chain =
+            AbsorbingChain::build(&a, DaemonSpec::central(), &a.legitimacy(), 1 << 20).unwrap();
         assert_eq!(chain.n_configs(), 81); // m=3, N=4
         assert!(chain.validate_stochastic());
         assert!(chain.almost_surely_absorbing().is_ok());
@@ -467,7 +462,7 @@ mod tests {
     fn q_rows_are_sorted_and_positive() {
         let a = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let chain = AbsorbingChain::build(&a, Daemon::Distributed, &spec, 1 << 12).unwrap();
+        let chain = AbsorbingChain::build(&a, DaemonSpec::distributed(), &spec, 1 << 12).unwrap();
         for i in 0..chain.q().n_rows() {
             let row = chain.q().row_vec(i);
             for w in row.windows(2) {

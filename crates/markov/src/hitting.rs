@@ -303,7 +303,7 @@ impl<S: LocalState> AbsorbingChain<S> {
 mod tests {
     use super::*;
     use stab_algorithms::{DijkstraRing, HermanRing, TokenCirculation, TwoProcessToggle};
-    use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+    use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
     use stab_graph::builders;
 
     /// Trans(Algorithm 3) under the synchronous daemon, solved by hand on
@@ -317,7 +317,7 @@ mod tests {
     fn transformed_toggle_exact_times() {
         let a = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let chain = AbsorbingChain::build(&a, Daemon::Synchronous, &spec, 1 << 12).unwrap();
+        let chain = AbsorbingChain::build(&a, DaemonSpec::synchronous(), &spec, 1 << 12).unwrap();
         let times = chain.expected_steps().unwrap();
         // From any coined configuration projecting to (F,F):
         let ff = Transformed::<TwoProcessToggle>::lift(
@@ -344,7 +344,7 @@ mod tests {
     fn absorption_probabilities_are_one_for_transformed_systems() {
         let a = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        for daemon in [Daemon::Synchronous, Daemon::Distributed] {
+        for daemon in [DaemonSpec::synchronous(), DaemonSpec::distributed()] {
             let chain = AbsorbingChain::build(&a, daemon, &spec, 1 << 12).unwrap();
             let probs = chain.absorption_probabilities().unwrap();
             for (i, p) in probs.iter().enumerate() {
@@ -355,7 +355,7 @@ mod tests {
                 );
             }
         }
-        let central = AbsorbingChain::build(&a, Daemon::Central, &spec, 1 << 12).unwrap();
+        let central = AbsorbingChain::build(&a, DaemonSpec::central(), &spec, 1 << 12).unwrap();
         let probs = central.absorption_probabilities().unwrap();
         assert!(
             probs.iter().any(|p| *p < 1e-9),
@@ -367,7 +367,7 @@ mod tests {
     fn herman3_expected_times_are_finite_and_positive() {
         let a = HermanRing::on_ring(&builders::ring(3)).unwrap();
         let chain =
-            AbsorbingChain::build(&a, Daemon::Synchronous, &a.legitimacy(), 1 << 12).unwrap();
+            AbsorbingChain::build(&a, DaemonSpec::synchronous(), &a.legitimacy(), 1 << 12).unwrap();
         let times = chain.expected_steps().unwrap();
         // The two transient states are the uniform configurations, where
         // all three tokens coexist; each process flips a fair coin, and the
@@ -382,7 +382,8 @@ mod tests {
     #[test]
     fn dijkstra_central_times_match_dense_and_sparse() {
         let a = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
-        let chain = AbsorbingChain::build(&a, Daemon::Central, &a.legitimacy(), 1 << 20).unwrap();
+        let chain =
+            AbsorbingChain::build(&a, DaemonSpec::central(), &a.legitimacy(), 1 << 20).unwrap();
         let times = chain.expected_steps().unwrap();
         // Cross-validate dense against Gauss–Seidel on the same rows.
         let n = chain.n_transient();
@@ -402,7 +403,7 @@ mod tests {
         let base = TokenCirculation::on_ring(&builders::ring(3)).unwrap();
         let spec = ProjectedLegitimacy::new(base.legitimacy());
         let a = Transformed::new(TokenCirculation::on_ring(&builders::ring(3)).unwrap());
-        let chain = AbsorbingChain::build(&a, Daemon::Distributed, &spec, 1 << 20).unwrap();
+        let chain = AbsorbingChain::build(&a, DaemonSpec::distributed(), &spec, 1 << 20).unwrap();
         let times = chain.expected_steps().unwrap();
         assert!(times.worst_case().is_finite());
         assert!(times.worst_case() > 0.0);
@@ -412,7 +413,7 @@ mod tests {
     fn cdf_is_monotone_and_approaches_one() {
         let a = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let chain = AbsorbingChain::build(&a, Daemon::Synchronous, &spec, 1 << 12).unwrap();
+        let chain = AbsorbingChain::build(&a, DaemonSpec::synchronous(), &spec, 1 << 12).unwrap();
         let cdf = chain.hitting_cdf_uniform(200);
         for w in cdf.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "CDF must be monotone");
@@ -431,7 +432,7 @@ mod tests {
     fn budgeted_solves_degrade_or_match_unlimited() {
         let a = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let chain = AbsorbingChain::build(&a, Daemon::Synchronous, &spec, 1 << 12).unwrap();
+        let chain = AbsorbingChain::build(&a, DaemonSpec::synchronous(), &spec, 1 << 12).unwrap();
         let expired = Budget::unlimited().with_wall_time(std::time::Duration::ZERO);
         assert!(matches!(
             chain.expected_steps_with(&expired),
@@ -453,7 +454,8 @@ mod tests {
     #[test]
     fn non_absorbing_chain_reports_error() {
         let a = TwoProcessToggle::new();
-        let chain = AbsorbingChain::build(&a, Daemon::Central, &a.legitimacy(), 1 << 12).unwrap();
+        let chain =
+            AbsorbingChain::build(&a, DaemonSpec::central(), &a.legitimacy(), 1 << 12).unwrap();
         assert!(matches!(
             chain.expected_steps(),
             Err(MarkovError::NotAbsorbing { .. })
@@ -465,7 +467,8 @@ mod tests {
         // Central daemon: exactly one move per step, so the two solves
         // coincide state by state.
         let a = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
-        let chain = AbsorbingChain::build(&a, Daemon::Central, &a.legitimacy(), 1 << 20).unwrap();
+        let chain =
+            AbsorbingChain::build(&a, DaemonSpec::central(), &a.legitimacy(), 1 << 20).unwrap();
         let steps = chain.expected_steps().unwrap();
         let moves = chain.expected_moves().unwrap();
         for i in 0..chain.n_transient() {
@@ -477,7 +480,7 @@ mod tests {
     fn expected_moves_exceed_steps_under_synchronous_daemon() {
         let a = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let chain = AbsorbingChain::build(&a, Daemon::Synchronous, &spec, 1 << 12).unwrap();
+        let chain = AbsorbingChain::build(&a, DaemonSpec::synchronous(), &spec, 1 << 12).unwrap();
         let steps = chain.expected_steps().unwrap();
         let moves = chain.expected_moves().unwrap();
         for i in 0..chain.n_transient() {
@@ -490,7 +493,7 @@ mod tests {
     fn unit_reward_recovers_expected_steps() {
         let a = HermanRing::on_ring(&builders::ring(5)).unwrap();
         let chain =
-            AbsorbingChain::build(&a, Daemon::Synchronous, &a.legitimacy(), 1 << 12).unwrap();
+            AbsorbingChain::build(&a, DaemonSpec::synchronous(), &a.legitimacy(), 1 << 12).unwrap();
         let steps = chain.expected_steps().unwrap();
         let unit = chain
             .expected_reward(&vec![1.0; chain.n_transient()])
@@ -505,14 +508,15 @@ mod tests {
     fn reward_length_checked() {
         let a = TwoProcessToggle::new();
         let chain =
-            AbsorbingChain::build(&a, Daemon::Distributed, &a.legitimacy(), 1 << 12).unwrap();
+            AbsorbingChain::build(&a, DaemonSpec::distributed(), &a.legitimacy(), 1 << 12).unwrap();
         let _ = chain.expected_reward(&[1.0]);
     }
 
     #[test]
     fn worst_index_points_at_worst_case() {
         let a = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
-        let chain = AbsorbingChain::build(&a, Daemon::Central, &a.legitimacy(), 1 << 20).unwrap();
+        let chain =
+            AbsorbingChain::build(&a, DaemonSpec::central(), &a.legitimacy(), 1 << 20).unwrap();
         let times = chain.expected_steps().unwrap();
         let worst = times.worst_index().unwrap();
         assert!((times.of_transient(worst) - times.worst_case()).abs() < 1e-12);

@@ -29,14 +29,14 @@
 //!
 //! ```
 //! use stab_algorithms::TwoProcessToggle;
-//! use stab_core::{Daemon, Transformed, ProjectedLegitimacy};
+//! use stab_core::{DaemonSpec, Transformed, ProjectedLegitimacy};
 //! use stab_markov::AbsorbingChain;
 //!
 //! let alg = Transformed::new(TwoProcessToggle::new());
 //! let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
 //! // Theorem 8: under the synchronous scheduler the transformed system is
 //! // probabilistically self-stabilizing — with finite expected time.
-//! let chain = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, 1 << 20).unwrap();
+//! let chain = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, 1 << 20).unwrap();
 //! let times = chain.expected_steps().unwrap();
 //! assert!(times.worst_case() > 0.0);
 //! assert!(times.worst_case().is_finite());

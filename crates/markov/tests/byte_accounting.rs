@@ -8,7 +8,7 @@
 
 use stab_algorithms::HermanRing;
 use stab_core::engine::{EdgeStoreKind, ExploreOptions, TransitionSystem};
-use stab_core::{Daemon, SpaceIndexer};
+use stab_core::{DaemonSpec, SpaceIndexer};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 
@@ -21,16 +21,21 @@ fn figures(kind: EdgeStoreKind) -> Figures {
     let alg = HermanRing::on_ring(&builders::ring(11)).unwrap();
     let ix = SpaceIndexer::new(&alg, CAP).unwrap();
     let opts = ExploreOptions::full().with_edge_store(kind);
-    let ts =
-        TransitionSystem::explore_with(&alg, &ix, Daemon::Synchronous, &alg.legitimacy(), &opts)
-            .unwrap();
+    let ts = TransitionSystem::explore_with(
+        &alg,
+        &ix,
+        DaemonSpec::synchronous(),
+        &alg.legitimacy(),
+        &opts,
+    )
+    .unwrap();
     assert_eq!(ts.edge_store_kind(), kind);
     let explored = [
         ts.edge_bytes(),
         ts.resident_edge_bytes(),
         ts.spilled_edge_bytes(),
     ];
-    let chain = AbsorbingChain::from_transition_system(ix, Daemon::Synchronous, &ts);
+    let chain = AbsorbingChain::from_transition_system(ix, DaemonSpec::synchronous(), &ts);
     let q = chain.q();
     assert_eq!(q.kind(), kind);
     let built = [q.n_entries(), q.q_bytes(), q.resident_q_bytes()];

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use stab_algorithms::{HermanRing, TokenCirculation};
-use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
 use stab_graph::builders;
 use stab_markov::{linalg, AbsorbingChain, QMatrix};
 
@@ -84,7 +84,7 @@ proptest! {
     /// ring sizes and daemons.
     #[test]
     fn generated_chains_are_stochastic(n in 3usize..6, daemon_pick in 0usize..3) {
-        let daemon = [Daemon::Central, Daemon::Distributed, Daemon::Synchronous][daemon_pick];
+        let daemon = DaemonSpec::LEGACY[daemon_pick];
         let alg = Transformed::new(TokenCirculation::on_ring(&builders::ring(n)).unwrap());
         let spec = ProjectedLegitimacy::new(
             TokenCirculation::on_ring(&builders::ring(n)).unwrap().legitimacy(),
@@ -107,7 +107,7 @@ proptest! {
         let worst = |n: usize| {
             let alg = HermanRing::on_ring(&builders::ring(n)).unwrap();
             let chain =
-                AbsorbingChain::build(&alg, Daemon::Synchronous, &alg.legitimacy(), 1 << 22)
+                AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &alg.legitimacy(), 1 << 22)
                     .unwrap();
             chain.expected_steps().unwrap().worst_case()
         };

@@ -8,7 +8,7 @@
 
 use stab_algorithms::{DijkstraRing, HermanRing, TokenCirculation, TwoProcessToggle};
 use stab_core::engine::{EdgeStoreKind, ExploreOptions};
-use stab_core::{Algorithm, Daemon, Legitimacy, LocalState, ProjectedLegitimacy, Transformed};
+use stab_core::{Algorithm, DaemonSpec, Legitimacy, LocalState, ProjectedLegitimacy, Transformed};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 
@@ -16,7 +16,7 @@ const CAP: u64 = 1 << 22;
 
 /// Builds the chain under both tiers and pins structure + quantitative
 /// results of the compressed one to the flat one.
-fn chain_differential<A, L>(alg: &A, daemon: Daemon, spec: &L, opts: &ExploreOptions<A::State>)
+fn chain_differential<A, L>(alg: &A, daemon: DaemonSpec, spec: &L, opts: &ExploreOptions<A::State>)
 where
     A: Algorithm + Sync,
     A::State: LocalState + Sync,
@@ -113,10 +113,15 @@ fn tier_differential<S: LocalState>(
 fn herman_chain_matches_across_stores() {
     let alg = HermanRing::on_ring(&builders::ring(5)).unwrap();
     let spec = alg.legitimacy();
-    chain_differential(&alg, Daemon::Synchronous, &spec, &ExploreOptions::full());
     chain_differential(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
+        &spec,
+        &ExploreOptions::full(),
+    );
+    chain_differential(
+        &alg,
+        DaemonSpec::synchronous(),
         &spec,
         &ExploreOptions::full().with_ring_quotient(),
     );
@@ -126,14 +131,18 @@ fn herman_chain_matches_across_stores() {
 fn dijkstra_chain_matches_across_stores() {
     let alg = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
-    chain_differential(&alg, Daemon::Central, &spec, &ExploreOptions::full());
+    chain_differential(&alg, DaemonSpec::central(), &spec, &ExploreOptions::full());
 }
 
 #[test]
 fn transformed_toggle_chain_matches_across_stores() {
     let alg = Transformed::new(TwoProcessToggle::new());
     let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-    for daemon in [Daemon::Synchronous, Daemon::Distributed, Daemon::Central] {
+    for daemon in [
+        DaemonSpec::synchronous(),
+        DaemonSpec::distributed(),
+        DaemonSpec::central(),
+    ] {
         chain_differential(&alg, daemon, &spec, &ExploreOptions::full());
     }
 }
@@ -142,12 +151,12 @@ fn transformed_toggle_chain_matches_across_stores() {
 fn token_ring_reachable_chain_matches_across_stores() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
-    chain_differential(&alg, Daemon::Central, &spec, &ExploreOptions::full());
+    chain_differential(&alg, DaemonSpec::central(), &spec, &ExploreOptions::full());
     let ix = stab_core::SpaceIndexer::new(&alg, CAP).unwrap();
     let seeds: Vec<_> = ix.iter().step_by(5).collect();
     chain_differential(
         &alg,
-        Daemon::Central,
+        DaemonSpec::central(),
         &spec,
         &ExploreOptions::reachable(seeds),
     );

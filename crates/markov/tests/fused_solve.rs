@@ -9,7 +9,7 @@ use std::cell::Cell;
 
 use stab_algorithms::{HermanRing, TwoProcessToggle};
 use stab_core::engine::{Budget, EdgeStoreKind, ExploreOptions, Quotient};
-use stab_core::{Algorithm, Daemon, Legitimacy, LocalState};
+use stab_core::{Algorithm, DaemonSpec, Legitimacy, LocalState};
 use stab_graph::builders;
 use stab_markov::{linalg, AbsorbingChain, MarkovError, QRows, QStorage};
 
@@ -33,7 +33,7 @@ fn bits(x: &[f64]) -> Vec<u64> {
 /// separate ones; returns the transient count.
 fn fused_equals_separate<A, L>(
     alg: &A,
-    daemon: Daemon,
+    daemon: DaemonSpec,
     spec: &L,
     opts: ExploreOptions<A::State>,
 ) -> usize
@@ -76,7 +76,7 @@ fn fused_solve_is_bit_identical_on_the_dense_path() {
     let alg = HermanRing::on_ring(&builders::ring(7)).unwrap();
     let n = fused_equals_separate(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &alg.legitimacy(),
         ExploreOptions::full(),
     );
@@ -91,7 +91,7 @@ fn fused_solve_is_bit_identical_on_the_gauss_seidel_path() {
     // Herman N=13 on the rotation quotient: over 600 transient necklaces.
     let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
     let opts = ExploreOptions::full().with_quotient(Quotient::RingRotation);
-    let n = fused_equals_separate(&alg, Daemon::Synchronous, &alg.legitimacy(), opts);
+    let n = fused_equals_separate(&alg, DaemonSpec::synchronous(), &alg.legitimacy(), opts);
     assert!(n > DENSE_LIMIT, "Gauss–Seidel path: {n} transient states");
 }
 
@@ -102,7 +102,7 @@ fn fused_solve_refuses_a_non_absorbing_chain_before_solving() {
     for kind in TIERS {
         let opts = ExploreOptions::full().with_edge_store(kind);
         let chain =
-            AbsorbingChain::build_with(&alg, Daemon::Central, &alg.legitimacy(), CAP, &opts)
+            AbsorbingChain::build_with(&alg, DaemonSpec::central(), &alg.legitimacy(), CAP, &opts)
                 .unwrap();
         // An exhausted budget would trip the first solver probe, so a
         // `NotAbsorbing` answer shows no solve was attempted.
@@ -168,9 +168,14 @@ const BLOCK_DECODED: u64 = 1_681_644;
 fn fused_solve_work_is_pinned_in_decoded_entries() {
     let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
     let opts = ExploreOptions::full().with_quotient(Quotient::RingRotation);
-    let chain =
-        AbsorbingChain::build_with(&alg, Daemon::Synchronous, &alg.legitimacy(), CAP, &opts)
-            .unwrap();
+    let chain = AbsorbingChain::build_with(
+        &alg,
+        DaemonSpec::synchronous(),
+        &alg.legitimacy(),
+        CAP,
+        &opts,
+    )
+    .unwrap();
     let QStorage::Flat(q) = chain.q() else {
         panic!("the default tier is flat");
     };

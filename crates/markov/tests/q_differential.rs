@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use stab_algorithms::{DijkstraRing, HermanRing, TokenCirculation, TwoProcessToggle};
 use stab_core::{
-    semantics, Algorithm, Daemon, Legitimacy, ProjectedLegitimacy, SpaceIndexer, Transformed,
+    semantics, Algorithm, DaemonSpec, Legitimacy, ProjectedLegitimacy, SpaceIndexer, Transformed,
 };
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
@@ -22,7 +22,7 @@ const CAP: u64 = 1 << 22;
 /// indices in ascending configuration-id order.
 type ReferenceChain = (Vec<Vec<(u32, f64)>>, Vec<f64>, Vec<f64>);
 
-fn reference_chain<A, L>(alg: &A, daemon: Daemon, spec: &L) -> ReferenceChain
+fn reference_chain<A, L>(alg: &A, daemon: DaemonSpec, spec: &L) -> ReferenceChain
 where
     A: Algorithm,
     L: Legitimacy<A::State>,
@@ -81,7 +81,7 @@ where
     A::State: Sync,
     L: Legitimacy<A::State> + Sync,
 {
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         let label = format!("{} under {daemon}", alg.name());
         let chain = AbsorbingChain::build(alg, daemon, spec, CAP).expect("engine chain");
         let (rows, absorb, step_moves) = reference_chain(alg, daemon, spec);

@@ -13,7 +13,9 @@
 
 use stab_algorithms::{GreedyColoring, HermanRing, TokenCirculation};
 use stab_core::engine::{ExploreOptions, Quotient};
-use stab_core::{Algorithm, Daemon, Legitimacy, ProjectedLegitimacy, SpaceIndexer, Transformed};
+use stab_core::{
+    Algorithm, DaemonSpec, Legitimacy, ProjectedLegitimacy, SpaceIndexer, Transformed,
+};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 
@@ -23,7 +25,7 @@ const CAP: u64 = 1 << 22;
 /// pivoting on the lumped system.
 const TOL: f64 = 1e-8;
 
-fn hitting_time_differential_with<A, L>(alg: &A, daemon: Daemon, spec: &L, quotient: Quotient)
+fn hitting_time_differential_with<A, L>(alg: &A, daemon: DaemonSpec, spec: &L, quotient: Quotient)
 where
     A: Algorithm + Sync,
     A::State: Sync,
@@ -100,7 +102,7 @@ where
     }
 }
 
-fn hitting_time_differential<A, L>(alg: &A, daemon: Daemon, spec: &L)
+fn hitting_time_differential<A, L>(alg: &A, daemon: DaemonSpec, spec: &L)
 where
     A: Algorithm + Sync,
     A::State: Sync,
@@ -113,7 +115,7 @@ where
 fn herman_quotient_hitting_times_match_full() {
     for n in [3, 5, 7] {
         let alg = HermanRing::on_ring(&builders::ring(n)).unwrap();
-        hitting_time_differential(&alg, Daemon::Synchronous, &alg.legitimacy());
+        hitting_time_differential(&alg, DaemonSpec::synchronous(), &alg.legitimacy());
     }
 }
 
@@ -128,7 +130,7 @@ fn herman_dihedral_hitting_times_match_full() {
         let alg = HermanRing::on_ring(&builders::ring(n)).unwrap();
         hitting_time_differential_with(
             &alg,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &alg.legitimacy(),
             Quotient::RingDihedral,
         );
@@ -144,7 +146,7 @@ fn herman_dihedral_matches_rotation_quotient_statewise() {
     let spec = alg.legitimacy();
     let rot = AbsorbingChain::build_with(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &spec,
         CAP,
         &ExploreOptions::full().with_quotient(Quotient::RingRotation),
@@ -152,7 +154,7 @@ fn herman_dihedral_matches_rotation_quotient_statewise() {
     .unwrap();
     let dih = AbsorbingChain::build_with(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &spec,
         CAP,
         &ExploreOptions::full().with_quotient(Quotient::RingDihedral),
@@ -184,7 +186,7 @@ fn coloring_leaf_quotient_hitting_times_match_full() {
     let alg = GreedyColoring::new(&g).unwrap();
     hitting_time_differential_with(
         &alg,
-        Daemon::Central,
+        DaemonSpec::central(),
         &alg.legitimacy(),
         Quotient::Automorphism,
     );
@@ -192,7 +194,7 @@ fn coloring_leaf_quotient_hitting_times_match_full() {
 
 #[test]
 fn transformed_token_ring_quotient_times_match_full() {
-    for daemon in [Daemon::Synchronous, Daemon::Distributed] {
+    for daemon in [DaemonSpec::synchronous(), DaemonSpec::distributed()] {
         let base = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
         let alg = Transformed::new(TokenCirculation::on_ring(&builders::ring(4)).unwrap());
         let spec = ProjectedLegitimacy::new(base.legitimacy());
@@ -207,9 +209,10 @@ fn reachable_chain_with_all_seeds_matches_full() {
     let alg = HermanRing::on_ring(&builders::ring(5)).unwrap();
     let spec = alg.legitimacy();
     let ix = SpaceIndexer::new(&alg, CAP).unwrap();
-    let full = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+    let full = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
     let opts = ExploreOptions::reachable(ix.iter().collect());
-    let reach = AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, CAP, &opts).unwrap();
+    let reach =
+        AbsorbingChain::build_with(&alg, DaemonSpec::synchronous(), &spec, CAP, &opts).unwrap();
     assert_eq!(reach.n_transient(), full.n_transient());
     assert!(reach.validate_stochastic());
     let t_full = full.expected_steps().unwrap();
@@ -236,8 +239,9 @@ fn reachable_chain_from_strict_seeds() {
         false,
     );
     let opts = ExploreOptions::reachable(vec![seed.clone()]);
-    let reach = AbsorbingChain::build_with(&alg, Daemon::Distributed, &spec, CAP, &opts).unwrap();
-    let full = AbsorbingChain::build(&alg, Daemon::Distributed, &spec, CAP).unwrap();
+    let reach =
+        AbsorbingChain::build_with(&alg, DaemonSpec::distributed(), &spec, CAP, &opts).unwrap();
+    let full = AbsorbingChain::build(&alg, DaemonSpec::distributed(), &spec, CAP).unwrap();
     assert!(reach.n_explored() as u64 <= full.n_configs());
     assert!(reach.validate_stochastic());
     let t_reach = reach.expected_steps().unwrap();
@@ -256,7 +260,7 @@ fn reachable_chain_from_strict_seeds() {
 fn quotient_cdf_matches_full() {
     let alg = HermanRing::on_ring(&builders::ring(5)).unwrap();
     let spec = alg.legitimacy();
-    let full = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+    let full = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
     let cdf_full = full.hitting_cdf_uniform(60);
     // Herman(5): 10 of the 32 configurations are legitimate, so the
     // initially absorbed mass is exactly 10/32 on both sides.
@@ -264,7 +268,7 @@ fn quotient_cdf_matches_full() {
     for quotient in [Quotient::RingRotation, Quotient::RingDihedral] {
         let opts = ExploreOptions::full().with_quotient(quotient);
         let quot =
-            AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, CAP, &opts).unwrap();
+            AbsorbingChain::build_with(&alg, DaemonSpec::synchronous(), &spec, CAP, &opts).unwrap();
         let cdf_quot = quot.hitting_cdf_uniform(60);
         for (k, (a, b)) in cdf_full.iter().zip(&cdf_quot).enumerate() {
             assert!(
@@ -286,7 +290,7 @@ fn unexplored_configuration_is_reported_not_zeroed() {
     // cannot reach every configuration.
     let seed = stab_core::Configuration::from_vec(vec![0u8, 0, 0, 0]);
     let opts = ExploreOptions::reachable(vec![seed.clone()]);
-    let chain = AbsorbingChain::build_with(&alg, Daemon::Central, &spec, CAP, &opts).unwrap();
+    let chain = AbsorbingChain::build_with(&alg, DaemonSpec::central(), &spec, CAP, &opts).unwrap();
     assert!(chain.is_explored(&seed));
     // Find some unexplored configuration.
     let ix = SpaceIndexer::new(&alg, CAP).unwrap();
@@ -308,9 +312,10 @@ fn reachable_quotient_chain_matches_full() {
     let alg = HermanRing::on_ring(&builders::ring(5)).unwrap();
     let spec = alg.legitimacy();
     let ix = SpaceIndexer::new(&alg, CAP).unwrap();
-    let full = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+    let full = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
     let opts = ExploreOptions::reachable(ix.iter().collect()).with_ring_quotient();
-    let quot = AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, CAP, &opts).unwrap();
+    let quot =
+        AbsorbingChain::build_with(&alg, DaemonSpec::synchronous(), &spec, CAP, &opts).unwrap();
     assert_eq!(quot.represented_configs(), full.n_configs());
     let t_full = full.expected_steps().unwrap();
     let t_quot = quot.expected_steps().unwrap();

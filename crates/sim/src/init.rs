@@ -32,7 +32,7 @@ where
 ///
 /// ```
 /// use stab_algorithms::TokenCirculation;
-/// use stab_core::Daemon;
+/// use stab_core::DaemonSpec;
 /// use stab_graph::builders;
 /// use stab_sim::montecarlo::{estimate_with, BatchSettings};
 ///
@@ -42,7 +42,7 @@ where
 /// let seeds = vec![alg.legitimate_config(stab_graph::NodeId::new(0))];
 /// let batch = estimate_with(
 ///     &alg,
-///     Daemon::Central,
+///     DaemonSpec::central(),
 ///     &spec,
 ///     &BatchSettings { runs: 20, max_steps: 10, seed: 1, threads: 1 },
 ///     stab_sim::init::from_seeds(seeds),

@@ -25,14 +25,14 @@
 //!
 //! ```
 //! use stab_algorithms::TwoProcessToggle;
-//! use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+//! use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
 //! use stab_sim::montecarlo::{self, BatchSettings};
 //!
 //! let alg = Transformed::new(TwoProcessToggle::new());
 //! let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
 //! let batch = montecarlo::estimate(
 //!     &alg,
-//!     Daemon::Synchronous,
+//!     DaemonSpec::synchronous(),
 //!     &spec,
 //!     &BatchSettings { runs: 2_000, max_steps: 100_000, seed: 7, threads: 2 },
 //! );

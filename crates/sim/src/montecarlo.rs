@@ -61,7 +61,7 @@ pub struct BatchResult {
 /// `settings.max_steps` ([`estimate_with`] returns `None` instead).
 pub fn estimate<A, L>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     spec: &L,
     settings: &BatchSettings,
 ) -> BatchResult
@@ -82,7 +82,7 @@ where
 /// (zero runs included): there is no cost to estimate.
 pub fn estimate_with<A, L, F>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     spec: &L,
     settings: &BatchSettings,
     make_initial: F,
@@ -92,7 +92,6 @@ where
     L: Legitimacy<A::State> + Sync,
     F: Fn(&A, &mut StdRng) -> stab_core::Configuration<A::State> + Sync,
 {
-    let daemon = daemon.into();
     let threads = settings.threads.max(1);
     let chunk = settings.runs.div_ceil(threads as u64);
     let mut partials: Vec<(Accumulator, Accumulator, Accumulator, u64)> = Vec::new();
@@ -154,7 +153,7 @@ where
 mod tests {
     use super::*;
     use stab_algorithms::{HermanRing, TokenCirculation, TwoProcessToggle};
-    use stab_core::{Configuration, Daemon, ProjectedLegitimacy, Transformed};
+    use stab_core::{Configuration, DaemonSpec, ProjectedLegitimacy, Transformed};
     use stab_graph::builders;
     use stab_markov::AbsorbingChain;
 
@@ -168,10 +167,10 @@ mod tests {
             seed: 11,
             threads: 1,
         };
-        let seq = estimate(&alg, Daemon::Synchronous, &spec, &base);
+        let seq = estimate(&alg, DaemonSpec::synchronous(), &spec, &base);
         let par = estimate(
             &alg,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &spec,
             &BatchSettings { threads: 4, ..base },
         );
@@ -187,14 +186,14 @@ mod tests {
     fn monte_carlo_matches_exact_markov() {
         let alg = Transformed::new(TwoProcessToggle::new());
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let chain = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, 1 << 12).unwrap();
+        let chain = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, 1 << 12).unwrap();
         let exact = chain
             .expected_steps()
             .unwrap()
             .average_uniform(chain.n_configs());
         let batch = estimate(
             &alg,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &spec,
             &BatchSettings {
                 runs: 20_000,
@@ -219,7 +218,7 @@ mod tests {
         let alg = Transformed::new(TokenCirculation::on_ring(&builders::ring(8)).unwrap());
         let batch = estimate(
             &alg,
-            Daemon::Distributed,
+            DaemonSpec::distributed(),
             &spec,
             &BatchSettings {
                 runs: 300,
@@ -243,7 +242,7 @@ mod tests {
             let spec = alg.legitimacy();
             let batch = estimate(
                 &alg,
-                Daemon::Synchronous,
+                DaemonSpec::synchronous(),
                 &spec,
                 &BatchSettings {
                     runs: 400,
@@ -265,7 +264,7 @@ mod tests {
         // Start from a legitimate configuration: zero steps always.
         let batch = estimate_with(
             &alg,
-            Daemon::Central,
+            DaemonSpec::central(),
             &spec,
             &BatchSettings {
                 runs: 50,
@@ -293,7 +292,7 @@ mod tests {
             seed: 3,
             threads: 2,
         };
-        let batch = estimate_with(&alg, Daemon::Central, &spec, &settings, |_, _| {
+        let batch = estimate_with(&alg, DaemonSpec::central(), &spec, &settings, |_, _| {
             stuck.clone()
         });
         assert!(batch.is_none());
@@ -301,7 +300,9 @@ mod tests {
             runs: 0,
             ..settings
         };
-        let none = estimate_with(&alg, Daemon::Central, &spec, &zero, |_, _| stuck.clone());
+        let none = estimate_with(&alg, DaemonSpec::central(), &spec, &zero, |_, _| {
+            stuck.clone()
+        });
         assert!(none.is_none());
     }
 
@@ -312,7 +313,7 @@ mod tests {
         let spec = alg.legitimacy();
         let _ = estimate(
             &alg,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &spec,
             &BatchSettings {
                 runs: 0,

@@ -25,7 +25,7 @@ pub struct RunResult {
 /// simulate in `O(|activation| · Δ)` guard evaluations per step.
 pub fn run_once<A, L, R>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     spec: &L,
     initial: &Configuration<A::State>,
     rng: &mut R,
@@ -36,7 +36,6 @@ where
     L: Legitimacy<A::State>,
     R: Rng + ?Sized,
 {
-    let daemon = daemon.into();
     let g = alg.graph();
     let n = g.n();
     let mut cfg = initial.clone();
@@ -142,7 +141,7 @@ fn refresh<A: Algorithm>(alg: &A, cfg: &Configuration<A::State>, v: NodeId, flag
 /// Panics if `max_steps > 100_000`.
 pub fn run_recorded<A, L, R>(
     alg: &A,
-    daemon: impl Into<DaemonSpec>,
+    daemon: DaemonSpec,
     spec: &L,
     initial: &Configuration<A::State>,
     rng: &mut R,
@@ -153,7 +152,6 @@ where
     L: Legitimacy<A::State>,
     R: Rng + ?Sized,
 {
-    let daemon = daemon.into();
     assert!(
         max_steps <= 100_000,
         "recorded runs are capped at 100k steps"
@@ -212,7 +210,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use stab_algorithms::{HermanRing, TokenCirculation, TwoProcessToggle};
-    use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+    use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
     use stab_graph::builders;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -225,7 +223,7 @@ mod tests {
         let cfg = a.legitimate_config(NodeId::new(2));
         let r = run_once(
             &a,
-            Daemon::Central,
+            DaemonSpec::central(),
             &a.legitimacy(),
             &cfg,
             &mut rng(0),
@@ -247,7 +245,7 @@ mod tests {
         );
         let r = run_once(
             &a,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &spec,
             &initial,
             &mut rng(42),
@@ -266,7 +264,7 @@ mod tests {
         let initial = Configuration::from_vec(vec![false, false]);
         let r = run_once(
             &a,
-            Daemon::Central,
+            DaemonSpec::central(),
             &a.legitimacy(),
             &initial,
             &mut rng(1),
@@ -282,7 +280,7 @@ mod tests {
         let initial = Configuration::from_vec(vec![false; 9]);
         let r = run_once(
             &a,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &a.legitimacy(),
             &initial,
             &mut rng(3),
@@ -327,7 +325,7 @@ mod tests {
         });
         let r = run_once(
             &a,
-            Daemon::Central,
+            DaemonSpec::central(),
             &spec,
             &Configuration::from_vec(vec![0, 0, 0]),
             &mut rng(0),
@@ -353,7 +351,14 @@ mod tests {
             false,
         );
         let _ = base;
-        let r = run_once(&a, Daemon::Central, &spec, &initial, &mut rng(5), 1_000_000);
+        let r = run_once(
+            &a,
+            DaemonSpec::central(),
+            &spec,
+            &initial,
+            &mut rng(5),
+            1_000_000,
+        );
         assert!(r.converged);
         assert!(r.rounds <= r.steps);
         // Central daemon: exactly one move per step.
@@ -370,7 +375,7 @@ mod tests {
         );
         let (result, trace) = super::run_recorded(
             &a,
-            Daemon::Synchronous,
+            DaemonSpec::synchronous(),
             &spec,
             &initial,
             &mut rng(7),
@@ -393,7 +398,14 @@ mod tests {
         let a = TwoProcessToggle::new();
         let spec = a.legitimacy();
         let initial = Configuration::from_vec(vec![false, false]);
-        let _ = super::run_recorded(&a, Daemon::Central, &spec, &initial, &mut rng(0), 200_000);
+        let _ = super::run_recorded(
+            &a,
+            DaemonSpec::central(),
+            &spec,
+            &initial,
+            &mut rng(0),
+            200_000,
+        );
     }
 
     #[test]
@@ -406,7 +418,7 @@ mod tests {
         );
         let r1 = run_once(
             &a,
-            Daemon::Distributed,
+            DaemonSpec::distributed(),
             &spec,
             &initial,
             &mut rng(99),
@@ -414,7 +426,7 @@ mod tests {
         );
         let r2 = run_once(
             &a,
-            Daemon::Distributed,
+            DaemonSpec::distributed(),
             &spec,
             &initial,
             &mut rng(99),

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 use stab_algorithms::{HermanRing, TokenCirculation};
-use stab_core::{Daemon, ProjectedLegitimacy, Transformed};
+use stab_core::{DaemonSpec, ProjectedLegitimacy, Transformed};
 use stab_graph::builders;
 use stab_sim::montecarlo::{estimate, BatchSettings};
 use stab_sim::{init, run_once, stats::Accumulator};
@@ -22,7 +22,7 @@ proptest! {
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let initial = init::uniform_random(&alg, &mut rng);
-        for daemon in [Daemon::Central, Daemon::Distributed, Daemon::Synchronous] {
+        for daemon in DaemonSpec::LEGACY.into_iter().take(3) {
             let r1 = run_once(&alg, daemon, &spec,
                 &initial, &mut rand::rngs::StdRng::seed_from_u64(seed), 1_000_000);
             let r2 = run_once(&alg, daemon, &spec,
@@ -41,11 +41,11 @@ proptest! {
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let initial = init::uniform_random(&alg, &mut rng);
-        let central = run_once(&alg, Daemon::Central, &spec, &initial, &mut rng, 1_000_000);
+        let central = run_once(&alg, DaemonSpec::central(), &spec, &initial, &mut rng, 1_000_000);
         prop_assert!(central.converged);
         prop_assert_eq!(central.moves, central.steps);
         prop_assert!(central.rounds <= central.steps);
-        let sync = run_once(&alg, Daemon::Synchronous, &spec, &initial, &mut rng, 1_000_000);
+        let sync = run_once(&alg, DaemonSpec::synchronous(), &spec, &initial, &mut rng, 1_000_000);
         prop_assert!(sync.converged);
         prop_assert_eq!(sync.rounds, sync.steps);
         prop_assert!(sync.moves >= sync.steps);
@@ -56,9 +56,9 @@ proptest! {
     fn batches_thread_invariant(seed in 0u64..100) {
         let alg = HermanRing::on_ring(&builders::ring(7)).unwrap();
         let spec = alg.legitimacy();
-        let one = estimate(&alg, Daemon::Synchronous, &spec,
+        let one = estimate(&alg, DaemonSpec::synchronous(), &spec,
             &BatchSettings { runs: 60, max_steps: 1_000_000, seed, threads: 1 });
-        let four = estimate(&alg, Daemon::Synchronous, &spec,
+        let four = estimate(&alg, DaemonSpec::synchronous(), &spec,
             &BatchSettings { runs: 60, max_steps: 1_000_000, seed, threads: 4 });
         prop_assert!((one.steps.mean - four.steps.mean).abs() < 1e-9);
         prop_assert_eq!(one.failures, four.failures);

@@ -137,7 +137,7 @@ fn main() {
     // Classify under the distributed scheduler. Surprise: simultaneous
     // mutual proposals *marry* rather than race, so this protocol is
     // already deterministically self-stabilizing — the checker proves it.
-    let report = analyze(&alg, Daemon::Distributed, &spec, 1 << 22).expect("small space");
+    let report = analyze(&alg, DaemonSpec::distributed(), &spec, 1 << 22).expect("small space");
     println!("{report}\n");
     assert!(report.is_weak_stabilizing());
     assert!(
@@ -147,16 +147,16 @@ fn main() {
 
     // Exact expected time of the *raw* protocol under the randomized
     // distributed scheduler.
-    let raw_chain = AbsorbingChain::build(&alg, Daemon::Distributed, &spec, 1 << 22).unwrap();
+    let raw_chain = AbsorbingChain::build(&alg, DaemonSpec::distributed(), &spec, 1 << 22).unwrap();
     let raw_times = raw_chain.expected_steps().unwrap();
 
     // Applying Trans anyway stays sound (Theorem 9) — but the coin halts
     // progress half the time, and the exact analysis quantifies the price.
     let trans = Transformed::new(Matching::new(&g));
     let tspec = ProjectedLegitimacy::new(Maximal(&alg));
-    let treport = analyze(&trans, Daemon::Distributed, &tspec, 1 << 22).expect("small space");
+    let treport = analyze(&trans, DaemonSpec::distributed(), &tspec, 1 << 22).expect("small space");
     assert!(treport.is_probabilistically_self_stabilizing(), "Theorem 9");
-    let chain = AbsorbingChain::build(&trans, Daemon::Distributed, &tspec, 1 << 22).unwrap();
+    let chain = AbsorbingChain::build(&trans, DaemonSpec::distributed(), &tspec, 1 << 22).unwrap();
     let times = chain.expected_steps().unwrap();
 
     println!("expected steps under the distributed randomized scheduler:");

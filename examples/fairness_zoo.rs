@@ -19,7 +19,7 @@ fn main() {
     let ring = builders::ring(6);
     let alg = TokenCirculation::on_ring(&ring).expect("a ring");
     let spec = alg.legitimacy();
-    let report = analyze(&alg, Daemon::Distributed, &spec, 1 << 22).expect("small space");
+    let report = analyze(&alg, DaemonSpec::distributed(), &spec, 1 << 22).expect("small space");
 
     println!(
         "system: {} over {} configurations ({} legitimate)\n",

@@ -76,7 +76,7 @@ fn main() {
     let initial = init::uniform_random(&celect, &mut rng);
     let run = run_once(
         &celect,
-        Daemon::Distributed,
+        DaemonSpec::distributed(),
         &cspec,
         &initial,
         &mut rng,

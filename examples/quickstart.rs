@@ -33,7 +33,7 @@ fn main() {
     //    choices (symmetry quotient? edge-store tier?) are recorded in
     //    the report.
     let report = Study::of(&alg)
-        .daemon(Daemon::Distributed)
+        .daemon(DaemonSpec::distributed())
         .spec(&spec)
         .verdicts(FairnessSet::ALL)
         .run()
@@ -67,7 +67,7 @@ fn main() {
     let tspec = ProjectedLegitimacy::new(alg.legitimacy());
     println!("\ntransformed: {}", transformed.name());
     let quantitative = Study::of(&transformed)
-        .daemon(Daemon::Synchronous)
+        .daemon(DaemonSpec::synchronous())
         .spec(&tspec)
         .expected_times()
         .monte_carlo(McConfig {

@@ -42,7 +42,7 @@
 //! // It is weak-stabilizing but not self-stabilizing under the
 //! // distributed strongly fair scheduler (Theorem 2 + Theorem 6).
 //! let report = Study::of(&alg)
-//!     .daemon(Daemon::Distributed)
+//!     .daemon(DaemonSpec::distributed())
 //!     .spec(&spec)
 //!     .verdicts(FairnessSet::ALL)
 //!     .run()
@@ -79,8 +79,8 @@ pub mod prelude {
     pub use stab_checker;
     pub use stab_core::engine::{Budget, FaultPlan};
     pub use stab_core::{
-        ActionId, ActionMask, Activation, Algorithm, Configuration, Daemon, Fairness, FairnessSet,
-        Legitimacy, Outcomes, Trace, Transformed, View,
+        ActionId, ActionMask, Activation, Algorithm, Configuration, DaemonSpec, Fairness,
+        FairnessSet, Legitimacy, Outcomes, Trace, Transformed, View,
     };
     pub use stab_graph::{self, builders, Graph, NodeId, PortId};
     pub use stab_markov;

@@ -12,14 +12,14 @@
 //! ```
 //! use weak_stabilization::study::Study;
 //! use stab_algorithms::TokenCirculation;
-//! use stab_core::{Daemon, Fairness, FairnessSet};
+//! use stab_core::{DaemonSpec, Fairness, FairnessSet};
 //! use stab_graph::builders;
 //!
 //! // Theorems 2 + 5/6 as ONE study: Algorithm 1 on the paper's ring.
 //! let alg = TokenCirculation::on_ring(&builders::ring(5)).unwrap();
 //! let spec = alg.legitimacy();
 //! let report = Study::of(&alg)
-//!     .daemon(Daemon::Distributed)
+//!     .daemon(DaemonSpec::distributed())
 //!     .spec(&spec)
 //!     .verdicts(FairnessSet::ALL)
 //!     .run()
@@ -164,11 +164,11 @@ impl<'a, A: Algorithm> Study<'a, A, NoSpec> {
 }
 
 impl<'a, A: Algorithm, Sp> Study<'a, A, Sp> {
-    /// Selects the scheduler — any point of the daemon lattice; the
-    /// paper's four daemons convert via `impl Into<DaemonSpec>`.
+    /// Selects the scheduler — any point of the daemon lattice, such as
+    /// one of the paper's four named points ([`DaemonSpec::LEGACY`]).
     #[must_use]
-    pub fn daemon(mut self, daemon: impl Into<DaemonSpec>) -> Self {
-        self.daemon = daemon.into();
+    pub fn daemon(mut self, daemon: DaemonSpec) -> Self {
+        self.daemon = daemon;
         self
     }
 

@@ -14,8 +14,9 @@
 //! v3 replaces the flat daemon name with a structured `daemon` object —
 //! `{name, distribution: {kind, k, radius}, fairness, bound}` — so every
 //! point of the daemon lattice ([`DaemonSpec`]) serializes, not just the
-//! paper's four named daemons. `name` stays the legacy string for the
-//! four legacy encodings, so readers keyed on it keep working.
+//! paper's four named daemons. `name` stays `central`, `distributed`,
+//! `synchronous` or `locally-central` for those four, so readers keyed on
+//! it keep working. A `k` of 0 is rejected: it would allow no activation.
 
 use stab_core::{Boundedness, DaemonSpec, Distribution, Fairness};
 
@@ -347,7 +348,7 @@ pub struct StudyReport {
     /// Specification name.
     pub spec: String,
     /// The scheduler studied — a daemon-lattice point; the paper's four
-    /// daemons are the named legacy points.
+    /// daemons are the named points of [`DaemonSpec::LEGACY`].
     pub daemon: DaemonSpec,
     /// What was decided before exploring, and why.
     pub plan: PlanSection,
@@ -496,7 +497,8 @@ fn daemon_from_json(v: &Json) -> Result<DaemonSpec, String> {
                 k => Some(
                     k.as_u64()
                         .and_then(|k| u32::try_from(k).ok())
-                        .ok_or("daemon `k` is not an unsigned integer or null")?,
+                        .filter(|&k| k > 0)
+                        .ok_or("daemon `k` is not a positive integer or null")?,
                 ),
             };
             Distribution::KCentral {

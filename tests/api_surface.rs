@@ -13,7 +13,7 @@ use stab_markov::{AbsorbingChain, MarkovError};
 #[test]
 fn prelude_reexports_are_usable() {
     // Types from every crate are reachable through the prelude.
-    let _: Daemon = Daemon::Central;
+    let _: DaemonSpec = DaemonSpec::central();
     let _: Fairness = Fairness::Gouda;
     let g: Graph = builders::ring(4);
     let v: NodeId = NodeId::new(0);
@@ -52,7 +52,7 @@ fn state_space_cap_is_a_typed_error() {
     // m_12 = 5, so 5^12 ≈ 2.4e8 configurations exceed a 1M cap.
     let err = SpaceIndexer::new(&alg, 1 << 20).unwrap_err();
     assert!(matches!(err, CoreError::StateSpaceTooLarge { .. }));
-    let err = analyze(&alg, Daemon::Central, &alg.legitimacy(), 1 << 20).unwrap_err();
+    let err = analyze(&alg, DaemonSpec::central(), &alg.legitimacy(), 1 << 20).unwrap_err();
     assert!(matches!(err, CoreError::StateSpaceTooLarge { .. }));
 }
 
@@ -61,20 +61,22 @@ fn distributed_enumeration_cap_is_a_typed_error() {
     // Herman on a 21-ring has every process enabled: 2^21 subsets exceed
     // the enumeration cap, reported as TooManyEnabled.
     let alg = stab_algorithms::HermanRing::on_ring(&builders::ring(21)).unwrap();
-    let err = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), 1 << 22).unwrap_err();
+    let err = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), 1 << 22).unwrap_err();
     assert!(matches!(err, CoreError::TooManyEnabled { enabled: 21, .. }));
 }
 
 #[test]
 fn markov_errors_are_typed_and_sourced() {
     let alg = stab_algorithms::TwoProcessToggle::new();
-    let chain = AbsorbingChain::build(&alg, Daemon::Central, &alg.legitimacy(), 1 << 10).unwrap();
+    let chain =
+        AbsorbingChain::build(&alg, DaemonSpec::central(), &alg.legitimacy(), 1 << 10).unwrap();
     let err = chain.expected_steps().unwrap_err();
     assert!(matches!(err, MarkovError::NotAbsorbing { .. }));
     assert!(err.to_string().contains("not almost sure"));
     // Core errors convert into Markov errors.
     let big = TokenCirculation::on_ring(&builders::ring(12)).unwrap();
-    let err = AbsorbingChain::build(&big, Daemon::Central, &big.legitimacy(), 1 << 20).unwrap_err();
+    let err =
+        AbsorbingChain::build(&big, DaemonSpec::central(), &big.legitimacy(), 1 << 20).unwrap_err();
     assert!(matches!(
         err,
         MarkovError::Core(CoreError::StateSpaceTooLarge { .. })
@@ -85,7 +87,7 @@ fn markov_errors_are_typed_and_sourced() {
 #[test]
 fn reports_render_for_humans() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
-    let report = analyze(&alg, Daemon::Central, &alg.legitimacy(), 1 << 22).unwrap();
+    let report = analyze(&alg, DaemonSpec::central(), &alg.legitimacy(), 1 << 22).unwrap();
     let shown = report.to_string();
     for needle in [
         "closure",

@@ -1,22 +1,21 @@
-//! Daemon differential suite: the four paper daemons, addressed as
-//! lattice points (`DaemonSpec`), must be **bit-for-bit** identical to
-//! the legacy enum addressing (`Daemon`) through every analysis in the
+//! Differential suite for daemon encodings: each of the paper's four
+//! daemons must give **bit-for-bit** identical results under a second,
+//! distinct encoding of the same behaviour, through every analysis in the
 //! workspace — checker verdicts with their witnesses, exact hitting-time
 //! summaries, CDFs, absorption probabilities, and seeded Monte-Carlo
 //! estimates — across the algorithm zoo.
 //!
-//! A second battery pins *behaviourally equal but distinct encodings*:
+//! Fairness and boundedness never change the transition system, so every
+//! named point dressed as `+gouda+b3` must reproduce its numbers; and
 //! `k = 1` makes every spacing radius vacuous (singletons are trivially
-//! spread) and fairness/boundedness never change the transition system,
-//! so `1-central-r2` or `central+gouda+b3` must reproduce the central
-//! daemon's exact numbers too.
+//! spread), so `1-central-r2` must reproduce the central daemon's.
 
 use stab_algorithms::{
     DijkstraFourState, DijkstraRing, DijkstraThreeState, GreedyColoring, HermanRing,
     TokenCirculation, TwoProcessToggle,
 };
 use stab_checker::{analyze, StabilizationReport};
-use stab_core::{Algorithm, Boundedness, Daemon, DaemonSpec, Distribution, Fairness, Legitimacy};
+use stab_core::{Algorithm, Boundedness, DaemonSpec, Distribution, Fairness, Legitimacy};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 use stab_sim::montecarlo::{estimate, BatchSettings};
@@ -40,20 +39,15 @@ fn assert_reports_identical(a: &StabilizationReport, b: &StabilizationReport, la
     }
 }
 
-/// Runs the full pipeline under two daemon addressings and demands
+/// Runs the full pipeline under two encodings of one daemon and demands
 /// identical bits everywhere.
-fn differential<A, L>(
-    alg: &A,
-    spec: &L,
-    via: impl Into<DaemonSpec>,
-    baseline: impl Into<DaemonSpec>,
-) where
+fn differential<A, L>(alg: &A, spec: &L, via: DaemonSpec, baseline: DaemonSpec)
+where
     A: Algorithm + Sync,
     A::State: Sync,
     L: Legitimacy<A::State> + Sync,
 {
-    let via = via.into();
-    let baseline = baseline.into();
+    assert_ne!(via, baseline, "distinct encodings");
     let label = format!("{} via {} vs {}", alg.name(), via.name(), baseline.name());
 
     // ---- Checker -----------------------------------------------------
@@ -110,17 +104,33 @@ fn differential<A, L>(
     assert_eq!(ma.rounds, mb.rounds, "{label}: mc rounds estimate");
 }
 
-/// Enum addressing ≡ lattice addressing for one algorithm, all four
-/// daemons.
+/// `k = 1` at a positive radius: the central daemon in other clothes.
+const CENTRAL_R2: DaemonSpec = DaemonSpec {
+    distribution: Distribution::KCentral {
+        k: Some(1),
+        radius: 2,
+    },
+    ..DaemonSpec::central()
+};
+
+/// A named point dressed with Gouda fairness and a step bound of 3.
+fn dressed(d: DaemonSpec) -> DaemonSpec {
+    d.with_fairness(Fairness::Gouda)
+        .with_bound(Boundedness::EnabledBounded(3))
+}
+
+/// Each of the four named points ≡ its dressing for one algorithm, and
+/// central ≡ `1-central-r2`.
 fn zoo_case<A, L>(alg: &A, spec: &L)
 where
     A: Algorithm + Sync,
     A::State: Sync,
     L: Legitimacy<A::State> + Sync,
 {
-    for d in Daemon::ALL {
-        differential(alg, spec, DaemonSpec::from(d), d);
+    for d in DaemonSpec::LEGACY {
+        differential(alg, spec, dressed(d), d);
     }
+    differential(alg, spec, CENTRAL_R2, DaemonSpec::central());
 }
 
 #[test]
@@ -168,35 +178,24 @@ fn herman_enum_equals_lattice() {
 /// `k = 1` with a positive radius is the central daemon in different
 /// clothes: singleton activations are trivially spread, so the entire
 /// pipeline must reproduce the central numbers bit for bit (the encoding
-/// is *not* `legacy()`-equal, so nothing short-circuits on the name).
+/// is distinct from `DaemonSpec::central()`, so nothing short-circuits on
+/// the name).
 #[test]
 fn one_central_with_radius_equals_central() {
-    let dressed = DaemonSpec {
-        distribution: Distribution::KCentral {
-            k: Some(1),
-            radius: 2,
-        },
-        fairness: Fairness::Unfair,
-        bound: Boundedness::Unbounded,
-    };
-    assert_eq!(dressed.legacy(), None, "distinct encoding");
     let alg = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
-    differential(&alg, &alg.legitimacy(), dressed, Daemon::Central);
+    differential(&alg, &alg.legitimacy(), CENTRAL_R2, DaemonSpec::central());
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
-    differential(&alg, &alg.legitimacy(), dressed, Daemon::Central);
+    differential(&alg, &alg.legitimacy(), CENTRAL_R2, DaemonSpec::central());
 }
 
 /// Fairness and boundedness are execution-level constraints: they never
-/// change the transition system, so any dressing of a legacy point's
+/// change the transition system, so any dressing of a named point's
 /// distribution must leave every exact number untouched (only the
 /// *verdict selection*, not the verdicts themselves, may differ).
 #[test]
 fn fairness_and_bound_components_do_not_move_the_numbers() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
-    let dressed = DaemonSpec::distributed()
-        .with_fairness(Fairness::Gouda)
-        .with_bound(Boundedness::EnabledBounded(3));
-    assert_eq!(dressed.legacy(), None, "distinct encoding");
-    differential(&alg, &spec, dressed, Daemon::Distributed);
+    let distributed = DaemonSpec::distributed();
+    differential(&alg, &spec, dressed(distributed), distributed);
 }

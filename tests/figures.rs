@@ -78,7 +78,7 @@ fn figure3_recorded_synchronous_trace() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
     let (result, trace) = stab_sim::run_recorded(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &alg.legitimacy(),
         &cfg0,
         &mut rng,

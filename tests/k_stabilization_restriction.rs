@@ -13,7 +13,7 @@ const CAP: u64 = 1 << 22;
 #[test]
 fn unrestricted_token_ring_fails_self_stabilization() {
     let alg = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
-    let report = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+    let report = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap();
     assert!(!report.is_self_stabilizing(Fairness::StronglyFair));
 }
 
@@ -30,7 +30,7 @@ fn two_token_initial_set_still_fails() {
     let spec = TokenCirculation::on_ring(&builders::ring(6))
         .unwrap()
         .legitimacy();
-    let report = analyze(&restricted, Daemon::Distributed, &spec, CAP).unwrap();
+    let report = analyze(&restricted, DaemonSpec::distributed(), &spec, CAP).unwrap();
     assert!(report.weak.holds());
     assert!(!report.is_self_stabilizing(Fairness::StronglyFair));
     assert!(report.algorithm.contains("≤2 tokens"));
@@ -49,7 +49,7 @@ fn single_token_initial_set_trivializes() {
     let spec = TokenCirculation::on_ring(&builders::ring(6))
         .unwrap()
         .legitimacy();
-    let report = analyze(&restricted, Daemon::Distributed, &spec, CAP).unwrap();
+    let report = analyze(&restricted, DaemonSpec::distributed(), &spec, CAP).unwrap();
     for f in Fairness::ALL {
         assert!(report.is_self_stabilizing(f), "restricted start under {f}");
     }
@@ -70,7 +70,8 @@ fn restriction_interacts_with_reachability_not_just_membership() {
         .unwrap()
         .legitimacy();
     let space =
-        stab_checker::ExploredSpace::explore(&restricted, Daemon::Distributed, &spec, CAP).unwrap();
+        stab_checker::ExploredSpace::explore(&restricted, DaemonSpec::distributed(), &spec, CAP)
+            .unwrap();
     let reachable = space.reachable_from_initial();
     let reached = reachable.count_ones();
     assert!(

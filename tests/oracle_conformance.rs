@@ -9,9 +9,9 @@
 //!
 //! The second half re-expresses the paper's four daemons as points of the
 //! daemon lattice ([`DaemonSpec`]) and replays Theorems 2, 5, 6 and 7 of
-//! Devismes–Tixeuil–Yamashita through them: identical verdict sheets to
-//! the legacy enum path, and the published token-ring/Herman verdicts
-//! unchanged.
+//! Devismes–Tixeuil–Yamashita through them: identical verdict sheets under
+//! a bounded re-expression of each point, and the published
+//! token-ring/Herman verdicts unchanged.
 
 use weak_stabilization::prelude::*;
 
@@ -22,17 +22,23 @@ use stab_checker::lattice::{Implied, VerdictPropagator};
 use stab_checker::theorems::{theorem5_and_7_agree, theorem6_separation};
 use stab_checker::{analyze, StabilizationReport};
 use stab_core::engine::{EdgeStoreKind, ExploreOptions, Quotient};
-use stab_core::DaemonSpec;
+use stab_core::{Boundedness, DaemonSpec};
 
 const CAP: u64 = 1 << 22;
 
-/// The four paper daemons as `(lattice point, legacy enum)` pairs.
-const LATTICE_POINTS: [(DaemonSpec, Daemon); 4] = [
-    (DaemonSpec::central(), Daemon::Central),
-    (DaemonSpec::distributed(), Daemon::Distributed),
-    (DaemonSpec::synchronous(), Daemon::Synchronous),
-    (DaemonSpec::locally_central(), Daemon::LocallyCentral),
+/// The four paper daemons as `(named point, re-expressed point)` pairs:
+/// a step bound constrains executions, never single steps, so it must
+/// not move a verdict.
+const LATTICE_POINTS: [(DaemonSpec, DaemonSpec); 4] = [
+    reexpressed(DaemonSpec::central()),
+    reexpressed(DaemonSpec::distributed()),
+    reexpressed(DaemonSpec::synchronous()),
+    reexpressed(DaemonSpec::locally_central()),
 ];
+
+const fn reexpressed(point: DaemonSpec) -> (DaemonSpec, DaemonSpec) {
+    (point, point.with_bound(Boundedness::EnabledBounded(3)))
+}
 
 fn assert_same_sheet(a: &StabilizationReport, b: &StabilizationReport, label: &str) {
     assert_eq!(a.states, b.states, "{label}: states");
@@ -185,17 +191,17 @@ fn oracle_verdicts_respect_the_refinement_order() {
 // Theorems 2/5/6/7 through the re-expressed lattice points
 // ---------------------------------------------------------------------
 
-/// Every lattice-point verdict sheet equals its legacy-enum sheet, and
-/// the Theorem 5/7 invariants hold on each.
+/// Every named point's verdict sheet equals the sheet of its bounded
+/// re-expression, and the Theorem 5/7 invariants hold on each.
 #[test]
 fn token_ring_sheets_survive_lattice_reexpression() {
     for n in [4usize, 5] {
         let alg = TokenCirculation::on_ring(&builders::ring(n)).unwrap();
         let spec = alg.legitimacy();
-        for (point, legacy) in LATTICE_POINTS {
+        for (point, reexpressed) in LATTICE_POINTS {
             let label = format!("{} under {}", alg.name(), point.name());
             let a = analyze(&alg, point, &spec, CAP).unwrap();
-            let b = analyze(&alg, legacy, &spec, CAP).unwrap();
+            let b = analyze(&alg, reexpressed, &spec, CAP).unwrap();
             assert_same_sheet(&a, &b, &label);
             // Theorem 5: closure + possible convergence ⇒ Gouda self.
             if a.closure.holds() && a.weak.holds() {
@@ -244,8 +250,9 @@ fn herman_at_the_synchronous_point() {
         "coin flips can stall forever: no certain convergence"
     );
     assert!(theorem5_and_7_agree(&r), "Theorem 7");
-    let legacy = analyze(&alg, Daemon::Synchronous, &alg.legitimacy(), CAP).unwrap();
-    assert_same_sheet(&r, &legacy, "herman(7) under synchronous");
+    let (_, bounded) = reexpressed(DaemonSpec::synchronous());
+    let b = analyze(&alg, bounded, &alg.legitimacy(), CAP).unwrap();
+    assert_same_sheet(&r, &b, "herman(7) under synchronous");
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +285,7 @@ fn assert_herman_worst_case(n: usize, quotient: Quotient, tiers: &[EdgeStoreKind
             .with_quotient(quotient)
             .with_edge_store(tier);
         let report = Study::of(&alg)
-            .daemon(Daemon::Synchronous)
+            .daemon(DaemonSpec::synchronous())
             .spec(&spec)
             .expected_times()
             .options(opts)

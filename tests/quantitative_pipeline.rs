@@ -22,7 +22,11 @@ fn settings(runs: u64, seed: u64) -> BatchSettings {
 
 #[test]
 fn exact_vs_simulated_transformed_token_ring() {
-    for daemon in [Daemon::Central, Daemon::Synchronous, Daemon::Distributed] {
+    for daemon in [
+        DaemonSpec::central(),
+        DaemonSpec::synchronous(),
+        DaemonSpec::distributed(),
+    ] {
         let alg = Transformed::new(TokenCirculation::on_ring(&builders::ring(4)).unwrap());
         let spec = ProjectedLegitimacy::new(
             TokenCirculation::on_ring(&builders::ring(4))
@@ -48,12 +52,12 @@ fn exact_vs_simulated_transformed_token_ring() {
 fn exact_vs_simulated_herman() {
     let alg = HermanRing::on_ring(&builders::ring(7)).unwrap();
     let spec = alg.legitimacy();
-    let chain = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+    let chain = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
     let exact = chain
         .expected_steps()
         .unwrap()
         .average_uniform(chain.n_configs());
-    let batch = estimate(&alg, Daemon::Synchronous, &spec, &settings(8_000, 21));
+    let batch = estimate(&alg, DaemonSpec::synchronous(), &spec, &settings(8_000, 21));
     assert_eq!(batch.failures, 0);
     assert!(batch.steps.covers(exact, 3.0));
 }
@@ -62,12 +66,12 @@ fn exact_vs_simulated_herman() {
 fn exact_vs_simulated_dijkstra() {
     let alg = DijkstraRing::on_ring(&builders::ring(5)).unwrap();
     let spec = alg.legitimacy();
-    let chain = AbsorbingChain::build(&alg, Daemon::Central, &spec, CAP).unwrap();
+    let chain = AbsorbingChain::build(&alg, DaemonSpec::central(), &spec, CAP).unwrap();
     let exact = chain
         .expected_steps()
         .unwrap()
         .average_uniform(chain.n_configs());
-    let batch = estimate(&alg, Daemon::Central, &spec, &settings(8_000, 13));
+    let batch = estimate(&alg, DaemonSpec::central(), &spec, &settings(8_000, 13));
     assert_eq!(batch.failures, 0);
     assert!(batch.steps.covers(exact, 3.0));
 }
@@ -76,10 +80,10 @@ fn exact_vs_simulated_dijkstra() {
 fn cdf_median_is_consistent_with_simulation() {
     let alg = Transformed::new(TwoProcessToggle::new());
     let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-    let chain = AbsorbingChain::build(&alg, Daemon::Synchronous, &spec, CAP).unwrap();
+    let chain = AbsorbingChain::build(&alg, DaemonSpec::synchronous(), &spec, CAP).unwrap();
     let cdf = chain.hitting_cdf_uniform(500);
     // Empirical fraction of runs finishing within k steps must track the CDF.
-    let batch = estimate(&alg, Daemon::Synchronous, &spec, &settings(4_000, 3));
+    let batch = estimate(&alg, DaemonSpec::synchronous(), &spec, &settings(4_000, 3));
     assert_eq!(batch.failures, 0);
     let _k = 10usize;
     // Count simulated runs with steps <= k by re-deriving from the mean is
@@ -98,7 +102,7 @@ fn worst_case_dominates_every_start() {
             .unwrap()
             .legitimacy(),
     );
-    let chain = AbsorbingChain::build(&alg, Daemon::Central, &spec, CAP).unwrap();
+    let chain = AbsorbingChain::build(&alg, DaemonSpec::central(), &spec, CAP).unwrap();
     let times = chain.expected_steps().unwrap();
     let worst = times.worst_case();
     for i in 0..chain.n_transient() {

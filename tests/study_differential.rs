@@ -14,7 +14,7 @@ use stab_algorithms::{
 use stab_checker::{analyze, StabilizationReport, Verdict};
 use stab_core::engine::ExploreOptions;
 use stab_core::{
-    Algorithm, Daemon, Fairness, FairnessSet, Legitimacy, ProjectedLegitimacy, Transformed,
+    Algorithm, DaemonSpec, Fairness, FairnessSet, Legitimacy, ProjectedLegitimacy, Transformed,
 };
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
@@ -51,7 +51,7 @@ fn roundtrip(report: &StudyReport, label: &str) {
 /// The full differential for one `(algorithm, spec, daemon)` triple, on
 /// the legacy pipeline's own exploration shape (explicit full sweep, so
 /// value equality is bit-for-bit by construction sharing).
-fn differential<A, L>(alg: &A, spec: &L, daemon: Daemon)
+fn differential<A, L>(alg: &A, spec: &L, daemon: DaemonSpec)
 where
     A: Algorithm + Sync,
     A::State: Sync,
@@ -147,7 +147,7 @@ where
 fn token_circulation_matches_legacy_under_every_daemon() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         differential(&alg, &spec, daemon);
     }
 }
@@ -156,7 +156,7 @@ fn token_circulation_matches_legacy_under_every_daemon() {
 fn two_process_toggle_matches_legacy_under_every_daemon() {
     let alg = TwoProcessToggle::new();
     let spec = alg.legitimacy();
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         // Includes the central-daemon case, where absorption fails and the
         // study must report the same typed reason the legacy solver does.
         differential(&alg, &spec, daemon);
@@ -168,7 +168,7 @@ fn coloring_matches_legacy_under_every_daemon() {
     let g = builders::path(3);
     let alg = GreedyColoring::new(&g).unwrap();
     let spec = alg.legitimacy();
-    for daemon in Daemon::ALL {
+    for daemon in DaemonSpec::LEGACY {
         differential(&alg, &spec, daemon);
     }
 }
@@ -177,21 +177,21 @@ fn coloring_matches_legacy_under_every_daemon() {
 fn herman_matches_legacy_under_synchronous() {
     let alg = HermanRing::on_ring(&builders::ring(7)).unwrap();
     let spec = alg.legitimacy();
-    differential(&alg, &spec, Daemon::Synchronous);
+    differential(&alg, &spec, DaemonSpec::synchronous());
 }
 
 #[test]
 fn dijkstra_matches_legacy_under_central() {
     let alg = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
-    differential(&alg, &spec, Daemon::Central);
+    differential(&alg, &spec, DaemonSpec::central());
 }
 
 #[test]
 fn transformed_toggle_matches_legacy_under_synchronous() {
     let alg = Transformed::new(TwoProcessToggle::new());
     let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-    differential(&alg, &spec, Daemon::Synchronous);
+    differential(&alg, &spec, DaemonSpec::synchronous());
 }
 
 /// The Monte-Carlo stage is the same seeded batch the legacy call runs:
@@ -210,7 +210,7 @@ fn monte_carlo_stage_matches_legacy_estimate_bit_for_bit() {
         threads: 2,
     };
     let report = Study::of(&alg)
-        .daemon(Daemon::Synchronous)
+        .daemon(DaemonSpec::synchronous())
         .spec(&spec)
         .cap(CAP)
         .monte_carlo(config.clone())
@@ -219,7 +219,7 @@ fn monte_carlo_stage_matches_legacy_estimate_bit_for_bit() {
     let mc = report.monte_carlo.as_ref().expect("mc stage ran");
     let legacy = estimate(
         &alg,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &spec,
         &BatchSettings {
             runs: config.runs,
@@ -245,7 +245,7 @@ fn unrequested_stages_are_absent() {
     let alg = TwoProcessToggle::new();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Distributed)
+        .daemon(DaemonSpec::distributed())
         .spec(&spec)
         .cap(CAP)
         .run()
@@ -267,7 +267,7 @@ fn verdict_set_selects_fairness_rows() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Distributed)
+        .daemon(DaemonSpec::distributed())
         .spec(&spec)
         .cap(CAP)
         .verdicts(FairnessSet::of(&[Fairness::StronglyFair, Fairness::Gouda]))
@@ -288,4 +288,23 @@ fn parse_rejects_wrong_schema_and_garbage() {
     assert!(StudyReport::from_json_str("{}").is_err());
     let err = StudyReport::from_json_str(r#"{"schema": "study_report/v0"}"#).unwrap_err();
     assert!(err.contains("study_report/v0"), "{err}");
+}
+
+/// A k-central daemon with `k = 0` allows no activation, so it is a parse
+/// error naming the field rather than a daemon under which every
+/// configuration is terminal.
+#[test]
+fn parse_rejects_zero_k_central_daemon() {
+    let alg = TwoProcessToggle::new();
+    let spec = alg.legitimacy();
+    let report = Study::of(&alg)
+        .daemon(DaemonSpec::central())
+        .spec(&spec)
+        .run()
+        .unwrap();
+    let text = report.to_json_string();
+    let zero_k = text.replacen("\"k\": 1", "\"k\": 0", 1);
+    assert_ne!(zero_k, text, "the central daemon serializes `k`");
+    let err = StudyReport::from_json_str(&zero_k).unwrap_err();
+    assert!(err.contains("`k`"), "{err}");
 }

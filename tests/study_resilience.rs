@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_core::engine::{Budget, FaultPlan};
-use stab_core::{CoreError, Daemon, FairnessSet};
+use stab_core::{CoreError, DaemonSpec, FairnessSet};
 use stab_graph::builders;
 use weak_stabilization::study::{ExpectedSection, McConfig, Outcome, Study, StudyReport, Timings};
 
@@ -47,7 +47,7 @@ fn exhausted_budget_degrades_the_study_instead_of_failing_it() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Distributed)
+        .daemon(DaemonSpec::distributed())
         .spec(&spec)
         .verdicts(FairnessSet::ALL)
         .expected_times()
@@ -87,7 +87,7 @@ fn states_cap_names_the_exhausted_resource() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Distributed)
+        .daemon(DaemonSpec::distributed())
         .spec(&spec)
         .budget(Budget::unlimited().with_max_states(8))
         .run()
@@ -108,7 +108,7 @@ fn unbudgeted_studies_report_complete_stages() {
     let alg = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Distributed)
+        .daemon(DaemonSpec::distributed())
         .spec(&spec)
         .verdicts(FairnessSet::ALL)
         .run()
@@ -132,7 +132,7 @@ fn interrupted_then_resumed_herman13_study_matches_uninterrupted() {
     let spec = alg.legitimacy();
     let study = |alg| {
         Study::of(alg)
-            .daemon(Daemon::Synchronous)
+            .daemon(DaemonSpec::synchronous())
             .spec(&spec)
             .verdicts(FairnessSet::ALL)
             .expected_times()
@@ -172,7 +172,7 @@ fn zero_run_monte_carlo_degrades_instead_of_panicking() {
     let alg = HermanRing::on_ring(&builders::ring(5)).unwrap();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Synchronous)
+        .daemon(DaemonSpec::synchronous())
         .spec(&spec)
         .expected_times()
         .monte_carlo(McConfig {
@@ -200,7 +200,7 @@ fn unconverged_monte_carlo_degrades_instead_of_panicking() {
     let alg = HermanRing::on_ring(&builders::ring(11)).unwrap();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Synchronous)
+        .daemon(DaemonSpec::synchronous())
         .spec(&spec)
         .expected_times()
         .monte_carlo(McConfig {
@@ -233,7 +233,7 @@ fn non_absorbing_chain_is_unsolvable_with_the_not_absorbing_text() {
     let alg = TwoProcessToggle::new();
     let spec = alg.legitimacy();
     let report = Study::of(&alg)
-        .daemon(Daemon::Central)
+        .daemon(DaemonSpec::central())
         .spec(&spec)
         .expected_times()
         .run()
@@ -246,6 +246,6 @@ fn non_absorbing_chain_is_unsolvable_with_the_not_absorbing_text() {
         error,
         "absorption is not almost sure: ⟨false, false⟩ cannot reach the legitimate set"
     );
-    let chain = AbsorbingChain::build(&alg, Daemon::Central, &spec, 1 << 12).unwrap();
+    let chain = AbsorbingChain::build(&alg, DaemonSpec::central(), &spec, 1 << 12).unwrap();
     assert_eq!(error, chain.expected_steps().unwrap_err().to_string());
 }

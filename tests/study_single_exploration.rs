@@ -19,7 +19,7 @@ use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_core::engine::{
     explore_count, EdgeStoreKind, ExploreOptions, Quotient, DEFAULT_BYTE_BUDGET,
 };
-use stab_core::{Daemon, FairnessSet};
+use stab_core::{DaemonSpec, FairnessSet};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 
@@ -38,7 +38,7 @@ fn one_run_is_one_exploration() {
 
     let before = explore_count();
     let report = Study::of(&alg)
-        .daemon(Daemon::Distributed)
+        .daemon(DaemonSpec::distributed())
         .spec(&spec)
         .cap(1 << 22)
         .verdicts(FairnessSet::ALL)
@@ -74,7 +74,7 @@ fn auto_planned_run_is_one_exploration() {
 
     let before = explore_count();
     let report = Study::of(&alg)
-        .daemon(Daemon::Synchronous)
+        .daemon(DaemonSpec::synchronous())
         .spec(&spec)
         .verdicts(FairnessSet::of(&[stab_core::Fairness::Gouda]))
         .expected_times()
@@ -105,7 +105,7 @@ fn herman13_auto_plan_picks_quotient_and_compressed_and_matches_pr4() {
     let spec = alg.legitimacy();
 
     let report = Study::of(&alg)
-        .daemon(Daemon::Synchronous)
+        .daemon(DaemonSpec::synchronous())
         .spec(&spec)
         .expected_times()
         .run()
@@ -135,7 +135,7 @@ fn herman13_auto_plan_picks_quotient_and_compressed_and_matches_pr4() {
         .with_quotient(Quotient::Automorphism)
         .with_edge_store(EdgeStoreKind::Compressed);
     let chain =
-        AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, 1 << 22, &opts).unwrap();
+        AbsorbingChain::build_with(&alg, DaemonSpec::synchronous(), &spec, 1 << 22, &opts).unwrap();
     let times = chain.expected_steps().unwrap();
     let solved = report.expected_times.as_ref().unwrap().solved().unwrap();
     assert_eq!(solved.n_transient, chain.n_transient() as u64);
@@ -159,7 +159,8 @@ fn herman13_auto_plan_picks_quotient_and_compressed_and_matches_pr4() {
         .with_ring_quotient()
         .with_edge_store(EdgeStoreKind::Flat);
     let pr4_chain =
-        AbsorbingChain::build_with(&alg, Daemon::Synchronous, &spec, 1 << 22, &pr4_opts).unwrap();
+        AbsorbingChain::build_with(&alg, DaemonSpec::synchronous(), &spec, 1 << 22, &pr4_opts)
+            .unwrap();
     let pr4_times = pr4_chain.expected_steps().unwrap();
     let pr4_avg = pr4_times.average_weighted(
         pr4_chain.transient_orbits(),

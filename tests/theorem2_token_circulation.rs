@@ -16,7 +16,7 @@ const CAP: u64 = 1 << 22;
 fn weak_but_not_self_on_all_small_rings() {
     for n in 3..=6usize {
         let alg = TokenCirculation::on_ring(&builders::ring(n)).unwrap();
-        let report = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+        let report = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap();
         assert!(report.deterministic);
         assert!(report.is_weak_stabilizing(), "Theorem 2 on the {n}-ring");
         assert!(
@@ -58,7 +58,7 @@ fn lemma6_specification_holds_from_legitimate_configurations() {
 #[test]
 fn the_paper_counterexample_is_a_strongly_fair_lasso() {
     let alg = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
-    let report = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+    let report = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap();
     let Some(Witness::Lasso { cycle, .. }) = report.self_under(Fairness::StronglyFair).witness()
     else {
         panic!("expected a lasso witness");
@@ -77,7 +77,7 @@ fn works_in_both_ring_directions() {
     let reversed = stab_graph::RingOrientation::from_cycle_order(&g, &reversed_order).unwrap();
     for orient in [canonical, reversed] {
         let alg = TokenCirculation::with_orientation(g.clone(), orient);
-        let report = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+        let report = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap();
         assert!(report.is_weak_stabilizing());
     }
 }

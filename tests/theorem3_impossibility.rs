@@ -52,11 +52,11 @@ fn consequently_no_self_stabilization_under_distributed() {
     for report in [
         {
             let alg = ParentLeader::on_tree(&g).unwrap();
-            analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap()
+            analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap()
         },
         {
             let alg = CenterLeader::on_tree(&g).unwrap();
-            analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap()
+            analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap()
         },
     ] {
         assert!(

@@ -18,7 +18,7 @@ fn weak_stabilizing_on_every_labelled_tree_up_to_5() {
     for n in 2..=5usize {
         for g in trees::all_labelled_trees(n) {
             let alg = ParentLeader::on_tree(&g).unwrap();
-            let report = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+            let report = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap();
             assert!(report.is_weak_stabilizing(), "Theorem 4 fails on {g:?}");
             assert!(report.probabilistic.holds(), "Theorem 7 on {g:?}");
         }
@@ -29,7 +29,7 @@ fn weak_stabilizing_on_every_labelled_tree_up_to_5() {
 fn center_leader_weak_stabilizing_on_small_trees() {
     for g in [builders::path(4), builders::star(4), builders::path(5)] {
         let alg = CenterLeader::on_tree(&g).unwrap();
-        let report = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+        let report = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap();
         assert!(report.is_weak_stabilizing(), "center leader on {g:?}");
     }
     // The tie-break chase exists exactly on *two-center* trees: the even
@@ -39,7 +39,7 @@ fn center_leader_weak_stabilizing_on_small_trees() {
     let two_centers = CenterLeader::on_tree(&builders::path(4)).unwrap();
     let r = analyze(
         &two_centers,
-        Daemon::Distributed,
+        DaemonSpec::distributed(),
         &two_centers.legitimacy(),
         CAP,
     )
@@ -51,7 +51,7 @@ fn center_leader_weak_stabilizing_on_small_trees() {
     let unique_center = CenterLeader::on_tree(&builders::star(4)).unwrap();
     let r = analyze(
         &unique_center,
-        Daemon::Distributed,
+        DaemonSpec::distributed(),
         &unique_center.legitimacy(),
         CAP,
     )

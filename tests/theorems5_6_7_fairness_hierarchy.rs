@@ -19,7 +19,11 @@ const CAP: u64 = 1 << 22;
 
 fn zoo_reports() -> Vec<StabilizationReport> {
     let mut out = Vec::new();
-    for daemon in [Daemon::Central, Daemon::Distributed, Daemon::Synchronous] {
+    for daemon in [
+        DaemonSpec::central(),
+        DaemonSpec::distributed(),
+        DaemonSpec::synchronous(),
+    ] {
         let alg = TokenCirculation::on_ring(&builders::ring(5)).unwrap();
         out.push(analyze(&alg, daemon, &alg.legitimacy(), CAP).unwrap());
         let alg = ParentLeader::on_tree(&builders::path(4)).unwrap();
@@ -63,7 +67,7 @@ fn theorem7_gouda_equals_probabilistic_everywhere() {
 #[test]
 fn theorem6_strict_separation_on_the_6_ring() {
     let alg = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
-    let r = analyze(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+    let r = analyze(&alg, DaemonSpec::distributed(), &alg.legitimacy(), CAP).unwrap();
     assert!(
         theorem6_separation(&r),
         "Gouda holds, strong fairness fails"
@@ -71,7 +75,7 @@ fn theorem6_strict_separation_on_the_6_ring() {
     // The separation also appears under the *central* scheduler — the
     // paper's counterexample explicitly uses the central strongly fair
     // scheduler.
-    let rc = analyze(&alg, Daemon::Central, &alg.legitimacy(), CAP).unwrap();
+    let rc = analyze(&alg, DaemonSpec::central(), &alg.legitimacy(), CAP).unwrap();
     assert!(theorem6_separation(&rc));
 }
 
@@ -99,7 +103,7 @@ fn gouda_failures_produce_closed_component_witnesses() {
     // central daemon), the Gouda verdict fails and the probabilistic
     // verdict agrees (both report unreachability of L).
     let alg = TwoProcessToggle::new();
-    let r = analyze(&alg, Daemon::Central, &alg.legitimacy(), CAP).unwrap();
+    let r = analyze(&alg, DaemonSpec::central(), &alg.legitimacy(), CAP).unwrap();
     assert!(!r.weak.holds());
     assert!(!r.self_under(Fairness::Gouda).holds());
     assert!(!r.probabilistic.holds());

@@ -24,7 +24,7 @@ fn transformer_pipeline<A>(
 {
     let base = make();
     let spec = spec_of(&base);
-    let base_report = analyze(&base, Daemon::Distributed, &spec, CAP).unwrap();
+    let base_report = analyze(&base, DaemonSpec::distributed(), &spec, CAP).unwrap();
     assert!(
         base_report.is_weak_stabilizing(),
         "input must be weak-stabilizing"
@@ -32,7 +32,7 @@ fn transformer_pipeline<A>(
 
     let trans = Transformed::new(make());
     let tspec = ProjectedLegitimacy::new(spec_of(&base));
-    for daemon in [Daemon::Synchronous, Daemon::Distributed] {
+    for daemon in [DaemonSpec::synchronous(), DaemonSpec::distributed()] {
         let report = analyze(&trans, daemon, &tspec, CAP).unwrap();
         assert!(
             report.is_probabilistically_self_stabilizing(),
@@ -84,7 +84,7 @@ fn projection_of_every_step_is_inner_step_or_stutter() {
     let ix = SpaceIndexer::new(&trans, CAP).unwrap();
     for cfg in ix.iter() {
         let proj = Transformed::<TokenCirculation>::project(&cfg);
-        for (act, dist) in semantics::all_steps(&trans, Daemon::Distributed, &cfg).unwrap() {
+        for (act, dist) in semantics::all_steps(&trans, DaemonSpec::distributed(), &cfg).unwrap() {
             for (_, next) in dist {
                 let nproj = Transformed::<TokenCirculation>::project(&next);
                 // Every process either stuttered or took its inner action.
@@ -119,7 +119,7 @@ fn transformed_systems_have_finite_expected_times() {
             .unwrap()
             .legitimacy(),
     );
-    for daemon in [Daemon::Synchronous, Daemon::Distributed] {
+    for daemon in [DaemonSpec::synchronous(), DaemonSpec::distributed()] {
         let chain = AbsorbingChain::build(&trans, daemon, &spec, CAP).unwrap();
         let times = chain.expected_steps().expect("almost-sure absorption");
         assert!(times.worst_case().is_finite());
@@ -133,7 +133,7 @@ fn biased_coins_also_work() {
     for p in [0.1, 0.9] {
         let trans = Transformed::with_bias(TwoProcessToggle::new(), p);
         let spec = ProjectedLegitimacy::new(TwoProcessToggle::new().legitimacy());
-        let report = analyze(&trans, Daemon::Synchronous, &spec, CAP).unwrap();
+        let report = analyze(&trans, DaemonSpec::synchronous(), &spec, CAP).unwrap();
         assert!(report.is_probabilistically_self_stabilizing(), "bias {p}");
     }
 }

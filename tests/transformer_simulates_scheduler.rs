@@ -157,14 +157,14 @@ fn exact_moves_match_simulated_moves() {
             .unwrap()
             .legitimacy(),
     );
-    let chain = AbsorbingChain::build(&trans, Daemon::Synchronous, &spec, 1 << 22).unwrap();
+    let chain = AbsorbingChain::build(&trans, DaemonSpec::synchronous(), &spec, 1 << 22).unwrap();
     let exact_moves = chain
         .expected_moves()
         .unwrap()
         .average_uniform(chain.n_configs());
     let batch = estimate(
         &trans,
-        Daemon::Synchronous,
+        DaemonSpec::synchronous(),
         &spec,
         &BatchSettings {
             runs: 8_000,
