@@ -117,49 +117,6 @@ impl Automorphism {
         Ok(out)
     }
 
-    /// A generator set for (a sound subgroup of) `Aut(g)`, sized
-    /// O(N·|generators|) — never factorial: the rotation-by-1 and
-    /// reflection on rings (generating all of `D_N = Aut`), the
-    /// same-parent leaf transpositions on trees and stars (generating the
-    /// leaf-permutation subgroup, which is all of `Aut` on stars), and the
-    /// non-identity automorphisms from brute-force search elsewhere
-    /// (capped at 9 nodes). This is the set to feed
-    /// `stab_core::engine::GroupCanonicalizer::from_permutations`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::SymmetryGroupTooLarge`] when the brute-force fallback
-    /// would have to search an unrecognised topology with more than 9
-    /// nodes (rings, stars and trees never hit this).
-    pub fn generators(g: &Graph) -> Result<Vec<Automorphism>, CoreError> {
-        if let Ok(rot) = RingRotations::of(g) {
-            return Ok(vec![
-                Automorphism {
-                    perm: rot.permutation(1),
-                },
-                Automorphism {
-                    perm: rot.reflection(),
-                },
-            ]);
-        }
-        let classes = leaf_classes(g);
-        if !classes.is_empty() {
-            let mut out = Vec::new();
-            for class in classes {
-                for pair in class.windows(2) {
-                    let mut perm: Vec<NodeId> = g.nodes().collect();
-                    perm.swap(pair[0].index(), pair[1].index());
-                    out.push(Automorphism { perm });
-                }
-            }
-            return Ok(out);
-        }
-        Ok(Automorphism::all(g)?
-            .into_iter()
-            .filter(|a| !a.is_identity())
-            .collect())
-    }
-
     /// The image of a node.
     pub fn node_image(&self, v: NodeId) -> NodeId {
         self.perm[v.index()]
@@ -329,10 +286,11 @@ impl SymmetryVerdict {
 ///
 /// # Errors
 ///
-/// Propagates [`CoreError`] from state-space enumeration, and returns
+/// Propagates [`CoreError`] from state-space enumeration, returns
+/// [`CoreError::NotAnAutomorphism`] if `auto` is not an automorphism of
+/// `alg`'s graph (e.g. one built for another graph), and returns
 /// [`CoreError::DeterminismRequired`] if the algorithm is probabilistic on
-/// some configuration — Theorem 3 concerns deterministic systems (this
-/// used to panic).
+/// some configuration — Theorem 3 concerns deterministic systems.
 pub fn check_synchronous_symmetry<A, L, F>(
     alg: &A,
     spec: &L,
@@ -345,8 +303,12 @@ where
     L: Legitimacy<A::State>,
     F: Fn(&Automorphism, &Graph, NodeId, &A::State) -> A::State,
 {
-    let ix = SpaceIndexer::new(alg, cap)?;
     let g = alg.graph();
+    if Automorphism::new(g, auto.perm.clone()).is_none() {
+        let (nodes, graph_nodes) = (auto.perm.len(), g.n());
+        return Err(CoreError::NotAnAutomorphism { nodes, graph_nodes });
+    }
+    let ix = SpaceIndexer::new(alg, cap)?;
     let mut equivariant = true;
     let mut symmetric = 0u64;
     let mut closed = true;
@@ -450,21 +412,6 @@ mod tests {
                 assert!(seen.insert(a.perm.clone()));
             }
         }
-        // Generator sets stay O(1)–O(N), never factorial.
-        assert_eq!(
-            Automorphism::generators(&builders::ring(40)).unwrap().len(),
-            2
-        );
-        assert_eq!(
-            Automorphism::generators(&builders::star(12)).unwrap().len(),
-            10
-        );
-        assert_eq!(
-            Automorphism::generators(&builders::caterpillar(3, 2))
-                .unwrap()
-                .len(),
-            3
-        );
     }
 
     #[test]
@@ -478,24 +425,6 @@ mod tests {
         assert!(autos
             .iter()
             .all(|a| a.node_image(NodeId::new(0)) == NodeId::new(0)));
-    }
-
-    #[test]
-    fn generators_generate_valid_automorphisms() {
-        for g in [
-            builders::ring(7),
-            builders::star(6),
-            builders::caterpillar(2, 3),
-            builders::path(4),
-        ] {
-            for a in Automorphism::generators(&g).unwrap() {
-                assert!(
-                    Automorphism::new(&g, a.perm.clone()).is_some(),
-                    "invalid generator on {g:?}"
-                );
-                assert!(!a.is_identity());
-            }
-        }
     }
 
     /// The old panics are now typed errors: oversized groups report
@@ -523,6 +452,62 @@ mod tests {
             check_synchronous_symmetry(&alg, &spec, &mirror, state_maps::value(), 1 << 20),
             Err(CoreError::DeterminismRequired { .. })
         ));
+    }
+
+    /// An automorphism of another graph is a typed error, not a panic:
+    /// the `path(4)` mirror on `path(5)` used to index out of bounds in
+    /// `apply_config`, and a `ring(4)` rotation on `path(4)` (same size,
+    /// but it breaks an edge) used to hit the `expect` in `port_image`.
+    #[test]
+    fn foreign_automorphisms_are_typed_errors() {
+        let mirror4 = Automorphism::all(&builders::path(4))
+            .unwrap()
+            .into_iter()
+            .find(|a| !a.is_identity())
+            .unwrap();
+        let coloring = GreedyColoring::new(&builders::path(5)).unwrap();
+        let err = check_synchronous_symmetry(
+            &coloring,
+            &coloring.legitimacy(),
+            &mirror4,
+            state_maps::value(),
+            1 << 20,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CoreError::NotAnAutomorphism {
+                    nodes: 4,
+                    graph_nodes: 5
+                }
+            ),
+            "{err}"
+        );
+        let rotation = Automorphism::all(&builders::ring(4))
+            .unwrap()
+            .into_iter()
+            .find(|a| !a.is_identity() && !a.is_involution())
+            .unwrap();
+        let leader = ParentLeader::on_tree(&builders::path(4)).unwrap();
+        let err = check_synchronous_symmetry(
+            &leader,
+            &leader.legitimacy(),
+            &rotation,
+            state_maps::parent_port(),
+            1 << 20,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CoreError::NotAnAutomorphism {
+                    nodes: 4,
+                    graph_nodes: 4
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

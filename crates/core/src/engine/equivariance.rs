@@ -1,5 +1,10 @@
-//! Per-run behavioural soundness gate for symmetry quotients: decides
-//! `QuotientUnsupported` **per algorithm**, not per topology.
+//! Behavioural soundness gate for symmetry quotients: decides
+//! `QuotientUnsupported` **per algorithm**, not per topology, once per
+//! study. [`check_quotient_sound`] is the one entry point; it returns an
+//! [`Admission`] naming the quotient, canonicalizer and daemon it
+//! admitted and how each generator passed (strict or lumped). A plan
+//! hands its admission to the exploration through [`Carried`], and the
+//! exploration gates only when no carried admission covers its run.
 //!
 //! A group quotient is sound when the algorithm respects the group and the
 //! specification is invariant under it. Structural validation (ring shape,
@@ -36,20 +41,94 @@
 //! equivariant algorithms need no such caveat.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::algorithm::Algorithm;
 use crate::scheduler::DaemonSpec;
 use crate::space::SpaceIndexer;
 use crate::spec::Legitimacy;
-use crate::CoreError;
+use crate::{CoreError, LocalState};
 
 use super::explore::conflict_masks;
+use super::onthefly::Quotient;
 use super::quotient::GroupCanonicalizer;
 use super::rowgen::RowGen;
 
-/// A cached kernel row: legitimacy, enabled mask, and the successor
-/// distribution aggregated by target.
-type KernelRow = (bool, u64, Vec<(u64, f64)>);
+/// Process-wide gate counter, incremented once per
+/// [`check_quotient_sound`] entry.
+static GATE_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of equivariance-gate runs performed by this process so far.
+/// The gate is the planner's dominant cost, so pipelines that promise to
+/// decide symmetry *once* per study (the plan gates, the exploration
+/// reuses its admission) pin that promise by asserting this counter.
+pub fn gate_count() -> u64 {
+    GATE_CALLS.load(Ordering::Relaxed)
+}
+
+/// What the equivariance gate admitted: the quotient and its
+/// canonicalizer, the daemon the gate ran under, and how each generator
+/// passed. Only [`check_quotient_sound`] creates one.
+#[derive(Debug)]
+pub(super) struct Admission {
+    quotient: Quotient,
+    canon: GroupCanonicalizer,
+    daemon: DaemonSpec,
+    /// `generator 0: strict; generator 1: lumped; …`
+    outcomes: String,
+}
+
+impl Admission {
+    /// Order of the admitted group.
+    pub(super) fn group_order(&self) -> u64 {
+        self.canon.group_order()
+    }
+
+    /// The admitted canonicalizer.
+    pub(super) fn into_canonicalizer(self) -> GroupCanonicalizer {
+        self.canon
+    }
+
+    /// How each generator passed, e.g. `generator 0: strict; generator
+    /// 1: lumped`.
+    pub(super) fn outcomes(&self) -> &str {
+        &self.outcomes
+    }
+}
+
+/// An admission carried from a plan to its exploration options: shared
+/// behind an `Arc` so option clones stay cheap, and equal to every other
+/// carrier so it never changes how options or plans compare.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Carried(pub(super) Option<Arc<Admission>>);
+
+impl Carried {
+    /// The carried canonicalizer, if the admission was decided for
+    /// `quotient` under `daemon` on a space with `ix`'s alphabets.
+    pub(super) fn covering<S: LocalState>(
+        &self,
+        quotient: Quotient,
+        daemon: DaemonSpec,
+        ix: &SpaceIndexer<S>,
+    ) -> Option<GroupCanonicalizer> {
+        let a = self.0.as_deref()?;
+        let covers = a.quotient == quotient && a.daemon == daemon && a.canon.fits(ix);
+        covers.then(|| a.canon.clone())
+    }
+}
+
+impl PartialEq for Carried {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Carried {}
+
+/// A cached kernel row: the enabled mask and the successor distribution
+/// aggregated by target.
+type KernelRow = (u64, Vec<(u64, f64)>);
 
 /// Stride-sample size for the (cheap) spec-invariance pass.
 const SPEC_SAMPLES: u64 = 2048;
@@ -91,25 +170,31 @@ fn permute_mask(mask: u64, perm: &[u32]) -> u64 {
     out
 }
 
-/// Checks that quotienting `alg` under `daemon` and `spec` by `canon`'s
-/// group is behaviourally sound, per the module docs.
+/// Resolves `quotient` on `alg`'s graph and checks that quotienting `alg`
+/// under `daemon` and `spec` by the group is behaviourally sound, per the
+/// module docs; returns what it admitted (`None` for [`Quotient::None`]).
+/// Only a group that passes structural validation counts as a gate run.
 ///
 /// # Errors
 ///
-/// [`CoreError::QuotientUnsupported`] naming the first witness of a
-/// violated condition; [`CoreError::TooManyEnabled`] propagated from row
-/// generation.
+/// [`CoreError::QuotientUnsupported`] from structural validation or
+/// naming the first witness of a violated condition;
+/// [`CoreError::TooManyEnabled`] propagated from row generation.
 pub(super) fn check_quotient_sound<A, L>(
     alg: &A,
     ix: &SpaceIndexer<A::State>,
     daemon: DaemonSpec,
     spec: &L,
-    canon: &GroupCanonicalizer,
-) -> Result<(), CoreError>
+    quotient: Quotient,
+) -> Result<Option<Admission>, CoreError>
 where
     A: Algorithm,
     L: Legitimacy<A::State>,
 {
+    let Some(canon) = GroupCanonicalizer::for_quotient(quotient, alg.graph(), ix)? else {
+        return Ok(None);
+    };
+    GATE_CALLS.fetch_add(1, Ordering::Relaxed);
     let total = ix.total();
 
     // Pass 1: spec invariance under every generator.
@@ -145,13 +230,22 @@ where
         legit: HashMap::new(),
         work: 0,
     };
-    for perm in canon.generators() {
-        if strict_generator_equivariance(&mut kernel, canon, perm)? {
-            continue;
+    let mut outcomes = Vec::new();
+    for (i, perm) in canon.generators().iter().enumerate() {
+        let strict = strict_generator_equivariance(&mut kernel, &canon, perm)?;
+        if !strict {
+            lumped_generator_soundness(&mut kernel, &canon, perm)?;
         }
-        lumped_generator_soundness(&mut kernel, canon, perm)?;
+        let tier = if strict { "strict" } else { "lumped" };
+        outcomes.push(format!("generator {i}: {tier}"));
     }
-    Ok(())
+    let outcomes = outcomes.join("; ");
+    Ok(Some(Admission {
+        quotient,
+        canon,
+        daemon,
+        outcomes,
+    }))
 }
 
 /// Whether the sampled rows of `π·γ` equal the `π`-images of the rows of
@@ -169,22 +263,23 @@ where
     let mut mapped: Vec<(u64, u64, f64)> = Vec::new();
     for full in samples(total, STRICT_SAMPLES) {
         let image = canon.apply_perm(full, perm);
-        let (mask_x, row_x) = kernel.raw_row(full)?;
+        let mapped_mask = permute_mask(kernel.generate(full)?, perm);
         mapped.clear();
-        mapped.extend(row_x.iter().map(|&(to, movers, prob)| {
-            (canon.apply_perm(to, perm), permute_mask(movers, perm), prob)
+        mapped.extend(kernel.gen.row.iter().map(|e| {
+            (
+                canon.apply_perm(e.to, perm),
+                permute_mask(e.movers, perm),
+                e.prob,
+            )
         }));
         mapped.sort_unstable_by_key(|&(to, movers, _)| (to, movers));
-        let mapped_mask = permute_mask(mask_x, perm);
-        let (mask_img, row_img) = kernel.raw_row(image)?;
+        let mask_img = kernel.generate(image)?;
+        let row_img = &kernel.gen.row;
         let equal = mask_img == mapped_mask
             && row_img.len() == mapped.len()
-            && row_img
-                .iter()
-                .zip(&mapped)
-                .all(|(&(to, movers, p), &(mto, mmovers, mp))| {
-                    to == mto && movers == mmovers && (p - mp).abs() <= PROB_TOL
-                });
+            && row_img.iter().zip(&mapped).all(|(e, &(mto, mmovers, mp))| {
+                e.to == mto && e.movers == mmovers && (e.prob - mp).abs() <= PROB_TOL
+            });
         if !equal {
             return Ok(false);
         }
@@ -208,8 +303,8 @@ where
     let total = kernel.ix.total();
     for full in samples(total, LUMPED_SAMPLES) {
         let image = canon.apply_perm(full, perm);
-        let mask_x = kernel.row(full)?.1;
-        let mask_img = kernel.row(image)?.1;
+        let mask_x = kernel.row(full)?.0;
+        let mask_img = kernel.row(image)?.0;
         if mask_x.count_ones() != mask_img.count_ones() {
             return Err(CoreError::QuotientUnsupported {
                 reason: format!(
@@ -253,8 +348,8 @@ struct Kernel<'a, A: Algorithm, L> {
     spec: &'a L,
     conflicts: Vec<u64>,
     gen: RowGen,
-    /// full index → (legitimate, enabled mask, successor distribution
-    /// aggregated by target).
+    /// full index → (enabled mask, successor distribution aggregated by
+    /// target).
     rows: HashMap<u64, KernelRow>,
     /// full index → legitimacy (far cheaper than a row; successors only
     /// need this).
@@ -269,30 +364,18 @@ where
     A: Algorithm,
     L: Legitimacy<A::State>,
 {
-    /// The uncached raw row of `full`: enabled mask plus
-    /// `(to, movers, prob)` edges sorted by `(to, movers)`.
-    #[allow(clippy::type_complexity)]
-    fn raw_row(&mut self, full: u64) -> Result<(u64, Vec<(u64, u64, f64)>), CoreError> {
+    /// Generates the uncached successor row of `full` into `self.gen.row`
+    /// (`(to, movers, prob)` edges sorted by `(to, movers)`) and returns
+    /// its enabled mask: the gate's one row fetch.
+    fn generate(&mut self, full: u64) -> Result<u64, CoreError> {
         let cfg = self.ix.decode(full);
         let mut digits = Vec::new();
         self.ix.write_digits(full, &mut digits);
-        let (mask, _) = self.gen.generate(
-            self.alg,
-            self.ix,
-            self.daemon,
-            &self.conflicts,
-            &cfg,
-            &digits,
-            full,
-        )?;
-        Ok((
-            mask,
-            self.gen
-                .row
-                .iter()
-                .map(|e| (e.to, e.movers, e.prob))
-                .collect(),
-        ))
+        let (alg, ix, daemon) = (self.alg, self.ix, self.daemon);
+        let (mask, _) = self
+            .gen
+            .generate(alg, ix, daemon, &self.conflicts, &cfg, &digits, full)?;
+        Ok(mask)
     }
 
     /// The cached legitimacy of `full` (no row generation).
@@ -310,19 +393,7 @@ where
     fn row(&mut self, full: u64) -> Result<&KernelRow, CoreError> {
         if !self.rows.contains_key(&full) {
             self.work += 1;
-            let cfg = self.ix.decode(full);
-            let legit = self.spec.is_legitimate(&cfg);
-            let mut digits = Vec::new();
-            self.ix.write_digits(full, &mut digits);
-            let (mask, _) = self.gen.generate(
-                self.alg,
-                self.ix,
-                self.daemon,
-                &self.conflicts,
-                &cfg,
-                &digits,
-                full,
-            )?;
+            let mask = self.generate(full)?;
             // Movers are irrelevant to absorption dynamics: aggregate by
             // target (rows are already sorted by target first).
             let mut dist: Vec<(u64, f64)> = Vec::new();
@@ -332,7 +403,7 @@ where
                     _ => dist.push((e.to, e.prob)),
                 }
             }
-            self.rows.insert(full, (legit, mask, dist));
+            self.rows.insert(full, (mask, dist));
         }
         Ok(&self.rows[&full])
     }
@@ -366,7 +437,7 @@ where
             for (state, p) in states {
                 let (terminal, row) = {
                     let entry = self.row(state)?;
-                    (entry.1 == 0, entry.2.clone())
+                    (entry.0 == 0, entry.1.clone())
                 };
                 if terminal {
                     // Terminal illegitimate configuration: mass stays put.

@@ -13,9 +13,11 @@
 //!   the topology-derived automorphism group — leaf permutations on stars
 //!   and trees) — only the lexicographically-least orbit member gets an
 //!   id, and parallel edges produced by the folding are merged with their
-//!   probabilities summed. A per-run equivariance/spec-invariance gate
-//!   rejects algorithm–group combinations the quotient is unsound for
-//!   ([`CoreError::QuotientUnsupported`]);
+//!   probabilities summed. An equivariance/spec-invariance gate rejects
+//!   algorithm–group combinations the quotient is unsound for
+//!   ([`CoreError::QuotientUnsupported`]); options from
+//!   [`Plan::options`](super::Plan::options) carry the plan's admission,
+//!   so a planned run is not gated twice;
 //! * **on-the-fly reachable-only BFS** ([`ExploreOptions::reachable`]) —
 //!   only configurations reachable from the seeds get ids (discovery
 //!   order), so the explored size is bounded by the reachable set, not
@@ -86,7 +88,7 @@ use crate::CoreError;
 use super::bitset::BitSet;
 use super::csr::Csr;
 use super::edgestore::{EdgeIter, EdgeStorage, EdgeStoreKind};
-use super::equivariance;
+use super::equivariance::{self, Admission};
 use super::ids;
 use super::onthefly::{ExploreMode, ExploreOptions, Quotient, StateIds, TraversalMode};
 use super::quotient::GroupCanonicalizer;
@@ -188,8 +190,10 @@ impl TransitionSystem {
     ///   past the cap;
     /// * [`CoreError::QuotientUnsupported`] — the requested group does not
     ///   apply to the topology (e.g. a ring quotient on a path), the state
-    ///   alphabets break the symmetry, or the per-run equivariance gate
-    ///   finds the algorithm or the specification not to respect the group
+    ///   alphabets break the symmetry, or the equivariance gate (skipped
+    ///   when the options carry a plan's admission for this quotient,
+    ///   daemon and space) finds the algorithm or the specification not
+    ///   to respect the group
     ///   (e.g. Dijkstra's rooted ring under any ring quotient, or the
     ///   oriented token ring under a reflection quotient);
     /// * [`CoreError::StateSpaceTooLarge`] — a reachable-mode BFS interned
@@ -259,15 +263,13 @@ impl TransitionSystem {
             ix.total() <= i64::MAX as u64,
             "mixed-radix indices must fit in i64 for delta encoding"
         );
-        let canon = match opts.quotient {
-            Quotient::None => None,
-            Quotient::RingRotation => Some(GroupCanonicalizer::ring_rotation(alg.graph(), ix)?),
-            Quotient::RingDihedral => Some(GroupCanonicalizer::ring_dihedral(alg.graph(), ix)?),
-            Quotient::Automorphism => Some(GroupCanonicalizer::automorphism(alg.graph(), ix)?),
+        let canon = if let Some(admitted) = opts.admission.covering(opts.quotient, daemon, ix) {
+            // The plan's gate already decided this quotient for this run.
+            Some(admitted)
+        } else {
+            equivariance::check_quotient_sound(alg, ix, daemon, spec, opts.quotient)?
+                .map(Admission::into_canonicalizer)
         };
-        if let Some(canon) = &canon {
-            equivariance::check_quotient_sound(alg, ix, daemon, spec, canon)?;
-        }
         let frontier = match &opts.mode {
             ExploreMode::Full => Frontier::Fixed,
             ExploreMode::Reachable { seeds } => Frontier::Growing(seeds),

@@ -49,8 +49,12 @@
 //!   permutations on stars and trees), canonicalized by
 //!   [`GroupCanonicalizer`] (Booth's O(N) least rotation on rings); folded
 //!   parallel edges merge with probabilities summed, so [`Edge::prob`]
-//!   stays the exact Definition 6 lumping. A per-run equivariance gate
-//!   rejects unsound algorithm–group combinations.
+//!   stays the exact Definition 6 lumping. An equivariance gate over the
+//!   canonicalizer's generators ([`GroupCanonicalizer::generators`], the
+//!   engine's one generator set) rejects unsound algorithm–group
+//!   combinations, once per study: [`Plan::options`] hands the plan's
+//!   admission to the exploration, and any other run gates as it
+//!   explores ([`gate_count`] counts the runs).
 //!
 //! All three modes run through one traversal driver, parameterised by id
 //! map (dense or interned) × group (none or a canonicalizer) × frontier
@@ -84,6 +88,7 @@ pub use edgestore::{
     DeltaStream, DeltaStreamWriter, EdgeIter, EdgeStorage, EdgeStorageBuilder, EdgeStoreKind,
     StreamCursor,
 };
+pub use equivariance::gate_count;
 pub use explore::{explore_count, node_mask, Edge, TransitionSystem};
 pub use onthefly::{ExploreMode, ExploreOptions, Quotient, TraversalMode};
 pub use plan::{Plan, PlanDecision, PlanRequest, DEFAULT_BYTE_BUDGET, DEFAULT_DISK_BYTE_BUDGET};

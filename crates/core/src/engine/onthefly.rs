@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use crate::config::Configuration;
 
 use super::edgestore::EdgeStoreKind;
+use super::equivariance::Carried;
 use super::ids;
 use super::resilience::CheckpointConfig;
 use super::spill::SpillConfig;
@@ -52,9 +53,9 @@ pub enum ExploreMode<S> {
 /// per group orbit, see [`GroupCanonicalizer`](super::GroupCanonicalizer)).
 ///
 /// Every quotient requires the algorithm to respect the group and the
-/// specification to be invariant under it — both are checked per run by
-/// the engine's equivariance gate, which rejects unsound combinations
-/// with
+/// specification to be invariant under it — both are checked once per
+/// study by the engine's equivariance gate, which rejects unsound
+/// combinations with
 /// [`CoreError::QuotientUnsupported`](crate::CoreError::QuotientUnsupported)
 /// *per algorithm*, not per topology (e.g. Dijkstra's rooted ring is
 /// rejected on the very topology Herman's ring is accepted on).
@@ -136,6 +137,10 @@ pub struct ExploreOptions<S> {
     /// (`<checkpoint-dir>/spill`) and an unanchored run uses a
     /// self-cleaning temp directory.
     pub spill: SpillConfig,
+    /// The equivariance gate's admission when these options come from
+    /// [`Plan::options`](super::Plan::options); ignored by equality and by
+    /// the checkpoint fingerprint.
+    pub(super) admission: Carried,
 }
 
 impl<S> ExploreOptions<S> {
@@ -148,6 +153,7 @@ impl<S> ExploreOptions<S> {
             edge_store: EdgeStoreKind::Flat,
             checkpoint: None,
             spill: SpillConfig::default(),
+            admission: Carried::default(),
         }
     }
 
@@ -155,11 +161,7 @@ impl<S> ExploreOptions<S> {
     pub fn reachable(seeds: Vec<Configuration<S>>) -> Self {
         ExploreOptions {
             mode: ExploreMode::Reachable { seeds },
-            quotient: Quotient::None,
-            max_states: u32::MAX as u64,
-            edge_store: EdgeStoreKind::Flat,
-            checkpoint: None,
-            spill: SpillConfig::default(),
+            ..Self::full()
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! PRs 2–4 made [`ExploreOptions`] powerful but expert-only: picking the
 //! right symmetry quotient requires knowing which groups the algorithm
-//! respects (and the equivariance gate rejects the rest per run), and
+//! respects (and the equivariance gate rejects the rest), and
 //! picking the edge-store tier requires estimating the flat store's
 //! 24 B/edge footprint against the machine's RAM. [`Plan::compute`] makes
 //! both choices mechanically, *before* exploring:
@@ -15,11 +15,13 @@
 //!    out-degree.
 //! 2. **Quotient auto-selection** — candidate groups are tried best
 //!    first ([`Quotient::Automorphism`], then [`Quotient::RingRotation`])
-//!    through the *same* per-run equivariance gate the exploration
-//!    enforces, so the plan never proposes a quotient the run would
-//!    reject. The first sound group with order > 1 wins; if none is
-//!    sound, the plan records why each candidate was rejected and falls
-//!    back to [`Quotient::None`].
+//!    through the equivariance gate, once per candidate that passes
+//!    structural validation. The plan's gate is the run's gate: the first
+//!    sound group wins, and its admission (the canonicalizer plus how
+//!    each generator passed, strict or lumped) travels with
+//!    [`Plan::options`] into the exploration, which does not gate again.
+//!    If no candidate is sound, the plan records why each was rejected
+//!    and falls back to [`Quotient::None`].
 //! 3. **Edge-store auto-selection** — a three-way ladder over
 //!    *analysis-time* footprints, not bare store sizes: the verdict
 //!    passes materialize a reverse CSR and the Markov stage mirrors the
@@ -78,6 +80,7 @@
 
 use std::fmt;
 use std::mem::size_of;
+use std::sync::Arc;
 
 use crate::algorithm::Algorithm;
 use crate::scheduler::DaemonSpec;
@@ -86,7 +89,7 @@ use crate::spec::Legitimacy;
 use crate::CoreError;
 
 use super::edgestore::EdgeStoreKind;
-use super::equivariance;
+use super::equivariance::{self, Admission, Carried};
 use super::explore::conflict_masks;
 use super::onthefly::{ExploreOptions, Quotient};
 use super::quotient::GroupCanonicalizer;
@@ -256,6 +259,9 @@ pub struct Plan {
     pub edge_store: EdgeStoreKind,
     /// Every decision made, with rationale.
     pub decisions: Vec<PlanDecision>,
+    /// The gate's admission of an auto-chosen quotient, handed to the
+    /// exploration by [`Plan::options`].
+    admission: Carried,
 }
 
 impl Plan {
@@ -299,20 +305,25 @@ impl Plan {
             est_full_edges * COMPRESSED_BYTES_PER_EDGE + (total + 1) * size_of::<u64>() as u64;
         let est_analysis_compressed_bytes = 2 * est_compressed_store_bytes + est_reverse_bytes;
 
-        let mut decisions = Vec::new();
-        let (quotient, group_order) = match req.quotient {
-            Some(q) => {
-                let order = forced_group_order(alg, ix, q)?;
-                decisions.push(PlanDecision {
-                    setting: "quotient",
-                    choice: q.label().to_string(),
-                    auto: false,
-                    reason: "forced by caller".to_string(),
-                });
-                (q, order)
-            }
-            None => auto_quotient(alg, ix, daemon, spec, &mut decisions)?,
+        let (quotient, admission, auto, reason) = if let Some(q) = req.quotient {
+            (q, None, false, "forced by caller".to_string())
+        } else {
+            let (q, admission, reason) = auto_quotient(alg, ix, daemon, spec)?;
+            (q, admission, true, reason)
         };
+        let group_order = match &admission {
+            Some(a) => a.group_order(),
+            // Structural validation only: a forced quotient is gated when
+            // it is explored.
+            None => GroupCanonicalizer::for_quotient(quotient, alg.graph(), ix)?
+                .map_or(1, |c| c.group_order()),
+        };
+        let mut decisions = vec![PlanDecision {
+            setting: "quotient",
+            choice: quotient.label().to_string(),
+            auto,
+            reason,
+        }];
         let est_explored_configs = (total / group_order).max(1);
 
         let edge_store = match req.edge_store {
@@ -385,6 +396,7 @@ impl Plan {
             est_explored_configs,
             edge_store,
             decisions,
+            admission: Carried(admission.map(Arc::new)),
         })
     }
 
@@ -392,10 +404,19 @@ impl Plan {
     /// stabilization checks quantify over *every* initial configuration,
     /// which is what the planner plans for; reachable-mode runs remain an
     /// explicit expert option).
+    ///
+    /// An auto-chosen quotient carries the equivariance gate's admission,
+    /// so exploring with these options does not run the gate a second
+    /// time. The admission certifies the algorithm and specification this
+    /// plan was computed for: explore them, and only them, with these
+    /// options. Exploring under another daemon, over a space with other
+    /// alphabets, or after changing the quotient runs the gate again.
     pub fn options<S>(&self) -> ExploreOptions<S> {
-        ExploreOptions::full()
+        let mut opts = ExploreOptions::full()
             .with_quotient(self.quotient)
-            .with_edge_store(self.edge_store)
+            .with_edge_store(self.edge_store);
+        opts.admission = self.admission.clone();
+        opts
     }
 
     /// Whether both the quotient and the edge-store tier were chosen by
@@ -433,34 +454,15 @@ where
     Ok((count, edges as f64 / count as f64))
 }
 
-/// Group order of a forced quotient (propagating structural failures —
-/// the forced run would fail identically).
-fn forced_group_order<A>(
-    alg: &A,
-    ix: &SpaceIndexer<A::State>,
-    quotient: Quotient,
-) -> Result<u64, CoreError>
-where
-    A: Algorithm,
-{
-    Ok(match quotient {
-        Quotient::None => 1,
-        Quotient::RingRotation => GroupCanonicalizer::ring_rotation(alg.graph(), ix)?.group_order(),
-        Quotient::RingDihedral => GroupCanonicalizer::ring_dihedral(alg.graph(), ix)?.group_order(),
-        Quotient::Automorphism => GroupCanonicalizer::automorphism(alg.graph(), ix)?.group_order(),
-    })
-}
-
 /// Tries candidate groups best-first through the equivariance gate and
-/// returns the first sound one (or [`Quotient::None`] with every
-/// rejection recorded).
+/// returns the first sound one with its admission (or [`Quotient::None`]),
+/// plus the decision's reason, which names every rejected candidate.
 fn auto_quotient<A, L>(
     alg: &A,
     ix: &SpaceIndexer<A::State>,
     daemon: DaemonSpec,
     spec: &L,
-    decisions: &mut Vec<PlanDecision>,
-) -> Result<(Quotient, u64), CoreError>
+) -> Result<(Quotient, Option<Admission>, String), CoreError>
 where
     A: Algorithm,
     L: Legitimacy<A::State>,
@@ -471,54 +473,27 @@ where
     // and RingRotation catches oriented ring protocols whose reflection
     // image the gate rejects.
     for candidate in [Quotient::Automorphism, Quotient::RingRotation] {
-        let canon = match candidate {
-            Quotient::Automorphism => GroupCanonicalizer::automorphism(alg.graph(), ix),
-            Quotient::RingRotation => GroupCanonicalizer::ring_rotation(alg.graph(), ix),
-            _ => unreachable!("candidate list"),
-        };
-        let canon = match canon {
-            Ok(c) => c,
-            Err(CoreError::QuotientUnsupported { reason }) => {
-                rejections.push(format!("{}: {reason}", candidate.label()));
-                continue;
+        match equivariance::check_quotient_sound(alg, ix, daemon, spec, candidate) {
+            Ok(Some(admission)) => {
+                let mut reason = format!(
+                    "group of order {} passed the equivariance gate ({})",
+                    admission.group_order(),
+                    admission.outcomes()
+                );
+                if !rejections.is_empty() {
+                    reason += &format!(" (rejected: {})", rejections.join("; "));
+                }
+                return Ok((candidate, Some(admission), reason));
             }
-            Err(e) => return Err(e),
-        };
-        if canon.group_order() <= 1 {
-            rejections.push(format!("{}: trivial group", candidate.label()));
-            continue;
-        }
-        match equivariance::check_quotient_sound(alg, ix, daemon, spec, &canon) {
-            Ok(()) => {
-                let order = canon.group_order();
-                decisions.push(PlanDecision {
-                    setting: "quotient",
-                    choice: candidate.label().to_string(),
-                    auto: true,
-                    reason: format!(
-                        "group of order {order} passed the equivariance gate{}",
-                        if rejections.is_empty() {
-                            String::new()
-                        } else {
-                            format!(" (rejected: {})", rejections.join("; "))
-                        }
-                    ),
-                });
-                return Ok((candidate, order));
-            }
+            Ok(None) => {}
             Err(CoreError::QuotientUnsupported { reason }) => {
                 rejections.push(format!("{}: {reason}", candidate.label()));
             }
             Err(e) => return Err(e),
         }
     }
-    decisions.push(PlanDecision {
-        setting: "quotient",
-        choice: Quotient::None.label().to_string(),
-        auto: true,
-        reason: format!("no sound symmetry group ({})", rejections.join("; ")),
-    });
-    Ok((Quotient::None, 1))
+    let reason = format!("no sound symmetry group ({})", rejections.join("; "));
+    Ok((Quotient::None, None, reason))
 }
 
 #[cfg(test)]
@@ -566,6 +541,29 @@ mod tests {
         let planned =
             TransitionSystem::explore_with(&alg, &ix, DaemonSpec::central(), &spec, &opts);
         assert!(planned.is_ok());
+    }
+
+    /// The admission a plan hands its options is invisible to option
+    /// equality: planned options equal the same options built by hand.
+    #[test]
+    fn carried_admission_leaves_option_equality_alone() {
+        let alg = Infection {
+            g: builders::ring(4),
+        };
+        let spec = Predicate::new("all-ones", all_ones);
+        let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+        let req = PlanRequest::default();
+        let plan = Plan::compute(&alg, &ix, DaemonSpec::central(), &spec, &req).unwrap();
+        assert_eq!(plan.quotient, Quotient::Automorphism);
+        assert_eq!(
+            plan.decisions[0].reason,
+            "group of order 8 passed the equivariance gate \
+             (generator 0: strict; generator 1: strict)"
+        );
+        let by_hand = ExploreOptions::full()
+            .with_quotient(plan.quotient)
+            .with_edge_store(plan.edge_store);
+        assert_eq!(plan.options::<u8>(), by_hand);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! possibilistic (closure, reachability, fair cycles) and probabilistic
 //! (the Definition 6 Markov chain) — can run on one representative per
 //! orbit whenever the algorithm and the legitimacy predicate respect the
-//! symmetry (checked per run by the engine's equivariance gate).
+//! symmetry (checked once per study by the engine's equivariance gate).
 //!
 //! [`GroupCanonicalizer`] picks the representative: the orbit member whose
 //! digit sequence, read in canonical position order, is
@@ -35,6 +35,8 @@ use stab_graph::{builders, Graph, NodeId, RingRotations};
 
 use crate::space::SpaceIndexer;
 use crate::{CoreError, LocalState};
+
+use super::onthefly::Quotient;
 
 /// Booth's algorithm: the index `k` (in `0..seq.len()`) such that the
 /// rotation `seq[(j + k) mod n]` is lexicographically least among all `n`
@@ -124,12 +126,16 @@ pub(super) enum Strategy {
 /// Built by [`GroupCanonicalizer::ring_rotation`],
 /// [`GroupCanonicalizer::ring_dihedral`],
 /// [`GroupCanonicalizer::leaf_permutation`] (topology-derived groups) or
-/// [`GroupCanonicalizer::from_permutations`] (an explicit generator set,
-/// e.g. `stab_checker::Automorphism::all`). Construction validates what is
-/// checkable structurally — group applicability to the topology and equal
-/// state alphabets along every node orbit; behavioural soundness
-/// (equivariance of the algorithm, invariance of the specification) is
-/// checked per exploration by the engine's equivariance gate.
+/// [`GroupCanonicalizer::from_permutations`] (an explicit permutation
+/// set). Construction validates what is checkable structurally — group
+/// applicability to the topology and equal state alphabets along every
+/// node orbit — and records the group's generators
+/// ([`GroupCanonicalizer::generators`]), the one generator set the engine
+/// keeps. Behavioural soundness (equivariance of the algorithm, invariance
+/// of the specification) is decided over those generators by the engine's
+/// equivariance gate, once per study: an auto-planned study's plan hands
+/// the gate's admission to the exploration, and any other run gates when
+/// it explores.
 #[derive(Debug, Clone)]
 pub struct GroupCanonicalizer {
     /// Mixed-radix weight of the node at position `j`.
@@ -360,9 +366,10 @@ impl GroupCanonicalizer {
         Self::from_permutations(ix, &perms)
     }
 
-    /// An explicit permutation set (e.g. from
-    /// `stab_checker::Automorphism::all` or a hand-picked generator list),
-    /// closed under composition internally. Canonicalization costs
+    /// An explicit permutation set (a hand-picked generator list or whole
+    /// group, e.g. the elements of `stab_checker::Automorphism::all`),
+    /// closed under composition internally; the given permutations become
+    /// the [`GroupCanonicalizer::generators`]. Canonicalization costs
     /// O(N·|G|) per call, so prefer the structured constructors when the
     /// group is a known ring or leaf symmetry.
     ///
@@ -428,10 +435,38 @@ impl GroupCanonicalizer {
     }
 
     /// The node-space generator permutations of the group
-    /// (`perm[v]` = image node of `v`), as consumed by the per-run
-    /// equivariance gate.
+    /// (`perm[v]` = image node of `v`): the engine's one generator set,
+    /// over which the equivariance gate decides soundness.
     pub fn generators(&self) -> &[Vec<u32>] {
         &self.generators
+    }
+
+    /// The canonicalizer a [`Quotient`] resolves to on `g` (`None` for
+    /// [`Quotient::None`]): the one place the engine maps a quotient
+    /// choice to its group.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::QuotientUnsupported`] from the resolved constructor's
+    /// structural validation.
+    pub(super) fn for_quotient<S: LocalState>(
+        quotient: Quotient,
+        g: &Graph,
+        ix: &SpaceIndexer<S>,
+    ) -> Result<Option<Self>, CoreError> {
+        match quotient {
+            Quotient::None => Ok(None),
+            Quotient::RingRotation => Self::ring_rotation(g, ix).map(Some),
+            Quotient::RingDihedral => Self::ring_dihedral(g, ix).map(Some),
+            Quotient::Automorphism => Self::automorphism(g, ix).map(Some),
+        }
+    }
+
+    /// Whether the canonicalizer was built for a space with `ix`'s
+    /// alphabet sizes.
+    pub(super) fn fits(&self, ix: &SpaceIndexer<impl LocalState>) -> bool {
+        let radices = (0..ix.n()).map(|v| ix.radix(NodeId::new(v)) as u64);
+        self.node_radix.iter().copied().eq(radices)
     }
 
     /// Borrowed view of every field — the checkpoint snapshot surface

@@ -111,6 +111,15 @@ pub enum CoreError {
         /// The enumeration cap.
         cap: usize,
     },
+    /// A node permutation handed to a symmetry analysis is not an
+    /// automorphism of the algorithm's graph: its size does not match, it
+    /// is not a permutation, or it breaks an edge.
+    NotAnAutomorphism {
+        /// Nodes the permutation maps.
+        nodes: usize,
+        /// Nodes of the algorithm's graph.
+        graph_nodes: usize,
+    },
     /// An analysis that is only sound for deterministic algorithms was
     /// invoked on a nondeterministic one.
     DeterminismRequired {
@@ -184,6 +193,10 @@ impl fmt::Display for CoreError {
                 f,
                 "symmetry group over {size} elements is too large to enumerate (cap {cap})"
             ),
+            CoreError::NotAnAutomorphism { nodes, graph_nodes } => write!(
+                f,
+                "a {nodes}-node permutation is not an automorphism of the {graph_nodes}-node graph"
+            ),
             CoreError::DeterminismRequired { context } => {
                 write!(f, "{context} requires a deterministic algorithm")
             }
@@ -251,6 +264,12 @@ mod tests {
         let e = CoreError::SymmetryGroupTooLarge { size: 12, cap: 9 };
         assert!(e.to_string().contains("12"));
         assert!(e.to_string().contains("cap 9"));
+        let e = CoreError::NotAnAutomorphism {
+            nodes: 4,
+            graph_nodes: 5,
+        };
+        assert!(e.to_string().contains("4-node permutation"));
+        assert!(e.to_string().contains("5-node graph"));
         let e = CoreError::DeterminismRequired {
             context: "synchronous symmetry checking",
         };

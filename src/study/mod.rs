@@ -42,9 +42,13 @@
 //! 1. **Plan** — estimate the space from the algorithm's alphabet and
 //!    topology, consult the engine's equivariance gate to pick the best
 //!    sound symmetry quotient (or none), and pick the edge-store tier
-//!    under a byte budget ([`stab_core::engine::Plan`]). Every decision
-//!    is recorded in the report; [`Study::options`] overrides the
-//!    planner wholesale, [`Study::byte_budget`] just moves the budget.
+//!    under a byte budget ([`stab_core::engine::Plan`]). Symmetry is
+//!    decided once: the plan's admission travels to the exploration,
+//!    which does not gate again (pinned by
+//!    `stab_core::engine::gate_count`). Every decision is recorded in the
+//!    report; [`Study::options`] overrides the planner wholesale (a
+//!    forced quotient is then gated once, by the exploration),
+//!    [`Study::byte_budget`] just moves the budget.
 //! 2. **Explore once** — a single
 //!    [`stab_core::engine::TransitionSystem`]
 //!    materialises the space; the checker borrows it through

@@ -17,9 +17,10 @@ use weak_stabilization::study::Study;
 
 use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_core::engine::{
-    explore_count, EdgeStoreKind, ExploreOptions, Quotient, DEFAULT_BYTE_BUDGET,
+    explore_count, gate_count, EdgeStoreKind, ExploreOptions, Plan, PlanRequest, Quotient,
+    TransitionSystem, DEFAULT_BYTE_BUDGET,
 };
-use stab_core::{DaemonSpec, FairnessSet};
+use stab_core::{DaemonSpec, FairnessSet, SpaceIndexer};
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 
@@ -178,4 +179,95 @@ fn herman13_auto_plan_picks_quotient_and_compressed_and_matches_pr4() {
         solved.average,
         pr4_avg
     );
+}
+
+/// Runs `f` and returns how many equivariance-gate runs and explorations
+/// it performed, with its result. Callers hold [`COUNTER_LOCK`].
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (gates, explores) = (gate_count(), explore_count());
+    let out = f();
+    (gate_count() - gates, explore_count() - explores, out)
+}
+
+/// Symmetry is decided once per study: an auto-planned run gates each
+/// structurally valid candidate once, in the plan, and the exploration
+/// reuses the plan's admission instead of gating again.
+#[test]
+fn auto_planned_study_gates_once_per_candidate() {
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let herman = HermanRing::on_ring(&builders::ring(7)).unwrap();
+    let spec = herman.legitimacy();
+    let (gates, explores, report) = counted(|| {
+        Study::of(&herman)
+            .daemon(DaemonSpec::synchronous())
+            .spec(&spec)
+            .run()
+            .unwrap()
+    });
+    assert_eq!((gates, explores), (1, 1), "Automorphism admitted first");
+    assert_eq!(report.plan.quotient, "automorphism");
+    assert_eq!(
+        report.plan.decisions[0].reason,
+        "group of order 14 passed the equivariance gate \
+         (generator 0: strict; generator 1: lumped)"
+    );
+
+    // Oriented token circulation on an even ring: the gate rejects the
+    // dihedral group, then admits the rotations — two gate runs, and
+    // still none in the exploration.
+    let tokens = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
+    let spec = tokens.legitimacy();
+    let (gates, explores, report) = counted(|| {
+        Study::of(&tokens)
+            .daemon(DaemonSpec::distributed())
+            .spec(&spec)
+            .run()
+            .unwrap()
+    });
+    assert_eq!((gates, explores), (2, 1));
+    assert_eq!(report.plan.quotient, "ring-rotation");
+}
+
+/// A caller-forced quotient is gated exactly once, by the exploration;
+/// no quotient is never gated.
+#[test]
+fn forced_quotient_gates_once_and_no_quotient_never() {
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let alg = HermanRing::on_ring(&builders::ring(7)).unwrap();
+    let spec = alg.legitimacy();
+    for (quotient, expected) in [(Quotient::RingDihedral, 1), (Quotient::None, 0)] {
+        let (gates, explores, _) = counted(|| {
+            Study::of(&alg)
+                .daemon(DaemonSpec::synchronous())
+                .spec(&spec)
+                .options(ExploreOptions::full().with_quotient(quotient))
+                .run()
+                .unwrap()
+        });
+        assert_eq!((gates, explores), (expected, 1), "{quotient:?}");
+    }
+}
+
+/// The plan's admission covers only the run it was decided for: options
+/// reused under another daemon, or with another quotient, gate again.
+#[test]
+fn plan_options_gate_again_under_another_daemon() {
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let alg = HermanRing::on_ring(&builders::ring(7)).unwrap();
+    let spec = alg.legitimacy();
+    let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+    let sync = DaemonSpec::synchronous();
+    let plan = Plan::compute(&alg, &ix, sync, &spec, &PlanRequest::default()).unwrap();
+    let opts = plan.options();
+    let explore = |daemon, opts: &ExploreOptions<_>| {
+        counted(|| TransitionSystem::explore_with(&alg, &ix, daemon, &spec, opts).unwrap()).0
+    };
+    assert_eq!(
+        explore(sync, &opts),
+        0,
+        "the planned run reuses the admission"
+    );
+    assert_eq!(explore(DaemonSpec::central(), &opts), 1);
+    let rotated = opts.clone().with_quotient(Quotient::RingRotation);
+    assert_eq!(explore(sync, &rotated), 1);
 }
