@@ -58,7 +58,10 @@
 //!
 //! All three modes run through one traversal driver, parameterised by id
 //! map (dense or interned) × group (none or a canonicalizer) × frontier
-//! (fixed or growing).
+//! (fixed or growing). A fixed quotient sweep canonicalizes each index
+//! once and, while the table fits [`DEFAULT_BYTE_BUDGET`], resolves row
+//! targets through a dense orbit table of ids ([`canonical_count`]
+//! counts the canonicalizations).
 //!
 //! Throughput is tracked per PR by `cargo run --release --bin exp_explore`
 //! (crate `stab-bench`), which writes `BENCH_explore.json`; see ROADMAP.md
@@ -96,3 +99,4 @@ pub use quotient::{least_rotation, CanonScratch, GroupCanonicalizer};
 pub use resilience::{Budget, CheckpointConfig, FaultPlan, RunGuard};
 pub use scc::tarjan;
 pub use spill::{SpillConfig, SpillStore};
+pub use traverse::canonical_count;

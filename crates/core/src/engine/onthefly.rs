@@ -480,7 +480,7 @@ mod tests {
         let mut prev = None;
         for id in 0..ts.n_configs() {
             let full = ts.full_index_of(id);
-            assert!(canon.is_canonical(full, &mut buf));
+            assert_eq!(canon.canonical(full, &mut buf), full);
             assert!(prev < Some(full), "ids ascend with representative index");
             prev = Some(full);
             // Any orbit member resolves to the representative's id.
@@ -847,6 +847,83 @@ mod tests {
                         opts.quotient
                     );
                 }
+            }
+        }
+    }
+
+    /// One-bit star algorithm, symmetric under every leaf permutation:
+    /// a leaf copies the hub when differing from it, and the hub flips
+    /// when every leaf differs from it.
+    struct CopyStar {
+        g: Graph,
+    }
+
+    impl Algorithm for CopyStar {
+        type State = bool;
+        fn graph(&self) -> &Graph {
+            &self.g
+        }
+        fn name(&self) -> String {
+            "copy-star".into()
+        }
+        fn state_space(&self, _v: NodeId) -> Vec<bool> {
+            vec![false, true]
+        }
+        fn enabled_actions<V: View<bool>>(&self, v: &V) -> ActionMask {
+            let differ = (0..v.degree()).all(|p| v.neighbor(p.into()) != v.me());
+            ActionMask::when(differ, ActionId::A1)
+        }
+        fn apply<V: View<bool>>(&self, v: &V, _a: ActionId) -> Outcomes<bool> {
+            Outcomes::certain(!*v.me())
+        }
+    }
+
+    /// `content_digest` of the fixed sweeps under the strategies beyond
+    /// ring rotation — the ring-dihedral quotient of `CopyRing(5)` and
+    /// the leaf-class automorphism quotient of a six-node `CopyStar` —
+    /// recorded while pass 1 still resolved targets by canonicalization
+    /// and hash lookup: pins the orbit-table id map bit for bit on every
+    /// edge-store tier.
+    #[test]
+    fn golden_digests_pin_dihedral_and_automorphism_sweeps_on_every_tier() {
+        use super::super::edgestore::EdgeStoreKind;
+        let ring = CopyRing::new(5);
+        let ring_ix = SpaceIndexer::new(&ring, 1 << 20).unwrap();
+        let star = CopyStar {
+            g: builders::star(6),
+        };
+        let star_ix = SpaceIndexer::new(&star, 1 << 20).unwrap();
+        let spec = agreement();
+        let golden: [(DaemonSpec, [u64; 2]); 2] = [
+            (
+                DaemonSpec::central(),
+                [0xfc08_4ca6_bea3_bac3, 0x4ab5_0064_952c_7d7d],
+            ),
+            (
+                DaemonSpec::synchronous(),
+                [0x4ab5_46b8_84d1_45cc, 0x9786_a136_c61c_4e40],
+            ),
+        ];
+        for (daemon, [ring_want, star_want]) in golden {
+            for kind in [
+                EdgeStoreKind::Flat,
+                EdgeStoreKind::Compressed,
+                EdgeStoreKind::Disk,
+            ] {
+                let dihedral = ExploreOptions::full()
+                    .with_quotient(Quotient::RingDihedral)
+                    .with_edge_store(kind);
+                let ts = TransitionSystem::explore_with(&ring, &ring_ix, daemon, &spec, &dihedral)
+                    .unwrap();
+                assert_eq!(ts.content_digest(), ring_want, "ring {daemon} on {kind:?}");
+                let automorphism = ExploreOptions::full()
+                    .with_quotient(Quotient::Automorphism)
+                    .with_edge_store(kind);
+                let ts =
+                    TransitionSystem::explore_with(&star, &star_ix, daemon, &spec, &automorphism)
+                        .unwrap();
+                assert_eq!(ts.group_order(), 120, "Sym(5) over the leaves");
+                assert_eq!(ts.content_digest(), star_want, "star {daemon} on {kind:?}");
             }
         }
     }

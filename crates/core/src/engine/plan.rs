@@ -39,6 +39,10 @@
 //!    nonuniformly, so the post-quotient edge count is not reliably
 //!    predictable from the group order alone, and the planner prefers to
 //!    err toward the memory-frugal tier.
+//! 4. **Id map** — recorded, not chosen: no quotient means dense ids; a
+//!    quotient sweep keeps a dense orbit table (4 B per configuration)
+//!    while it fits [`DEFAULT_BYTE_BUDGET`] and interns ids otherwise,
+//!    by the same rule the traversal applies.
 //!
 //! Every decision — auto or forced — is recorded as a [`PlanDecision`]
 //! with its reason, so reports built on a plan (the facade `Study`, the
@@ -94,6 +98,7 @@ use super::explore::conflict_masks;
 use super::onthefly::{ExploreOptions, Quotient};
 use super::quotient::GroupCanonicalizer;
 use super::rowgen::RowGen;
+use super::traverse::orbit_table_bytes;
 
 /// Default byte budget for the flat-tier decision: 32 MiB of
 /// analysis-time flat footprint. Conservative on purpose — the
@@ -196,7 +201,7 @@ impl PlanRequest {
 /// the planner chose it (vs a forced override), and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanDecision {
-    /// The setting decided (`"quotient"` or `"edge_store"`).
+    /// The setting decided (`"quotient"`, `"edge_store"` or `"id_map"`).
     pub setting: &'static str,
     /// The chosen value's stable label.
     pub choice: String,
@@ -305,11 +310,9 @@ impl Plan {
             est_full_edges * COMPRESSED_BYTES_PER_EDGE + (total + 1) * size_of::<u64>() as u64;
         let est_analysis_compressed_bytes = 2 * est_compressed_store_bytes + est_reverse_bytes;
 
-        let (quotient, admission, auto, reason) = if let Some(q) = req.quotient {
-            (q, None, false, "forced by caller".to_string())
-        } else {
-            let (q, admission, reason) = auto_quotient(alg, ix, daemon, spec)?;
-            (q, admission, true, reason)
+        let (quotient, admission, quotient_reason) = match req.quotient {
+            Some(q) => (q, None, "forced by caller".to_string()),
+            None => auto_quotient(alg, ix, daemon, spec)?,
         };
         let group_order = match &admission {
             Some(a) => a.group_order(),
@@ -318,68 +321,65 @@ impl Plan {
             None => GroupCanonicalizer::for_quotient(quotient, alg.graph(), ix)?
                 .map_or(1, |c| c.group_order()),
         };
-        let mut decisions = vec![PlanDecision {
-            setting: "quotient",
-            choice: quotient.label().to_string(),
-            auto,
-            reason,
-        }];
         let est_explored_configs = (total / group_order).max(1);
 
-        let edge_store = match req.edge_store {
-            Some(kind) => {
-                decisions.push(PlanDecision {
-                    setting: "edge_store",
-                    choice: kind.label().to_string(),
-                    auto: false,
-                    reason: "forced by caller".to_string(),
-                });
-                kind
-            }
-            None => {
-                let (kind, reason) = if est_analysis_flat_bytes <= req.byte_budget {
-                    (
-                        EdgeStoreKind::Flat,
-                        format!(
-                            "estimated analysis-time flat footprint ≈ {est_analysis_flat_bytes} \
-                             bytes (store + reverse CSR + Q mirror over {est_full_edges} edges) \
-                             within the {}-byte budget",
-                            req.byte_budget,
-                        ),
-                    )
-                } else if est_analysis_compressed_bytes <= req.disk_byte_budget {
-                    (
-                        EdgeStoreKind::Compressed,
-                        format!(
-                            "estimated analysis-time flat footprint ≈ {est_analysis_flat_bytes} \
-                             bytes (store + reverse CSR + Q mirror over {est_full_edges} edges) \
-                             exceeds the {}-byte budget; compressed footprint ≈ \
-                             {est_analysis_compressed_bytes} bytes stays within the {}-byte RAM \
-                             ceiling",
-                            req.byte_budget, req.disk_byte_budget,
-                        ),
-                    )
-                } else {
-                    (
-                        EdgeStoreKind::Disk,
-                        format!(
-                            "estimated analysis-time compressed footprint ≈ \
-                             {est_analysis_compressed_bytes} bytes (stream + reverse CSR + Q \
-                             mirror over {est_full_edges} edges) exceeds the {}-byte RAM \
-                             ceiling; spilling the edge stream to disk chunks",
-                            req.disk_byte_budget,
-                        ),
-                    )
-                };
-                decisions.push(PlanDecision {
-                    setting: "edge_store",
-                    choice: kind.label().to_string(),
-                    auto: true,
-                    reason,
-                });
-                kind
-            }
+        let (edge_store, store_reason) = match req.edge_store {
+            Some(kind) => (kind, "forced by caller".to_string()),
+            None if est_analysis_flat_bytes <= req.byte_budget => (
+                EdgeStoreKind::Flat,
+                format!(
+                    "estimated analysis-time flat footprint ≈ {est_analysis_flat_bytes} \
+                     bytes (store + reverse CSR + Q mirror over {est_full_edges} edges) \
+                     within the {}-byte budget",
+                    req.byte_budget,
+                ),
+            ),
+            None if est_analysis_compressed_bytes <= req.disk_byte_budget => (
+                EdgeStoreKind::Compressed,
+                format!(
+                    "estimated analysis-time flat footprint ≈ {est_analysis_flat_bytes} \
+                     bytes (store + reverse CSR + Q mirror over {est_full_edges} edges) \
+                     exceeds the {}-byte budget; compressed footprint ≈ \
+                     {est_analysis_compressed_bytes} bytes stays within the {}-byte RAM \
+                     ceiling",
+                    req.byte_budget, req.disk_byte_budget,
+                ),
+            ),
+            None => (
+                EdgeStoreKind::Disk,
+                format!(
+                    "estimated analysis-time compressed footprint ≈ \
+                     {est_analysis_compressed_bytes} bytes (stream + reverse CSR + Q \
+                     mirror over {est_full_edges} edges) exceeds the {}-byte RAM \
+                     ceiling; spilling the edge stream to disk chunks",
+                    req.disk_byte_budget,
+                ),
+            ),
         };
+
+        // The traversal's own rule: a quotient sweep keeps the orbit
+        // table while it fits the bound, and interns otherwise.
+        let (id_map, id_reason) = match (quotient, orbit_table_bytes(total)) {
+            (Quotient::None, _) => ("dense", "no quotient: ids are mixed-radix indices".into()),
+            (_, (bytes, fits)) => (
+                if fits { "orbit-table" } else { "interned" },
+                format!("{bytes}-byte orbit table against the {DEFAULT_BYTE_BUDGET}-byte bound"),
+            ),
+        };
+        let (quotient_auto, store_auto) = (req.quotient.is_none(), req.edge_store.is_none());
+        let decisions = [
+            ("quotient", quotient.label(), quotient_auto, quotient_reason),
+            ("edge_store", edge_store.label(), store_auto, store_reason),
+            ("id_map", id_map, true, id_reason),
+        ]
+        .into_iter()
+        .map(|(setting, choice, auto, reason)| PlanDecision {
+            setting,
+            choice: choice.to_string(),
+            auto,
+            reason,
+        })
+        .collect();
 
         Ok(Plan {
             total_configs: total,
@@ -646,6 +646,18 @@ mod tests {
         assert_eq!(plan.edge_store, EdgeStoreKind::Disk);
     }
 
+    /// The orbit table is kept up to 2^23 configurations (32 MiB of
+    /// `u32` ids) and no further.
+    #[test]
+    fn orbit_table_bound_is_the_byte_budget() {
+        assert_eq!(orbit_table_bytes(1 << 23), (DEFAULT_BYTE_BUDGET, true));
+        assert_eq!(
+            orbit_table_bytes((1 << 23) + 1),
+            (DEFAULT_BYTE_BUDGET + 4, false)
+        );
+        assert_eq!(orbit_table_bytes(u64::MAX), (u64::MAX, false));
+    }
+
     #[test]
     fn forced_choices_are_recorded_as_forced() {
         let (alg, spec) = infection();
@@ -658,7 +670,17 @@ mod tests {
         assert_eq!(plan.group_order, 1);
         assert_eq!(plan.edge_store, EdgeStoreKind::Compressed);
         assert!(!plan.fully_auto());
-        assert!(plan.decisions.iter().all(|d| !d.auto));
+        // Both forced settings are recorded as forced; the id map is not
+        // a setting a caller can force, so it stays auto (dense, as no
+        // quotient was forced).
+        let forced: Vec<_> = plan.decisions.iter().filter(|d| !d.auto).collect();
+        assert_eq!(forced.len(), 2);
+        assert_eq!(
+            (forced[0].setting, forced[1].setting),
+            ("quotient", "edge_store")
+        );
+        assert_eq!(plan.decisions[2].setting, "id_map");
+        assert_eq!(plan.decisions[2].choice, "dense");
         assert!(plan.decisions[0].to_string().contains("forced"));
     }
 

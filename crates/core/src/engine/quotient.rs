@@ -23,10 +23,13 @@
 //! | explicit permutation set       | least image over the group  | O(N·\|G\|) |
 //!
 //! Canonicalization works directly on mixed-radix indices (no
-//! configuration allocation), so it is cheap enough to run per successor
-//! edge during exploration. [`least_rotation`] (Booth's algorithm) is
-//! exported so the property-test battery can pin it against the naive
-//! N-rotation sweep.
+//! configuration allocation). A fixed quotient sweep runs it once per
+//! index, in its first pass, and keeps the resulting orbit ids in a dense
+//! table while the table fits the plan's byte budget, so each successor
+//! edge then costs one table load. Above that bound, on a resumed sweep
+//! and in reachable-mode BFS it runs once per distinct successor of a
+//! row. [`least_rotation`] (Booth's algorithm) is exported so the
+//! property-test battery can pin it against the naive N-rotation sweep.
 
 use std::collections::HashSet;
 
@@ -636,43 +639,6 @@ impl GroupCanonicalizer {
         SCRATCH.with(|s| self.canonical(full, &mut s.borrow_mut()))
     }
 
-    /// Whether `full` is its own canonical representative. For the ring
-    /// strategies this short-circuits: an index that is not even its own
-    /// least *rotation* (the common case in the representative sweep)
-    /// never reaches the reversal Booth pass.
-    pub fn is_canonical(&self, full: u64, scratch: &mut CanonScratch) -> bool {
-        match &self.strategy {
-            Strategy::Cycle | Strategy::Dihedral => {
-                self.ring_digits_doubled(full, &mut scratch.digits);
-                let kd = least_rotation_doubled(&scratch.digits, &mut scratch.booth);
-                let d = &scratch.digits;
-                let n = d.len() / 2;
-                // Canonical under rotations iff the least rotation equals
-                // the sequence itself (kd may be a nonzero period offset).
-                if (0..n).any(|j| d[j + kd] != d[j]) {
-                    return false;
-                }
-                if matches!(self.strategy, Strategy::Cycle) {
-                    return true;
-                }
-                // Dihedral: additionally no reflection may be smaller.
-                scratch.alt.clear();
-                scratch.alt.extend(scratch.digits[..n].iter().rev());
-                scratch.alt.extend_from_within(..);
-                let ke = least_rotation_doubled(&scratch.alt, &mut scratch.booth);
-                let (d, e) = (&scratch.digits, &scratch.alt);
-                for j in 0..n {
-                    let (a, b) = (d[j], e[j + ke]);
-                    if a != b {
-                        return a < b;
-                    }
-                }
-                true
-            }
-            _ => self.canonical(full, scratch) == full,
-        }
-    }
-
     /// The orbit size of `full`: the number of *distinct* configurations
     /// the group maps it to. Always divides
     /// [`GroupCanonicalizer::group_order`].
@@ -889,7 +855,6 @@ mod tests {
         for full in 0..ix.total() {
             let c = canon.canonical(full, &mut scratch);
             assert_eq!(canon.canonical(c, &mut scratch), c, "idempotent at {full}");
-            assert!(canon.is_canonical(c, &mut scratch));
             // The representative is the minimum *lexicographic* rotation;
             // verify against a brute-force rotation of the decoded config.
             let cfg = ix.decode(full);
@@ -934,7 +899,7 @@ mod tests {
             let mut covered = 0u64;
             let mut reps = 0u64;
             for full in 0..ix.total() {
-                if canon.is_canonical(full, &mut scratch) {
+                if canon.canonical(full, &mut scratch) == full {
                     reps += 1;
                     let orbit = canon.orbit(full, &mut scratch);
                     assert!(
@@ -986,7 +951,7 @@ mod tests {
         // Orbits tile the space.
         let mut covered = 0u64;
         for full in 0..ix.total() {
-            if canon.is_canonical(full, &mut scratch) {
+            if canon.canonical(full, &mut scratch) == full {
                 covered += canon.orbit(full, &mut scratch);
             }
         }
@@ -1041,7 +1006,7 @@ mod tests {
         let mut scratch = CanonScratch::default();
         let mut covered = 0u64;
         for full in 0..ix.total() {
-            if canon.is_canonical(full, &mut scratch) {
+            if canon.canonical(full, &mut scratch) == full {
                 let orbit = canon.orbit(full, &mut scratch);
                 assert!(canon.group_order().is_multiple_of(orbit));
                 covered += orbit;
@@ -1219,5 +1184,79 @@ mod tests {
         let _ = g;
         let err = GroupCanonicalizer::from_permutations(&ix, &perms).unwrap_err();
         assert!(err.to_string().contains("closure"));
+    }
+
+    /// Checks pass 1's orbit table against canonicalize-then-lookup on
+    /// `total` indices: every index maps to the id of its canonical form,
+    /// ids ascend with the representative index, the orbit sizes sum to
+    /// `total`, and the table-less pass yields the same representatives.
+    /// Returns the orbit sizes in id order.
+    fn check_orbit_table(canon: &GroupCanonicalizer, total: u64) -> Vec<u64> {
+        use super::super::traverse::representatives;
+        let (table, ids) = representatives(canon, total, true).unwrap();
+        let ids = ids.expect("the table is kept on request");
+        assert_eq!(ids.len() as u64, total);
+        let mut scratch = CanonScratch::default();
+        for full in 0..total {
+            let rep = canon.canonical(full, &mut scratch);
+            assert_eq!(table.lookup(rep), Some(ids[full as usize]), "index {full}");
+        }
+        let (reps, orbits) = table.parts();
+        assert!(reps.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+        assert_eq!(orbits.iter().sum::<u64>(), total);
+        let (bare, none) = representatives(canon, total, false).unwrap();
+        assert!(none.is_none());
+        assert_eq!(bare.parts(), table.parts());
+        orbits.to_vec()
+    }
+
+    /// The four strategies on random small spaces: rotations and the
+    /// dihedral group of a ring, leaf classes of a caterpillar, and the
+    /// explicit reflection group of a grid.
+    mod orbit_table_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn orbit_table_equals_canonicalize_then_lookup(
+                (n, radix) in (3usize..9, 2u8..4),
+                legs in 1usize..4,
+                rows in 1usize..4,
+            ) {
+                let (g, ix) = space(builders::ring(n), radix);
+                for canon in [
+                    GroupCanonicalizer::ring_rotation(&g, &ix).unwrap(),
+                    GroupCanonicalizer::ring_dihedral(&g, &ix).unwrap(),
+                ] {
+                    check_orbit_table(&canon, ix.total());
+                }
+                let (g, ix) = space(builders::caterpillar(2, legs + 1), radix);
+                let canon = GroupCanonicalizer::leaf_permutation(&g, &ix).unwrap();
+                check_orbit_table(&canon, ix.total());
+                let (g, ix) = space(builders::grid(rows, 3), 2);
+                let canon = GroupCanonicalizer::automorphism(&g, &ix).unwrap();
+                prop_assert!(matches!(canon.strategy, crate::engine::quotient::Strategy::Explicit(_)));
+                check_orbit_table(&canon, ix.total());
+            }
+        }
+    }
+
+    /// The dihedral table on binary necklaces of length 6, which hold
+    /// both a chiral orbit (`001011` and its mirror: all 12 images
+    /// distinct) and non-uniform periodic ones (`010101`: 2 images), and
+    /// on a 14-node ring, whose 16,384 indices split across worker
+    /// chunks.
+    #[test]
+    fn dihedral_orbit_table_covers_chiral_periodic_and_chunked_spaces() {
+        let (ix, canon) = ring_canon(6, 2, true);
+        let orbits = check_orbit_table(&canon, ix.total());
+        assert!(orbits.contains(&12), "a chiral orbit");
+        assert!(orbits.contains(&2), "a periodic orbit");
+        let (ix, canon) = ring_canon(14, 2, true);
+        assert_eq!(ix.total(), 1 << 14);
+        check_orbit_table(&canon, ix.total());
     }
 }

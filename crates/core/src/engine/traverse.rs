@@ -9,11 +9,19 @@
 //! * the **id map** ([`IdMap`]) — dense (id = mixed-radix index, rows
 //!   enumerated in place by [`ConfigCursor`], edges passed through as
 //!   generated, since `RowGen` rows are already sorted and distinct) or
-//!   interned ([`StateTable`]: successors go through a per-row memo,
-//!   then are sorted and merged, since id mapping can fold distinct
-//!   successors onto one `(to, movers)` pair);
+//!   interned ([`StateTable`]; successors are then sorted and merged,
+//!   since id mapping can fold distinct successors onto one
+//!   `(to, movers)` pair). A fixed frontier's pass 1 canonicalizes every
+//!   index once and, while the result fits [`DEFAULT_BYTE_BUDGET`]
+//!   ([`orbit_table_bytes`], which the plan reads too), keeps the id of
+//!   each index's orbit in a dense `u32` **orbit table**, so a row target
+//!   costs one load. Otherwise — a larger space, a resumed run (which
+//!   skips pass 1) or a growing frontier — each distinct successor of a
+//!   row is canonicalized once (a per-row memo), then looked up (fixed)
+//!   or interned (growing);
 //! * the **group** — none, or a [`GroupCanonicalizer`] that maps every
-//!   successor to its orbit representative before lookup or interning;
+//!   index to its orbit representative ([`canonical_count`] tallies the
+//!   calls);
 //! * the **frontier** ([`Frontier`]) — fixed (`0..total` under dense
 //!   ids, or the orbit representatives found by a parallel pass 1) or
 //!   growing (the tail of the BFS intern table, seeds interned first).
@@ -26,6 +34,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::algorithm::Algorithm;
 use crate::config::Configuration;
@@ -41,6 +50,7 @@ use super::explore::{conflict_masks, Edge, TransitionSystem};
 use super::ids;
 use super::onthefly::{ExploreMode, ExploreOptions, StateIds, StateTable, TraversalMode};
 use super::parallel;
+use super::plan::DEFAULT_BYTE_BUDGET;
 use super::quotient::{CanonScratch, GroupCanonicalizer};
 use super::resilience::{Checkpointer, FinalMeta, Fnv, RunGuard, SnapshotSource};
 use super::rowgen::RowGen;
@@ -49,6 +59,28 @@ use super::spill::SpillConfig;
 /// Rows per sequential batch of a fixed frontier: the granularity of
 /// budget probes and checkpoint ticks.
 const BATCH: u64 = 2048;
+
+/// Process-wide tally of orbit canonicalizations, added per pass-1 chunk
+/// and per row batch.
+static CANONICALIZED: AtomicU64 = AtomicU64::new(0);
+
+/// Number of orbit canonicalizations the exploration driver has run in
+/// this process so far: one per index in a fixed frontier's pass 1, plus
+/// one per distinct target of each row that no orbit table resolves (see
+/// the module docs). The seeds a growing frontier interns before its
+/// first row are not counted.
+pub fn canonical_count() -> u64 {
+    CANONICALIZED.load(Ordering::Relaxed)
+}
+
+/// The orbit table's size for a `total`-configuration space (one `u32`
+/// id per index) and whether a fixed quotient sweep keeps it: only
+/// within [`DEFAULT_BYTE_BUDGET`]. The plan's `id_map` decision reads
+/// the same answer.
+pub(super) fn orbit_table_bytes(total: u64) -> (u64, bool) {
+    let bytes = total.saturating_mul(std::mem::size_of::<u32>() as u64);
+    (bytes, bytes <= DEFAULT_BYTE_BUDGET)
+}
 
 /// How explored ids map to configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,13 +181,15 @@ where
         conflicts: conflict_masks(alg, daemon),
         canon: canon.as_ref(),
     };
+    let mut orbit_ids = None;
     match (frontier, id_map) {
         (Frontier::Fixed, IdMap::Interned) => {
             guard.probe("explore", 0, 0)?;
             // A resumed run skips pass 1 — its first frame carried the
-            // whole table.
-            if !resumed {
-                table = rows.representatives()?;
+            // whole table — and so resolves targets by lookup.
+            if let (false, Some(c)) = (resumed, &canon) {
+                let (_, keep) = orbit_table_bytes(ix.total());
+                (table, orbit_ids) = representatives(c, ix.total(), keep)?;
             }
             guard.probe("explore", 0, table.len() as u64)?;
         }
@@ -169,6 +203,7 @@ where
         }
         _ => {}
     }
+    let orbit_ids = orbit_ids.as_deref();
     let frontier_len = |table: &StateTable| match id_map {
         IdMap::Dense => ix.total(),
         IdMap::Interned => table.len() as u64,
@@ -180,7 +215,7 @@ where
         let fixed = (id_map == IdMap::Interned).then_some(&table);
         let parts = parallel::map_chunks(n, |range| {
             let mut part = MergeState::new(EdgeStoreKind::Flat, &SpillConfig::default());
-            let mut ids = fixed.map(Ids::Fixed);
+            let mut ids = fixed.map(|t| Ids::Fixed(t, orbit_ids));
             let mut scratch = Scratch::default();
             rows.explore(&mut scratch, ids.as_mut(), range, &mut part)?;
             Ok(part)
@@ -196,7 +231,7 @@ where
             let end = (cursor + step).min(frontier_len(&table));
             let mut ids = match (id_map, growing) {
                 (IdMap::Dense, _) => None,
-                (IdMap::Interned, false) => Some(Ids::Fixed(&table)),
+                (IdMap::Interned, false) => Some(Ids::Fixed(&table, orbit_ids)),
                 (IdMap::Interned, true) => Some(Ids::Growing(&mut table)),
             };
             rows.explore(&mut scratch, ids.as_mut(), cursor..end, &mut merge)?;
@@ -291,8 +326,9 @@ fn run_fingerprint<A: Algorithm>(
 /// How a batch of rows resolves configurations to interned ids.
 enum Ids<'t> {
     /// Interned over a fixed frontier: every canonical successor is
-    /// already in the table, which worker threads share read-only.
-    Fixed(&'t StateTable),
+    /// already in the table, which worker threads share read-only with
+    /// the orbit table when pass 1 kept one.
+    Fixed(&'t StateTable, Option<&'t [u32]>),
     /// Interned over a growing frontier: unseen successors join the
     /// table, which doubles as the BFS queue.
     Growing(&'t mut StateTable),
@@ -302,7 +338,7 @@ impl Ids<'_> {
     /// The full-space index behind frontier row `id`.
     fn full_of(&self, id: u64) -> u64 {
         let table = match self {
-            Ids::Fixed(t) => &**t,
+            Ids::Fixed(t, _) => &**t,
             Ids::Growing(t) => &**t,
         };
         table.full_of(ids::id_u32_wide(id, "frontier ids fit the u32 id width"))
@@ -316,8 +352,9 @@ struct Scratch {
     digits: Vec<u32>,
     canon: CanonScratch,
     row: Vec<Edge>,
-    /// Per-row memo: successors repeat across activations, and each
-    /// repeat would otherwise pay a fresh canonicalization and lookup.
+    /// Per-row memo where no orbit table resolves targets: successors
+    /// repeat across activations, and each repeat would otherwise pay a
+    /// fresh canonicalization and lookup or intern.
     memo: HashMap<u64, u32>,
 }
 
@@ -371,6 +408,7 @@ where
         // A growing frontier takes its initial set from the seeds, not
         // from `Algorithm::is_initial`.
         let seeded = matches!(ids, Ids::Growing(_));
+        let mut canonicalized = 0;
         for id in range {
             let full = ids.full_of(id);
             let cfg = ix.decode(full);
@@ -381,22 +419,30 @@ where
             s.row.clear();
             s.memo.clear();
             for e in &s.gen.row {
-                let to = *s.memo.entry(e.to).or_insert_with(|| match ids {
-                    Ids::Fixed(table) => table
-                        .lookup(self.canonical(e.to, &mut s.canon))
-                        .expect("canonical successors are representatives"),
-                    Ids::Growing(table) => self.intern(table, e.to, &mut s.canon),
-                });
+                let to = match ids {
+                    Ids::Fixed(_, Some(orbit_ids)) => orbit_ids[e.to as usize],
+                    _ => *s.memo.entry(e.to).or_insert_with(|| match ids {
+                        Ids::Fixed(table, _) => table
+                            .lookup(self.canonical(e.to, &mut s.canon))
+                            .expect("canonical successors are representatives"),
+                        Ids::Growing(table) => self.intern(table, e.to, &mut s.canon),
+                    }),
+                };
                 s.row.push(Edge {
                     to,
                     movers: e.movers,
                     prob: e.prob,
                 });
             }
+            canonicalized += s.memo.len() as u64;
             s.row.sort_unstable_by_key(|e| (e.to, e.movers));
             merge_parallel_edges(&mut s.row);
             let initial = !seeded && alg.is_initial(&cfg);
             acc.push(&s.row, mask, det, self.spec.is_legitimate(&cfg), initial);
+        }
+        // Without a group, `Rows::canonical` is the identity.
+        if self.canon.is_some() {
+            CANONICALIZED.fetch_add(canonicalized, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -412,28 +458,47 @@ where
         let rep = self.canonical(full, scratch);
         table.intern(rep, || self.canon.map_or(1, |c| c.orbit(rep, scratch)))
     }
+}
 
-    /// Pass 1 of a fixed interned frontier: the orbit representatives in
-    /// ascending index order with their orbit sizes, chunked across
-    /// threads.
-    fn representatives(&self) -> Result<StateTable, CoreError> {
-        let chunks = parallel::map_chunks(self.ix.total(), |range| -> Result<_, CoreError> {
-            let canon = self.canon;
-            let mut reps = Vec::new();
-            let mut scratch = CanonScratch::default();
-            for full in range {
-                if canon.is_none_or(|c| c.is_canonical(full, &mut scratch)) {
-                    reps.push((full, canon.map_or(1, |c| c.orbit(full, &mut scratch))));
-                }
+/// Pass 1 of a fixed interned frontier, chunked across threads: every
+/// index of `0..total` is canonicalized once, giving the orbit
+/// representatives in ascending index order with their orbit sizes and,
+/// when `keep_ids`, the orbit table (the id of every index's orbit).
+pub(super) fn representatives(
+    canon: &GroupCanonicalizer,
+    total: u64,
+    keep_ids: bool,
+) -> Result<(StateTable, Option<Vec<u32>>), CoreError> {
+    // Workers store each index's representative in its own slot
+    // (`Relaxed`: the scoped join orders every store before the reads
+    // below); the same allocation then turns into the ids, so the table
+    // peaks at 4 B per index.
+    let kept = if keep_ids { total } else { 0 };
+    let slots: Vec<AtomicU32> = (0..kept).map(|_| AtomicU32::new(0)).collect();
+    let chunks = parallel::map_chunks(total, |range| -> Result<_, CoreError> {
+        CANONICALIZED.fetch_add(range.end - range.start, Ordering::Relaxed);
+        let mut reps = Vec::new();
+        let mut scratch = CanonScratch::default();
+        for full in range {
+            let rep = canon.canonical(full, &mut scratch);
+            if rep == full {
+                reps.push((full, canon.orbit(full, &mut scratch)));
             }
-            Ok(reps)
-        })?;
-        let mut table = StateTable::default();
-        for (full, orbit) in chunks.into_iter().flatten() {
-            table.intern(full, || orbit);
+            if let Some(slot) = slots.get(full as usize) {
+                // lint: cast-ok(a kept table's indices fit u32, see orbit_table_bytes)
+                slot.store(rep as u32, Ordering::Relaxed);
+            }
         }
-        Ok(table)
+        Ok(reps)
+    })?;
+    let mut table = StateTable::default();
+    for (full, orbit) in chunks.into_iter().flatten() {
+        table.intern(full, || orbit);
     }
+    // Every slot holds a representative, which pass 1 interned.
+    let id = |slot: AtomicU32| table.lookup(slot.into_inner().into()).expect("interned");
+    let orbit_ids = keep_ids.then(|| slots.into_iter().map(id).collect());
+    Ok((table, orbit_ids))
 }
 
 /// Merges consecutive equal `(to, movers)` edges of a sorted row, summing

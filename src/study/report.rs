@@ -149,7 +149,8 @@ pub struct PlanSection {
 /// One planner decision (auto or forced), with its reason.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
-    /// The setting decided (`"quotient"` / `"edge_store"` / `"options"`).
+    /// The setting decided (`"quotient"` / `"edge_store"` / `"id_map"` /
+    /// `"options"`).
     pub setting: String,
     /// The chosen value's label.
     pub choice: String,

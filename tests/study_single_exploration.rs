@@ -17,8 +17,8 @@ use weak_stabilization::study::Study;
 
 use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_core::engine::{
-    explore_count, gate_count, EdgeStoreKind, ExploreOptions, Plan, PlanRequest, Quotient,
-    TransitionSystem, DEFAULT_BYTE_BUDGET,
+    canonical_count, explore_count, gate_count, EdgeStoreKind, ExploreOptions, Plan, PlanRequest,
+    Quotient, TransitionSystem, DEFAULT_BYTE_BUDGET,
 };
 use stab_core::{DaemonSpec, FairnessSet, SpaceIndexer};
 use stab_graph::builders;
@@ -270,4 +270,66 @@ fn plan_options_gate_again_under_another_daemon() {
     assert_eq!(explore(DaemonSpec::central(), &opts), 1);
     let rotated = opts.clone().with_quotient(Quotient::RingRotation);
     assert_eq!(explore(sync, &rotated), 1);
+}
+
+/// A fixed quotient sweep whose orbit table fits canonicalizes each index
+/// once, in pass 1, and resolves every row target through the table:
+/// Herman N=13 under the dihedral group costs exactly `ix.total()`
+/// canonicalizations (the row pass used to add one per distinct target
+/// of each row). A reachable quotient run has no table and canonicalizes
+/// its row targets.
+#[test]
+fn orbit_table_sweep_canonicalizes_each_index_once() {
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
+    let spec = alg.legitimacy();
+    let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+    let sync = DaemonSpec::synchronous();
+    let dihedral = ExploreOptions::full().with_quotient(Quotient::RingDihedral);
+    let before = canonical_count();
+    let ts = TransitionSystem::explore_with(&alg, &ix, sync, &spec, &dihedral).unwrap();
+    assert_eq!(ix.total(), 8192);
+    assert_eq!(canonical_count() - before, ix.total());
+    assert_eq!(ts.n_configs(), 380);
+
+    let seed = ix.decode(ix.total() - 1);
+    let reachable = ExploreOptions::reachable(vec![seed]).with_ring_quotient();
+    let before = canonical_count();
+    TransitionSystem::explore_with(&alg, &ix, sync, &spec, &reachable).unwrap();
+    assert!(
+        canonical_count() > before,
+        "reachable quotient rows canonicalize"
+    );
+}
+
+/// The plan records the id map the traversal will use, by the
+/// traversal's own rule: Herman N=15's 32,768 configurations need a
+/// 131,072-byte orbit table, well inside the 32 MiB bound, and a sweep
+/// without a quotient keeps dense ids.
+#[test]
+fn plan_records_the_id_map() {
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let alg = HermanRing::on_ring(&builders::ring(15)).unwrap();
+    let spec = alg.legitimacy();
+    let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+    let sync = DaemonSpec::synchronous();
+    let id_map = |req: &PlanRequest| {
+        let plan = Plan::compute(&alg, &ix, sync, &spec, req).unwrap();
+        let d = plan
+            .decisions
+            .iter()
+            .find(|d| d.setting == "id_map")
+            .unwrap();
+        assert!(d.auto, "{d}");
+        (plan.fully_auto(), d.choice.clone(), d.reason.clone())
+    };
+    let (fully_auto, choice, reason) = id_map(&PlanRequest::default());
+    assert!(fully_auto);
+    assert_eq!(choice, "orbit-table");
+    assert_eq!(
+        reason,
+        format!("131072-byte orbit table against the {DEFAULT_BYTE_BUDGET}-byte bound")
+    );
+    let (_, choice, _) = id_map(&PlanRequest::default().with_quotient(Quotient::None));
+    assert_eq!(choice, "dense");
 }
