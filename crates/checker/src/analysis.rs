@@ -1,13 +1,22 @@
 //! The stabilization analyses: closure, weak/possible convergence, certain
 //! convergence under each fairness assumption, and probabilistic
 //! convergence — Definitions 1–3 of the paper, decided exhaustively.
+//!
+//! The verdict stage decomposes the reachable illegitimate region once
+//! ([`Decomposition`]: one Tarjan walk, on every edge-store tier alike).
+//! Reach-to-`L`, which the weak and probabilistic verdicts read, is
+//! marked over its components sinks first, by the rule the Markov chain's
+//! absorption check also uses; the four fairness verdicts are predicates
+//! over the same components in the same order, and their lasso witnesses
+//! are drawn once per distinct component. Only strong fairness decomposes
+//! again, and only the subsets it refines.
 
 use std::fmt;
 
 use stab_core::engine::{BitSet, Budget};
 use stab_core::{Algorithm, CoreError, DaemonSpec, Fairness, Legitimacy, LocalState};
 
-use crate::scc;
+use crate::scc::{ComponentFacts, Decomposition};
 use crate::space::ExploredSpace;
 use crate::verdict::{Verdict, Witness};
 
@@ -76,9 +85,9 @@ pub fn analyze_space<S: LocalState>(
         .expect("unlimited budget cannot be exhausted")
 }
 
-/// [`analyze_space`] under a cooperative [`Budget`]: the reachability
-/// closures and every Tarjan walk probe the `verdicts` stage, so an
-/// exhausted wall-clock or state budget yields a typed
+/// [`analyze_space`] under a cooperative [`Budget`]: the forward closure
+/// and the one Tarjan walk probe the `verdicts` stage, so an exhausted
+/// wall-clock or state budget yields a typed
 /// [`CoreError::BudgetExhausted`] instead of an unbounded analysis.
 ///
 /// # Errors
@@ -95,22 +104,54 @@ pub fn analyze_space_budgeted<S: LocalState>(
     budget.probe("verdicts", space.resident_edge_bytes(), 0)?;
     let reachable = space.reachable_from_initial();
     budget.probe("verdicts", space.resident_edge_bytes(), states)?;
-    let can_reach = space.can_reach_legit_budgeted(budget)?;
-    budget.probe("verdicts", space.resident_edge_bytes(), states)?;
+
+    // Every verdict below reads one decomposition of the reachable
+    // illegitimate region. A non-converging execution never enters L (it
+    // would stay by closure), so its recurrent behaviour lives entirely
+    // outside L; and a reachable configuration's paths stay reachable, so
+    // whether it can reach L is decided component by component, sinks
+    // first.
+    let legit = space.transition_system().legit();
+    let decomp = Decomposition::of(space, &reachable.and_not(legit), budget)?;
+    let mut can_reach = legit.clone();
+    decomp.mark_reaching(space, &mut can_reach);
 
     let closure = check_closure(space);
     let weak = check_weak(space, &can_reach);
-    let deadlock = find_deadlock(space, &reachable);
-
-    // Fair-cycle analyses run on the reachable illegitimate subgraph: a
-    // non-converging execution never enters L (it would stay by closure),
-    // so its recurrent behaviour lives entirely outside L.
-    let alive = reachable.and_not(space.transition_system().legit());
-
-    let self_unfair = fairness_verdict(space, &alive, &deadlock, FairKind::Unfair, budget)?;
-    let self_weakly_fair = fairness_verdict(space, &alive, &deadlock, FairKind::Weak, budget)?;
-    let self_strongly_fair = fairness_verdict(space, &alive, &deadlock, FairKind::Strong, budget)?;
-    let self_gouda = fairness_verdict(space, &alive, &deadlock, FairKind::Gouda, budget)?;
+    // Certain convergence under a fairness assumption fails on a
+    // reachable deadlock outside L, or else on a reachable
+    // fairness-compatible cycle outside L.
+    let [self_unfair, self_weakly_fair, self_strongly_fair, self_gouda] =
+        match find_deadlock(space, &reachable) {
+            Some(id) => [(); 4].map(|()| {
+                Verdict::fail(Witness::DeadlockOutsideLegitimate {
+                    config: space.render(id),
+                })
+            }),
+            None => {
+                let first = |fair: fn(&ComponentFacts) -> bool| {
+                    let found = (0..decomp.len()).find(|&c| fair(&decomp.facts(c)));
+                    found.map(FairComponent::Top)
+                };
+                let mut lassos = Lassos {
+                    space,
+                    decomp: &decomp,
+                    drawn: Vec::new(),
+                };
+                [
+                    // Unfair: any recurrent component.
+                    lassos.verdict(first(|f| f.recurrent)),
+                    // Weak fairness (generalized Büchi): every process is
+                    // disabled somewhere or moved on an internal edge, so
+                    // a cycle can be stitched through all these witnesses.
+                    lassos.verdict(first(|f| f.recurrent && f.always_enabled & !f.moved == 0)),
+                    lassos.verdict(find_strongly_fair(space, &decomp, budget)?),
+                    // Gouda fairness: a Gouda-fair execution's recurrent
+                    // set is closed under all transitions.
+                    lassos.verdict(first(|f| f.recurrent && f.closed)),
+                ]
+            }
+        };
 
     // Probabilistic convergence via the independent a.s.-reachability
     // criterion: from every reachable configuration, L is reachable.
@@ -187,159 +228,93 @@ fn find_deadlock<S: LocalState>(space: &ExploredSpace<S>, reachable: &BitSet) ->
         .find(|&id| reachable.get(id as usize) && !space.is_legit(id) && space.is_terminal(id))
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FairKind {
-    Unfair,
-    Weak,
-    Strong,
-    Gouda,
+/// A component supporting a fair infinite execution outside `L`:
+/// component `c` of the stage's decomposition, or of a sub-decomposition
+/// strong fairness refined.
+enum FairComponent {
+    Top(usize),
+    Refined(Decomposition, usize),
 }
 
-/// Certain convergence under a fairness assumption: fails on a reachable
-/// deadlock outside `L` or a reachable fairness-compatible cycle outside
-/// `L`.
-fn fairness_verdict<S: LocalState>(
-    space: &ExploredSpace<S>,
-    alive: &BitSet,
-    deadlock: &Option<u32>,
-    kind: FairKind,
-    budget: &Budget,
-) -> Result<Verdict, CoreError> {
-    if let Some(id) = *deadlock {
-        return Ok(Verdict::fail(Witness::DeadlockOutsideLegitimate {
-            config: space.render(id),
-        }));
-    }
-    let comp = match kind {
-        FairKind::Unfair => find_any_cycle_component(space, alive, budget)?,
-        FairKind::Weak => find_weakly_fair_component(space, alive, budget)?,
-        FairKind::Strong => find_strongly_fair_component(space, alive, budget)?,
-        FairKind::Gouda => find_closed_component(space, alive, budget)?,
-    };
-    Ok(match comp {
-        None => Verdict::pass(),
-        Some(comp) => {
-            let in_comp = scc::membership(space.total(), comp.as_slice());
-            let stem = space
-                .path(|id| space.is_initial(id), |id| in_comp.get(id as usize))
-                .unwrap_or_default();
-            let cycle = scc::some_cycle(space, &comp, alive);
-            Verdict::fail(Witness::Lasso {
-                stem: stem.into_iter().map(|id| space.render(id)).collect(),
-                cycle: cycle.into_iter().map(|id| space.render(id)).collect(),
-            })
-        }
-    })
+/// The lasso witnesses of the fairness verdicts. The stem and cycle of a
+/// stage component are drawn once, however many verdicts it fails.
+struct Lassos<'a, S> {
+    space: &'a ExploredSpace<S>,
+    decomp: &'a Decomposition,
+    drawn: Vec<(usize, Witness)>,
 }
 
-/// Any SCC with an internal edge: an (unfair) infinite execution.
-fn find_any_cycle_component<S: LocalState>(
-    space: &ExploredSpace<S>,
-    alive: &BitSet,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, CoreError> {
-    Ok(scc::sccs_budgeted(space, alive, budget)?
-        .into_iter()
-        .find(|comp| scc::has_internal_edge(space, comp, alive)))
-}
-
-/// Generalized-Büchi check for weak fairness: a component supports a
-/// weakly-fair infinite execution iff every process is either disabled at
-/// some configuration of the component or activated on some internal edge
-/// (the cycle can then be stitched to visit all these witnesses).
-fn find_weakly_fair_component<S: LocalState>(
-    space: &ExploredSpace<S>,
-    alive: &BitSet,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, CoreError> {
-    Ok(scc::sccs_budgeted(space, alive, budget)?
-        .into_iter()
-        .find(|comp| {
-            if !scc::has_internal_edge(space, comp, alive) {
-                return false;
-            }
-            let in_comp = scc::membership(space.total(), comp);
-            let mut always_enabled = u64::MAX;
-            let mut moved = 0u64;
-            for &v in comp {
-                always_enabled &= space.enabled_mask(v);
-                for e in space.edge_iter(v) {
-                    if in_comp.get(e.to as usize) {
-                        moved |= e.movers;
-                    }
+impl<S: LocalState> Lassos<'_, S> {
+    fn verdict(&mut self, found: Option<FairComponent>) -> Verdict {
+        let witness = match found {
+            None => return Verdict::pass(),
+            Some(FairComponent::Top(c)) => match self.drawn.iter().find(|(d, _)| *d == c) {
+                Some((_, w)) => w.clone(),
+                None => {
+                    let w = lasso(self.space, self.decomp, c);
+                    self.drawn.push((c, w.clone()));
+                    w
                 }
-            }
-            always_enabled & !moved == 0
-        }))
+            },
+            Some(FairComponent::Refined(sub, c)) => lasso(self.space, &sub, c),
+        };
+        Verdict::fail(witness)
+    }
 }
 
-/// Streett-style recursive refinement for strong fairness: a component is
-/// strongly-fair iff every process enabled somewhere in it is activated on
-/// some internal edge; otherwise remove the configurations where a
-/// violating process is enabled and recurse into the sub-components.
-fn find_strongly_fair_component<S: LocalState>(
+/// A shortest stem from the initial set into component `c`, and a cycle
+/// inside it.
+fn lasso<S: LocalState>(space: &ExploredSpace<S>, decomp: &Decomposition, c: usize) -> Witness {
+    let stem = space
+        .path(|id| space.is_initial(id), |id| decomp.contains(c, id))
+        .unwrap_or_default();
+    let cycle = decomp.some_cycle(space, c);
+    Witness::Lasso {
+        stem: stem.into_iter().map(|id| space.render(id)).collect(),
+        cycle: cycle.into_iter().map(|id| space.render(id)).collect(),
+    }
+}
+
+/// Streett-style recursive refinement for strong fairness: a recurrent
+/// component is strongly fair iff every process enabled somewhere in it
+/// is activated on some internal edge; otherwise remove the
+/// configurations where a violating process is enabled and recurse into
+/// the sub-components — the only sets decomposed again.
+fn find_strongly_fair<S: LocalState>(
     space: &ExploredSpace<S>,
-    alive: &BitSet,
+    decomp: &Decomposition,
     budget: &Budget,
-) -> Result<Option<Vec<u32>>, CoreError> {
-    for comp in scc::sccs_budgeted(space, alive, budget)? {
-        if !scc::has_internal_edge(space, &comp, alive) {
+) -> Result<Option<FairComponent>, CoreError> {
+    for c in 0..decomp.len() {
+        let f = decomp.facts(c);
+        if !f.recurrent {
             continue;
         }
-        let in_comp = scc::membership(space.total(), &comp);
-        let mut enabled_union = 0u64;
-        let mut moved = 0u64;
-        for &v in &comp {
-            enabled_union |= space.enabled_mask(v);
-            for e in space.edge_iter(v) {
-                if in_comp.get(e.to as usize) {
-                    moved |= e.movers;
-                }
-            }
-        }
-        let bad = enabled_union & !moved;
+        let bad = f.sometimes_enabled & !f.moved;
         if bad == 0 {
-            return Ok(Some(comp));
+            return Ok(Some(FairComponent::Top(c)));
         }
         // An execution confined to this component that starves a `bad`
         // process must avoid the configurations where it is enabled.
         let mut refined = BitSet::new(space.total() as usize);
-        let mut shrunk = false;
-        for &v in &comp {
+        for &v in decomp.members(c) {
             if space.enabled_mask(v) & bad == 0 {
                 refined.insert(v as usize);
-            } else {
-                shrunk = true;
             }
         }
         debug_assert!(
-            shrunk,
+            refined.count_ones() < decomp.members(c).len() as u64,
             "a bad process is enabled somewhere in the component"
         );
-        if let Some(found) = find_strongly_fair_component(space, &refined, budget)? {
-            return Ok(Some(found));
+        let sub = Decomposition::of(space, &refined, budget)?;
+        if let Some(found) = find_strongly_fair(space, &sub, budget)? {
+            return Ok(Some(match found {
+                FairComponent::Top(c) => FairComponent::Refined(sub, c),
+                deeper => deeper,
+            }));
         }
     }
     Ok(None)
-}
-
-/// Gouda fairness: a non-converging Gouda-fair execution requires a
-/// *closed* recurrent set — a bottom SCC (no edge leaves it at all).
-fn find_closed_component<S: LocalState>(
-    space: &ExploredSpace<S>,
-    alive: &BitSet,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, CoreError> {
-    Ok(scc::sccs_budgeted(space, alive, budget)?
-        .into_iter()
-        .find(|comp| {
-            if !scc::has_internal_edge(space, comp, alive) {
-                return false;
-            }
-            let in_comp = scc::membership(space.total(), comp);
-            comp.iter()
-                .all(|&v| space.edge_iter(v).all(|e| in_comp.get(e.to as usize)))
-        }))
 }
 
 /// The full verdict sheet of one `(algorithm, daemon, specification)`
@@ -555,7 +530,7 @@ mod tests {
 
     /// Theorem 7 as a cross-check: the Gouda verdict and the probabilistic
     /// verdict agree on every system in the zoo (they are computed by
-    /// independent code paths).
+    /// different predicates over the decomposition).
     #[test]
     fn theorem7_gouda_equals_probabilistic_across_zoo() {
         let ring = builders::ring(4);

@@ -9,15 +9,20 @@
 //! | Property | Method |
 //! |---|---|
 //! | Strong closure of `L` | check every step from every legitimate configuration |
-//! | Possible convergence (weak stabilization) | backward reachability from `L` |
-//! | Certain convergence under unfair / weakly fair / strongly fair schedulers | fair-cycle detection: SCC analysis with generalized-Büchi (weak) and Streett-style recursive refinement (strong) |
-//! | Certain convergence under Gouda's strong fairness | bottom-SCC analysis (a Gouda-fair execution must make its recurrent set closed under *all* transitions) |
+//! | Possible convergence (weak stabilization) | reach-to-`L`, marked component by component, sinks first |
+//! | Certain convergence under unfair / weakly fair / strongly fair schedulers | fair-cycle detection: recurrent components, with generalized-Büchi (weak) and Streett-style recursive refinement (strong) |
+//! | Certain convergence under Gouda's strong fairness | closed recurrent components (a Gouda-fair execution must make its recurrent set closed under *all* transitions) |
 //! | Probabilistic convergence under the randomized scheduler | "from every reachable configuration, `L` is reachable" — the standard a.s.-reachability criterion for finite Markov chains |
 //!
+//! Every row after the first reads one SCC decomposition of the reachable
+//! illegitimate region ([`scc::Decomposition`], one Tarjan walk); only
+//! strong fairness decomposes again, and only the subsets it refines.
 //! Theorem 7 of the paper asserts the last two rows coincide for finite
-//! deterministic systems; the two verdicts are computed by *independent*
-//! code paths, so `report.self_gouda == report.probabilistic` is a
-//! machine-check of Theorem 7 on every system analyzed.
+//! deterministic systems; the two verdicts are computed by *different*
+//! predicates over the decomposition (a deadlock or closed recurrent
+//! component, against an unmarked component of the reach pass), so
+//! `report.self_gouda == report.probabilistic` is a machine-check of
+//! Theorem 7 on every system analyzed.
 //!
 //! Every analysis runs on dense state ids, so it applies unchanged to the
 //! engine's cheaper traversals: [`analyze_with`] /

@@ -1,9 +1,9 @@
 //! Exhaustive exploration of a finite system under a daemon: the labelled
 //! transition graph the convergence analyses run on.
 //!
-//! Since PR 1 the exploration itself lives in `stab_core::engine`
-//! ([`TransitionSystem`]): a flat CSR edge store filled by parallel
-//! delta-encoded enumeration, shared with the Markov builder.
+//! The exploration itself lives in `stab_core::engine`
+//! ([`TransitionSystem`]): an edge store of the planned tier, filled by
+//! parallel delta-encoded enumeration and shared with the Markov builder.
 //! [`ExploredSpace`] pairs that engine output with the [`SpaceIndexer`]
 //! so checker code can still move between ids and configurations.
 //!
@@ -11,12 +11,13 @@
 //! (`I = C` unless the algorithm restricts its initial set);
 //! [`ExploredSpace::explore_with`] additionally supports on-the-fly
 //! reachable-only BFS from a designated initial set and ring-rotation
-//! quotienting ([`ExploreOptions`]). Every analysis in this crate
-//! (Tarjan SCCs, fair-cycle detection, reachability closures) operates on
-//! dense ids only, so it runs unchanged over quotient and reachable-mode
-//! systems.
+//! quotienting ([`ExploreOptions`]). Every analysis in this crate (the
+//! forward closure from the initial set, the one SCC decomposition and
+//! everything read off it) operates on dense ids and forward edge rows
+//! only, so it runs unchanged over quotient and reachable-mode systems
+//! and over every edge-store tier; no analysis needs a reverse graph.
 
-use stab_core::engine::{BitSet, Budget, EdgeIter, EdgeStorage, ExploreOptions, TransitionSystem};
+use stab_core::engine::{BitSet, EdgeIter, EdgeStorage, ExploreOptions, TransitionSystem};
 use stab_core::{Algorithm, Configuration, CoreError, DaemonSpec, Legitimacy, SpaceIndexer};
 
 /// One transition edge of the explored space; re-exported from the engine.
@@ -267,29 +268,6 @@ impl<S: stab_core::LocalState> ExploredSpace<S> {
         self.ts.forward_closure(self.ts.initial())
     }
 
-    /// Backward-reachable set from the legitimate configurations
-    /// (configurations with *some* execution into `L`) — unbudgeted
-    /// wrapper over [`ExploredSpace::can_reach_legit_budgeted`].
-    pub fn can_reach_legit(&self) -> BitSet {
-        self.can_reach_legit_budgeted(&Budget::unlimited())
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// [`ExploredSpace::can_reach_legit`] under a cooperative [`Budget`]:
-    /// the in-RAM tiers probe the `reverse` stage before materialising
-    /// the reverse CSR (whose bytes were previously unaccounted); the
-    /// disk tier streams forward fixpoint sweeps and never builds it.
-    ///
-    /// # Errors
-    ///
-    /// [`stab_core::CoreError::BudgetExhausted`] when a probe trips.
-    pub fn can_reach_legit_budgeted(
-        &self,
-        budget: &Budget,
-    ) -> Result<BitSet, stab_core::CoreError> {
-        self.ts.backward_closure_budgeted(self.ts.legit(), budget)
-    }
-
     /// Resident-set bytes of the underlying edge store (the engine's
     /// [`TransitionSystem::resident_edge_bytes`]), which analyses feed
     /// their budget probes as the cache-pressure figure.
@@ -390,8 +368,6 @@ mod tests {
         let space = ExploredSpace::explore(&a, DaemonSpec::central(), &spec, 1 << 20).unwrap();
         // I = C: everything is reachable.
         assert!(space.reachable_from_initial().is_full());
-        // Algorithm 1 is weak-stabilizing: everything can reach L.
-        assert!(space.can_reach_legit().is_full());
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! illegitimate region (no recurrent component at all), weak-only systems
 //! have recurrent components that some fairness notion can escape, and
 //! non-converging systems have *closed* (bottom) components — the paper's
-//! Gouda/probabilistic failure witnesses.
+//! Gouda/probabilistic failure witnesses. It counts over the verdict
+//! stage's own [`Decomposition`], so the census and the verdicts read
+//! the same components.
 
 use std::fmt;
 
+use stab_core::engine::Budget;
 use stab_core::{Algorithm, ConfigView, Configuration, LocalState, Outcomes, View};
 use stab_graph::NodeId;
 
-use crate::scc;
+use crate::scc::Decomposition;
 use crate::space::ExploredSpace;
 
 /// Census of the illegitimate region's SCC structure.
@@ -35,40 +38,34 @@ pub struct SccSummary {
     pub deadlocks: u64,
 }
 
-/// Computes the census over the reachable illegitimate subgraph.
+/// Computes the census over the reachable illegitimate subgraph, from the
+/// same decomposition, read in the same order, as the verdict stage's.
 pub fn scc_summary<S: LocalState>(space: &ExploredSpace<S>) -> SccSummary {
     let reachable = space.reachable_from_initial();
     let alive = reachable.and_not(space.transition_system().legit());
-    let illegitimate_reachable = alive.count_ones();
-    let comps = scc::sccs(space, &alive);
-    let mut recurrent = 0u64;
-    let mut largest = 0u64;
-    let mut closed = 0u64;
-    for comp in &comps {
-        if !scc::has_internal_edge(space, comp, &alive) {
-            continue;
-        }
-        recurrent += 1;
-        largest = largest.max(comp.len() as u64);
-        let in_comp = scc::membership(space.total(), comp);
-        let is_closed = comp
-            .iter()
-            .all(|&v| space.edge_iter(v).all(|e| in_comp.get(e.to as usize)));
-        if is_closed {
-            closed += 1;
-        }
-    }
+    let decomp = Decomposition::of(space, &alive, &Budget::unlimited())
+        .expect("unlimited budget cannot be exhausted");
+    let recurrent: Vec<usize> = (0..decomp.len())
+        .filter(|&c| decomp.facts(c).recurrent)
+        .collect();
     let deadlocks = alive
         .ones()
         // lint: cast-ok(bitset bits are bounded by the u32 config count)
         .filter(|&id| space.is_terminal(id as u32))
         .count() as u64;
     SccSummary {
-        illegitimate_reachable,
-        components: comps.len() as u64,
-        recurrent_components: recurrent,
-        largest_recurrent: largest,
-        closed_components: closed,
+        illegitimate_reachable: alive.count_ones(),
+        components: decomp.len() as u64,
+        recurrent_components: recurrent.len() as u64,
+        largest_recurrent: recurrent
+            .iter()
+            .map(|&c| decomp.members(c).len() as u64)
+            .max()
+            .unwrap_or(0),
+        closed_components: recurrent
+            .iter()
+            .filter(|&&c| decomp.facts(c).closed)
+            .count() as u64,
         deadlocks,
     }
 }

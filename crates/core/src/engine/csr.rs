@@ -134,9 +134,11 @@ impl<E> Csr<E> {
 
     /// Inverts the adjacency structure: entry `e` in row `i` with
     /// `key(e) = j` becomes entry `i` in row `j` of the result. Rows of the
-    /// result are sorted ascending (counting-sort order). This is the
-    /// reverse CSR used by backward reachability, replacing the seed's
-    /// ad-hoc `preds: Vec<Vec<u32>>`.
+    /// result are sorted ascending (counting-sort order): the flat tier's
+    /// reverse CSR ([`TransitionSystem::reverse_budgeted`]).
+    ///
+    /// [`TransitionSystem::reverse_budgeted`]:
+    /// crate::engine::TransitionSystem::reverse_budgeted
     pub fn invert(&self, key: impl Fn(&E) -> u32) -> Csr<u32> {
         let n = self.n_rows();
         let mut counts = vec![0u32; n];

@@ -32,6 +32,15 @@
 //! probabilities), so the Markov builder reads its `Q` rows straight off
 //! the same structure the checker uses possibilistically.
 //!
+//! Downstream stages read the system forward only: the checker's verdict
+//! stage and the chain's absorption check decide reachability over SCC
+//! components, sinks first ([`Components::mark_reaching`]), so the
+//! lazily built reverse CSR ([`TransitionSystem::reverse_budgeted`])
+//! serves benchmarks alone. [`ExploredIds`] hands the id map to
+//! consumers that outlive the system without copying it.
+//!
+//! [`Components::mark_reaching`]: super::Components::mark_reaching
+//!
 //! ```
 //! use stab_core::engine::{ExploreOptions, TransitionSystem};
 //! use stab_core::{
@@ -139,12 +148,39 @@ pub struct TransitionSystem {
     initial: BitSet,
     deterministic: bool,
     /// id ↔ full-space-index mapping.
-    states: StateIds,
-    /// Present when the system is a symmetry quotient.
-    canon: Option<GroupCanonicalizer>,
+    ids: ExploredIds,
     /// Which group the ids quotient by.
     quotient: Quotient,
     traversal: TraversalMode,
+}
+
+/// Full-space index → explored id of one exploration, detached from its
+/// edges: the id map (dense, or the exploration's own intern table,
+/// shared rather than copied) and the quotient canonicalizer. Consumers
+/// that outlive the system, such as the Markov chain, keep this handle
+/// instead of building a second index.
+#[derive(Debug, Clone)]
+pub struct ExploredIds {
+    states: StateIds,
+    /// Present when the system is a symmetry quotient.
+    canon: Option<GroupCanonicalizer>,
+}
+
+impl ExploredIds {
+    /// The id of the configuration with full-space index `full`, if it
+    /// was explored. In a quotient system, `full` is canonicalized first,
+    /// so any member of an explored orbit resolves.
+    pub fn id_of_full_index(&self, full: u64) -> Option<u32> {
+        let full = match &self.canon {
+            None => full,
+            Some(c) => c.canonical_owned(full),
+        };
+        match &self.states {
+            // lint: cast-ok(dense totals are capped at the u32 id width by Plan)
+            StateIds::Dense { total } => (full < *total).then_some(full as u32),
+            StateIds::Interned(table) => table.lookup(full),
+        }
+    }
 }
 
 impl TransitionSystem {
@@ -321,8 +357,7 @@ impl TransitionSystem {
             legit,
             initial,
             deterministic,
-            states,
-            canon,
+            ids: ExploredIds { states, canon },
             quotient,
             traversal,
         }
@@ -351,8 +386,10 @@ impl TransitionSystem {
             legit,
             initial,
             deterministic,
-            states: StateIds::Dense { total },
-            canon: None,
+            ids: ExploredIds {
+                states: StateIds::Dense { total },
+                canon: None,
+            },
             quotient: Quotient::None,
             traversal: TraversalMode::Full,
         }
@@ -405,19 +442,19 @@ impl TransitionSystem {
     /// `represented_configs() <= n_configs() × group_order()`.
     #[inline]
     pub fn group_order(&self) -> u64 {
-        self.canon.as_ref().map_or(1, |c| c.group_order())
+        self.ids.canon.as_ref().map_or(1, |c| c.group_order())
     }
 
     /// The quotient canonicalizer, when the system is a quotient.
     #[inline]
     pub fn canonicalizer(&self) -> Option<&GroupCanonicalizer> {
-        self.canon.as_ref()
+        self.ids.canon.as_ref()
     }
 
     /// The full-space mixed-radix index behind configuration id `id`.
     #[inline]
     pub fn full_index_of(&self, id: u32) -> u64 {
-        match &self.states {
+        match &self.ids.states {
             StateIds::Dense { .. } => id as u64,
             StateIds::Interned(table) => table.full_of(id),
         }
@@ -427,22 +464,20 @@ impl TransitionSystem {
     /// explored. In a quotient system, `full` is canonicalized first, so
     /// any member of an explored orbit resolves.
     pub fn id_of_full_index(&self, full: u64) -> Option<u32> {
-        let full = match &self.canon {
-            None => full,
-            Some(c) => c.canonical_owned(full),
-        };
-        match &self.states {
-            // lint: cast-ok(dense totals are capped at the u32 id width by Plan)
-            StateIds::Dense { total } => (full < *total).then_some(full as u32),
-            StateIds::Interned(table) => table.lookup(full),
-        }
+        self.ids.id_of_full_index(full)
+    }
+
+    /// A handle on the system's id map that outlives the system (see
+    /// [`ExploredIds`]); cloning it shares the intern table.
+    pub fn explored_ids(&self) -> ExploredIds {
+        self.ids.clone()
     }
 
     /// The number of concrete configurations id `id` stands for: its
     /// group-orbit size in a quotient system, 1 otherwise.
     #[inline]
     pub fn orbit_size(&self, id: u32) -> u64 {
-        match &self.states {
+        match &self.ids.states {
             StateIds::Dense { .. } => 1,
             StateIds::Interned(table) => table.orbit(id),
         }
@@ -452,7 +487,7 @@ impl TransitionSystem {
     /// orbit sizes (equals [`TransitionSystem::n_configs`] outside
     /// quotient mode).
     pub fn represented_configs(&self) -> u64 {
-        match &self.states {
+        match &self.ids.states {
             StateIds::Dense { .. } => self.n_configs() as u64,
             StateIds::Interned(table) => table.represented(),
         }
@@ -496,25 +531,16 @@ impl TransitionSystem {
     }
 
     /// The reverse CSR: row `j` lists the predecessors of `j` (with
-    /// multiplicity, ascending). Built once on first use — streamed row
-    /// by row on the non-flat tiers, never from a decoded flat copy.
+    /// multiplicity, ascending), built once on first use — streamed row
+    /// by row on the non-flat tiers, never from a decoded flat copy. No
+    /// analysis calls it any more: the verdict stage decides reach-to-`L`
+    /// from its one SCC decomposition, sinks first, without a reverse
+    /// graph. It stays for benchmarks that time the inversion.
     ///
-    /// Unbudgeted convenience wrapper over
-    /// [`TransitionSystem::reverse_budgeted`]; analyses that run under
-    /// a byte budget must use the budgeted form, which turns "the
-    /// reverse CSR would not fit" into a typed
-    /// [`CoreError::BudgetExhausted`] (the degraded-study path)
-    /// instead of an OOM kill.
-    pub fn reverse(&self) -> &Csr<u32> {
-        self.reverse_budgeted(&Budget::unlimited())
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// Budget-probed reverse CSR: probes stage `"reverse"` with the
-    /// full materialised size *before* allocating and again at block
-    /// strides while filling, so a too-small byte budget surfaces as
-    /// [`CoreError::BudgetExhausted`] before peak memory doubles
-    /// (previously the `OnceLock` init bypassed every probe).
+    /// The build probes stage `"reverse"` with the full materialised
+    /// size *before* allocating and again at block strides while
+    /// filling, so a too-small byte budget surfaces as
+    /// [`CoreError::BudgetExhausted`] before peak memory doubles.
     pub fn reverse_budgeted(&self, budget: &Budget) -> Result<&Csr<u32>, CoreError> {
         if let Some(r) = self.reverse.get() {
             return Ok(r);
@@ -644,67 +670,6 @@ impl TransitionSystem {
             }
         }
         seen
-    }
-
-    /// The backward-reachable closure of `seeds` (configurations with some
-    /// path *into* `seeds`) — unbudgeted wrapper over
-    /// [`TransitionSystem::backward_closure_budgeted`].
-    pub fn backward_closure(&self, seeds: &BitSet) -> BitSet {
-        self.backward_closure_budgeted(seeds, &Budget::unlimited())
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// Budget-probed backward closure. The in-RAM tiers run the usual
-    /// BFS over the (budget-probed) reverse CSR; the disk tier never
-    /// materialises a reverse CSR at all — it iterates streaming
-    /// forward sweeps to the fixpoint (mark a row once some successor
-    /// is marked), rotating chunks through the pinned cache, with one
-    /// `"reverse"` probe per sweep carrying the resident-set bytes as
-    /// the cache-pressure figure.
-    pub fn backward_closure_budgeted(
-        &self,
-        seeds: &BitSet,
-        budget: &Budget,
-    ) -> Result<BitSet, CoreError> {
-        if self.edge_store_kind() != EdgeStoreKind::Disk {
-            let reverse = self.reverse_budgeted(budget)?;
-            let mut seen = seeds.clone();
-            let mut stack: Vec<u32> = seeds
-                .ones()
-                .map(|i| ids::id_u32(i, "seed ids fit the u32 id width"))
-                .collect();
-            while let Some(id) = stack.pop() {
-                for &p in reverse.row(id as usize) {
-                    if !seen.get(p as usize) {
-                        seen.insert(p as usize);
-                        stack.push(p);
-                    }
-                }
-            }
-            return Ok(seen);
-        }
-        let mut seen = seeds.clone();
-        let mut sweeps = 0u64;
-        loop {
-            sweeps += 1;
-            budget.probe("reverse", self.resident_edge_bytes(), sweeps)?;
-            let mut changed = false;
-            for id in 0..self.n_configs() {
-                if seen.get(id as usize) {
-                    continue;
-                }
-                for e in self.edge_iter(id) {
-                    if seen.get(e.to as usize) {
-                        seen.insert(id as usize);
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-            if !changed {
-                return Ok(seen);
-            }
-        }
     }
 }
 
@@ -848,13 +813,8 @@ mod tests {
         assert!(ts.is_legit(legit_id as u32));
         // Everything is initial (I = C).
         assert!(ts.initial().is_full());
-        // Backward closure of L: all configurations with some infected
-        // process can reach all-ones; all-zero cannot.
-        let can = ts.backward_closure(ts.legit());
-        let dead = ix.encode(&crate::Configuration::from_vec(vec![0, 0, 0]));
-        assert!(!can.get(dead as usize));
-        assert_eq!(can.count_ones(), ix.total() - 1);
         // Forward closure from the all-zero configuration is itself.
+        let dead = ix.encode(&crate::Configuration::from_vec(vec![0, 0, 0]));
         let mut seed = BitSet::new(ts.n_configs() as usize);
         seed.insert(dead as usize);
         assert_eq!(ts.forward_closure(&seed).count_ones(), 1);

@@ -92,11 +92,11 @@ pub use edgestore::{
     StreamCursor,
 };
 pub use equivariance::gate_count;
-pub use explore::{explore_count, node_mask, Edge, TransitionSystem};
+pub use explore::{explore_count, node_mask, Edge, ExploredIds, TransitionSystem};
 pub use onthefly::{ExploreMode, ExploreOptions, Quotient, TraversalMode};
 pub use plan::{Plan, PlanDecision, PlanRequest, DEFAULT_BYTE_BUDGET, DEFAULT_DISK_BYTE_BUDGET};
 pub use quotient::{least_rotation, CanonScratch, GroupCanonicalizer};
 pub use resilience::{Budget, CheckpointConfig, FaultPlan, RunGuard};
-pub use scc::tarjan;
+pub use scc::{tarjan, tarjan_count, Components};
 pub use spill::{SpillConfig, SpillStore};
 pub use traverse::canonical_count;

@@ -23,10 +23,10 @@
 //!    If no candidate is sound, the plan records why each was rejected
 //!    and falls back to [`Quotient::None`].
 //! 3. **Edge-store auto-selection** — a three-way ladder over
-//!    *analysis-time* footprints, not bare store sizes: the verdict
-//!    passes materialize a reverse CSR and the Markov stage mirrors the
-//!    edges into a `QStorage` of the same tier, so the resident peak is
-//!    store + reverse + Q (≈ 2× the store alone). If the estimated flat
+//!    *analysis-time* footprints, not bare store sizes: the Markov stage
+//!    mirrors the edges into a `QStorage` of the same tier, so the
+//!    resident peak is store + Q (≈ 2× the store alone), plus a
+//!    reverse-CSR term kept as a margin. If the estimated flat
 //!    analysis footprint fits the byte budget
 //!    ([`PlanRequest::byte_budget`], default [`DEFAULT_BYTE_BUDGET`]),
 //!    the flat tier is chosen (fastest while RAM lasts); else the
@@ -126,7 +126,8 @@ const FLAT_BYTES_PER_EDGE: u64 = 24;
 /// ring sweeps; 6 errs toward the memory-frugal tier).
 const COMPRESSED_BYTES_PER_EDGE: u64 = 6;
 
-/// Reverse-CSR cost per edge (`u32` target per entry).
+/// Reverse-CSR cost per edge (`u32` target per entry), still budgeted
+/// as a margin although no analysis builds the reverse CSR.
 const REVERSE_BYTES_PER_EDGE: u64 = 4;
 
 /// Flat `QStorage` cost per entry (`(u32, f64)` target/probability pair).
@@ -296,11 +297,12 @@ impl Plan {
         let est_full_edges = (est_edges_per_config * total as f64).ceil() as u64;
         let row_overhead = (total + 1) * size_of::<u32>() as u64;
         let est_full_flat_bytes = est_full_edges * FLAT_BYTES_PER_EDGE + row_overhead;
-        // Analysis-time corrections: verdict passes materialize the
-        // reverse CSR and the Markov stage mirrors the edges into a
-        // `QStorage` of the same tier, so the resident peak is
-        // store + reverse + Q — comparing the bare store against the
-        // budget under-counted by ≈ 2×.
+        // Analysis-time corrections: the Markov stage mirrors the edges
+        // into a `QStorage` of the same tier, so the resident peak is
+        // store + Q — comparing the bare store against the budget
+        // under-counted by ≈ 2×. No stage builds the reverse CSR, but
+        // its term stays as a margin: dropping it can move tier
+        // decisions, so it waits for a measured planner.
         let est_reverse_bytes = est_full_edges * REVERSE_BYTES_PER_EDGE + row_overhead;
         let est_analysis_flat_bytes = est_full_flat_bytes
             + est_reverse_bytes

@@ -62,6 +62,7 @@ use std::cell::Cell;
 use std::fs;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -1488,7 +1489,7 @@ impl Replay {
             Some(total) => StateIds::Dense { total },
             None => {
                 let (full_of, orbit) = self.table.into_iter().unzip();
-                StateIds::Interned(StateTable::from_parts(full_of, orbit))
+                StateIds::Interned(Arc::new(StateTable::from_parts(full_of, orbit)))
             }
         };
         Ok(TransitionSystem::assemble(

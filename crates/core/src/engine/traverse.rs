@@ -35,6 +35,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::algorithm::Algorithm;
 use crate::config::Configuration;
@@ -267,7 +268,7 @@ where
     }
     let states = match id_map {
         IdMap::Dense => StateIds::Dense { total: n },
-        IdMap::Interned => StateIds::Interned(table),
+        IdMap::Interned => StateIds::Interned(Arc::new(table)),
     };
     Ok(TransitionSystem::assemble(
         merge.builder.finish(),

@@ -1,12 +1,15 @@
 //! Building the absorbing Markov chain of a stabilizing system under a
 //! randomized scheduler.
 //!
-//! Since PR 1 the underlying exploration is the shared CSR engine
+//! The underlying exploration is the shared engine
 //! (`stab_core::engine::TransitionSystem`): every edge already carries its
 //! Definition 6 probability, so the `Q` rows are read straight off the
 //! engine output instead of re-running the step semantics with a decode +
-//! encode per successor, and the almost-sure-absorption check is a
-//! backward closure over the engine's precomputed reverse CSR.
+//! encode per successor. The chain resolves configurations to states
+//! through the exploration's own id map (`ExploredIds`, which shares the
+//! intern table rather than copying it), and the almost-sure-absorption
+//! check is one sinks-first pass over `Q`'s strongly connected blocks,
+//! by the same rule the checker uses for reach-to-`L`.
 //!
 //! [`AbsorbingChain::build_with`] accepts the engine's exploration options:
 //! over a **symmetry quotient** (ring rotations, ring dihedral, or leaf
@@ -17,11 +20,10 @@
 //! in **reachable mode**, the chain covers exactly the configurations
 //! reachable from the designated initial set.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use stab_core::engine::ids;
-use stab_core::engine::{BitSet, ExploreOptions, GroupCanonicalizer, TransitionSystem};
+use stab_core::engine::{BitSet, ExploreOptions, ExploredIds, TransitionSystem};
 use stab_core::{Algorithm, Configuration, DaemonSpec, Legitimacy, LocalState, SpaceIndexer};
 
 use crate::error::MarkovError;
@@ -53,10 +55,8 @@ pub struct AbsorbingChain<S> {
     /// Concrete configurations per transient state (rotation-orbit sizes
     /// in a quotient chain, all 1 otherwise).
     orbit_of: Vec<u64>,
-    /// Full index → explored id, for non-dense explorations.
-    ids: IdMap,
-    /// Canonicalizer of a quotient chain.
-    canon: Option<GroupCanonicalizer>,
+    /// Full index → explored id: the exploration's own id map.
+    ids: ExploredIds,
     /// Number of explored configurations (transient + legitimate).
     n_explored: u32,
     /// Concrete configurations represented by the explored ids.
@@ -71,18 +71,8 @@ pub struct AbsorbingChain<S> {
     step_moves: Vec<f64>,
     /// Whether every transient state reaches absorption with probability 1:
     /// `Ok(())` or the first offending transient index. Computed lazily on
-    /// the first [`AbsorbingChain::almost_surely_absorbing`] call by a
-    /// backward closure over the inverted `Q` CSR.
+    /// the first [`AbsorbingChain::almost_surely_absorbing`] call.
     absorbing: OnceLock<Result<(), u32>>,
-}
-
-/// Full-space index → explored id.
-#[derive(Debug)]
-enum IdMap {
-    /// Explored id == full index (dense full sweep).
-    Dense,
-    /// Hash lookup (quotient or reachable exploration).
-    Interned(HashMap<u64, u32>),
 }
 
 impl<S: LocalState> AbsorbingChain<S> {
@@ -149,32 +139,19 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// sharing constructor of the facade's `Study` pipeline: the checker
     /// (via `ExploredSpace::from_transition_system`) and this chain read
     /// one exploration instead of each paying for their own. The system
-    /// is only *borrowed*: every lookup structure the chain needs is
-    /// copied out, so the caller can hand the system on to the checker
-    /// afterwards.
+    /// is only *borrowed*: the chain copies out its `Q` rows and keeps a
+    /// shared handle on the id map ([`TransitionSystem::explored_ids`]),
+    /// so the caller can hand the system on to the checker afterwards.
     pub fn from_transition_system(
         indexer: SpaceIndexer<S>,
         daemon: DaemonSpec,
         ts: &TransitionSystem,
     ) -> Self {
         let total = ts.n_configs();
-        let dense = ts.traversal() == stab_core::engine::TraversalMode::Full
-            && ts.quotient() == stab_core::engine::Quotient::None;
         let mut transient_of = vec![u32::MAX; total as usize];
         let mut full_of = Vec::new();
         let mut orbit_of = Vec::new();
-        // The chain must outlive the transition system (`build_with` drops
-        // it immediately after this call), so non-dense id lookup state is
-        // copied out of `ts` rather than borrowed.
-        let mut ids = if dense {
-            IdMap::Dense
-        } else {
-            IdMap::Interned(HashMap::with_capacity(total as usize))
-        };
         for id in 0..total {
-            if let IdMap::Interned(map) = &mut ids {
-                map.insert(ts.full_index_of(id), id);
-            }
             if !ts.is_legit(id) {
                 transient_of[id as usize] = ids::id_u32(full_of.len(), "transient ids fit u32");
                 full_of.push(ts.full_index_of(id));
@@ -228,8 +205,10 @@ impl<S: LocalState> AbsorbingChain<S> {
             transient_of,
             full_of,
             orbit_of,
-            ids,
-            canon: ts.canonicalizer().cloned(),
+            // The chain outlives the system (`build_with` drops it right
+            // after this call), so it keeps a handle on the system's id
+            // map, whose intern table is shared, not copied.
+            ids: ts.explored_ids(),
             n_explored: total,
             represented: ts.represented_configs(),
             q,
@@ -300,15 +279,7 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// The explored id behind `cfg` (canonicalized in a quotient chain),
     /// or `None` when it was not reached (possible in reachable mode).
     fn explored_id(&self, cfg: &Configuration<S>) -> Option<u32> {
-        let mut full = self.indexer.encode(cfg);
-        if let Some(canon) = &self.canon {
-            full = canon.canonical_owned(full);
-        }
-        match &self.ids {
-            // lint: cast-ok(dense id maps only exist when the full space fits u32)
-            IdMap::Dense => Some(full as u32),
-            IdMap::Interned(map) => map.get(&full).copied(),
-        }
+        self.ids.id_of_full_index(self.indexer.encode(cfg))
     }
 
     /// Whether `cfg` (canonicalized in a quotient chain) was explored.
@@ -350,27 +321,26 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// never ask never pay for it.
     ///
     /// One pass over `Q`'s strongly connected blocks, sinks first (the
-    /// solver's block order): a block reaches absorption iff one of its
-    /// rows absorbs or steps into a block already known to. No tier
-    /// materialises the reverse of `Q`; the state is O(n) `u32`s and one
-    /// bitset.
+    /// solver's block order), by the rule the checker's verdict stage
+    /// uses for reach-to-`L`
+    /// ([`Components::mark_reaching`](stab_core::engine::Components::mark_reaching)):
+    /// a block reaches absorption iff one of its rows absorbs or steps
+    /// into a block already known to. The absorbing state is node `n`,
+    /// marked from the start, and a row with absorbing mass steps into
+    /// it. No tier materialises the reverse of `Q`; the state is O(n)
+    /// `u32`s and one bitset.
     pub fn almost_surely_absorbing(&self) -> Result<(), MarkovError> {
         let outcome = self.absorbing.get_or_init(|| {
             let n = self.n_transient();
             let successors = |i: u32| self.q.row_iter(i as usize).map(|(j, _)| j);
-            let (rows, ends) = linalg::blocks(n, successors);
-            let mut can = BitSet::new(n);
-            let mut start = 0;
-            for end in ends {
-                let block = &rows[start..end as usize];
-                start = end as usize;
-                let absorbs = |&i: &u32| {
-                    self.absorb[i as usize] > 0.0 || successors(i).any(|j| can.get(j as usize))
-                };
-                if block.iter().any(absorbs) {
-                    block.iter().for_each(|&i| can.insert(i as usize));
-                }
-            }
+            let blocks = linalg::blocks(n, successors);
+            let mut can = BitSet::new(n + 1);
+            can.insert(n);
+            let absorbed = ids::id_u32(n, "transient ids fit u32");
+            blocks.mark_reaching(
+                |i| successors(i).chain((self.absorb[i as usize] > 0.0).then_some(absorbed)),
+                &mut can,
+            );
             match (0..n).find(|&i| !can.get(i)) {
                 None => Ok(()),
                 // lint: cast-ok(row indices are bounded by the u32 id width)

@@ -33,7 +33,7 @@
 
 use std::convert::Infallible;
 
-use stab_core::engine::{tarjan, Budget};
+use stab_core::engine::{Budget, Components};
 
 use crate::error::MarkovError;
 use crate::qstore::QRows;
@@ -144,13 +144,13 @@ pub fn gauss_seidel_budgeted<M: QRows>(
 /// connected block of `q` at a time.
 ///
 /// The blocks of `q`'s off-diagonal graph come from the engine's Tarjan
-/// pass ([`tarjan`]), which emits a block only after every block it
-/// reaches, so solving them in emission order (sinks first) means a block
-/// reads only final values and its own. Each block is swept, rows in
-/// ascending index order, until every side's max-update over the block
-/// falls below `tol`; a singleton block is solved in one pass, since its
-/// first value is already the fixed point. A chain whose rows form one
-/// block therefore runs the plain whole-chain iteration.
+/// pass ([`tarjan`](stab_core::engine::tarjan)), which emits a block only
+/// after every block it reaches, so solving them in emission order (sinks
+/// first) means a block reads only final values and its own. Each block
+/// is swept, rows in ascending index order, until every side's max-update
+/// over the block falls below `tol`; a singleton block is solved in one
+/// pass, since its first value is already the fixed point. A chain whose
+/// rows form one block therefore runs the plain whole-chain iteration.
 ///
 /// Every sweep decodes each row of its block once and updates every side
 /// that is still live in the block. A side freezes in a block once its
@@ -186,12 +186,9 @@ pub fn gauss_seidel_multi<M: QRows, const K: usize>(
     let n = q.n_rows();
     assert!(bs.iter().all(|b| b.len() == n), "dimension mismatch");
     let mut xs = bs.map(<[f64]>::to_vec);
-    let (rows, ends) = blocks(n, |i| q.row_iter(i as usize).map(|(j, _)| j));
+    let blocks = blocks(n, |i| q.row_iter(i as usize).map(|(j, _)| j));
     let mut sweep = 0u64;
-    let mut start = 0;
-    for end in ends {
-        let block = &rows[start..end as usize];
-        start = end as usize;
+    for block in blocks.iter() {
         let mut live = [true; K];
         let mut residual = [f64::INFINITY; K];
         for _ in 0..max_iter {
@@ -243,30 +240,19 @@ pub fn gauss_seidel_multi<M: QRows, const K: usize>(
 
 /// The rows `0..n` grouped by strongly connected block of the graph with
 /// successors `row(i)`, blocks sinks first and rows ascending within a
-/// block: block `b` is `rows[ends[b - 1]..ends[b]]`. Self-loops do not
-/// change the blocks, so `Q`'s rows can be walked as stored.
-pub(crate) fn blocks<I: Iterator<Item = u32>>(
-    n: usize,
-    row: impl FnMut(u32) -> I,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut rows: Vec<u32> = Vec::with_capacity(n);
-    let mut ends = Vec::new();
-    let walk = tarjan(
+/// block. Self-loops do not change the blocks, so `Q`'s rows can be
+/// walked as stored.
+pub(crate) fn blocks<I: Iterator<Item = u32>>(n: usize, row: impl FnMut(u32) -> I) -> Components {
+    let walk = Components::walk(
         n,
         // lint: cast-ok(Q columns are u32, so row indices fit u32)
         0..n as u32,
         row,
         |_| Ok::<(), Infallible>(()),
-        |block| {
-            let start = rows.len();
-            rows.extend_from_slice(block);
-            rows[start..].sort_unstable();
-            // lint: cast-ok(row indices fit u32, so their count does)
-            ends.push(rows.len() as u32);
-        },
+        |block| block.sort_unstable(),
     );
-    let Ok(()) = walk;
-    (rows, ends)
+    let Ok(blocks) = walk;
+    blocks
 }
 
 #[cfg(test)]
@@ -516,12 +502,15 @@ mod tests {
 
     #[test]
     fn blocks_come_sinks_first_rows_ascending() {
-        let of = |q: &QMatrix| blocks(q.n_rows(), |i| q.row(i as usize).iter().map(|e| e.0));
+        let of = |q: &QMatrix| {
+            let blocks = blocks(q.n_rows(), |i| q.row(i as usize).iter().map(|e| e.0));
+            blocks.iter().map(<[u32]>::to_vec).collect::<Vec<_>>()
+        };
         assert_eq!(
             of(&multi_block()),
-            (vec![1, 4, 0, 2, 3, 5], vec![2, 4, 5, 6])
+            [vec![1, 4], vec![0, 2], vec![3], vec![5]]
         );
-        assert_eq!(of(&leaky4()), (vec![0, 1, 2, 3], vec![4]));
+        assert_eq!(of(&leaky4()), [vec![0, 1, 2, 3]]);
     }
 
     #[test]
