@@ -19,6 +19,10 @@ const PROB_EPS: f64 = 1e-9;
 /// Probabilities are strictly positive and sum to 1 (validated on
 /// construction, duplicates merged).
 ///
+/// One- and two-point distributions (every deterministic action, every
+/// coin toss) are stored inline and touch no heap; only distributions
+/// with three or more outcomes keep their entries in a `Vec`.
+///
 /// ```
 /// use stab_core::Outcomes;
 /// let o = Outcomes::fair_coin(0u8, 1u8);
@@ -26,17 +30,39 @@ const PROB_EPS: f64 = 1e-9;
 /// assert!(!o.is_certain());
 /// assert_eq!(Outcomes::certain(5u8).entries(), &[(1.0, 5u8)]);
 /// ```
-#[derive(Clone, PartialEq)]
-pub struct Outcomes<S> {
-    entries: Vec<(f64, S)>,
+#[derive(Clone)]
+pub struct Outcomes<S>(Entries<S>);
+
+/// The entries of an [`Outcomes`], inline up to two.
+#[derive(Clone)]
+enum Entries<S> {
+    One([(f64, S); 1]),
+    Two([(f64, S); 2]),
+    Many(Vec<(f64, S)>),
+}
+
+impl<S> From<Vec<(f64, S)>> for Entries<S> {
+    fn from(entries: Vec<(f64, S)>) -> Self {
+        match <[_; 1]>::try_from(entries) {
+            Ok(one) => Entries::One(one),
+            Err(entries) => match <[_; 2]>::try_from(entries) {
+                Ok(two) => Entries::Two(two),
+                Err(many) => Entries::Many(many),
+            },
+        }
+    }
+}
+
+impl<S: PartialEq> PartialEq for Outcomes<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
 }
 
 impl<S: PartialEq> Outcomes<S> {
     /// A deterministic outcome: the next state with probability 1.
     pub fn certain(state: S) -> Self {
-        Outcomes {
-            entries: vec![(1.0, state)],
-        }
+        Outcomes(Entries::One([(1.0, state)]))
     }
 
     /// A fair coin: each state with probability ½, as in the paper's
@@ -60,9 +86,7 @@ impl<S: PartialEq> Outcomes<S> {
         if heads == tails {
             return Self::certain(heads);
         }
-        Outcomes {
-            entries: vec![(p_heads, heads), (1.0 - p_heads, tails)],
-        }
+        Outcomes(Entries::Two([(p_heads, heads), (1.0 - p_heads, tails)]))
     }
 
     /// A distribution from explicit weights.
@@ -95,7 +119,7 @@ impl<S: PartialEq> Outcomes<S> {
             (total - 1.0).abs() < PROB_EPS,
             "outcome probabilities must sum to 1, got {total}"
         );
-        Outcomes { entries: merged }
+        Outcomes(merged.into())
     }
 
     /// A uniform distribution over the given states (duplicates merged).
@@ -118,18 +142,26 @@ impl<S> Outcomes<S> {
     /// sum to 1.
     #[inline]
     pub fn entries(&self) -> &[(f64, S)] {
-        &self.entries
+        match &self.0 {
+            Entries::One(e) => e,
+            Entries::Two(e) => e,
+            Entries::Many(e) => e,
+        }
     }
 
     /// Whether this outcome is deterministic (a single entry).
     #[inline]
     pub fn is_certain(&self) -> bool {
-        self.entries.len() == 1
+        self.entries().len() == 1
     }
 
     /// Consumes the distribution, returning its entries.
     pub fn into_entries(self) -> Vec<(f64, S)> {
-        self.entries
+        match self.0 {
+            Entries::One(e) => e.into(),
+            Entries::Two(e) => e.into(),
+            Entries::Many(e) => e,
+        }
     }
 
     /// The unique state of a deterministic outcome.
@@ -137,46 +169,47 @@ impl<S> Outcomes<S> {
     /// # Panics
     ///
     /// Panics if the outcome is probabilistic.
-    pub fn into_certain(mut self) -> S {
-        assert!(
-            self.entries.len() == 1,
-            "into_certain on a probabilistic outcome with {} entries",
-            self.entries.len()
-        );
-        self.entries.pop().expect("non-empty by construction").1
+    pub fn into_certain(self) -> S {
+        let n = self.entries().len();
+        match self.0 {
+            Entries::One([(_, s)]) => s,
+            _ => panic!("into_certain on a probabilistic outcome with {n} entries"),
+        }
     }
 
-    /// Maps every state through `f`, keeping probabilities. Used by the
-    /// transformer to pair inner outcomes with coin values.
+    /// Maps every state through `f`, keeping probabilities.
     pub fn map<T>(self, f: impl FnMut(S) -> T) -> Outcomes<T> {
         let mut f = f;
-        Outcomes {
-            entries: self.entries.into_iter().map(|(p, s)| (p, f(s))).collect(),
-        }
+        Outcomes(match self.0 {
+            Entries::One(e) => Entries::One(e.map(|(p, s)| (p, f(s)))),
+            Entries::Two(e) => Entries::Two(e.map(|(p, s)| (p, f(s)))),
+            Entries::Many(e) => Entries::Many(e.into_iter().map(|(p, s)| (p, f(s))).collect()),
+        })
     }
 
     /// Samples a state according to the distribution.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &S {
-        if self.entries.len() == 1 {
-            return &self.entries[0].1;
+        let entries = self.entries();
+        if entries.len() == 1 {
+            return &entries[0].1;
         }
         let x: f64 = rng.random();
         let mut acc = 0.0;
-        for (p, s) in &self.entries {
+        for (p, s) in entries {
             acc += p;
             if x < acc {
                 return s;
             }
         }
         // Floating-point slack: fall back to the last entry.
-        &self.entries[self.entries.len() - 1].1
+        &entries[entries.len() - 1].1
     }
 }
 
 impl<S: fmt::Debug> fmt::Debug for Outcomes<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Outcomes[")?;
-        for (i, (p, s)) in self.entries.iter().enumerate() {
+        for (i, (p, s)) in self.entries().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -241,6 +274,21 @@ mod tests {
     #[should_panic(expected = "strictly positive")]
     fn weighted_rejects_zero_probability() {
         let _ = Outcomes::weighted(vec![(0.0, 1u8), (1.0, 2u8)]);
+    }
+
+    #[test]
+    fn equality_compares_entries_not_storage() {
+        let merged = Outcomes::weighted(vec![(0.5, 3u8), (0.5, 3u8)]);
+        assert!(merged.is_certain());
+        assert_eq!(merged, Outcomes::certain(3u8));
+        assert_eq!(
+            Outcomes::weighted(vec![(0.5, 1u8), (0.5, 2u8)]),
+            Outcomes::fair_coin(1u8, 2u8)
+        );
+        let three = Outcomes::uniform(vec![1u8, 2, 2, 3]);
+        assert_eq!(three.entries().len(), 3);
+        assert_eq!(three.clone().map(|s| s + 1).into_entries().len(), 3);
+        assert_ne!(three, Outcomes::fair_coin(1u8, 2u8));
     }
 
     #[test]

@@ -39,9 +39,10 @@
 //!
 //! Each lattice point exists in two forms: **enumerated**
 //! ([`DaemonSpec::activations`]) for exhaustive model checking, and
-//! **randomized** ([`DaemonSpec::sample`]) — the uniform choice of
-//! Definition 6 (Dasgupta–Ghosh–Xiao) that Theorem 7 proves equivalent to
-//! Gouda's strong fairness.
+//! **randomized** ([`DaemonSpec::sample`], or [`DaemonSpec::sample_into`]
+//! into a caller's buffer) — the uniform choice of Definition 6
+//! (Dasgupta–Ghosh–Xiao) that Theorem 7 proves equivalent to Gouda's
+//! strong fairness.
 //!
 //! # Refinement
 //!
@@ -434,14 +435,8 @@ impl DaemonSpec {
     }
 
     /// Samples an activation according to the randomized scheduler of
-    /// Definition 6.
-    ///
-    /// Central, distributed and synchronous sampling is exactly uniform
-    /// and allocation-light even for thousands of enabled processes.
-    /// Constrained points (`k` finite and above 1, or a positive radius)
-    /// use rejection sampling with a singleton fallback after 64 failures;
-    /// every allowed activation keeps strictly positive probability, which
-    /// is all the probabilistic convergence arguments require.
+    /// Definition 6: [`DaemonSpec::sample_into`] collected into an
+    /// [`Activation`].
     ///
     /// # Panics
     ///
@@ -452,42 +447,64 @@ impl DaemonSpec {
         enabled: &[NodeId],
         rng: &mut R,
     ) -> Activation {
+        let mut nodes = Vec::new();
+        self.sample_into(graph, enabled, rng, &mut nodes);
+        Activation::new(nodes)
+    }
+
+    /// Samples an activation according to the randomized scheduler of
+    /// Definition 6 into `out` (cleared first), in the order of `enabled`,
+    /// so a caller that keeps `out` across steps samples without touching
+    /// the heap.
+    ///
+    /// Central, distributed and synchronous sampling is exactly uniform
+    /// even for thousands of enabled processes. Constrained points (`k`
+    /// finite and above 1, or a positive radius) use rejection sampling
+    /// with a singleton fallback after 64 failures; every allowed
+    /// activation keeps strictly positive probability, which is all the
+    /// probabilistic convergence arguments require. This is the only
+    /// sampler, so [`DaemonSpec::sample`] draws the same stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `enabled` is empty: terminal configurations have no steps.
+    pub fn sample_into<R: Rng + ?Sized>(
+        &self,
+        graph: &Graph,
+        enabled: &[NodeId],
+        rng: &mut R,
+        out: &mut Vec<NodeId>,
+    ) {
         assert!(
             !enabled.is_empty(),
             "cannot schedule in a terminal configuration"
         );
+        out.clear();
+        let mut draw = |out: &mut Vec<NodeId>| {
+            out.extend(enabled.iter().copied().filter(|_| rng.random::<bool>()));
+        };
         match self.distribution {
-            Distribution::Synchronous => Activation::new(enabled.to_vec()),
+            Distribution::Synchronous => out.extend_from_slice(enabled),
             Distribution::KCentral { k: Some(1), .. } => {
-                let i = rng.random_range(0..enabled.len());
-                Activation::singleton(enabled[i])
+                out.push(enabled[rng.random_range(0..enabled.len())]);
             }
-            Distribution::KCentral { k: None, radius: 0 } => loop {
-                let nodes: Vec<NodeId> = enabled
-                    .iter()
-                    .copied()
-                    .filter(|_| rng.random::<bool>())
-                    .collect();
-                if !nodes.is_empty() {
-                    return Activation::new(nodes);
+            Distribution::KCentral { k: None, radius: 0 } => {
+                while out.is_empty() {
+                    draw(out);
                 }
-            },
+            }
             Distribution::KCentral { k, radius } => {
                 for _ in 0..64 {
-                    let nodes: Vec<NodeId> = enabled
-                        .iter()
-                        .copied()
-                        .filter(|_| rng.random::<bool>())
-                        .collect();
-                    if !nodes.is_empty()
-                        && k.is_none_or(|k| nodes.len() as u64 <= u64::from(k))
-                        && is_spread(graph, &nodes, radius)
+                    draw(out);
+                    if !out.is_empty()
+                        && k.is_none_or(|k| out.len() as u64 <= u64::from(k))
+                        && is_spread(graph, out, radius)
                     {
-                        return Activation::new(nodes);
+                        return;
                     }
+                    out.clear();
                 }
-                let i = rng.random_range(0..enabled.len());
-                Activation::singleton(enabled[i])
+                out.push(enabled[rng.random_range(0..enabled.len())]);
             }
         }
     }

@@ -9,9 +9,6 @@
 
 use std::collections::HashMap;
 
-use rand::Rng;
-use stab_graph::NodeId;
-
 use crate::algorithm::Algorithm;
 use crate::config::Configuration;
 use crate::scheduler::{Activation, DaemonSpec};
@@ -38,12 +35,10 @@ pub fn successor_distribution<A: Algorithm>(
     // clone of the *pre* configuration so all reads below stay pre-state.
     let mut branches: Vec<(f64, Configuration<A::State>)> = vec![(1.0, cfg.clone())];
     for &node in activation.nodes() {
-        let view = alg.view(cfg, node);
         let action = alg
-            .enabled_actions(&view)
-            .selected()
+            .selected_action(cfg, node)
             .unwrap_or_else(|| panic!("activated process {node} is disabled"));
-        let outcomes = alg.apply(&view, action);
+        let outcomes = alg.apply(&alg.view(cfg, node), action);
         if outcomes.is_certain() {
             let state = outcomes.into_certain();
             for (_, branch) in &mut branches {
@@ -103,12 +98,10 @@ pub fn deterministic_successor<A: Algorithm>(
 ) -> Configuration<A::State> {
     let mut next = cfg.clone();
     for &node in activation.nodes() {
-        let view = alg.view(cfg, node);
         let action = alg
-            .enabled_actions(&view)
-            .selected()
+            .selected_action(cfg, node)
             .unwrap_or_else(|| panic!("activated process {node} is disabled"));
-        let outcomes = alg.apply(&view, action);
+        let outcomes = alg.apply(&alg.view(cfg, node), action);
         assert!(
             outcomes.is_certain(),
             "deterministic_successor on probabilistic action at {node}"
@@ -116,33 +109,6 @@ pub fn deterministic_successor<A: Algorithm>(
         next.set(node, outcomes.into_certain());
     }
     next
-}
-
-/// Samples one step under the randomized form of `daemon` (Definition 6):
-/// samples an activation uniformly, then samples each activated process's
-/// outcome. Returns `None` if `cfg` is terminal.
-pub fn sample_step<A: Algorithm, R: Rng + ?Sized>(
-    alg: &A,
-    daemon: DaemonSpec,
-    cfg: &Configuration<A::State>,
-    rng: &mut R,
-) -> Option<(Activation, Configuration<A::State>)> {
-    let enabled = alg.enabled_nodes(cfg);
-    if enabled.is_empty() {
-        return None;
-    }
-    let activation = daemon.sample(alg.graph(), &enabled, rng);
-    let mut next = cfg.clone();
-    for &node in activation.nodes() {
-        let view = alg.view(cfg, node);
-        let action = alg
-            .enabled_actions(&view)
-            .selected()
-            .expect("daemon activates only enabled processes");
-        let outcomes = alg.apply(&view, action);
-        next.set(node, outcomes.sample(rng).clone());
-    }
-    Some((activation, next))
 }
 
 /// Every step the enumerated `daemon` allows from `cfg`: one entry per
@@ -203,11 +169,6 @@ pub fn is_deterministic_at<A: Algorithm>(alg: &A, cfg: &Configuration<A::State>)
     true
 }
 
-/// Convenience: which nodes are enabled, as a sorted vector (`Enabled(γ)`).
-pub fn enabled_nodes<A: Algorithm>(alg: &A, cfg: &Configuration<A::State>) -> Vec<NodeId> {
-    alg.enabled_nodes(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,8 +177,35 @@ mod tests {
     use crate::outcome::Outcomes;
     use crate::scheduler::DaemonSpec;
     use crate::view::View;
-    use rand::SeedableRng;
-    use stab_graph::{builders, Graph};
+    use rand::{Rng, SeedableRng};
+    use stab_graph::{builders, Graph, NodeId};
+
+    /// Samples one step under the randomized form of `daemon` (Definition 6):
+    /// samples an activation uniformly, then samples each activated process's
+    /// outcome. Returns `None` if `cfg` is terminal.
+    fn sample_step<A: Algorithm, R: Rng + ?Sized>(
+        alg: &A,
+        daemon: DaemonSpec,
+        cfg: &Configuration<A::State>,
+        rng: &mut R,
+    ) -> Option<(Activation, Configuration<A::State>)> {
+        let enabled = alg.enabled_nodes(cfg);
+        if enabled.is_empty() {
+            return None;
+        }
+        let activation = daemon.sample(alg.graph(), &enabled, rng);
+        let mut next = cfg.clone();
+        for &node in activation.nodes() {
+            let view = alg.view(cfg, node);
+            let action = alg
+                .enabled_actions(&view)
+                .selected()
+                .expect("daemon activates only enabled processes");
+            let outcomes = alg.apply(&view, action);
+            next.set(node, outcomes.sample(rng).clone());
+        }
+        Some((activation, next))
+    }
 
     fn infection() -> Infection {
         Infection {

@@ -13,6 +13,10 @@
 //! * **rounds** — asynchronous rounds: a round completes when every process
 //!   enabled at its start has since been activated or disabled.
 //!
+//! One step kernel ([`run`]) drives every run. It keeps its buffers across
+//! the runs of a batch, so a step whose processes draw from one- or
+//! two-point outcome distributions touches no heap, and it
+//! re-evaluates one guard per node of N\[activation\] per step.
 //! [`montecarlo`] batches seeded runs (in parallel, deterministically) and
 //! aggregates them into mean / 95%-confidence-interval estimates, which the
 //! experiment harness cross-validates against the exact Markov solutions.

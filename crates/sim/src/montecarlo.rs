@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use stab_core::{Algorithm, DaemonSpec, Legitimacy};
 
 use crate::init;
-use crate::run::run_once;
+use crate::run::Kernel;
 use crate::stats::{Accumulator, Estimate};
 
 /// Batch parameters.
@@ -53,7 +53,9 @@ pub struct BatchResult {
 /// initial configurations and aggregates their costs.
 ///
 /// Parallel and deterministic: run `i` always uses the RNG stream
-/// `seed ⊕ i`, whatever the thread count.
+/// `seed ⊕ i`, whatever the thread count. One worker runs on the calling
+/// thread; more are scoped threads, each over a contiguous slice of runs
+/// with its own step buffers.
 ///
 /// # Panics
 ///
@@ -93,53 +95,53 @@ where
     F: Fn(&A, &mut StdRng) -> stab_core::Configuration<A::State> + Sync,
 {
     let threads = settings.threads.max(1);
+    let max_steps = settings.max_steps;
     let chunk = settings.runs.div_ceil(threads as u64);
-    let mut partials: Vec<(Accumulator, Accumulator, Accumulator, u64)> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads as u64 {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(settings.runs);
-            if lo >= hi {
-                break;
-            }
-            let make_initial = &make_initial;
-            handles.push(scope.spawn(move || {
-                let mut steps = Accumulator::new();
-                let mut moves = Accumulator::new();
-                let mut rounds = Accumulator::new();
-                let mut failures = 0u64;
-                for i in lo..hi {
-                    let mut rng = StdRng::seed_from_u64(
-                        settings.seed ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    );
-                    let initial = make_initial(alg, &mut rng);
-                    let r = run_once(alg, daemon, spec, &initial, &mut rng, settings.max_steps);
-                    if r.converged {
-                        steps.push(r.steps as f64);
-                        moves.push(r.moves as f64);
-                        rounds.push(r.rounds as f64);
-                    } else {
-                        failures += 1;
-                    }
+    // Runs `lo..hi` on one kernel, whose step buffers serve every run;
+    // returns the (steps, moves, rounds) accumulators and the failures.
+    let worker = |lo: u64, hi: u64| {
+        let mut kernel = Kernel::new();
+        let mut costs = [Accumulator::new(), Accumulator::new(), Accumulator::new()];
+        let mut failures = 0u64;
+        for i in lo..hi {
+            let mut rng =
+                StdRng::seed_from_u64(settings.seed ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            let initial = make_initial(alg, &mut rng);
+            let r = kernel.run(alg, daemon, spec, initial, &mut rng, max_steps, |_, _| {});
+            if r.converged {
+                for (acc, x) in costs.iter_mut().zip([r.steps, r.moves, r.rounds]) {
+                    acc.push(x as f64);
                 }
-                (steps, moves, rounds, failures)
-            }));
+            } else {
+                failures += 1;
+            }
         }
-        for h in handles {
-            partials.push(h.join().expect("simulation worker panicked"));
-        }
-    });
-    let mut steps = Accumulator::new();
-    let mut moves = Accumulator::new();
-    let mut rounds = Accumulator::new();
-    let mut failures = 0u64;
-    for (s, m, r, f) in &partials {
-        steps.merge(s);
-        moves.merge(m);
-        rounds.merge(r);
-        failures += f;
-    }
+        (costs, failures)
+    };
+    // One worker runs on the calling thread.
+    let partials: Vec<_> = if threads == 1 {
+        vec![worker(0, settings.runs)]
+    } else {
+        let worker = &worker;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads as u64)
+                .map(|t| (t * chunk, ((t + 1) * chunk).min(settings.runs)))
+                .take_while(|&(lo, hi)| lo < hi)
+                .map(|(lo, hi)| scope.spawn(move || worker(lo, hi)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("simulation worker panicked"))
+                .collect()
+        })
+    };
+    let ([steps, moves, rounds], failures) =
+        partials.into_iter().reduce(|(mut costs, f), (more, g)| {
+            for (acc, other) in costs.iter_mut().zip(&more) {
+                acc.merge(other);
+            }
+            (costs, f + g)
+        })?;
     (steps.count() > 0).then(|| BatchResult {
         steps: steps.estimate(),
         moves: moves.estimate(),

@@ -1,7 +1,7 @@
 //! Single simulation runs with step / move / round accounting.
 
 use rand::Rng;
-use stab_core::{Algorithm, Configuration, DaemonSpec, Legitimacy};
+use stab_core::{Activation, Algorithm, Configuration, DaemonSpec, Legitimacy};
 use stab_graph::NodeId;
 
 /// Outcome of one run.
@@ -21,8 +21,11 @@ pub struct RunResult {
 /// until `spec` holds or `max_steps` is exhausted.
 ///
 /// Enabledness is maintained incrementally: after a step only the activated
-/// processes and their neighbours can change status, so large networks
-/// simulate in `O(|activation| · Δ)` guard evaluations per step.
+/// processes and their neighbours can change status, so each step evaluates
+/// one guard per node of N\[activation\] (the activated processes and their
+/// neighbours, each once), whatever the overlap of their neighbourhoods.
+/// A single run allocates its step buffers once; a Monte-Carlo batch
+/// ([`crate::montecarlo`]) keeps them across its runs.
 pub fn run_once<A, L, R>(
     alg: &A,
     daemon: DaemonSpec,
@@ -36,104 +39,22 @@ where
     L: Legitimacy<A::State>,
     R: Rng + ?Sized,
 {
-    let g = alg.graph();
-    let n = g.n();
-    let mut cfg = initial.clone();
-    let mut enabled_flags: Vec<bool> = (0..n)
-        .map(|v| alg.is_enabled(&cfg, NodeId::new(v)))
-        .collect();
-    let mut enabled: Vec<NodeId> = (0..n)
-        .map(NodeId::new)
-        .filter(|&v| enabled_flags[v.index()])
-        .collect();
-
-    let mut steps = 0u64;
-    let mut moves = 0u64;
-    let mut rounds = 0u64;
-    // Round accounting: processes enabled at round start that have neither
-    // moved nor been observed disabled since.
-    let mut pending: Vec<bool> = enabled_flags.clone();
-    let mut pending_count = enabled.len();
-
-    loop {
-        if spec.is_legitimate(&cfg) {
-            return RunResult {
-                converged: true,
-                steps,
-                moves,
-                rounds,
-            };
-        }
-        if enabled.is_empty() || steps >= max_steps {
-            // Terminal illegitimate configuration or budget exhausted.
-            return RunResult {
-                converged: false,
-                steps,
-                moves,
-                rounds,
-            };
-        }
-        let activation = daemon.sample(g, &enabled, rng);
-        // All activated processes read the pre-configuration.
-        let mut writes: Vec<(NodeId, A::State)> = Vec::with_capacity(activation.len());
-        for &v in activation.nodes() {
-            let view = alg.view(&cfg, v);
-            let action = alg
-                .enabled_actions(&view)
-                .selected()
-                .expect("daemon activates only enabled processes");
-            let outcome = alg.apply(&view, action);
-            writes.push((v, outcome.sample(rng).clone()));
-        }
-        for (v, s) in writes {
-            cfg.set(v, s);
-        }
-        steps += 1;
-        moves += activation.len() as u64;
-
-        // Incremental enabledness update: only activated nodes and their
-        // neighbours may have changed.
-        for &v in activation.nodes() {
-            refresh(alg, &cfg, v, &mut enabled_flags);
-            for &u in g.neighbors(v) {
-                refresh(alg, &cfg, u, &mut enabled_flags);
-            }
-        }
-        enabled.clear();
-        enabled.extend(
-            (0..n)
-                .map(NodeId::new)
-                .filter(|&v| enabled_flags[v.index()]),
-        );
-
-        // Round bookkeeping: drop moved and now-disabled processes.
-        for &v in activation.nodes() {
-            if pending[v.index()] {
-                pending[v.index()] = false;
-                pending_count -= 1;
-            }
-        }
-        for v in 0..n {
-            if pending[v] && !enabled_flags[v] {
-                pending[v] = false;
-                pending_count -= 1;
-            }
-        }
-        if pending_count == 0 {
-            rounds += 1;
-            pending.copy_from_slice(&enabled_flags);
-            pending_count = enabled.len();
-        }
-    }
-}
-
-fn refresh<A: Algorithm>(alg: &A, cfg: &Configuration<A::State>, v: NodeId, flags: &mut [bool]) {
-    flags[v.index()] = alg.is_enabled(cfg, v);
+    Kernel::new().run(
+        alg,
+        daemon,
+        spec,
+        initial.clone(),
+        rng,
+        max_steps,
+        |_, _| {},
+    )
 }
 
 /// Like [`run_once`] but records the full execution as a
 /// [`Trace`](stab_core::Trace) —
 /// convenient for rendering small runs in the style of the paper's figures.
+/// The run is [`run_once`]'s, draw for draw, so the result is the one
+/// [`run_once`] returns for the same seed, `rounds` included.
 /// The step budget is capped at 100 000 to keep traces displayable.
 ///
 /// # Panics
@@ -157,51 +78,142 @@ where
         "recorded runs are capped at 100k steps"
     );
     let mut trace = stab_core::Trace::new(initial.clone());
-    let mut cfg = initial.clone();
-    let mut steps = 0u64;
-    let mut moves = 0u64;
-    loop {
-        if spec.is_legitimate(&cfg) {
-            return (
-                RunResult {
-                    converged: true,
+    let result = Kernel::new().run(
+        alg,
+        daemon,
+        spec,
+        initial.clone(),
+        rng,
+        max_steps,
+        |act, cfg| {
+            trace.push(Activation::new(act.to_vec()), cfg.clone());
+        },
+    );
+    (result, trace)
+}
+
+/// The simulation kernel: the step loop behind [`run_once`],
+/// [`run_recorded`] and the Monte-Carlo batches, with its step buffers.
+/// Reusing one kernel across runs keeps every step off the heap.
+pub(crate) struct Kernel<S> {
+    enabled_flags: Vec<bool>,
+    enabled: Vec<NodeId>,
+    /// Round accounting: processes enabled at round start that have
+    /// neither moved nor been observed disabled since.
+    pending: Vec<bool>,
+    activation: Vec<NodeId>,
+    writes: Vec<S>,
+    /// `stamp[v] == epoch` once `v`'s guard was re-evaluated this step.
+    stamp: Vec<u64>,
+    epoch: u64,
+}
+
+impl<S: Clone> Kernel<S> {
+    pub(crate) fn new() -> Self {
+        Kernel {
+            enabled_flags: Vec::new(),
+            enabled: Vec::new(),
+            pending: Vec::new(),
+            activation: Vec::new(),
+            writes: Vec::new(),
+            stamp: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// One run from `cfg`; `observe` sees every step's activation and the
+    /// configuration it produced.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<A, L, R>(
+        &mut self,
+        alg: &A,
+        daemon: DaemonSpec,
+        spec: &L,
+        mut cfg: Configuration<S>,
+        rng: &mut R,
+        max_steps: u64,
+        mut observe: impl FnMut(&[NodeId], &Configuration<S>),
+    ) -> RunResult
+    where
+        A: Algorithm<State = S>,
+        L: Legitimacy<S>,
+        R: Rng + ?Sized,
+    {
+        let g = alg.graph();
+        let n = g.n();
+        self.enabled_flags.clear();
+        self.enabled_flags
+            .extend((0..n).map(|v| alg.is_enabled(&cfg, NodeId::new(v))));
+        self.collect_enabled();
+        self.pending.clear();
+        self.pending.extend_from_slice(&self.enabled_flags);
+        // Stamps of earlier runs are all below the next epoch.
+        self.stamp.resize(n, 0);
+
+        let mut steps = 0u64;
+        let mut moves = 0u64;
+        let mut rounds = 0u64;
+        loop {
+            let converged = spec.is_legitimate(&cfg);
+            if converged || self.enabled.is_empty() || steps >= max_steps {
+                // Legitimate, terminal illegitimate, or out of budget.
+                return RunResult {
+                    converged,
                     steps,
                     moves,
-                    rounds: 0,
-                },
-                trace,
-            );
-        }
-        if steps >= max_steps {
-            return (
-                RunResult {
-                    converged: false,
-                    steps,
-                    moves,
-                    rounds: 0,
-                },
-                trace,
-            );
-        }
-        match stab_core::semantics::sample_step(alg, daemon, &cfg, rng) {
-            None => {
-                return (
-                    RunResult {
-                        converged: false,
-                        steps,
-                        moves,
-                        rounds: 0,
-                    },
-                    trace,
-                )
+                    rounds,
+                };
             }
-            Some((act, next)) => {
-                moves += act.len() as u64;
-                steps += 1;
-                trace.push(act, next.clone());
-                cfg = next;
+            daemon.sample_into(g, &self.enabled, rng, &mut self.activation);
+            // All activated processes read the pre-configuration.
+            self.writes.clear();
+            for &v in &self.activation {
+                let action = alg
+                    .selected_action(&cfg, v)
+                    .expect("daemon activates only enabled processes");
+                let outcomes = alg.apply(&alg.view(&cfg, v), action);
+                self.writes.push(outcomes.sample(rng).clone());
+            }
+            for (&v, s) in self.activation.iter().zip(self.writes.drain(..)) {
+                cfg.set(v, s);
+            }
+            steps += 1;
+            moves += self.activation.len() as u64;
+            observe(&self.activation, &cfg);
+
+            // Incremental enabledness update: only N[activation] may have
+            // changed, and each of its nodes is re-evaluated once.
+            self.epoch += 1;
+            for &v in &self.activation {
+                for u in std::iter::once(v).chain(g.neighbors(v).iter().copied()) {
+                    if self.stamp[u.index()] != self.epoch {
+                        self.stamp[u.index()] = self.epoch;
+                        self.enabled_flags[u.index()] = alg.is_enabled(&cfg, u);
+                    }
+                }
+            }
+            self.collect_enabled();
+
+            // Round bookkeeping: drop moved and now-disabled processes; the
+            // round completes when none is left.
+            for &v in &self.activation {
+                self.pending[v.index()] = false;
+            }
+            for (p, &on) in self.pending.iter_mut().zip(&self.enabled_flags) {
+                *p &= on;
+            }
+            if !self.pending.contains(&true) {
+                rounds += 1;
+                self.pending.copy_from_slice(&self.enabled_flags);
             }
         }
+    }
+
+    fn collect_enabled(&mut self) {
+        self.enabled.clear();
+        let flags = &self.enabled_flags;
+        self.enabled
+            .extend((0..flags.len()).filter(|&v| flags[v]).map(NodeId::new));
     }
 }
 
@@ -390,6 +402,81 @@ mod tests {
             .map(|i| trace.activation(i).len() as u64)
             .sum();
         assert_eq!(total, result.moves);
+    }
+
+    #[test]
+    fn recorded_run_is_run_once_with_a_trace() {
+        let base = TokenCirculation::on_ring(&builders::ring(6)).unwrap();
+        let a = Transformed::new(TokenCirculation::on_ring(&builders::ring(6)).unwrap());
+        let spec = ProjectedLegitimacy::new(base.legitimacy());
+        let initial = Transformed::<TokenCirculation>::lift(
+            &Configuration::from_vec(vec![0, 3, 1, 4, 2, 5]),
+            false,
+        );
+        for daemon in DaemonSpec::LEGACY {
+            let once = run_once(&a, daemon, &spec, &initial, &mut rng(17), 100_000);
+            let (recorded, trace) =
+                super::run_recorded(&a, daemon, &spec, &initial, &mut rng(17), 100_000);
+            assert_eq!(recorded, once, "{daemon}");
+            assert!(once.rounds > 0, "{daemon}: rounds are counted");
+            assert_eq!(trace.steps() as u64, once.steps);
+        }
+    }
+
+    /// Counts guard evaluations (`enabled_actions` calls) of the wrapped
+    /// algorithm.
+    struct Counted<A> {
+        inner: A,
+        guards: std::cell::Cell<u64>,
+    }
+
+    impl<A: Algorithm> Algorithm for Counted<A> {
+        type State = A::State;
+        fn graph(&self) -> &stab_graph::Graph {
+            self.inner.graph()
+        }
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn state_space(&self, v: NodeId) -> Vec<A::State> {
+            self.inner.state_space(v)
+        }
+        fn enabled_actions<V: stab_core::View<A::State>>(&self, v: &V) -> stab_core::ActionMask {
+            self.guards.set(self.guards.get() + 1);
+            self.inner.enabled_actions(v)
+        }
+        fn apply<V: stab_core::View<A::State>>(
+            &self,
+            v: &V,
+            action: stab_core::ActionId,
+        ) -> stab_core::Outcomes<A::State> {
+            self.inner.apply(v, action)
+        }
+    }
+
+    #[test]
+    fn each_step_evaluates_one_guard_per_node_of_the_closed_neighbourhood() {
+        // Synchronous Herman N=15 activates every process, so N[activation]
+        // is the whole ring: 15 refreshes per step, plus the 15 guards the
+        // activated processes evaluate to pick their action, plus the 15
+        // initial evaluations.
+        let herman = HermanRing::on_ring(&builders::ring(15)).unwrap();
+        let spec = herman.legitimacy();
+        let a = Counted {
+            inner: herman,
+            guards: std::cell::Cell::new(0),
+        };
+        let initial = Configuration::from_vec(vec![false; 15]);
+        let r = run_once(
+            &a,
+            DaemonSpec::synchronous(),
+            &spec,
+            &initial,
+            &mut rng(4),
+            1_000_000,
+        );
+        assert!(r.converged && r.steps > 0);
+        assert_eq!(a.guards.get(), 15 + 30 * r.steps);
     }
 
     #[test]
