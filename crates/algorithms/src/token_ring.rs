@@ -330,4 +330,34 @@ mod tests {
             assert!(semantics::is_deterministic_at(&a, &ix.decode(idx)));
         }
     }
+
+    /// `Trans(A)` returns a certain inner statement as an inline biased
+    /// coin: the same two entries, in the same order, as the weighted
+    /// list `[(p, heads), (1 − p, unchanged)]` it replaces.
+    #[test]
+    fn transformed_certain_statement_is_the_weighted_coin_toss() {
+        use stab_core::{Coined, Outcomes, Transformed};
+        for p in [0.5, 0.3] {
+            let t = Transformed::with_bias(alg(4), p);
+            let ix = SpaceIndexer::new(&t, 1 << 16).unwrap();
+            let mut checked = 0;
+            for cfg in ix.iter() {
+                for v in cfg.iter().map(|(v, _)| v) {
+                    let Some(action) = t.selected_action(&cfg, v) else {
+                        continue;
+                    };
+                    let inner = Transformed::<TokenCirculation>::project(&cfg);
+                    let next = t.inner().apply(&t.inner().view(&inner, v), action);
+                    let weighted = Outcomes::weighted(vec![
+                        (p, Coined::new(next.into_certain(), true)),
+                        (1.0 - p, Coined::new(*inner.get(v), false)),
+                    ]);
+                    let applied = t.apply(&t.view(&cfg, v), action);
+                    assert_eq!(applied.entries(), weighted.entries(), "{cfg:?} at {v}");
+                    checked += 1;
+                }
+            }
+            assert!(checked > 0);
+        }
+    }
 }

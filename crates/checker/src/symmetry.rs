@@ -8,9 +8,13 @@
 //! configuration of `X` distinguishes a leader — hence no deterministic
 //! self-stabilizing leader election exists under the distributed (strongly
 //! fair) scheduler. This module machine-checks each ingredient for concrete
-//! algorithms: anonymity is *checked* (equivariance), not assumed.
+//! algorithms: anonymity is *checked* (equivariance), not assumed. The
+//! check is the engine's one local-equivariance routine
+//! ([`stab_core::engine::locally_equivariant`], which the quotient gate
+//! also runs): exhaustive over every node's closed-neighbourhood views,
+//! with the automorphism's state map (e.g. [`state_maps::parent_port`]).
 
-use stab_core::engine::ConfigCursor;
+use stab_core::engine::{locally_equivariant, ConfigCursor};
 use stab_core::{semantics, Algorithm, Configuration, CoreError, Legitimacy, SpaceIndexer};
 use stab_graph::trees::leaf_classes;
 use stab_graph::{Graph, NodeId, PortId, RingRotations};
@@ -258,9 +262,11 @@ pub mod state_maps {
 /// automorphism) triple.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymmetryVerdict {
-    /// Whether synchronous steps commute with the automorphism on every
-    /// configuration (the machine-checked form of "the algorithm is
-    /// anonymous and deterministic").
+    /// Whether the algorithm commutes with the automorphism on every local
+    /// view ([`locally_equivariant`] with the analysis' state map), and
+    /// hence every synchronous step commutes with it on every
+    /// configuration: the machine-checked form of "the algorithm is
+    /// anonymous and deterministic".
     pub equivariant: bool,
     /// Number of symmetric configurations (`|X|`).
     pub symmetric_configs: u64,
@@ -281,8 +287,9 @@ impl SymmetryVerdict {
 }
 
 /// Runs the Theorem 3 analysis: checks equivariance of the (deterministic)
-/// algorithm under `auto`, and computes the symmetric set `X`, its closure
-/// under synchronous steps, and its intersection with `L`.
+/// algorithm under `auto` on every local view, and computes the symmetric
+/// set `X`, its closure under synchronous steps, and its intersection
+/// with `L` in one sweep of the space, which also audits determinism.
 ///
 /// # Errors
 ///
@@ -309,7 +316,6 @@ where
         return Err(CoreError::NotAnAutomorphism { nodes, graph_nodes });
     }
     let ix = SpaceIndexer::new(alg, cap)?;
-    let mut equivariant = true;
     let mut symmetric = 0u64;
     let mut closed = true;
     let mut intersects = false;
@@ -323,44 +329,24 @@ where
                 context: "the Theorem 3 synchronous-symmetry analysis",
             });
         }
-        let image = auto.apply_config(g, cfg, &map_state);
-        let succ = sync_successor(alg, cfg);
-        let image_succ = sync_successor(alg, &image);
-        // Equivariance: π(step(γ)) = step(π(γ)) (both None when terminal).
-        let mapped_succ = succ.as_ref().map(|s| auto.apply_config(g, s, &map_state));
-        if mapped_succ != image_succ {
-            equivariant = false;
-        }
-        if &image == cfg {
+        if &auto.apply_config(g, cfg, &map_state) == cfg {
             symmetric += 1;
-            if spec.is_legitimate(cfg) {
-                intersects = true;
-            }
-            if let Some(next) = succ {
-                if auto.apply_config(g, &next, &map_state) != next {
-                    closed = false;
-                }
+            intersects |= spec.is_legitimate(cfg);
+            for (_, next) in semantics::synchronous_step(alg, cfg).into_iter().flatten() {
+                closed &= auto.apply_config(g, &next, &map_state) == next;
             }
         }
         if !cursor.advance() {
             break;
         }
     }
+    // lint: cast-ok(node indices are bounded by the node count, far below u32)
+    let perm: Vec<u32> = auto.perm.iter().map(|v| v.index() as u32).collect();
     Ok(SymmetryVerdict {
-        equivariant,
+        equivariant: locally_equivariant(alg, &perm, |v, s| map_state(auto, g, v, s)),
         symmetric_configs: symmetric,
         closed,
         intersects_legitimate: intersects,
-    })
-}
-
-fn sync_successor<A: Algorithm>(
-    alg: &A,
-    cfg: &Configuration<A::State>,
-) -> Option<Configuration<A::State>> {
-    semantics::synchronous_step(alg, cfg).map(|dist| {
-        debug_assert_eq!(dist.len(), 1, "deterministic synchronous step");
-        dist.into_iter().next().expect("non-empty distribution").1
     })
 }
 

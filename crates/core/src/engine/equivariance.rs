@@ -8,7 +8,7 @@
 //!
 //! A group quotient is sound when the algorithm respects the group and the
 //! specification is invariant under it. Structural validation (ring shape,
-//! equal alphabets) lives in [`super::quotient`]; this module samples the
+//! equal alphabets) lives in [`super::quotient`]; this module checks the
 //! *behaviour*:
 //!
 //! 1. **Spec invariance** — `spec(γ) = spec(π·γ)` for every generator `π`
@@ -16,11 +16,14 @@
 //!    Catches Dijkstra's rooted ring (privileges count differently after
 //!    rotating away from the root) and the `m ≥ 3` oriented token ring
 //!    under reflection (token count is direction-sensitive).
-//! 2. **Strict equivariance** — the successor row of `π·γ` equals the
-//!    `π`-image of the row of `γ` edge for edge (targets, mover masks,
-//!    probabilities). Sufficient for every analysis; holds for
-//!    undirected/anonymous protocols (coloring, leaf programs) and for
-//!    oriented rings under rotations.
+//! 2. **Strict equivariance** — [`locally_equivariant`] with the identity
+//!    state map: an exhaustive check over every node's closed-neighbourhood
+//!    views, not a sample. Guards and statements read only `N[v]`, and every
+//!    daemon's choice depends only on the enabled set and graph distances,
+//!    so a generator that passes commutes with every successor row
+//!    (targets, mover masks, probabilities). Holds for undirected/anonymous
+//!    protocols (coloring, leaf programs) and for oriented rings under
+//!    rotations.
 //! 3. **Lumped fallback** — generators that fail strict equivariance (an
 //!    oriented ring under reflection maps the protocol to its
 //!    mirror-image) are still sound when the *absorption dynamics* are
@@ -30,9 +33,9 @@
 //!    reversal even though single steps are not — while asymmetric
 //!    protocols diverge within a step or two.
 //!
-//! The gate is a sampled filter, not a proof. In particular the lumped
-//! fallback certifies the *absorption law* (hitting times, absorption
-//! probabilities, CDFs); for possibilistic analyses over a
+//! Pass 2 is a proof; passes 1 and 3 are sampled filters. In particular
+//! the lumped fallback certifies the *absorption law* (hitting times,
+//! absorption probabilities, CDFs); for possibilistic analyses over a
 //! lumped-admitted quotient (Herman's reachability sets fold exactly,
 //! one-step supports do not) agreement is pinned empirically by the
 //! quotient differential suites (`quotient_differential.rs`,
@@ -44,11 +47,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use stab_graph::NodeId;
+
 use crate::algorithm::Algorithm;
 use crate::scheduler::DaemonSpec;
 use crate::space::SpaceIndexer;
 use crate::spec::Legitimacy;
-use crate::{CoreError, LocalState};
+use crate::{Configuration, CoreError, LocalState};
 
 use super::explore::conflict_masks;
 use super::onthefly::Quotient;
@@ -132,8 +137,6 @@ type KernelRow = (u64, Vec<(u64, f64)>);
 
 /// Stride-sample size for the (cheap) spec-invariance pass.
 const SPEC_SAMPLES: u64 = 2048;
-/// Stride-sample size for the strict row-equivariance pass.
-const STRICT_SAMPLES: u64 = 96;
 /// Stride-sample size for the lumped absorption-dynamics fallback.
 const LUMPED_SAMPLES: u64 = 16;
 /// Longest absorbed-mass series compared by the lumped fallback.
@@ -158,18 +161,6 @@ fn samples(total: u64, count: u64) -> impl Iterator<Item = u64> {
     (0..count).map(move |i| i * stride)
 }
 
-/// Applies a node permutation to an enabled/mover bitmask.
-fn permute_mask(mask: u64, perm: &[u32]) -> u64 {
-    let mut out = 0u64;
-    let mut rest = mask;
-    while rest != 0 {
-        let v = rest.trailing_zeros() as usize;
-        rest &= rest - 1;
-        out |= 1u64 << perm[v];
-    }
-    out
-}
-
 /// Resolves `quotient` on `alg`'s graph and checks that quotienting `alg`
 /// under `daemon` and `spec` by the group is behaviourally sound, per the
 /// module docs; returns what it admitted (`None` for [`Quotient::None`]).
@@ -179,7 +170,8 @@ fn permute_mask(mask: u64, perm: &[u32]) -> u64 {
 ///
 /// [`CoreError::QuotientUnsupported`] from structural validation or
 /// naming the first witness of a violated condition;
-/// [`CoreError::TooManyEnabled`] propagated from row generation.
+/// [`CoreError::TooManyEnabled`] propagated from the lumped fallback's
+/// row generation.
 pub(super) fn check_quotient_sound<A, L>(
     alg: &A,
     ix: &SpaceIndexer<A::State>,
@@ -215,7 +207,7 @@ where
         }
     }
 
-    // Pass 2 (+3): row equivariance per generator, with the lumped
+    // Pass 2 (+3): local equivariance per generator, with the lumped
     // absorption-dynamics fallback for generators that conjugate the
     // algorithm into its mirror image.
     let conflicts = conflict_masks(alg, daemon);
@@ -232,7 +224,7 @@ where
     };
     let mut outcomes = Vec::new();
     for (i, perm) in canon.generators().iter().enumerate() {
-        let strict = strict_generator_equivariance(&mut kernel, &canon, perm)?;
+        let strict = locally_equivariant(alg, perm, |_, s| s.clone());
         if !strict {
             lumped_generator_soundness(&mut kernel, &canon, perm)?;
         }
@@ -248,43 +240,80 @@ where
     }))
 }
 
-/// Whether the sampled rows of `π·γ` equal the `π`-images of the rows of
-/// `γ` exactly (targets, movers, probabilities, enabled masks).
-fn strict_generator_equivariance<A, L>(
-    kernel: &mut Kernel<'_, A, L>,
-    canon: &GroupCanonicalizer,
+/// Whether `alg` commutes with the node permutation `perm`, an
+/// automorphism of its graph (as every [`GroupCanonicalizer::generators`]
+/// entry is), on every local view. The image of a configuration holds `map_state(u, s)` at `perm[u]`
+/// for the state `s` of each node `u`. For every node `v` and every
+/// assignment of states to its closed neighbourhood `N[v]` (every other
+/// node keeps a fixed state, which no view of `v` reads), `v` must be
+/// enabled iff `perm[v]` is enabled on the image, and the selected
+/// action's outcome distribution at `v`, mapped through `map_state(v, ·)`,
+/// must equal the one at `perm[v]` as a set of entries, probabilities
+/// within 1e-9 (action ids may differ).
+///
+/// Guards and statements see only a [`View`](crate::View) of `N[v]`, and
+/// every daemon's choice depends only on the enabled set and graph
+/// distances, which an automorphism preserves. So `true` proves that
+/// every successor row commutes with `perm` — the strict equivariance of
+/// the quotient gate and of Theorem 3 — after `Σ_v Π_{u∈N[v]} |S_u|`
+/// views (120 on Herman's ring of 15).
+pub fn locally_equivariant<A: Algorithm>(
+    alg: &A,
     perm: &[u32],
-) -> Result<bool, CoreError>
-where
-    A: Algorithm,
-    L: Legitimacy<A::State>,
-{
-    let total = kernel.ix.total();
-    let mut mapped: Vec<(u64, u64, f64)> = Vec::new();
-    for full in samples(total, STRICT_SAMPLES) {
-        let image = canon.apply_perm(full, perm);
-        let mapped_mask = permute_mask(kernel.generate(full)?, perm);
-        mapped.clear();
-        mapped.extend(kernel.gen.row.iter().map(|e| {
-            (
-                canon.apply_perm(e.to, perm),
-                permute_mask(e.movers, perm),
-                e.prob,
-            )
-        }));
-        mapped.sort_unstable_by_key(|&(to, movers, _)| (to, movers));
-        let mask_img = kernel.generate(image)?;
-        let row_img = &kernel.gen.row;
-        let equal = mask_img == mapped_mask
-            && row_img.len() == mapped.len()
-            && row_img.iter().zip(&mapped).all(|(e, &(mto, mmovers, mp))| {
-                e.to == mto && e.movers == mmovers && (e.prob - mp).abs() <= PROB_TOL
-            });
-        if !equal {
-            return Ok(false);
+    map_state: impl Fn(NodeId, &A::State) -> A::State,
+) -> bool {
+    let g = alg.graph();
+    let spaces: Vec<Vec<A::State>> = g.nodes().map(|u| alg.state_space(u)).collect();
+    let image = |u: NodeId| NodeId::new(perm[u.index()] as usize);
+    // An empty state space leaves no configuration to disagree on.
+    let Some(first) = spaces.iter().map(|s| s.first().cloned()).collect() else {
+        return true;
+    };
+    let mut cfg = Configuration::from_vec(first);
+    let mut img = cfg.clone();
+    let mut digits = Vec::new();
+    for v in g.nodes() {
+        let hood = || std::iter::once(v).chain(g.neighbors(v).iter().copied());
+        digits.clear();
+        digits.resize(hood().count(), 0usize);
+        let mut changed = digits.len();
+        loop {
+            for (u, &d) in hood().zip(&digits).take(changed) {
+                let s = &spaces[u.index()][d];
+                img.set(image(u), map_state(u, s));
+                cfg.set(u, s.clone());
+            }
+            let w = image(v);
+            match (alg.selected_action(&cfg, v), alg.selected_action(&img, w)) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    let mine = alg.apply(&alg.view(&cfg, v), a).map(|s| map_state(v, &s));
+                    let theirs = alg.apply(&alg.view(&img, w), b);
+                    let (mine, theirs) = (mine.entries(), theirs.entries());
+                    let found = |(p, s): &(f64, A::State)| {
+                        theirs
+                            .iter()
+                            .any(|(q, t)| t == s && (p - q).abs() <= PROB_TOL)
+                    };
+                    if mine.len() != theirs.len() || !mine.iter().all(found) {
+                        return false;
+                    }
+                }
+                _ => return false,
+            }
+            // Next assignment of N[v], in mixed radix.
+            let Some(i) = hood()
+                .zip(&digits)
+                .position(|(u, &d)| d + 1 < spaces[u.index()].len())
+            else {
+                break;
+            };
+            digits[i] += 1;
+            digits[..i].fill(0);
+            changed = i + 1;
         }
     }
-    Ok(true)
+    true
 }
 
 /// Fallback acceptance for a strictly non-equivariant generator: the
@@ -364,20 +393,6 @@ where
     A: Algorithm,
     L: Legitimacy<A::State>,
 {
-    /// Generates the uncached successor row of `full` into `self.gen.row`
-    /// (`(to, movers, prob)` edges sorted by `(to, movers)`) and returns
-    /// its enabled mask: the gate's one row fetch.
-    fn generate(&mut self, full: u64) -> Result<u64, CoreError> {
-        let cfg = self.ix.decode(full);
-        let mut digits = Vec::new();
-        self.ix.write_digits(full, &mut digits);
-        let (alg, ix, daemon) = (self.alg, self.ix, self.daemon);
-        let (mask, _) = self
-            .gen
-            .generate(alg, ix, daemon, &self.conflicts, &cfg, &digits, full)?;
-        Ok(mask)
-    }
-
     /// The cached legitimacy of `full` (no row generation).
     fn is_legit(&mut self, full: u64) -> bool {
         if let Some(&l) = self.legit.get(&full) {
@@ -393,7 +408,13 @@ where
     fn row(&mut self, full: u64) -> Result<&KernelRow, CoreError> {
         if !self.rows.contains_key(&full) {
             self.work += 1;
-            let mask = self.generate(full)?;
+            let cfg = self.ix.decode(full);
+            let mut digits = Vec::new();
+            self.ix.write_digits(full, &mut digits);
+            let (alg, ix, daemon) = (self.alg, self.ix, self.daemon);
+            let (mask, _) =
+                self.gen
+                    .generate(alg, ix, daemon, &self.conflicts, &cfg, &digits, full)?;
             // Movers are irrelevant to absorption dynamics: aggregate by
             // target (rows are already sorted by target first).
             let mut dist: Vec<(u64, f64)> = Vec::new();

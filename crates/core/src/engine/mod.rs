@@ -91,7 +91,7 @@ pub use edgestore::{
     DeltaStream, DeltaStreamWriter, EdgeIter, EdgeStorage, EdgeStorageBuilder, EdgeStoreKind,
     StreamCursor,
 };
-pub use equivariance::gate_count;
+pub use equivariance::{gate_count, locally_equivariant};
 pub use explore::{explore_count, node_mask, Edge, ExploredIds, TransitionSystem};
 pub use onthefly::{ExploreMode, ExploreOptions, Quotient, TraversalMode};
 pub use plan::{Plan, PlanDecision, PlanRequest, DEFAULT_BYTE_BUDGET, DEFAULT_DISK_BYTE_BUDGET};

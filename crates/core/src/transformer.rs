@@ -204,6 +204,10 @@ impl<A: Algorithm> Algorithm for Transformed<A> {
         // Heads (prob p): B ← true and the inner statement fires.
         // Tails (prob 1−p): B ← false and the base state is unchanged.
         let unchanged = Coined::new(view.me().base.clone(), false);
+        if inner_outcomes.is_certain() {
+            let heads = Coined::new(inner_outcomes.into_certain(), true);
+            return Outcomes::biased_coin(self.p_heads, heads, unchanged);
+        }
         let mut entries: Vec<(f64, Self::State)> = inner_outcomes
             .into_entries()
             .into_iter()

@@ -3,13 +3,21 @@
 //! soundness of refinement (activation inclusion) on randomly drawn
 //! lattice points, graphs and enabled sets — and, on the paper's four
 //! named points, agreement with an independent pre-lattice reference
-//! implementation of their enumeration and sampling.
+//! implementation of their enumeration and sampling. Also the premise of
+//! the engine's local equivariance proof: every lattice point commutes
+//! with graph automorphisms.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use stab_core::{Activation, Boundedness, DaemonSpec, Distribution, Fairness};
+use std::collections::HashSet;
+
+use stab_core::engine::GroupCanonicalizer;
+use stab_core::{
+    ActionId, ActionMask, Activation, Algorithm, Boundedness, DaemonSpec, Distribution, Fairness,
+    Outcomes, SpaceIndexer, View,
+};
 use stab_graph::{builders, Graph, NodeId};
 
 /// Random lattice point: any distribution × fairness × boundedness
@@ -225,6 +233,78 @@ proptest! {
                 f.refines(spec.fairness),
                 "{:?} @ {:?}", spec, f
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The premise of the local equivariance proof
+// ---------------------------------------------------------------------
+
+/// A two-state algorithm that is never enabled: it only gives the
+/// canonicalizer a space to be built for.
+struct Bits(Graph);
+
+impl Algorithm for Bits {
+    type State = bool;
+    fn graph(&self) -> &Graph {
+        &self.0
+    }
+    fn name(&self) -> String {
+        "bits".into()
+    }
+    fn state_space(&self, _v: NodeId) -> Vec<bool> {
+        vec![false, true]
+    }
+    fn enabled_actions<V: View<bool>>(&self, _v: &V) -> ActionMask {
+        ActionMask::empty()
+    }
+    fn apply<V: View<bool>>(&self, _v: &V, _a: ActionId) -> Outcomes<bool> {
+        unreachable!("never enabled")
+    }
+}
+
+/// The image of `nodes` under the node permutation `perm`.
+fn image(perm: &[u32], nodes: &[NodeId]) -> Vec<NodeId> {
+    nodes
+        .iter()
+        .map(|v| NodeId::new(perm[v.index()] as usize))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every lattice point's daemon commutes with graph automorphisms:
+    /// `activations(g, π·E) = π·activations(g, E)` as sets, for every
+    /// generator `π` of the topology's automorphism group on rings, stars
+    /// and grids. `stab_core::engine::locally_equivariant` rests on this:
+    /// with it, an algorithm that commutes with `π` on every local view
+    /// commutes with `π` on every successor row.
+    #[test]
+    fn activations_commute_with_automorphisms(
+        spec in any_spec(),
+        shape in 0usize..3,
+        n in 3usize..7,
+        mask in 1usize..1 << 12,
+    ) {
+        let g = match shape {
+            0 => builders::ring(n),
+            1 => builders::star(n),
+            _ => builders::grid(2 + n % 2, n - 1),
+        };
+        let ix = SpaceIndexer::new(&Bits(g.clone()), 1 << 20).unwrap();
+        let canon = GroupCanonicalizer::automorphism(&g, &ix).unwrap();
+        let enabled = subset(&enabled_in(&g), mask);
+        let acts = spec.activations(&g, &enabled).unwrap();
+        for perm in canon.generators() {
+            let mut moved = image(perm, &enabled);
+            moved.sort_unstable();
+            let of_image: HashSet<Activation> =
+                spec.activations(&g, &moved).unwrap().into_iter().collect();
+            let image_of: HashSet<Activation> =
+                acts.iter().map(|a| Activation::new(image(perm, a.nodes()))).collect();
+            prop_assert_eq!(of_image, image_of, "{:?} under {:?} on E = {:?}", spec, perm, enabled);
         }
     }
 }

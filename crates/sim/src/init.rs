@@ -2,24 +2,43 @@
 
 use rand::Rng;
 use stab_core::{Algorithm, Configuration};
-use stab_graph::NodeId;
 
 /// Samples a configuration uniformly from the full configuration space
 /// (every process state drawn uniformly from its state space) — the
 /// "arbitrary initial configuration" of the stabilization definitions.
+///
+/// Builds the state-space table on every call; a batch should build one
+/// sampler with [`uniform`] instead (same draws, same order).
 pub fn uniform_random<A, R>(alg: &A, rng: &mut R) -> Configuration<A::State>
 where
     A: Algorithm,
     R: Rng + ?Sized,
 {
-    let states = (0..alg.n())
-        .map(|v| {
-            let space = alg.state_space(NodeId::new(v));
-            assert!(!space.is_empty(), "node {v} has an empty state space");
-            space[rng.random_range(0..space.len())].clone()
-        })
-        .collect();
-    Configuration::from_vec(states)
+    uniform(alg)(alg, rng)
+}
+
+/// The sampler of [`uniform_random`] with `alg`'s per-node state spaces
+/// read once: each call draws one `random_range` per process, in node
+/// order, and allocates only the returned configuration.
+///
+/// # Panics
+///
+/// Panics if some node has an empty state space.
+pub fn uniform<A, R>(alg: &A) -> impl Fn(&A, &mut R) -> Configuration<A::State>
+where
+    A: Algorithm,
+    R: Rng + ?Sized,
+{
+    let table: Vec<Vec<A::State>> = alg.graph().nodes().map(|v| alg.state_space(v)).collect();
+    if let Some(v) = table.iter().position(Vec::is_empty) {
+        panic!("node {v} has an empty state space");
+    }
+    move |_, rng| {
+        let states = table
+            .iter()
+            .map(|space| space[rng.random_range(0..space.len())].clone());
+        Configuration::from_vec(states.collect())
+    }
 }
 
 /// A sampler drawing uniformly from a *designated initial set* — the

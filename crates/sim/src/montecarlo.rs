@@ -50,7 +50,8 @@ pub struct BatchResult {
 }
 
 /// Runs `settings.runs` independent simulations from uniformly random
-/// initial configurations and aggregates their costs.
+/// initial configurations ([`init::uniform`], one sampler per batch) and
+/// aggregates their costs.
 ///
 /// Parallel and deterministic: run `i` always uses the RNG stream
 /// `seed ⊕ i`, whatever the thread count. One worker runs on the calling
@@ -69,12 +70,11 @@ pub fn estimate<A, L>(
 ) -> BatchResult
 where
     A: Algorithm + Sync,
+    A::State: Sync,
     L: Legitimacy<A::State> + Sync,
 {
     assert!(settings.runs > 0, "at least one run required");
-    estimate_with(alg, daemon, spec, settings, |alg, rng| {
-        init::uniform_random(alg, rng)
-    })
+    estimate_with(alg, daemon, spec, settings, init::uniform(alg))
     .expect("no run converged; raise max_steps or check the system is probabilistically self-stabilizing")
 }
 

@@ -3,18 +3,22 @@
 //! allocator that this test binary installs.
 //!
 //! The binary holds one test, so nothing else allocates while the
-//! counted batch runs. The initial-configuration sampler clones one of a
-//! precomputed list of uniform configurations, which costs exactly one
-//! allocation per run (the returned configuration); everything else in
-//! the window is the batch driver and the step kernel.
+//! counted batches run. The first batch's initial-configuration sampler
+//! clones one of a precomputed list of uniform configurations, which
+//! costs exactly one allocation per run (the returned configuration);
+//! everything else in its window is the batch driver and the step
+//! kernel. The second batch runs the sampler `Study::run` and
+//! `montecarlo::estimate` use, [`init::uniform`], built before the
+//! window: it too must cost one allocation per run.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stab_algorithms::HermanRing;
-use stab_core::DaemonSpec;
+use stab_core::{Configuration, DaemonSpec};
 use stab_graph::builders;
 use stab_sim::init;
 use stab_sim::montecarlo::{estimate_with, BatchSettings};
@@ -58,15 +62,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// An initial-configuration sampler, as `estimate_with` takes it.
+type Sampler = dyn Fn(&HermanRing, &mut StdRng) -> Configuration<bool> + Sync;
+
 #[test]
 fn herman_batch_allocates_less_than_a_tenth_per_step() {
     let alg = HermanRing::on_ring(&builders::ring(15)).unwrap();
     let spec = alg.legitimacy();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+    let mut rng = StdRng::seed_from_u64(15);
     let seeds: Vec<_> = (0..1024)
         .map(|_| init::uniform_random(&alg, &mut rng))
         .collect();
-    let sampler = init::from_seeds(seeds);
+    let sampler = init::from_seeds::<HermanRing, StdRng>(seeds);
     let settings = BatchSettings {
         runs: 2_000,
         max_steps: 1_000_000,
@@ -74,17 +81,20 @@ fn herman_batch_allocates_less_than_a_tenth_per_step() {
         threads: 1,
     };
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let batch = estimate_with(&alg, DaemonSpec::synchronous(), &spec, &settings, sampler);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let uniform = init::uniform::<_, StdRng>(&alg);
+    for (name, sampler) in [("from_seeds", &sampler as &Sampler), ("uniform", &uniform)] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let batch = estimate_with(&alg, DaemonSpec::synchronous(), &spec, &settings, sampler);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    let batch = batch.expect("Herman converges with probability 1");
-    assert_eq!(batch.failures, 0);
-    let steps = batch.steps.mean * batch.steps.n as f64;
-    let per_step = allocations as f64 / steps;
-    eprintln!("{allocations} allocations over {steps} steps: {per_step:.4} per step");
-    assert!(
-        per_step < 0.1,
-        "{allocations} allocations over {steps} simulated steps = {per_step:.3} per step"
-    );
+        let batch = batch.expect("Herman converges with probability 1");
+        assert_eq!(batch.failures, 0);
+        let steps = batch.steps.mean * batch.steps.n as f64;
+        let per_step = allocations as f64 / steps;
+        eprintln!("{name}: {allocations} allocations over {steps} steps: {per_step:.4} per step");
+        assert!(
+            per_step < 0.1,
+            "{name}: {allocations} allocations over {steps} simulated steps = {per_step:.3} per step"
+        );
+    }
 }

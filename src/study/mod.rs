@@ -102,7 +102,7 @@ use stab_core::engine::{
 };
 use stab_core::{Algorithm, CoreError, DaemonSpec, FairnessSet, Legitimacy, SpaceIndexer};
 use stab_markov::{AbsorbingChain, MarkovError};
-use stab_sim::init::uniform_random;
+use stab_sim::init;
 use stab_sim::montecarlo::{estimate_with, BatchSettings};
 
 /// Default configuration-space cap: the engine's u32 id width (larger
@@ -554,7 +554,8 @@ where
             .filter(|c| c.runs > 0)
             .and_then(|config| {
                 let start = Instant::now();
-                let batch = estimate_with(self.alg, self.daemon, self.spec, config, uniform_random);
+                let sampler = init::uniform(self.alg);
+                let batch = estimate_with(self.alg, self.daemon, self.spec, config, sampler);
                 monte_carlo_ms = Some(ms(start));
                 let batch = batch?;
                 Some(McSection {
