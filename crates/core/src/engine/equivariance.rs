@@ -210,18 +210,7 @@ where
     // Pass 2 (+3): local equivariance per generator, with the lumped
     // absorption-dynamics fallback for generators that conjugate the
     // algorithm into its mirror image.
-    let conflicts = conflict_masks(alg, daemon);
-    let mut kernel = Kernel {
-        alg,
-        ix,
-        daemon,
-        spec,
-        conflicts,
-        gen: RowGen::default(),
-        rows: HashMap::new(),
-        legit: HashMap::new(),
-        work: 0,
-    };
+    let mut kernel = Kernel::new(alg, ix, daemon, spec);
     let mut outcomes = Vec::new();
     for (i, perm) in canon.generators().iter().enumerate() {
         let strict = locally_equivariant(alg, perm, |_, s| s.clone());
@@ -368,6 +357,18 @@ where
     Ok(())
 }
 
+/// The legitimacy of `full`, cached in `cache`.
+fn cached_legit<S: LocalState, L: Legitimacy<S>>(
+    cache: &mut HashMap<u64, bool>,
+    spec: &L,
+    ix: &SpaceIndexer<S>,
+    full: u64,
+) -> bool {
+    *cache
+        .entry(full)
+        .or_insert_with(|| spec.is_legitimate(&ix.decode(full)))
+}
+
 /// Cached Definition 6 kernel rows over full-space indices; `work` counts
 /// row generations so each lumped-fallback evolution can budget itself.
 struct Kernel<'a, A: Algorithm, L> {
@@ -388,19 +389,24 @@ struct Kernel<'a, A: Algorithm, L> {
     work: usize,
 }
 
-impl<A, L> Kernel<'_, A, L>
+impl<'a, A, L> Kernel<'a, A, L>
 where
     A: Algorithm,
     L: Legitimacy<A::State>,
 {
-    /// The cached legitimacy of `full` (no row generation).
-    fn is_legit(&mut self, full: u64) -> bool {
-        if let Some(&l) = self.legit.get(&full) {
-            return l;
+    /// An empty kernel of `alg` under `daemon`.
+    fn new(alg: &'a A, ix: &'a SpaceIndexer<A::State>, daemon: DaemonSpec, spec: &'a L) -> Self {
+        Kernel {
+            alg,
+            ix,
+            daemon,
+            spec,
+            conflicts: conflict_masks(alg, daemon),
+            gen: RowGen::default(),
+            rows: HashMap::new(),
+            legit: HashMap::new(),
+            work: 0,
         }
-        let l = self.spec.is_legitimate(&self.ix.decode(full));
-        self.legit.insert(full, l);
-        l
     }
 
     /// The cached kernel row of `full` (distribution aggregated by
@@ -436,12 +442,14 @@ where
     fn absorbed_series(&mut self, start: u64) -> Result<Vec<f64>, CoreError> {
         let work_at_entry = self.work;
         let mut series = Vec::new();
-        let mut dist: HashMap<u64, f64> = HashMap::new();
+        // The support in ascending full index: every kernel sums the
+        // series in the same order.
+        let mut dist: Vec<(u64, f64)> = Vec::new();
         let mut absorbed = 0.0f64;
-        if self.is_legit(start) {
+        if cached_legit(&mut self.legit, self.spec, self.ix, start) {
             absorbed = 1.0;
         } else {
-            dist.insert(start, 1.0);
+            dist.push((start, 1.0));
         }
         series.push(absorbed);
         let mut next: HashMap<u64, f64> = HashMap::new();
@@ -454,28 +462,109 @@ where
                 break;
             }
             next.clear();
-            let states: Vec<(u64, f64)> = dist.iter().map(|(&s, &p)| (s, p)).collect();
-            for (state, p) in states {
-                let (terminal, row) = {
-                    let entry = self.row(state)?;
-                    (entry.0 == 0, entry.1.clone())
-                };
-                if terminal {
+            for &(state, p) in &dist {
+                self.row(state)?;
+                let (mask, row) = &self.rows[&state];
+                if *mask == 0 {
                     // Terminal illegitimate configuration: mass stays put.
                     *next.entry(state).or_insert(0.0) += p;
                     continue;
                 }
-                for (to, q) in row {
-                    if self.is_legit(to) {
+                for &(to, q) in row {
+                    if cached_legit(&mut self.legit, self.spec, self.ix, to) {
                         absorbed += p * q;
                     } else {
                         *next.entry(to).or_insert(0.0) += p * q;
                     }
                 }
             }
-            std::mem::swap(&mut dist, &mut next);
+            dist.clear();
+            dist.extend(next.drain());
+            dist.sort_unstable_by_key(|&(full, _)| full);
             series.push(absorbed);
         }
         Ok(series)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ActionId, ActionMask, Outcomes, Predicate, View};
+    use stab_graph::{builders, Graph, RingOrientation};
+
+    /// Herman's ring: a token (`x = x_pred`) tosses a coin showing
+    /// `true` with probability `heads`, every other process copies its
+    /// predecessor.
+    struct Herman {
+        g: Graph,
+        orient: RingOrientation,
+        heads: f64,
+    }
+
+    impl Algorithm for Herman {
+        type State = bool;
+        fn graph(&self) -> &Graph {
+            &self.g
+        }
+        fn name(&self) -> String {
+            "herman".into()
+        }
+        fn state_space(&self, _v: NodeId) -> Vec<bool> {
+            vec![false, true]
+        }
+        fn enabled_actions<V: View<bool>>(&self, _view: &V) -> ActionMask {
+            ActionMask::single(ActionId::A1)
+        }
+        fn apply<V: View<bool>>(&self, view: &V, _a: ActionId) -> Outcomes<bool> {
+            let pred = *view.neighbor(self.orient.pred_port(view.node()));
+            if *view.me() == pred {
+                Outcomes::biased_coin(self.heads, true, false)
+            } else {
+                Outcomes::certain(pred)
+            }
+        }
+    }
+
+    /// The lumped fallback's series are a function of the kernel, not of
+    /// its hash seeds: two fresh kernels give bit-identical series on
+    /// every reflection sample of Herman's ring of 13. A fair coin's
+    /// masses are dyadic and sum exactly in any order; a biased one's
+    /// are not.
+    #[test]
+    fn absorbed_series_is_deterministic_across_kernels() {
+        for heads in [0.5, 0.3] {
+            series_agree_across_kernels(heads);
+        }
+    }
+
+    fn series_agree_across_kernels(heads: f64) {
+        let g = builders::ring(13);
+        let orient = RingOrientation::canonical(&g).unwrap();
+        let alg = Herman { g, orient, heads };
+        let orient = &alg.orient;
+        let one_token = Predicate::new("one-token", |c: &Configuration<bool>| {
+            let g = alg.graph();
+            g.nodes()
+                .filter(|&v| c.get(v) == c.get(orient.predecessor(g, v)))
+                .count()
+                == 1
+        });
+        let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+        let daemon = DaemonSpec::synchronous();
+        let canon = GroupCanonicalizer::ring_dihedral(alg.graph(), &ix).unwrap();
+        let reflection = &canon.generators()[1];
+        assert!(!locally_equivariant(&alg, reflection, |_, s| *s));
+        let mut first = Kernel::new(&alg, &ix, daemon, &one_token);
+        let mut second = Kernel::new(&alg, &ix, daemon, &one_token);
+        for full in samples(ix.total(), LUMPED_SAMPLES) {
+            for x in [full, canon.apply_perm(full, reflection)] {
+                let a = first.absorbed_series(x).unwrap();
+                let b = second.absorbed_series(x).unwrap();
+                let bits = |s: &[f64]| s.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "series of {x}, heads {heads}");
+                assert!(a.len() > 1, "the series of {x} evolves");
+            }
+        }
     }
 }

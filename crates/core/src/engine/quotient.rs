@@ -267,8 +267,11 @@ impl GroupCanonicalizer {
             for &v in &class[1..] {
                 require_equal_alphabets(ix, class[0], v)?;
             }
-            for pair in class.windows(2) {
-                generators.push(transposition(g.n(), pair[0], pair[1]));
+            // One transposition and one k-cycle generate Sym(k); for
+            // k = 2 they coincide.
+            generators.push(cycle(g.n(), &class[..2]));
+            if class.len() > 2 {
+                generators.push(cycle(g.n(), class));
             }
             group_order = (1..=class.len() as u64)
                 .try_fold(group_order, |acc, k| acc.checked_mul(k))
@@ -736,11 +739,15 @@ fn node_perm(perm: &[NodeId]) -> Vec<u32> {
     perm.iter().map(|v| v.index() as u32).collect()
 }
 
-/// The transposition of nodes `a` and `b`.
-fn transposition(n: usize, a: NodeId, b: NodeId) -> Vec<u32> {
+/// The permutation of `0..n` that moves `class[i]` to `class[i + 1]`
+/// (the last to the first) and fixes every other node.
+fn cycle(n: usize, class: &[NodeId]) -> Vec<u32> {
     // lint: cast-ok(node counts stay far below u32)
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.swap(a.index(), b.index());
+    for (from, to) in class.iter().zip(class.iter().cycle().skip(1)) {
+        // lint: cast-ok(node counts stay far below u32)
+        perm[from.index()] = to.index() as u32;
+    }
     perm
 }
 
@@ -956,6 +963,21 @@ mod tests {
             }
         }
         assert_eq!(covered, ix.total());
+    }
+
+    #[test]
+    fn leaf_classes_have_two_generators_that_generate_sym() {
+        for (leaves, generators) in [(2, 1), (3, 2), (5, 2)] {
+            let (g, ix) = space(builders::star(leaves + 1), 2);
+            let canon = GroupCanonicalizer::leaf_permutation(&g, &ix).unwrap();
+            assert_eq!(
+                canon.generators().len(),
+                generators,
+                "star of {leaves} leaves"
+            );
+            let group = close_under_composition(g.n(), canon.generators()).unwrap();
+            assert_eq!(group.len() as u64, canon.group_order(), "Sym({leaves})");
+        }
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //! [`RawEdge`]s address successors by their *full-space* mixed-radix index;
 //! the caller maps those to dense ids (identity for the full sweep,
 //! canonicalize-and-intern for the quotient and reachable modes).
+//!
+//! Rows come out sorted by `(to, movers)` without a merge. An activation's
+//! product of outcomes is built in successor order: movers are taken in
+//! ascending node order (ascending mixed-radix weight), each mover's
+//! outcome deltas sorted by digit, and the new mover is the outer loop
+//! over the branches built so far, which span less than its weight. So a
+//! synchronous row — one activation, up to `2^k` successors on a coin
+//! per process — is strictly ascending as built and skips the sort; the
+//! other distributions' rows are narrow and are sorted once.
 
 use stab_graph::NodeId;
 
@@ -44,9 +53,10 @@ pub(super) struct RowGen {
     /// Successor accumulation (double-buffered product construction).
     branches: Vec<(i64, f64)>,
     branches_next: Vec<(i64, f64)>,
-    /// The assembled row, sorted by `(to, movers)`. Distinct raw edges are
-    /// distinct pairs by construction; only id *mapping* (quotienting) can
-    /// introduce duplicates, which the mapping stage merges.
+    /// The assembled row, sorted by `(to, movers)` (see the module docs).
+    /// Distinct raw edges are distinct pairs by construction; only id
+    /// *mapping* (quotienting) can introduce duplicates, which the mapping
+    /// stage merges.
     pub row: Vec<RawEdge>,
 }
 
@@ -114,6 +124,8 @@ impl RowGen {
                 let delta = (ix.digit_of(v, state) as i64 - digit) * weight;
                 self.deltas.push((delta, *p));
             }
+            // Outcome states are distinct, so their deltas are too.
+            self.deltas[start as usize..].sort_unstable_by_key(|&(delta, _)| delta);
             self.delta_spans.push((
                 start,
                 super::ids::id_u32(self.deltas.len(), "per-row delta spans fit u32"),
@@ -150,6 +162,9 @@ impl RowGen {
                     let (to, p) = self.branches[bi];
                     push_edge(&mut self.row, total, to, movers, p);
                 }
+                // One activation, built in successor order: no sort.
+                debug_assert!(self.row.windows(2).all(|w| w[0].to < w[1].to));
+                return Ok((enabled_mask, deterministic));
             }
             Distribution::KCentral { k: k_max, .. } => {
                 if k > DISTRIBUTED_ENUM_CAP {
@@ -217,8 +232,9 @@ impl RowGen {
     }
 
     /// Computes the successor distribution of one activation into
-    /// `self.branches`: the product of the movers' outcome deltas, merged
-    /// by successor id whenever a probabilistic expansion could collide.
+    /// `self.branches`, strictly ascending by successor id: the product of
+    /// the movers' outcome deltas (see the module docs), each probability
+    /// multiplied in ascending node order.
     fn product_branches(&mut self, id: i64, movers: u64) {
         self.branches.clear();
         self.branches.push((id, 1.0));
@@ -227,23 +243,24 @@ impl RowGen {
                 continue;
             }
             let (lo, hi) = self.delta_spans[i];
-            if hi - lo == 1 {
-                // Certain outcome: shift every branch, no collisions possible.
-                let (delta, _) = self.deltas[lo as usize];
+            let outcomes = &self.deltas[lo as usize..hi as usize];
+            if let [(delta, _)] = outcomes {
+                // Certain outcome: shift every branch.
                 for b in &mut self.branches {
                     b.0 += delta;
                 }
                 continue;
             }
+            // The branches so far differ only in lower-weight digits, so
+            // each block below is ascending and lies below the next.
             self.branches_next.clear();
-            for &(base, p) in &self.branches {
-                for &(delta, q) in &self.deltas[lo as usize..hi as usize] {
+            for &(delta, q) in outcomes {
+                for &(base, p) in &self.branches {
                     // lint: arith-ok(delta-composed targets are range-checked by ids::delta_target at materialization)
                     self.branches_next.push((base + delta, p * q));
                 }
             }
             std::mem::swap(&mut self.branches, &mut self.branches_next);
-            merge_sorted_by_id(&mut self.branches);
         }
     }
 }
@@ -258,25 +275,6 @@ fn push_edge(row: &mut Vec<RawEdge>, total: u64, to: i64, movers: u64, prob: f64
         movers,
         prob,
     });
-}
-
-/// Sorts branches by successor id and merges duplicates, summing
-/// probabilities (ascending-id summation order, deterministic).
-fn merge_sorted_by_id(branches: &mut Vec<(i64, f64)>) {
-    if branches.len() <= 1 {
-        return;
-    }
-    branches.sort_unstable_by_key(|&(id, _)| id);
-    let mut write = 0;
-    for read in 1..branches.len() {
-        if branches[read].0 == branches[write].0 {
-            branches[write].1 += branches[read].1;
-        } else {
-            write += 1;
-            branches[write] = branches[read];
-        }
-    }
-    branches.truncate(write + 1);
 }
 
 /// Enumerates the subset-valued activations over `enabled` (at most
@@ -323,4 +321,192 @@ fn enumerate_activations(
         out.push(movers);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::explore::conflict_masks;
+    use crate::{ActionId, ActionMask, Outcomes, View};
+    use proptest::prelude::*;
+    use stab_graph::{builders, Graph};
+
+    /// A random test algorithm: whether a process is
+    /// enabled, and which distribution it draws from (certain, fair coin,
+    /// biased coin p = 0.3, or three outcomes), is a hash of its node, its
+    /// state and how many neighbours hold state 1. Outcome entries are
+    /// listed out of digit order on purpose.
+    struct Table {
+        g: Graph,
+        radix: Vec<u8>,
+        seed: u64,
+    }
+
+    impl Table {
+        fn hash<V: View<u8>>(&self, view: &V) -> u64 {
+            let key = (view.node().index() as u64) << 16
+                | u64::from(*view.me()) << 8
+                | view.count_neighbors(|s| *s == 1) as u64;
+            let mut h = (self.seed ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 29;
+            h.wrapping_mul(0xBF58_476D_1CE4_E5B9)
+        }
+    }
+
+    impl Algorithm for Table {
+        type State = u8;
+        fn graph(&self) -> &Graph {
+            &self.g
+        }
+        fn name(&self) -> String {
+            "table".into()
+        }
+        fn state_space(&self, v: NodeId) -> Vec<u8> {
+            (0..self.radix[v.index()]).collect()
+        }
+        fn enabled_actions<V: View<u8>>(&self, view: &V) -> ActionMask {
+            ActionMask::when(!self.hash(view).is_multiple_of(4), ActionId::A1)
+        }
+        fn apply<V: View<u8>>(&self, view: &V, _a: ActionId) -> Outcomes<u8> {
+            let h = self.hash(view) >> 8;
+            let r = self.radix[view.node().index()];
+            let a = *view.me();
+            let b = (a + 1 + u8::try_from(h % u64::from(r - 1)).unwrap()) % r;
+            match (h >> 8) % 4 {
+                0 => Outcomes::certain(b),
+                1 => Outcomes::fair_coin(b, a),
+                2 => Outcomes::biased_coin(0.3, b, a),
+                _ if r >= 3 => {
+                    let c = (0..r).find(|&c| c != a && c != b).unwrap();
+                    Outcomes::weighted(vec![(0.2, c), (0.3, b), (0.5, a)])
+                }
+                _ => Outcomes::biased_coin(0.3, a, b),
+            }
+        }
+        fn is_probabilistic(&self) -> bool {
+            true
+        }
+    }
+
+    fn table_strategy() -> impl Strategy<Value = Table> {
+        (2usize..6, any::<bool>(), any::<u64>()).prop_flat_map(|(n, ring, seed)| {
+            proptest::collection::vec(2u8..4, n).prop_map(move |radix| Table {
+                g: if ring && n >= 3 {
+                    builders::ring(n)
+                } else {
+                    builders::path(n)
+                },
+                radix,
+                seed,
+            })
+        })
+    }
+
+    /// The distribution axis of the daemon lattice.
+    const DISTRIBUTIONS: [Distribution; 6] = [
+        Distribution::KCentral {
+            k: Some(1),
+            radius: 0,
+        },
+        Distribution::KCentral { k: None, radius: 0 },
+        Distribution::KCentral { k: None, radius: 1 },
+        Distribution::KCentral {
+            k: Some(2),
+            radius: 0,
+        },
+        Distribution::KCentral {
+            k: Some(2),
+            radius: 1,
+        },
+        Distribution::Synchronous,
+    ];
+
+    /// The row of `cfg` by full enumeration: every activation, times the
+    /// product of its movers' outcomes (multiplied in ascending node
+    /// order), then sorted by `(to, movers)` and merged.
+    fn reference_row(
+        alg: &Table,
+        ix: &SpaceIndexer<u8>,
+        spec: DaemonSpec,
+        cfg: &Configuration<u8>,
+    ) -> Vec<RawEdge> {
+        let enabled: Vec<NodeId> = alg
+            .graph()
+            .nodes()
+            .filter(|&v| alg.selected_action(cfg, v).is_some())
+            .collect();
+        let activations = spec.activations(alg.graph(), &enabled).unwrap();
+        let act_prob = 1.0 / activations.len() as f64;
+        let mut row = Vec::new();
+        for act in &activations {
+            let movers: u64 = act.nodes().iter().map(|v| 1u64 << v.index()).sum();
+            let outcomes: Vec<Outcomes<u8>> = act
+                .nodes()
+                .iter()
+                .map(|&v| alg.apply(&alg.view(cfg, v), ActionId::A1))
+                .collect();
+            let mut choice = vec![0usize; outcomes.len()];
+            loop {
+                let mut next = cfg.clone();
+                let mut p = 1.0;
+                for ((&v, o), &c) in act.nodes().iter().zip(&outcomes).zip(&choice) {
+                    let (q, s) = o.entries()[c];
+                    next.set(v, s);
+                    p *= q;
+                }
+                row.push(RawEdge {
+                    to: ix.encode(&next),
+                    movers,
+                    prob: act_prob * p,
+                });
+                let Some(i) =
+                    (0..choice.len()).find(|&i| choice[i] + 1 < outcomes[i].entries().len())
+                else {
+                    break;
+                };
+                choice[i] += 1;
+                choice[..i].fill(0);
+            }
+        }
+        row.sort_by_key(|e| (e.to, e.movers));
+        row.dedup_by(|later, kept| {
+            let same = later.to == kept.to && later.movers == kept.movers;
+            if same {
+                kept.prob += later.prob;
+            }
+            same
+        });
+        row
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `generate`'s row equals the full-enumeration reference bit for
+        /// bit at every distribution, and a synchronous row is strictly
+        /// ascending by successor as built (it is never sorted).
+        #[test]
+        fn rows_match_full_enumeration(alg in table_strategy()) {
+            let ix = SpaceIndexer::new(&alg, 1 << 12).unwrap();
+            let mut gen = RowGen::default();
+            let mut digits = Vec::new();
+            for distribution in DISTRIBUTIONS {
+                let spec = DaemonSpec { distribution, ..DaemonSpec::central() };
+                let conflicts = conflict_masks(&alg, spec);
+                for full in 0..ix.total() {
+                    let cfg = ix.decode(full);
+                    ix.write_digits(full, &mut digits);
+                    gen.generate(&alg, &ix, spec, &conflicts, &cfg, &digits, full).unwrap();
+                    let expected = reference_row(&alg, &ix, spec, &cfg);
+                    let bits = |row: &[RawEdge]| -> Vec<(u64, u64, u64)> {
+                        row.iter().map(|e| (e.to, e.movers, e.prob.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(&gen.row), bits(&expected), "{:?} at {}", distribution, full);
+                    if distribution == Distribution::Synchronous {
+                        prop_assert!(gen.row.windows(2).all(|w| w[0].to < w[1].to));
+                    }
+                }
+            }
+        }
+    }
 }

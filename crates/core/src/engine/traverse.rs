@@ -18,7 +18,8 @@
 //!   costs one load. Otherwise — a larger space, a resumed run (which
 //!   skips pass 1) or a growing frontier — each distinct successor of a
 //!   row is canonicalized once (a per-row memo), then looked up (fixed)
-//!   or interned (growing);
+//!   or interned (growing). A states budget is probed with pass 1's
+//!   lower bound, ⌈total/|G|⌉ representatives, before pass 1 runs;
 //! * the **group** — none, or a [`GroupCanonicalizer`] that maps every
 //!   index to its orbit representative ([`canonical_count`] tallies the
 //!   calls);
@@ -185,7 +186,11 @@ where
     let mut orbit_ids = None;
     match (frontier, id_map) {
         (Frontier::Fixed, IdMap::Interned) => {
-            guard.probe("explore", 0, 0)?;
+            // An orbit has at most |G| members, so pass 1 finds at least
+            // ⌈total/|G|⌉ representatives: a smaller states budget
+            // degrades before canonicalizing anything.
+            let order = canon.as_ref().map_or(1, GroupCanonicalizer::group_order);
+            guard.probe("explore", 0, ix.total().div_ceil(order))?;
             // A resumed run skips pass 1 — its first frame carried the
             // whole table — and so resolves targets by lookup.
             if let (false, Some(c)) = (resumed, &canon) {
@@ -436,8 +441,17 @@ where
                 });
             }
             canonicalized += s.memo.len() as u64;
+            // Id mapping can fold several successors onto one
+            // `(to, movers)` pair (the orbit multiplicities of quotient
+            // folding): sort, then sum each run's probabilities.
             s.row.sort_unstable_by_key(|e| (e.to, e.movers));
-            merge_parallel_edges(&mut s.row);
+            s.row.dedup_by(|later, kept| {
+                let same = (later.to, later.movers) == (kept.to, kept.movers);
+                if same {
+                    kept.prob += later.prob;
+                }
+                same
+            });
             let initial = !seeded && alg.is_initial(&cfg);
             acc.push(&s.row, mask, det, self.spec.is_legitimate(&cfg), initial);
         }
@@ -500,24 +514,6 @@ pub(super) fn representatives(
     let id = |slot: AtomicU32| table.lookup(slot.into_inner().into()).expect("interned");
     let orbit_ids = keep_ids.then(|| slots.into_iter().map(id).collect());
     Ok((table, orbit_ids))
-}
-
-/// Merges consecutive equal `(to, movers)` edges of a sorted row, summing
-/// probabilities — the orbit multiplicities of quotient folding.
-fn merge_parallel_edges(row: &mut Vec<Edge>) {
-    if row.len() <= 1 {
-        return;
-    }
-    let mut write = 0;
-    for read in 1..row.len() {
-        if row[read].to == row[write].to && row[read].movers == row[write].movers {
-            row[write].prob += row[read].prob;
-        } else {
-            write += 1;
-            row[write] = row[read];
-        }
-    }
-    row.truncate(write + 1);
 }
 
 /// The traversal's accumulator: rows stream into the selected edge store

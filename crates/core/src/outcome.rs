@@ -103,17 +103,7 @@ impl<S: PartialEq> Outcomes<S> {
             !entries.is_empty(),
             "a distribution needs at least one outcome"
         );
-        let mut merged: Vec<(f64, S)> = Vec::with_capacity(entries.len());
-        for (p, s) in entries {
-            assert!(
-                p > 0.0,
-                "outcome probabilities must be strictly positive, got {p}"
-            );
-            match merged.iter_mut().find(|(_, t)| *t == s) {
-                Some((q, _)) => *q += p,
-                None => merged.push((p, s)),
-            }
-        }
+        let merged = merge_equal(entries);
         let total: f64 = merged.iter().map(|(p, _)| p).sum();
         assert!(
             (total - 1.0).abs() < PROB_EPS,
@@ -177,14 +167,15 @@ impl<S> Outcomes<S> {
         }
     }
 
-    /// Maps every state through `f`, keeping probabilities.
-    pub fn map<T>(self, f: impl FnMut(S) -> T) -> Outcomes<T> {
-        let mut f = f;
-        Outcomes(match self.0 {
-            Entries::One(e) => Entries::One(e.map(|(p, s)| (p, f(s)))),
-            Entries::Two(e) => Entries::Two(e.map(|(p, s)| (p, f(s)))),
-            Entries::Many(e) => Entries::Many(e.into_iter().map(|(p, s)| (p, f(s))).collect()),
-        })
+    /// Maps every state through `f`, keeping probabilities; states that
+    /// `f` folds together merge as in [`Outcomes::weighted`].
+    pub fn map<T: PartialEq>(self, mut f: impl FnMut(S) -> T) -> Outcomes<T> {
+        let merged = match self.0 {
+            Entries::One([(p, s)]) => return Outcomes(Entries::One([(p, f(s))])),
+            Entries::Two(e) => merge_equal(e.map(|(p, s)| (p, f(s)))),
+            Entries::Many(e) => merge_equal(e.into_iter().map(|(p, s)| (p, f(s)))),
+        };
+        Outcomes(merged.into())
     }
 
     /// Samples a state according to the distribution.
@@ -204,6 +195,28 @@ impl<S> Outcomes<S> {
         // Floating-point slack: fall back to the last entry.
         &entries[entries.len() - 1].1
     }
+}
+
+/// Merges entries with equal states, summing their probabilities onto
+/// the first occurrence (which keeps its position).
+///
+/// # Panics
+///
+/// Panics on a non-positive probability.
+fn merge_equal<S: PartialEq>(entries: impl IntoIterator<Item = (f64, S)>) -> Vec<(f64, S)> {
+    let entries = entries.into_iter();
+    let mut merged: Vec<(f64, S)> = Vec::with_capacity(entries.size_hint().0);
+    for (p, s) in entries {
+        assert!(
+            p > 0.0,
+            "outcome probabilities must be strictly positive, got {p}"
+        );
+        match merged.iter_mut().find(|(_, t)| *t == s) {
+            Some((q, _)) => *q += p,
+            None => merged.push((p, s)),
+        }
+    }
+    merged
 }
 
 impl<S: fmt::Debug> fmt::Debug for Outcomes<S> {
@@ -305,6 +318,17 @@ mod tests {
         let o = Outcomes::fair_coin(1u8, 2u8).map(|s| s * 10);
         let states: Vec<u8> = o.entries().iter().map(|(_, s)| *s).collect();
         assert_eq!(states, vec![10, 20]);
+    }
+
+    #[test]
+    fn map_merges_states_it_folds() {
+        let folded = Outcomes::fair_coin(1u8, 2u8).map(|_| 0u8);
+        assert!(folded.is_certain());
+        assert_eq!(folded, Outcomes::certain(0u8));
+        let three = Outcomes::uniform(vec![1u8, 2, 3]).map(|s| s % 2);
+        assert_eq!(three.entries().len(), 2);
+        let mass: f64 = three.entries().iter().map(|(p, _)| p).sum();
+        assert!((mass - 1.0).abs() < 1e-12);
     }
 
     #[test]

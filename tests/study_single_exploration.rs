@@ -13,12 +13,12 @@
 
 use std::sync::Mutex;
 
-use weak_stabilization::study::Study;
+use weak_stabilization::study::{Outcome, Study};
 
 use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_core::engine::{
-    canonical_count, explore_count, gate_count, EdgeStoreKind, ExploreOptions, Plan, PlanRequest,
-    Quotient, TransitionSystem, DEFAULT_BYTE_BUDGET,
+    canonical_count, explore_count, gate_count, Budget, EdgeStoreKind, ExploreOptions, Plan,
+    PlanRequest, Quotient, TransitionSystem, DEFAULT_BYTE_BUDGET,
 };
 use stab_core::{DaemonSpec, FairnessSet, SpaceIndexer};
 use stab_graph::builders;
@@ -332,4 +332,37 @@ fn plan_records_the_id_map() {
     );
     let (_, choice, _) = id_map(&PlanRequest::default().with_quotient(Quotient::None));
     assert_eq!(choice, "dense");
+}
+
+/// A states budget below the orbit count degrades before pass 1: every
+/// orbit has at most |G| members, so a fixed quotient sweep probes
+/// ⌈total/|G|⌉ representatives first. Token circulation on ring(12)
+/// (m = 5, 5^12 configurations, planned onto the rotation quotient)
+/// under `max_states(8)` used to canonicalize the whole space before
+/// degrading.
+#[test]
+fn states_budget_degrades_before_pass_one() {
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let alg = TokenCirculation::on_ring(&builders::ring(12)).unwrap();
+    assert_eq!(alg.modulus(), 5);
+    let spec = alg.legitimacy();
+    let before = canonical_count();
+    let report = Study::of(&alg)
+        .daemon(DaemonSpec::central())
+        .spec(&spec)
+        .cap(1 << 40)
+        .budget(Budget::unlimited().with_max_states(8))
+        .run()
+        .unwrap();
+    assert_eq!(canonical_count(), before, "pass 1 never ran");
+    assert_eq!(report.plan.quotient, "ring-rotation");
+    match &report.status.explore {
+        Outcome::Degraded { reason } => {
+            assert!(reason.contains("states"), "reason: {reason}");
+            // ⌈5^12 / 12⌉ representatives at least.
+            assert!(reason.contains("20345053"), "reason: {reason}");
+        }
+        other => panic!("expected a degraded explore, got {other:?}"),
+    }
+    assert!(report.space.is_none());
 }
