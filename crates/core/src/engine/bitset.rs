@@ -54,19 +54,6 @@ impl BitSet {
         &self.words
     }
 
-    /// Rebuilds a set from its backing words (inverse of
-    /// [`BitSet::words`]). Bits past `len` in the last word are cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is not exactly `len.div_ceil(64)` long.
-    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
-        assert_eq!(words.len(), len.div_ceil(64), "word count mismatch");
-        let mut s = BitSet { words, len };
-        s.trim();
-        s
-    }
-
     /// Universe size (number of ids, not number of members).
     #[inline]
     pub fn len(&self) -> usize {

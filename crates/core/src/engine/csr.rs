@@ -91,12 +91,7 @@ impl<E> Csr<E> {
     /// fail loudly instead of silently corrupting the offsets), or if the
     /// total exceeds `u32::MAX` (as [`Csr::from_counts`]).
     pub fn from_rows(rows: Vec<Vec<E>>) -> Self {
-        let counts: Vec<u32> = rows
-            .iter()
-            .map(|r| u32::try_from(r.len()).expect("CSR row length exceeds u32::MAX entries"))
-            .collect();
-        let data: Vec<E> = rows.into_iter().flatten().collect();
-        Self::from_counts(&counts, data)
+        Self::try_from_rows(rows).expect("CSR row lengths or offsets exceed u32")
     }
 
     /// Number of rows.

@@ -47,12 +47,11 @@
 //! reachability closures and the `Q`-row reads actually need.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::csr::Csr;
 use super::explore::Edge;
-use super::ids;
+use super::ids::{self, U64Map};
 use super::resilience::Budget;
 use super::spill::{self, SpillConfig, SpillSink, SpillStore};
 use crate::error::CoreError;
@@ -124,7 +123,7 @@ pub struct DeltaStreamWriter {
     offsets: Vec<u64>,
     stream: Vec<u8>,
     probs: Vec<f64>,
-    prob_ids: HashMap<u64, u32>,
+    prob_ids: U64Map<u32>,
     n_items: u64,
     prev: i64,
     /// Global byte offset of `stream[0]`: 0 for a resident stream, and
@@ -172,15 +171,11 @@ impl DeltaStreamWriter {
     /// table id as a varint.
     #[inline]
     pub fn prob(&mut self, prob: f64) {
-        let pid = match self.prob_ids.entry(prob.to_bits()) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let id = ids::id_u32(self.probs.len(), "interned probability ids fit u32");
-                self.probs.push(prob);
-                e.insert(id);
-                id
-            }
-        };
+        let pid = *self.prob_ids.entry(prob.to_bits()).or_insert_with(|| {
+            let id = ids::id_u32(self.probs.len(), "interned probability ids fit u32");
+            self.probs.push(prob);
+            id
+        });
         vbyte::write(&mut self.stream, pid as u64);
     }
 

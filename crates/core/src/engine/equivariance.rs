@@ -43,7 +43,6 @@
 //! under all four daemons rather than guaranteed a priori — strictly
 //! equivariant algorithms need no such caveat.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,6 +55,7 @@ use crate::spec::Legitimacy;
 use crate::{Configuration, CoreError, LocalState};
 
 use super::explore::conflict_masks;
+use super::ids::U64Map;
 use super::onthefly::Quotient;
 use super::quotient::GroupCanonicalizer;
 use super::rowgen::RowGen;
@@ -359,7 +359,7 @@ where
 
 /// The legitimacy of `full`, cached in `cache`.
 fn cached_legit<S: LocalState, L: Legitimacy<S>>(
-    cache: &mut HashMap<u64, bool>,
+    cache: &mut U64Map<bool>,
     spec: &L,
     ix: &SpaceIndexer<S>,
     full: u64,
@@ -380,10 +380,10 @@ struct Kernel<'a, A: Algorithm, L> {
     gen: RowGen,
     /// full index → (enabled mask, successor distribution aggregated by
     /// target).
-    rows: HashMap<u64, KernelRow>,
+    rows: U64Map<KernelRow>,
     /// full index → legitimacy (far cheaper than a row; successors only
     /// need this).
-    legit: HashMap<u64, bool>,
+    legit: U64Map<bool>,
     /// Total row generations spent (read per-sample by
     /// [`Kernel::absorbed_series`] for its budget).
     work: usize,
@@ -403,8 +403,8 @@ where
             spec,
             conflicts: conflict_masks(alg, daemon),
             gen: RowGen::default(),
-            rows: HashMap::new(),
-            legit: HashMap::new(),
+            rows: U64Map::default(),
+            legit: U64Map::default(),
             work: 0,
         }
     }
@@ -452,7 +452,7 @@ where
             dist.push((start, 1.0));
         }
         series.push(absorbed);
-        let mut next: HashMap<u64, f64> = HashMap::new();
+        let mut next: U64Map<f64> = U64Map::default();
         for step in 0..LUMPED_MAX_STEPS {
             let spent = self.work - work_at_entry;
             if dist.is_empty()

@@ -15,6 +15,8 @@
 //! `as` in the engine must either call through here or carry a
 //! `// lint: cast-ok(<reason>)` annotation.
 
+use std::{collections::HashMap, hash::BuildHasherDefault, hash::Hasher};
+
 use crate::CoreError;
 
 /// Fallibly narrows a count or byte offset into a `u32` id, naming
@@ -80,6 +82,40 @@ pub fn delta_target(acc: i64, invariant: &'static str) -> u32 {
     u32::try_from(acc).unwrap_or_else(|_| panic!("{invariant}: accumulated target {acc}"))
 }
 
+/// A hash map keyed by `u64` (full-space indices, probability bit
+/// patterns), hashed by [`IdHasher`]: the engine's intern tables, row
+/// memos and the equivariance gate's kernel caches.
+pub(crate) type U64Map<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher of [`U64Map`]: the SplitMix64 finalizer over the key, a
+/// full-avalanche mix that costs a few multiplies where the default
+/// SipHash costs dozens of operations. The table places keys by their
+/// low hash bits, so a plain multiply would pile the gate's stride-`2^k`
+/// indices into one bucket group; every key bit here moves every hash
+/// bit. The keys are values the engine computes, never outside input, so
+/// dropping SipHash's resistance to crafted collisions costs nothing.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let z = self.0 ^ key;
+        let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,5 +157,19 @@ mod tests {
     #[should_panic(expected = "corrupt delta stream")]
     fn delta_target_rejects_negatives() {
         delta_target(-1, "corrupt delta stream");
+    }
+
+    #[test]
+    fn id_hasher_spreads_strided_keys_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        // Keys 2^12 apart share their 12 low bits; their hashes must not.
+        let low: std::collections::BTreeSet<u64> = (0..256u64)
+            .map(|k| build.hash_one(k << 12) & 0xff)
+            .collect();
+        assert!(low.len() > 128, "{} distinct low bytes", low.len());
+        let mut map = U64Map::default();
+        map.insert(7u64, 'a');
+        assert_eq!(map.get(&7), Some(&'a'));
     }
 }

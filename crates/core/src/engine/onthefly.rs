@@ -24,14 +24,13 @@
 //! [`GroupCanonicalizer`](super::GroupCanonicalizer)) and frontier
 //! (fixed or growing).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::config::Configuration;
 
 use super::edgestore::EdgeStoreKind;
 use super::equivariance::Carried;
-use super::ids;
+use super::ids::{self, U64Map};
 use super::resilience::CheckpointConfig;
 use super::spill::SpillConfig;
 
@@ -271,7 +270,7 @@ pub(super) enum StateIds {
 #[derive(Debug, Default)]
 pub(super) struct StateTable {
     full_of: Vec<u64>,
-    ids: HashMap<u64, u32>,
+    ids: U64Map<u32>,
     orbit: Vec<u64>,
 }
 
@@ -286,16 +285,12 @@ impl StateTable {
     /// returns its id.
     #[inline]
     pub(super) fn intern(&mut self, full: u64, orbit: impl FnOnce() -> u64) -> u32 {
-        match self.ids.get(&full) {
-            Some(&id) => id,
-            None => {
-                let id = ids::id_u32(self.full_of.len(), "interned state ids fit u32");
-                self.full_of.push(full);
-                self.orbit.push(orbit());
-                self.ids.insert(full, id);
-                id
-            }
-        }
+        *self.ids.entry(full).or_insert_with(|| {
+            let id = ids::id_u32(self.full_of.len(), "interned state ids fit u32");
+            self.full_of.push(full);
+            self.orbit.push(orbit());
+            id
+        })
     }
 
     /// The full-space index behind `id`.

@@ -506,11 +506,6 @@ impl FaultPlan {
         self.kill_after_frames
     }
 
-    /// The configured probe trip, if any.
-    pub fn budget_trip_at_probe(&self) -> Option<u64> {
-        self.trip_at_probe
-    }
-
     /// Whether any fault is scheduled.
     pub fn is_active(&self) -> bool {
         self.kill_after_frames.is_some() || self.trip_at_probe.is_some()

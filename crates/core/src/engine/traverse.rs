@@ -33,7 +33,6 @@
 //! budget probe and checkpoint frame sees a deterministic prefix and the
 //! compressed tiers stream rows straight into their byte encoding.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,7 +48,7 @@ use super::bitset::BitSet;
 use super::cursor::ConfigCursor;
 use super::edgestore::{EdgeStorageBuilder, EdgeStoreKind};
 use super::explore::{conflict_masks, Edge, TransitionSystem};
-use super::ids;
+use super::ids::{self, U64Map};
 use super::onthefly::{ExploreMode, ExploreOptions, StateIds, StateTable, TraversalMode};
 use super::parallel;
 use super::plan::DEFAULT_BYTE_BUDGET;
@@ -361,7 +360,7 @@ struct Scratch {
     /// Per-row memo where no orbit table resolves targets: successors
     /// repeat across activations, and each repeat would otherwise pay a
     /// fresh canonicalization and lookup or intern.
-    memo: HashMap<u64, u32>,
+    memo: U64Map<u32>,
 }
 
 /// The read-only context every row worker shares.

@@ -1,7 +1,8 @@
 //! Pass SL007: the fork-join capture audit.
 //!
-//! `engine::parallel::map_chunks` fans a closure out over scoped OS
-//! threads and joins the results in chunk order. The planned parallel
+//! `engine::parallel::map_chunks` (and `map_ranges`) fans a closure out
+//! over scoped OS threads and joins the results in chunk order;
+//! `engine::parallel::join` runs its two closure arms on two threads. The planned parallel
 //! compressed assembly will thread shared chunk state through exactly
 //! these closures, and the race-shaped failure modes are known in
 //! advance: a closure that mutates a captured binding, touches
@@ -11,10 +12,11 @@
 //! gate that survives any future loosening of those bounds (raw
 //! pointers, `unsafe impl Sync` wrappers, a channel-based rewrite).
 //!
-//! For every `map_chunks` call site in the workspace, the pass locates
-//! the worker argument — a closure literal, or an identifier resolved
-//! to a `let NAME = |…|` closure binding or a local `fn` item in the
-//! same file — and audits its body:
+//! For every `map_chunks` / `map_ranges` call site in the workspace, and
+//! every `parallel::join` call, the pass locates each worker argument
+//! (the second; for `join` the second and the third) — a closure
+//! literal, or an identifier resolved to a `let NAME = |…|` closure
+//! binding or a local `fn` item in the same file — and audits its body:
 //!
 //! * **mutation of a capture** — an assignment (`x = …`, `x += …`,
 //!   `x.field = …`) or a `&mut x` whose base identifier is not declared
@@ -42,6 +44,15 @@ use crate::{Diagnostic, PassId, SourceFile};
 
 /// The annotation marker looked up in comments.
 pub const CAPTURE_OK: &str = "lint: capture-ok(";
+
+/// The fork-join entry points and the argument positions of their
+/// workers. `join` is common as a method (`handle.join()`,
+/// `path.join(…)`), so it is only matched as `parallel::join`.
+const FORK_JOINS: &[(&str, &[usize])] = &[
+    ("map_chunks", &[1]),
+    ("map_ranges", &[1]),
+    ("join", &[1, 2]),
+];
 
 /// The interior-mutability type names that may not cross the join.
 const INTERIOR_TYPES: &[&str] = &["Cell", "RefCell", "UnsafeCell"];
@@ -73,7 +84,7 @@ struct Worker {
     params: Range<usize>,
     /// Token range of the body.
     body: Range<usize>,
-    /// Line of the `map_chunks` call, used when the worker cannot be
+    /// Line of the fork-join call, used when the worker cannot be
     /// resolved at all.
     call_line: u32,
 }
@@ -88,22 +99,31 @@ pub fn audit(
     let toks = &file.lexed.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
-        if !(toks[i].kind == TokenKind::Ident && toks[i].text == "map_chunks") {
+        if toks[i].kind != TokenKind::Ident {
             continue;
         }
-        if resolved.in_test_tokens(file_idx, i) {
+        let Some(&(callee, args)) = FORK_JOINS.iter().find(|(name, _)| *name == toks[i].text)
+        else {
+            continue;
+        };
+        let qualified = i >= 3
+            && toks[i - 3].text == "parallel"
+            && toks[i - 2].text == ":"
+            && toks[i - 1].text == ":";
+        if (callee == "join" && !qualified) || resolved.in_test_tokens(file_idx, i) {
             continue;
         }
         // The call's argument list: skip an optional turbofish, then `(`.
         let Some(open) = call_open(toks, i + 1) else {
             continue;
         };
-        let Some(worker) = worker_span(toks, open, i, resolved, file_idx) else {
-            // `map_chunks` mentioned without a resolvable worker (e.g. a
-            // re-export); nothing to audit.
-            continue;
-        };
-        audit_worker(file, toks, &worker, statics, &mut out);
+        for &arg in args {
+            // A callee mentioned without a resolvable worker (e.g. a
+            // re-export) has nothing to audit.
+            if let Some(worker) = worker_span(toks, open, i, arg, resolved, file_idx) {
+                audit_worker(file, toks, callee, &worker, statics, &mut out);
+            }
+        }
     }
     out
 }
@@ -131,27 +151,34 @@ fn call_open(toks: &[Token], mut j: usize) -> Option<usize> {
         .map(|_| j)
 }
 
-/// Locates the worker argument of the `map_chunks` call whose argument
-/// list opens at token `open`: the second top-level argument, either a
-/// closure literal or an identifier resolved within the file.
+/// Locates worker argument `arg` (0-based) of the fork-join call whose
+/// argument list opens at token `open`: either a closure literal or an
+/// identifier resolved within the file.
 fn worker_span(
     toks: &[Token],
     open: usize,
     call_tok: usize,
+    arg: usize,
     resolved: &Resolved,
     file_idx: usize,
 ) -> Option<Worker> {
     let call_line = toks[call_tok].line;
-    // Find the first top-level comma: the worker starts after it.
+    // Find the `arg`-th top-level comma: the worker starts after it.
+    // Closure parameter pipes do not nest, so a `,` inside `|a, b|`
+    // would count; the workers audited here take at most one parameter.
     let mut depth = 1i64;
     let mut j = open + 1;
+    let mut commas = 0;
     let mut arg_start = None;
-    while j < toks.len() && depth > 0 {
+    while j < toks.len() && depth > 0 && arg_start.is_none() {
         match (toks[j].kind, toks[j].text.as_str()) {
             (TokenKind::Punct, "(" | "[" | "{") => depth += 1,
             (TokenKind::Punct, ")" | "]" | "}") => depth -= 1,
-            (TokenKind::Punct, ",") if depth == 1 && arg_start.is_none() => {
-                arg_start = Some(j + 1);
+            (TokenKind::Punct, ",") if depth == 1 => {
+                commas += 1;
+                if commas == arg {
+                    arg_start = Some(j + 1);
+                }
             }
             _ => {}
         }
@@ -370,6 +397,7 @@ fn assignment_place(toks: &[Token], j: usize) -> Option<usize> {
 fn audit_worker(
     file: &SourceFile,
     toks: &[Token],
+    callee: &str,
     w: &Worker,
     statics: &BTreeSet<String>,
     out: &mut Vec<Diagnostic>,
@@ -387,7 +415,7 @@ fn audit_worker(
                 file: file.rel_path.clone(),
                 line,
                 message: format!(
-                    "malformed `lint: capture-ok(..)` annotation on the `map_chunks` \
+                    "malformed `lint: capture-ok(..)` annotation on the `{callee}` \
                      worker capture of `{name}` — the reason inside the parentheses \
                      must be non-empty"
                 ),
@@ -413,7 +441,7 @@ fn audit_worker(
                 &t.text,
                 t.line,
                 format!(
-                    "`map_chunks` worker uses interior mutability (`{}`) at the call site",
+                    "`{callee}` worker uses interior mutability (`{}`) at the call site",
                     t.text
                 ),
                 out,
@@ -432,7 +460,7 @@ fn audit_worker(
             report(
                 &name,
                 t.line,
-                format!("`map_chunks` worker calls `borrow_mut` on captured `{name}`"),
+                format!("`{callee}` worker calls `borrow_mut` on captured `{name}`"),
                 out,
             );
             continue;
@@ -442,7 +470,7 @@ fn audit_worker(
             report(
                 &t.text,
                 t.line,
-                format!("`map_chunks` worker references `static mut {}`", t.text),
+                format!("`{callee}` worker references `static mut {}`", t.text),
                 out,
             );
             continue;
@@ -457,7 +485,7 @@ fn audit_worker(
                     report(
                         &n.text,
                         n.line,
-                        format!("`map_chunks` worker takes `&mut` of captured `{}`", n.text),
+                        format!("`{callee}` worker takes `&mut` of captured `{}`", n.text),
                         out,
                     );
                 }
@@ -474,7 +502,7 @@ fn audit_worker(
                             report(
                                 name,
                                 toks[base].line,
-                                format!("`map_chunks` worker assigns captured `{name}`"),
+                                format!("`{callee}` worker assigns captured `{name}`"),
                                 out,
                             );
                         }
@@ -605,6 +633,35 @@ mod tests {
                  for id in range { acc.push(id); encode(&mut acc); }\n\
                  Ok::<_, ()>(acc)\n\
              });\n}\n");
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn both_join_arms_are_audited() {
+        let d = run("fn go(total: u64) {\n\
+             let mut a = 0u64;\n\
+             let mut b = 0u64;\n\
+             let _ = parallel::join(total, || { a += 1; }, || { b = total; });\n}\n");
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(
+            d[0].message.contains("`join` worker assigns captured `a`"),
+            "{}",
+            d[0].message
+        );
+        assert!(d[1].message.contains("captured `b`"), "{}", d[1].message);
+    }
+
+    #[test]
+    fn join_arms_returning_results_pass_and_method_joins_are_ignored() {
+        let d = run("fn go(total: u64, data: &[u64]) {\n\
+             let (x, y) = parallel::join(total, || data.len(), || {\n\
+                 let mut local = 0u64;\n\
+                 for v in data { local += v; }\n\
+                 local\n\
+             });\n\
+             let mut n = 0u64;\n\
+             let _ = handle.join(|| { n += 1; }, || { n = 2; });\n\
+             let _ = (x, y);\n}\n");
         assert!(d.is_empty(), "{d:?}");
     }
 

@@ -40,9 +40,10 @@
 //!   the engine's offset-bearing modules needs
 //!   `// lint: arith-ok(<reason>)`;
 //! * **SL007 [`captures`]** — fork-join capture audit: closures passed
-//!   into `engine::parallel::map_chunks` may not capture `&mut`
-//!   bindings, `static mut`, or `Cell`/`RefCell`/`UnsafeCell` state
-//!   crossing the join boundary;
+//!   into `engine::parallel::map_chunks` / `map_ranges`, and both arms
+//!   of `parallel::join`, may not capture `&mut` bindings,
+//!   `static mut`, or `Cell`/`RefCell`/`UnsafeCell` state crossing the
+//!   join boundary;
 //! * **SL008 [`discards`]** — error hygiene on the durable paths:
 //!   `let _ = fallible();` and `.ok();` discards need
 //!   `// lint: discard-ok(<reason>)`.
@@ -344,7 +345,8 @@ pub fn workspace_root() -> PathBuf {
 ///   them);
 /// * SL006 arith — the engine's offset-bearing modules
 ///   ([`arith::ARITH_PATHS`]);
-/// * SL007 capture — every `map_chunks` call site workspace-wide;
+/// * SL007 capture — every `map_chunks` / `map_ranges` /
+///   `parallel::join` call site workspace-wide;
 /// * SL008 discard — the durable paths ([`discards::DISCARD_PATHS`]).
 pub fn run_source(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut diags = Vec::new();
@@ -414,7 +416,7 @@ pub fn run_source(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         }
     }
 
-    // ---- SL007 capture: every map_chunks site workspace-wide --------
+    // ---- SL007 capture: every fork-join site workspace-wide ---------
     let statics = captures::static_mut_names(&analysis);
     for (idx, f) in analysis.iter().enumerate() {
         diags.extend(captures::audit(f, &resolved, idx, &statics));

@@ -139,14 +139,20 @@ fn arith_good_passes_clean() {
 }
 
 #[test]
-fn capture_bad_yields_exactly_one_capture_diagnostic() {
+fn capture_bad_yields_exactly_one_capture_diagnostic_per_call() {
     let files = [fixture("capture_bad.rs")];
     let resolved = resolve::resolve(&files);
     let statics = captures::static_mut_names(&files);
     let d = captures::audit(&files[0], &resolved, 0, &statics);
-    assert_eq!(d.len(), 1, "{d:?}");
-    assert_eq!(d[0].pass, PassId::Capture);
+    assert_eq!(d.len(), 2, "{d:?}");
+    assert!(d.iter().all(|d| d.pass == PassId::Capture), "{d:?}");
     assert!(d[0].message.contains("borrow_mut"), "{}", d[0].message);
+    assert!(
+        d[1].message
+            .contains("`join` worker assigns captured `seen`"),
+        "{}",
+        d[1].message
+    );
 }
 
 #[test]

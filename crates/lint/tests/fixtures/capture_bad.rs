@@ -1,5 +1,7 @@
-// Bad: the fork-join worker smuggles a RefCell across the join
-// boundary — the capture pass must emit exactly one diagnostic.
+// Bad: each fork-join call shares mutable state across its join
+// boundary — the capture pass must emit exactly one diagnostic per call:
+// a `map_chunks` worker smuggling a RefCell, and a `join` arm assigning
+// a binding of its caller.
 use std::cell::RefCell;
 
 pub fn tally(total: u64) -> u64 {
@@ -10,4 +12,11 @@ pub fn tally(total: u64) -> u64 {
     });
     let _ = chunks;
     shared.into_inner()
+}
+
+pub fn overlap(total: u64) -> u64 {
+    let mut seen = 0u64;
+    let (a, b) = parallel::join(total, || total + 1, || seen = total);
+    let _ = (a, b);
+    seen
 }

@@ -23,3 +23,21 @@ pub fn sum_named(total: u64, data: &[u64]) -> u64 {
     let chunks = parallel::map_chunks(total, worker);
     chunks.unwrap().into_iter().sum()
 }
+
+// Both arms of a `join` return their results; the caller combines them
+// after the join. A method `join` is not a fork-join call.
+pub fn sum_and_max(total: u64, data: &[u64]) -> (u64, u64) {
+    let (sum, max) = parallel::join(
+        total,
+        || data.iter().sum::<u64>(),
+        || {
+            let mut best = 0u64;
+            for &x in data {
+                best = best.max(x);
+            }
+            best
+        },
+    );
+    let _ = std::path::Path::new("a").join("b");
+    (sum, max)
+}

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use stab_core::engine::parallel;
 use stab_core::{Algorithm, DaemonSpec, Legitimacy};
 
 use crate::init;
@@ -18,7 +19,9 @@ pub struct BatchSettings {
     pub max_steps: u64,
     /// Base seed; the batch is deterministic in (settings, algorithm).
     pub seed: u64,
-    /// Worker threads (1 = sequential).
+    /// The batch's own worker threads (1 = sequential, on the calling
+    /// thread). A study that overlaps the batch with its exact pipeline
+    /// calls it from one more thread, beside that pipeline.
     pub threads: usize,
 }
 
@@ -55,8 +58,8 @@ pub struct BatchResult {
 ///
 /// Parallel and deterministic: run `i` always uses the RNG stream
 /// `seed ⊕ i`, whatever the thread count. One worker runs on the calling
-/// thread; more are scoped threads, each over a contiguous slice of runs
-/// with its own step buffers.
+/// thread; more are scoped threads ([`parallel::map_ranges`]), each over
+/// a contiguous slice of runs with its own step buffers.
 ///
 /// # Panics
 ///
@@ -94,16 +97,20 @@ where
     L: Legitimacy<A::State> + Sync,
     F: Fn(&A, &mut StdRng) -> stab_core::Configuration<A::State> + Sync,
 {
-    let threads = settings.threads.max(1);
+    let threads = settings.threads.max(1) as u64;
     let max_steps = settings.max_steps;
-    let chunk = settings.runs.div_ceil(threads as u64);
-    // Runs `lo..hi` on one kernel, whose step buffers serve every run;
+    let chunk = settings.runs.div_ceil(threads);
+    let ranges: Vec<_> = (0..threads)
+        .map(|t| t * chunk..((t + 1) * chunk).min(settings.runs))
+        .take_while(|r| !r.is_empty())
+        .collect();
+    // Runs one range on one kernel, whose step buffers serve every run;
     // returns the (steps, moves, rounds) accumulators and the failures.
-    let worker = |lo: u64, hi: u64| {
+    let partials = parallel::map_ranges(ranges, |runs| {
         let mut kernel = Kernel::new();
         let mut costs = [Accumulator::new(), Accumulator::new(), Accumulator::new()];
         let mut failures = 0u64;
-        for i in lo..hi {
+        for i in runs {
             let mut rng =
                 StdRng::seed_from_u64(settings.seed ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
             let initial = make_initial(alg, &mut rng);
@@ -117,24 +124,7 @@ where
             }
         }
         (costs, failures)
-    };
-    // One worker runs on the calling thread.
-    let partials: Vec<_> = if threads == 1 {
-        vec![worker(0, settings.runs)]
-    } else {
-        let worker = &worker;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|t| (t * chunk, ((t + 1) * chunk).min(settings.runs)))
-                .take_while(|&(lo, hi)| lo < hi)
-                .map(|(lo, hi)| scope.spawn(move || worker(lo, hi)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        })
-    };
+    });
     let ([steps, moves, rounds], failures) =
         partials.into_iter().reduce(|(mut costs, f), (more, g)| {
             for (acc, other) in costs.iter_mut().zip(&more) {

@@ -1,7 +1,7 @@
 //! Single simulation runs with step / move / round accounting.
 
 use rand::Rng;
-use stab_core::{Activation, Algorithm, Configuration, DaemonSpec, Legitimacy};
+use stab_core::{ActionId, Activation, Algorithm, Configuration, DaemonSpec, Legitimacy};
 use stab_graph::NodeId;
 
 /// Outcome of one run.
@@ -24,6 +24,8 @@ pub struct RunResult {
 /// processes and their neighbours can change status, so each step evaluates
 /// one guard per node of N\[activation\] (the activated processes and their
 /// neighbours, each once), whatever the overlap of their neighbourhoods.
+/// That evaluation also stores the node's selected action, which the step
+/// that activates it executes without evaluating its guard again.
 /// A single run allocates its step buffers once; a Monte-Carlo batch
 /// ([`crate::montecarlo`]) keeps them across its runs.
 pub fn run_once<A, L, R>(
@@ -96,7 +98,9 @@ where
 /// [`run_recorded`] and the Monte-Carlo batches, with its step buffers.
 /// Reusing one kernel across runs keeps every step off the heap.
 pub(crate) struct Kernel<S> {
-    enabled_flags: Vec<bool>,
+    /// Each node's selected action in the current configuration (`None`:
+    /// disabled), refreshed with its guard.
+    selected: Vec<Option<ActionId>>,
     enabled: Vec<NodeId>,
     /// Round accounting: processes enabled at round start that have
     /// neither moved nor been observed disabled since.
@@ -111,7 +115,7 @@ pub(crate) struct Kernel<S> {
 impl<S: Clone> Kernel<S> {
     pub(crate) fn new() -> Self {
         Kernel {
-            enabled_flags: Vec::new(),
+            selected: Vec::new(),
             enabled: Vec::new(),
             pending: Vec::new(),
             activation: Vec::new(),
@@ -141,12 +145,13 @@ impl<S: Clone> Kernel<S> {
     {
         let g = alg.graph();
         let n = g.n();
-        self.enabled_flags.clear();
-        self.enabled_flags
-            .extend((0..n).map(|v| alg.is_enabled(&cfg, NodeId::new(v))));
+        self.selected.clear();
+        self.selected
+            .extend((0..n).map(|v| alg.selected_action(&cfg, NodeId::new(v))));
         self.collect_enabled();
         self.pending.clear();
-        self.pending.extend_from_slice(&self.enabled_flags);
+        self.pending
+            .extend(self.selected.iter().map(Option::is_some));
         // Stamps of earlier runs are all below the next epoch.
         self.stamp.resize(n, 0);
 
@@ -168,9 +173,8 @@ impl<S: Clone> Kernel<S> {
             // All activated processes read the pre-configuration.
             self.writes.clear();
             for &v in &self.activation {
-                let action = alg
-                    .selected_action(&cfg, v)
-                    .expect("daemon activates only enabled processes");
+                let action =
+                    self.selected[v.index()].expect("daemon activates only enabled processes");
                 let outcomes = alg.apply(&alg.view(&cfg, v), action);
                 self.writes.push(outcomes.sample(rng).clone());
             }
@@ -188,7 +192,7 @@ impl<S: Clone> Kernel<S> {
                 for u in std::iter::once(v).chain(g.neighbors(v).iter().copied()) {
                     if self.stamp[u.index()] != self.epoch {
                         self.stamp[u.index()] = self.epoch;
-                        self.enabled_flags[u.index()] = alg.is_enabled(&cfg, u);
+                        self.selected[u.index()] = alg.selected_action(&cfg, u);
                     }
                 }
             }
@@ -199,21 +203,24 @@ impl<S: Clone> Kernel<S> {
             for &v in &self.activation {
                 self.pending[v.index()] = false;
             }
-            for (p, &on) in self.pending.iter_mut().zip(&self.enabled_flags) {
-                *p &= on;
+            for (p, on) in self.pending.iter_mut().zip(&self.selected) {
+                *p &= on.is_some();
             }
             if !self.pending.contains(&true) {
                 rounds += 1;
-                self.pending.copy_from_slice(&self.enabled_flags);
+                // Nothing is pending: the new round holds the enabled.
+                self.enabled
+                    .iter()
+                    .for_each(|v| self.pending[v.index()] = true);
             }
         }
     }
 
     fn collect_enabled(&mut self) {
         self.enabled.clear();
-        let flags = &self.enabled_flags;
-        self.enabled
-            .extend((0..flags.len()).filter(|&v| flags[v]).map(NodeId::new));
+        let flags = &self.selected;
+        let enabled = (0..flags.len()).filter(|&v| flags[v].is_some());
+        self.enabled.extend(enabled.map(NodeId::new));
     }
 }
 
@@ -457,9 +464,9 @@ mod tests {
     #[test]
     fn each_step_evaluates_one_guard_per_node_of_the_closed_neighbourhood() {
         // Synchronous Herman N=15 activates every process, so N[activation]
-        // is the whole ring: 15 refreshes per step, plus the 15 guards the
-        // activated processes evaluate to pick their action, plus the 15
-        // initial evaluations.
+        // is the whole ring: 15 refreshes per step, plus the 15 initial
+        // evaluations. The activated processes execute the action their
+        // last refresh selected, without a second guard evaluation.
         let herman = HermanRing::on_ring(&builders::ring(15)).unwrap();
         let spec = herman.legitimacy();
         let a = Counted {
@@ -476,7 +483,7 @@ mod tests {
             1_000_000,
         );
         assert!(r.converged && r.steps > 0);
-        assert_eq!(a.guards.get(), 15 + 30 * r.steps);
+        assert_eq!(a.guards.get(), 15 + 15 * r.steps);
     }
 
     #[test]

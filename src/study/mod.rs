@@ -58,6 +58,16 @@
 //! 3. **Stages** — each chained stage ([`Study::verdicts`],
 //!    [`Study::expected_times`], [`Study::monte_carlo`]) contributes a
 //!    section to the [`StudyReport`]; unrequested stages cost nothing.
+//! 4. **Overlap** — the Monte-Carlo batch (stage 5) reads nothing the
+//!    exploration produces, so it runs beside stages 0–4 (plan, explore,
+//!    verdicts, chain, solve) through `stab_core::engine::parallel::join`
+//!    whenever the exploration's fork rule holds
+//!    (`parallel::thread_count(total) > 1`: at least 8,192
+//!    configurations on a host with two or more CPUs). Otherwise it runs
+//!    last on the calling thread. Draws do not depend on the thread
+//!    (run `i` uses the RNG stream `seed ⊕ i`), so the report is the same
+//!    either way apart from [`Timings`]; a plan or explore error still
+//!    returns after the batch has joined.
 //!
 //! The report is versioned (`study_report/v4`) and round-trips through
 //! JSON bit-for-bit, so the bench binaries and CI validate exactly the
@@ -98,7 +108,8 @@ use std::time::Instant;
 
 use stab_checker::{analyze_space_budgeted, ExploredSpace, Verdict};
 use stab_core::engine::{
-    Budget, ExploreMode, ExploreOptions, FaultPlan, Plan, PlanRequest, RunGuard, TransitionSystem,
+    parallel, Budget, ExploreMode, ExploreOptions, FaultPlan, Plan, PlanRequest, RunGuard,
+    TransitionSystem,
 };
 use stab_core::{Algorithm, CoreError, DaemonSpec, FairnessSet, Legitimacy, SpaceIndexer};
 use stab_markov::{AbsorbingChain, MarkovError};
@@ -347,7 +358,54 @@ where
     pub fn run(&self) -> Result<StudyReport, CoreError> {
         let total_start = Instant::now();
         let ix = SpaceIndexer::new(self.alg, self.cap)?;
+        // ---- Stage 5: seeded Monte-Carlo. It reads nothing stages 0–4
+        // produce (so it runs even when the explore stage degraded), and
+        // it runs beside them when the exploration would fork.
+        let mc = self.monte_carlo.as_ref().filter(|c| c.runs > 0);
+        let fork_total = if mc.is_some() { ix.total() } else { 0 };
+        let (alg, daemon, spec) = (self.alg, self.daemon, self.spec);
+        let (report, (monte_carlo, monte_carlo_ms)) = parallel::join(
+            fork_total,
+            || self.exact_stages(ix),
+            || {
+                let Some(config) = mc else {
+                    return (None, None);
+                };
+                let start = Instant::now();
+                let batch = estimate_with(alg, daemon, spec, config, init::uniform(alg));
+                let section = batch.map(|batch| McSection {
+                    runs: batch.runs,
+                    failures: batch.failures,
+                    seed: config.seed,
+                    max_steps: config.max_steps,
+                    steps: EstimateRecord::from(&batch.steps),
+                    moves: EstimateRecord::from(&batch.moves),
+                    rounds: EstimateRecord::from(&batch.rounds),
+                });
+                (section, Some(ms(start)))
+            },
+        );
+        let mut report = report?;
+        report.status.monte_carlo = match (&self.monte_carlo, &monte_carlo) {
+            (_, Some(_)) => Outcome::Complete,
+            (Some(c), None) => Outcome::Degraded {
+                reason: if c.runs == 0 {
+                    "zero Monte-Carlo runs requested".to_string()
+                } else {
+                    format!("no Monte-Carlo run converged within {} steps", c.max_steps)
+                },
+            },
+            (None, None) => Outcome::Skipped,
+        };
+        report.monte_carlo = monte_carlo;
+        report.timings_ms.monte_carlo = monte_carlo_ms;
+        report.timings_ms.total = ms(total_start);
+        Ok(report)
+    }
 
+    /// Stages 0–4 of [`Study::run`]: the report without its Monte-Carlo
+    /// section, status and timing, and without its total time.
+    fn exact_stages(&self, ix: SpaceIndexer<A::State>) -> Result<StudyReport, CoreError> {
         // ---- Stage 0: plan -------------------------------------------
         let plan_start = Instant::now();
         let req = match &self.options {
@@ -545,30 +603,6 @@ where
             }
         }
 
-        // ---- Stage 5: seeded Monte-Carlo (needs no exploration, so it
-        // runs even when the explore stage degraded) -------------------
-        let mut monte_carlo_ms = None;
-        let monte_carlo = self
-            .monte_carlo
-            .as_ref()
-            .filter(|c| c.runs > 0)
-            .and_then(|config| {
-                let start = Instant::now();
-                let sampler = init::uniform(self.alg);
-                let batch = estimate_with(self.alg, self.daemon, self.spec, config, sampler);
-                monte_carlo_ms = Some(ms(start));
-                let batch = batch?;
-                Some(McSection {
-                    runs: batch.runs,
-                    failures: batch.failures,
-                    seed: config.seed,
-                    max_steps: config.max_steps,
-                    steps: EstimateRecord::from(&batch.steps),
-                    moves: EstimateRecord::from(&batch.moves),
-                    rounds: EstimateRecord::from(&batch.rounds),
-                })
-            });
-
         Ok(StudyReport {
             algorithm: self.alg.name(),
             spec: self.spec.name(),
@@ -580,30 +614,20 @@ where
                 verdicts: verdicts_outcome,
                 chain_build: chain_build_outcome,
                 expected_solve: expected_outcome,
-                monte_carlo: match (&self.monte_carlo, &monte_carlo) {
-                    (_, Some(_)) => Outcome::Complete,
-                    (Some(c), None) => Outcome::Degraded {
-                        reason: if c.runs == 0 {
-                            "zero Monte-Carlo runs requested".to_string()
-                        } else {
-                            format!("no Monte-Carlo run converged within {} steps", c.max_steps)
-                        },
-                    },
-                    (None, None) => Outcome::Skipped,
-                },
+                monte_carlo: Outcome::Skipped,
             },
             space: space_section,
             verdicts,
             expected_times,
-            monte_carlo,
+            monte_carlo: None,
             timings_ms: Timings {
                 plan: plan_ms,
                 explore: explore_ms,
                 verdicts: verdicts_ms,
                 chain_build: chain_build_ms,
                 expected_solve: expected_solve_ms,
-                monte_carlo: monte_carlo_ms,
-                total: ms(total_start),
+                monte_carlo: None,
+                total: 0.0,
             },
         })
     }

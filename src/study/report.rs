@@ -323,6 +323,10 @@ impl From<&stab_sim::Estimate> for EstimateRecord {
 }
 
 /// Wall-clock milliseconds per stage (`None` = stage not requested).
+///
+/// Stages may overlap: the Monte-Carlo batch can run on its own thread
+/// beside stages 0–4 (see `Study::run`), so `total` can be below the sum
+/// of the stages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timings {
     /// Planning (estimation + gate consultations).
@@ -335,7 +339,8 @@ pub struct Timings {
     pub chain_build: Option<f64>,
     /// Hitting-time / absorption solves (and the CDF evolution).
     pub expected_solve: Option<f64>,
-    /// Monte-Carlo batch.
+    /// Monte-Carlo batch (sampler set-up included), measured on the
+    /// thread that ran it.
     pub monte_carlo: Option<f64>,
     /// End-to-end `run()`.
     pub total: f64,

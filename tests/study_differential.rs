@@ -6,19 +6,23 @@
 //! across the algorithm zoo under every daemon. Every report is also
 //! pushed through its JSON serialization and back.
 
-use weak_stabilization::study::{ExpectedSection, McConfig, Study, StudyReport};
+use weak_stabilization::study::{
+    EstimateRecord, ExpectedSection, McConfig, McSection, Study, StudyReport,
+};
 
 use stab_algorithms::{
     DijkstraRing, GreedyColoring, HermanRing, TokenCirculation, TwoProcessToggle,
 };
 use stab_checker::{analyze, StabilizationReport, Verdict};
-use stab_core::engine::ExploreOptions;
+use stab_core::engine::{parallel, ExploreOptions, FaultPlan, Quotient};
 use stab_core::{
-    Algorithm, DaemonSpec, Fairness, FairnessSet, Legitimacy, ProjectedLegitimacy, Transformed,
+    Algorithm, CoreError, DaemonSpec, Fairness, FairnessSet, Legitimacy, ProjectedLegitimacy,
+    SpaceIndexer, Transformed,
 };
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
-use stab_sim::montecarlo::{estimate, BatchSettings};
+use stab_sim::init;
+use stab_sim::montecarlo::{estimate, estimate_with, BatchSettings};
 
 const CAP: u64 = 1 << 22;
 const CDF_HORIZON: usize = 60;
@@ -307,4 +311,125 @@ fn parse_rejects_zero_k_central_daemon() {
     assert_ne!(zero_k, text, "the central daemon serializes `k`");
     let err = StudyReport::from_json_str(&zero_k).unwrap_err();
     assert!(err.contains("`k`"), "{err}");
+}
+
+/// Pins the premise of the overlap tests: on a host with two or more
+/// CPUs, a study of `alg` forks and runs its Monte-Carlo batch beside
+/// plan, explore, verdicts, chain and solve (Herman N=13 has 8,192
+/// configurations, two 4,096-id chunks).
+fn assert_study_forks<A: Algorithm>(alg: &A) {
+    let total = SpaceIndexer::new(alg, CAP).unwrap().total();
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        parallel::thread_count(total) > 1,
+        cpus > 1,
+        "{}: {total} configurations",
+        alg.name()
+    );
+}
+
+/// The overlapped batch is the batch `estimate_with` runs alone: same
+/// draws, same section, bit for bit, beside a full exact pipeline.
+#[test]
+fn overlapped_monte_carlo_stage_is_the_solo_batch_bit_for_bit() {
+    let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
+    let spec = alg.legitimacy();
+    let config = McConfig {
+        runs: 300,
+        max_steps: 100_000,
+        seed: 0x5EED,
+        threads: 2,
+    };
+    assert_study_forks(&alg);
+    let report = Study::of(&alg)
+        .daemon(DaemonSpec::synchronous())
+        .spec(&spec)
+        .verdicts(FairnessSet::ALL)
+        .expected_times()
+        .monte_carlo(config.clone())
+        .run()
+        .unwrap();
+    assert!(matches!(
+        report.expected_times,
+        Some(ExpectedSection::Solved(_))
+    ));
+    assert!(report.verdicts.is_some());
+
+    let solo = estimate_with(
+        &alg,
+        DaemonSpec::synchronous(),
+        &spec,
+        &config,
+        init::uniform(&alg),
+    )
+    .expect("herman converges");
+    let expected = McSection {
+        runs: solo.runs,
+        failures: solo.failures,
+        seed: config.seed,
+        max_steps: config.max_steps,
+        steps: EstimateRecord::from(&solo.steps),
+        moves: EstimateRecord::from(&solo.moves),
+        rounds: EstimateRecord::from(&solo.rounds),
+    };
+    let mc = report.monte_carlo.as_ref().expect("mc stage ran");
+    assert_eq!(mc, &expected);
+    for (a, b, what) in [
+        (&mc.steps, &expected.steps, "steps"),
+        (&mc.moves, &expected.moves, "moves"),
+        (&mc.rounds, &expected.rounds, "rounds"),
+    ] {
+        assert_bits_equal(a.mean, b.mean, what);
+        assert_bits_equal(a.std_dev, b.std_dev, what);
+    }
+    let t = &report.timings_ms;
+    assert!(t.monte_carlo.is_some_and(|ms| ms <= t.total), "{t:?}");
+}
+
+/// An error of the exact pipeline still reaches the caller when the batch
+/// ran beside it: an injected kill and a forced unsupported quotient
+/// each return their `CoreError` once the batch has joined.
+#[test]
+fn exact_stage_errors_survive_the_overlapped_batch() {
+    let config = McConfig {
+        runs: 64,
+        max_steps: 100_000,
+        seed: 3,
+        threads: 1,
+    };
+    let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
+    let spec = alg.legitimacy();
+    assert_study_forks(&alg);
+    let dir = std::env::temp_dir().join(format!("study-overlap-kill-{}", std::process::id()));
+    let killed = Study::of(&alg)
+        .daemon(DaemonSpec::synchronous())
+        .spec(&spec)
+        .expected_times()
+        .monte_carlo(config.clone())
+        .checkpoint(&dir, 64)
+        .faults(FaultPlan::none().with_kill_after_frames(2))
+        .run();
+    let _ = std::fs::remove_dir_all(&dir);
+    match killed {
+        Err(CoreError::Interrupted { after_frames }) => assert_eq!(after_frames, 2),
+        other => panic!("expected an injected kill, got {other:?}"),
+    }
+
+    // Dijkstra's K-state ring has a distinguished process, so ring
+    // rotations are no symmetry of it; ring(6) has 6^6 = 46,656
+    // configurations, enough to fork.
+    let alg = DijkstraRing::on_ring(&builders::ring(6)).unwrap();
+    let spec = alg.legitimacy();
+    assert_study_forks(&alg);
+    let rejected = Study::of(&alg)
+        .daemon(DaemonSpec::central())
+        .spec(&spec)
+        .verdicts(FairnessSet::ALL)
+        .monte_carlo(config)
+        .options(ExploreOptions::full().with_quotient(Quotient::RingRotation))
+        .run();
+    match rejected {
+        Err(CoreError::QuotientUnsupported { .. }) => {}
+        other => panic!("expected a rejected quotient, got {other:?}"),
+    }
 }
