@@ -60,13 +60,14 @@ pub fn try_id(index: usize, what: &'static str) -> Result<u32, CoreError> {
 /// a single compare — cheap enough for hot loops — and turns silent
 /// wrapping into a loud, named failure.
 #[inline]
-/// [`id_u32`] for `u64` values (full-space indices, delta cursors).
-pub fn id_u32_wide(value: u64, invariant: &'static str) -> u32 {
-    u32::try_from(value).unwrap_or_else(|_| panic!("{invariant}: {value} exceeds u32"))
-}
-
 pub fn id_u32(index: usize, invariant: &'static str) -> u32 {
     u32::try_from(index).unwrap_or_else(|_| panic!("{invariant}: {index} exceeds u32"))
+}
+
+/// [`id_u32`] for `u64` values (full-space indices, delta cursors).
+#[inline]
+pub fn id_u32_wide(value: u64, invariant: &'static str) -> u32 {
+    u32::try_from(value).unwrap_or_else(|_| panic!("{invariant}: {value} exceeds u32"))
 }
 
 /// Narrows a delta-stream cursor's running `i64` target back to the

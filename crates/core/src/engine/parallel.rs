@@ -6,7 +6,8 @@
 //! small equivalent). Results are merged **in chunk order**, so the
 //! assembled transition system is bit-for-bit identical regardless of
 //! thread count or interleaving. [`map_ranges`] is the same fan-out over
-//! caller-chosen ranges (the Monte-Carlo batch's run slices).
+//! caller-chosen ranges (the Monte-Carlo batch's [`partition`] of its
+//! runs).
 //!
 //! [`join`] runs two independent closures under the same fork rule: the
 //! second beside the first on a scoped thread when `total` ids would
@@ -24,12 +25,15 @@ use std::panic::{self, AssertUnwindSafe};
 /// whole range runs on the calling thread.
 const MIN_CHUNK: u64 = 4096;
 
-/// Splits `0..total` into at most `parts` contiguous near-equal ranges.
+/// Splits `0..total` into at most `parts` contiguous ranges of
+/// `total.div_ceil(parts)` ids each (the last may be shorter): the
+/// exploration's chunks and the Monte-Carlo batch's run slices.
 pub fn partition(total: u64, parts: usize) -> Vec<Range<u64>> {
-    let parts = (parts as u64).clamp(1, total.max(1));
+    let parts = parts.max(1) as u64;
+    let chunk = total.div_ceil(parts);
     (0..parts)
-        .map(|i| (total * i / parts)..(total * (i + 1) / parts))
-        .filter(|r| !r.is_empty())
+        .map(|i| i * chunk..((i + 1) * chunk).min(total))
+        .take_while(|r| !r.is_empty())
         .collect()
 }
 
@@ -82,8 +86,7 @@ pub fn join<RA, RB: Send>(
     second: impl FnOnce() -> RB + Send,
 ) -> (RA, RB) {
     if thread_count(total) <= 1 {
-        let ra = first();
-        return (ra, second());
+        return (first(), second());
     }
     std::thread::scope(|scope| {
         let handle = scope.spawn(second);
@@ -103,8 +106,9 @@ mod tests {
     #[test]
     fn partition_covers_range_without_overlap() {
         for total in [0u64, 1, 7, 100, 4097] {
-            for parts in [1usize, 2, 3, 8] {
+            for parts in [0usize, 1, 2, 3, 8] {
                 let chunks = partition(total, parts);
+                assert!(chunks.len() <= parts.max(1));
                 let mut expect = 0;
                 for c in &chunks {
                     assert_eq!(c.start, expect);

@@ -13,7 +13,9 @@
 //! pointers, `unsafe impl Sync` wrappers, a channel-based rewrite).
 //!
 //! For every `map_chunks` / `map_ranges` call site in the workspace, and
-//! every `parallel::join` call, the pass locates each worker argument
+//! every `parallel::join` call (also a bare `join(…)`, or a call of its
+//! alias, in a file whose `use` items import it), the pass locates each
+//! worker argument
 //! (the second; for `join` the second and the third) — a closure
 //! literal, or an identifier resolved to a `let NAME = |…|` closure
 //! binding or a local `fn` item in the same file — and audits its body:
@@ -47,7 +49,8 @@ pub const CAPTURE_OK: &str = "lint: capture-ok(";
 
 /// The fork-join entry points and the argument positions of their
 /// workers. `join` is common as a method (`handle.join()`,
-/// `path.join(…)`), so it is only matched as `parallel::join`.
+/// `path.join(…)`), so it is only matched as `parallel::join`, or bare
+/// under the name a `use` item binds `parallel::join` to.
 const FORK_JOINS: &[(&str, &[usize])] = &[
     ("map_chunks", &[1]),
     ("map_ranges", &[1]),
@@ -97,20 +100,24 @@ pub fn audit(
     statics: &BTreeSet<String>,
 ) -> Vec<Diagnostic> {
     let toks = &file.lexed.tokens;
+    let imported = imported_join(toks);
     let mut out = Vec::new();
     for i in 0..toks.len() {
         if toks[i].kind != TokenKind::Ident {
             continue;
         }
-        let Some(&(callee, args)) = FORK_JOINS.iter().find(|(name, _)| *name == toks[i].text)
-        else {
+        // A bare call of the imported name: not a method, path or item.
+        let bare = imported == Some(toks[i].text.as_str())
+            && !(i > 0 && matches!(toks[i - 1].text.as_str(), "." | ":" | "fn"));
+        let name = if bare { "join" } else { toks[i].text.as_str() };
+        let Some(&(callee, args)) = FORK_JOINS.iter().find(|(n, _)| *n == name) else {
             continue;
         };
         let qualified = i >= 3
             && toks[i - 3].text == "parallel"
             && toks[i - 2].text == ":"
             && toks[i - 1].text == ":";
-        if (callee == "join" && !qualified) || resolved.in_test_tokens(file_idx, i) {
+        if (callee == "join" && !qualified && !bare) || resolved.in_test_tokens(file_idx, i) {
             continue;
         }
         // The call's argument list: skip an optional turbofish, then `(`.
@@ -126,6 +133,35 @@ pub fn audit(
         }
     }
     out
+}
+
+/// The name a `use` item of the file binds `parallel::join` to: `join`
+/// itself (also through a `parallel::*` glob) or its `as` alias.
+fn imported_join(toks: &[Token]) -> Option<&str> {
+    let mut i = 0;
+    while i < toks.len() {
+        if toks[i].kind == TokenKind::Ident && toks[i].text == "use" {
+            let end = (i..toks.len())
+                .find(|&j| toks[j].text == ";")
+                .unwrap_or(toks.len());
+            let item = &toks[i..end];
+            if let Some(p) = item.iter().position(|t| t.text == "parallel") {
+                for (k, t) in item.iter().enumerate().skip(p + 1) {
+                    match t.text.as_str() {
+                        "*" if k == p + 3 => return Some("join"),
+                        "join" => {
+                            let alias = item.get(k + 1).filter(|t| t.text == "as");
+                            return Some(alias.and(item.get(k + 2)).map_or("join", |t| &t.text));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            i = end;
+        }
+        i += 1;
+    }
+    None
 }
 
 /// Resolves the index of the argument-list `(` after an optional
@@ -663,6 +699,27 @@ mod tests {
              let _ = handle.join(|| { n += 1; }, || { n = 2; });\n\
              let _ = (x, y);\n}\n");
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn imported_join_is_audited_bare_and_under_its_alias() {
+        let src = |import: &str, call: &str| {
+            format!(
+                "use stab_core::engine::parallel::{import};\n\
+                 fn go(total: u64) {{\n\
+                 let mut x = 0u64;\n\
+                 let _ = {call}(total, || {{ x += 1; }}, || total);\n\
+                 let _ = handle.join();\n}}\n"
+            )
+        };
+        for (import, call) in [("join", "join"), ("{self, join}", "join"), ("*", "join")] {
+            let d = run(&src(import, call));
+            assert_eq!(d.len(), 1, "{import}: {d:?}");
+            assert!(d[0].message.contains("captured `x`"), "{}", d[0].message);
+        }
+        assert_eq!(run(&src("join as fork", "fork")).len(), 1);
+        // Without the import a bare `join` is someone else's.
+        assert!(run(&src("map_chunks", "join")).is_empty());
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn capture_bad_yields_exactly_one_capture_diagnostic_per_call() {
     let resolved = resolve::resolve(&files);
     let statics = captures::static_mut_names(&files);
     let d = captures::audit(&files[0], &resolved, 0, &statics);
-    assert_eq!(d.len(), 2, "{d:?}");
+    assert_eq!(d.len(), 3, "{d:?}");
     assert!(d.iter().all(|d| d.pass == PassId::Capture), "{d:?}");
     assert!(d[0].message.contains("borrow_mut"), "{}", d[0].message);
     assert!(
@@ -152,6 +152,12 @@ fn capture_bad_yields_exactly_one_capture_diagnostic_per_call() {
             .contains("`join` worker assigns captured `seen`"),
         "{}",
         d[1].message
+    );
+    assert!(
+        d[2].message
+            .contains("`join` worker assigns captured `runs`"),
+        "{}",
+        d[2].message
     );
 }
 

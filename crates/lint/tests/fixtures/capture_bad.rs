@@ -1,7 +1,8 @@
 // Bad: each fork-join call shares mutable state across its join
 // boundary — the capture pass must emit exactly one diagnostic per call:
-// a `map_chunks` worker smuggling a RefCell, and a `join` arm assigning
-// a binding of its caller.
+// a `map_chunks` worker smuggling a RefCell, a `join` arm assigning a
+// binding of its caller, and a bare imported `join` arm doing the same.
+use stab_core::engine::parallel::join;
 use std::cell::RefCell;
 
 pub fn tally(total: u64) -> u64 {
@@ -19,4 +20,10 @@ pub fn overlap(total: u64) -> u64 {
     let (a, b) = parallel::join(total, || total + 1, || seen = total);
     let _ = (a, b);
     seen
+}
+
+pub fn overlap_imported(total: u64) -> u64 {
+    let mut runs = 0u64;
+    let (a, _) = join(total, || total, || runs += 1);
+    a + runs
 }

@@ -1,6 +1,8 @@
 // Good: workers only read shared state and keep their mutation local;
 // per-chunk results are merged after the join. Mirrors the engine's
 // real `map_chunks` call sites, including a let-bound worker.
+use stab_core::engine::parallel::join;
+
 pub fn sum(total: u64, data: &[u64]) -> u64 {
     let chunks = parallel::map_chunks(total, |range: std::ops::Range<u64>| {
         let mut local = 0u64;
@@ -40,4 +42,9 @@ pub fn sum_and_max(total: u64, data: &[u64]) -> (u64, u64) {
     );
     let _ = std::path::Path::new("a").join("b");
     (sum, max)
+}
+
+// A bare imported `join` is audited too; these arms return results.
+pub fn len_and_max(total: u64, data: &[u64]) -> (usize, u64) {
+    join(total, || data.len(), || data.iter().copied().max().unwrap_or(0))
 }

@@ -87,6 +87,28 @@ where
     }
 }
 
+/// Samples uniformly but rejects configurations accepted by `reject`
+/// (e.g. already-legitimate ones, for conditional estimates). Gives up and
+/// returns the last sample after 10 000 rejections.
+pub fn uniform_random_where<A, R>(
+    alg: &A,
+    rng: &mut R,
+    mut reject: impl FnMut(&Configuration<A::State>) -> bool,
+) -> Configuration<A::State>
+where
+    A: Algorithm,
+    R: Rng + ?Sized,
+{
+    let mut cfg = uniform_random(alg, rng);
+    for _ in 0..10_000 {
+        if !reject(&cfg) {
+            break;
+        }
+        cfg = uniform_random(alg, rng);
+    }
+    cfg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +158,17 @@ mod tests {
             seen.insert(cfg);
         }
         assert_eq!(seen.len(), 2, "both seeds get drawn");
+    }
+
+    #[test]
+    fn rejection_sampler_avoids_rejected_set() {
+        let a = TokenCirculation::on_ring(&builders::ring(4)).unwrap();
+        let spec = a.legitimacy();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        use stab_core::Legitimacy;
+        for _ in 0..50 {
+            let cfg = uniform_random_where(&a, &mut rng, |c| spec.is_legitimate(c));
+            assert!(!spec.is_legitimate(&cfg));
+        }
     }
 }

@@ -59,7 +59,8 @@ pub struct BatchResult {
 /// Parallel and deterministic: run `i` always uses the RNG stream
 /// `seed ⊕ i`, whatever the thread count. One worker runs on the calling
 /// thread; more are scoped threads ([`parallel::map_ranges`]), each over
-/// a contiguous slice of runs with its own step buffers.
+/// a contiguous slice of `runs.div_ceil(threads)` runs
+/// ([`parallel::partition`]) with its own step buffers.
 ///
 /// # Panics
 ///
@@ -97,13 +98,8 @@ where
     L: Legitimacy<A::State> + Sync,
     F: Fn(&A, &mut StdRng) -> stab_core::Configuration<A::State> + Sync,
 {
-    let threads = settings.threads.max(1) as u64;
     let max_steps = settings.max_steps;
-    let chunk = settings.runs.div_ceil(threads);
-    let ranges: Vec<_> = (0..threads)
-        .map(|t| t * chunk..((t + 1) * chunk).min(settings.runs))
-        .take_while(|r| !r.is_empty())
-        .collect();
+    let ranges = parallel::partition(settings.runs, settings.threads);
     // Runs one range on one kernel, whose step buffers serve every run;
     // returns the (steps, moves, rounds) accumulators and the failures.
     let partials = parallel::map_ranges(ranges, |runs| {

@@ -66,8 +66,12 @@
 //!    configurations on a host with two or more CPUs). Otherwise it runs
 //!    last on the calling thread. Draws do not depend on the thread
 //!    (run `i` uses the RNG stream `seed ⊕ i`), so the report is the same
-//!    either way apart from [`Timings`]; a plan or explore error still
-//!    returns after the batch has joined.
+//!    either way apart from [`Timings`]. A plan or explore error
+//!    discards the batch: a batch that has not started (always, when
+//!    nothing forks) does not run, and an overlapped one runs to its end
+//!    before the error returns. The overlap was measured on one 2-vCPU
+//!    host only (README, "Scaling past full enumeration"); on wider hosts the batch's
+//!    workers and the exploration's share the CPUs.
 //!
 //! The report is versioned (`study_report/v4`) and round-trips through
 //! JSON bit-for-bit, so the bench binaries and CI validate exactly the
@@ -104,6 +108,7 @@ pub use report::{
 };
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use stab_checker::{analyze_space_budgeted, ExploredSpace, Verdict};
@@ -288,6 +293,12 @@ impl<'a, A: Algorithm, Sp> Study<'a, A, Sp> {
     /// A limited budget (like a checkpoint or an active fault plan)
     /// routes exploration through the engine's sequential path, so
     /// budgeted runs trade the parallel sweep for interruptibility.
+    ///
+    /// A wall-time limit counts from the budget's construction and is
+    /// probed only by stages 0–4. When the Monte-Carlo batch overlaps
+    /// them (see the [module docs](self)), its threads compete with those
+    /// stages for the CPUs, so a deadline met by the sequential order can
+    /// degrade an exact stage.
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
@@ -355,6 +366,11 @@ where
     /// A Monte-Carlo request with zero runs, or whose runs all miss the
     /// legitimate set within `max_steps`, records [`Outcome::Degraded`]
     /// for that stage and no Monte-Carlo section.
+    ///
+    /// The batch overlaps stages 0–4 when the exploration forks (module
+    /// docs, step 4). An error from stages 0–4 then returns only after the
+    /// running batch ends, and a [`Study::budget`] wall-time limit shares
+    /// the CPUs with the batch's threads.
     pub fn run(&self) -> Result<StudyReport, CoreError> {
         let total_start = Instant::now();
         let ix = SpaceIndexer::new(self.alg, self.cap)?;
@@ -364,11 +380,18 @@ where
         let mc = self.monte_carlo.as_ref().filter(|c| c.runs > 0);
         let fork_total = if mc.is_some() { ix.total() } else { 0 };
         let (alg, daemon, spec) = (self.alg, self.daemon, self.spec);
+        // Set when stages 0–4 fail: their error discards the batch, so a
+        // batch that has not started yet (always, when nothing forks) is
+        // not run at all.
+        let failed = AtomicBool::new(false);
         let (report, (monte_carlo, monte_carlo_ms)) = parallel::join(
             fork_total,
-            || self.exact_stages(ix),
             || {
-                let Some(config) = mc else {
+                self.exact_stages(ix)
+                    .inspect_err(|_| failed.store(true, Ordering::Relaxed))
+            },
+            || {
+                let Some(config) = mc.filter(|_| !failed.load(Ordering::Relaxed)) else {
                     return (None, None);
                 };
                 let start = Instant::now();
@@ -388,13 +411,11 @@ where
         let mut report = report?;
         report.status.monte_carlo = match (&self.monte_carlo, &monte_carlo) {
             (_, Some(_)) => Outcome::Complete,
-            (Some(c), None) => Outcome::Degraded {
-                reason: if c.runs == 0 {
-                    "zero Monte-Carlo runs requested".to_string()
-                } else {
-                    format!("no Monte-Carlo run converged within {} steps", c.max_steps)
-                },
-            },
+            (Some(c), None) if c.runs == 0 => Outcome::degraded("zero Monte-Carlo runs requested"),
+            (Some(c), None) => Outcome::degraded(format!(
+                "no Monte-Carlo run converged within {} steps",
+                c.max_steps
+            )),
             (None, None) => Outcome::Skipped,
         };
         report.monte_carlo = monte_carlo;
@@ -408,22 +429,15 @@ where
     fn exact_stages(&self, ix: SpaceIndexer<A::State>) -> Result<StudyReport, CoreError> {
         // ---- Stage 0: plan -------------------------------------------
         let plan_start = Instant::now();
-        let req = match &self.options {
-            None => self.plan_req.clone(),
+        let mut req = self.plan_req.clone();
+        if let Some(o) = &self.options {
             // Explicit options: the planner still estimates (the report
             // should say what the run was up against), but every choice
             // is forced from the supplied options.
-            Some(o) => self
-                .plan_req
-                .clone()
-                .with_quotient(o.quotient)
-                .with_edge_store(o.edge_store),
-        };
+            req = req.with_quotient(o.quotient).with_edge_store(o.edge_store);
+        }
         let plan = Plan::compute(self.alg, &ix, self.daemon, self.spec, &req)?;
-        let opts = match &self.options {
-            Some(o) => o.clone(),
-            None => plan.options(),
-        };
+        let opts = self.options.clone().unwrap_or_else(|| plan.options());
         let mut decisions: Vec<DecisionRecord> = plan
             .decisions
             .iter()
@@ -474,14 +488,9 @@ where
             None => opts,
         };
         let explore_start = Instant::now();
-        let explored = match TransitionSystem::explore_guarded(
-            self.alg,
-            &ix,
-            self.daemon,
-            self.spec,
-            &opts,
-            &guard,
-        ) {
+        let explored =
+            TransitionSystem::explore_guarded(self.alg, &ix, self.daemon, self.spec, &opts, &guard);
+        let explored = match explored {
             Ok(ts) => Ok(ts),
             Err(e @ CoreError::BudgetExhausted { .. }) => Err(e.to_string()),
             Err(e) => return Err(e),
@@ -502,12 +511,7 @@ where
                 }),
                 Outcome::Complete,
             ),
-            Err(reason) => (
-                None,
-                Outcome::Degraded {
-                    reason: reason.clone(),
-                },
-            ),
+            Err(reason) => (None, Outcome::degraded(reason)),
         };
 
         let mut chain_build_ms = None;
@@ -559,9 +563,7 @@ where
                         verdicts_outcome = Outcome::Complete;
                     }
                     Err(e @ CoreError::BudgetExhausted { .. }) => {
-                        verdicts_outcome = Outcome::Degraded {
-                            reason: e.to_string(),
-                        };
+                        verdicts_outcome = Outcome::degraded(e);
                     }
                     Err(e) => return Err(e),
                 }
@@ -587,9 +589,7 @@ where
                         expected_outcome = Outcome::Complete;
                     }
                     Err(MarkovError::Core(e @ CoreError::BudgetExhausted { .. })) => {
-                        expected_outcome = Outcome::Degraded {
-                            reason: e.to_string(),
-                        };
+                        expected_outcome = Outcome::degraded(e);
                     }
                     Err(e) => {
                         // "No finite expected time" is itself a result.

@@ -46,6 +46,12 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// A degraded stage, for `reason`.
+    pub(crate) fn degraded(reason: impl ToString) -> Self {
+        let reason = reason.to_string();
+        Outcome::Degraded { reason }
+    }
+
     /// Whether this stage degraded.
     pub fn is_degraded(&self) -> bool {
         matches!(self, Outcome::Degraded { .. })
@@ -69,9 +75,7 @@ impl Outcome {
         }
         v.get("degraded")
             .and_then(Json::as_str)
-            .map(|reason| Outcome::Degraded {
-                reason: reason.to_string(),
-            })
+            .map(Outcome::degraded)
             .ok_or_else(|| "stage outcome is not `complete`/`skipped`/{degraded}".to_string())
     }
 }

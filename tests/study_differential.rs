@@ -16,13 +16,14 @@ use stab_algorithms::{
 use stab_checker::{analyze, StabilizationReport, Verdict};
 use stab_core::engine::{parallel, ExploreOptions, FaultPlan, Quotient};
 use stab_core::{
-    Algorithm, CoreError, DaemonSpec, Fairness, FairnessSet, Legitimacy, ProjectedLegitimacy,
-    SpaceIndexer, Transformed,
+    Algorithm, Configuration, CoreError, DaemonSpec, Fairness, FairnessSet, Legitimacy, Predicate,
+    ProjectedLegitimacy, SpaceIndexer, Transformed,
 };
 use stab_graph::builders;
 use stab_markov::AbsorbingChain;
 use stab_sim::init;
 use stab_sim::montecarlo::{estimate, estimate_with, BatchSettings};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const CAP: u64 = 1 << 22;
 const CDF_HORIZON: usize = 60;
@@ -432,4 +433,46 @@ fn exact_stage_errors_survive_the_overlapped_batch() {
         Err(CoreError::QuotientUnsupported { .. }) => {}
         other => panic!("expected a rejected quotient, got {other:?}"),
     }
+
+    // Below the fork rule the batch would run after the failed exact
+    // stages; it does not run at all. Herman ring(11) has 2,048
+    // configurations. Every Monte-Carlo run checks legitimacy at least
+    // once, so a batch would add at least `runs` checks.
+    let alg = HermanRing::on_ring(&builders::ring(11)).unwrap();
+    let total = SpaceIndexer::new(&alg, CAP).unwrap().total();
+    assert_eq!(parallel::thread_count(total), 1);
+    let herman = alg.legitimacy();
+    let checks = AtomicU64::new(0);
+    let spec = Predicate::new("counted", |c: &Configuration<_>| {
+        checks.fetch_add(1, Ordering::Relaxed);
+        herman.is_legitimate(c)
+    });
+    let big = McConfig {
+        runs: 10_000,
+        ..McConfig::default()
+    };
+    let mut counts = Vec::new();
+    for batch in [None, Some(big)] {
+        let dir = std::env::temp_dir().join(format!("study-serial-kill-{}", std::process::id()));
+        checks.store(0, Ordering::Relaxed);
+        let mut study = Study::of(&alg)
+            .daemon(DaemonSpec::synchronous())
+            .spec(&spec)
+            .checkpoint(&dir, 64)
+            .faults(FaultPlan::none().with_kill_after_frames(2));
+        if let Some(config) = batch {
+            study = study.monte_carlo(config);
+        }
+        let killed = study.run();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            matches!(killed, Err(CoreError::Interrupted { after_frames: 2 })),
+            "expected an injected kill, got {killed:?}"
+        );
+        counts.push(checks.load(Ordering::Relaxed));
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "legitimacy checks without, with a batch"
+    );
 }
