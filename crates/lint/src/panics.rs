@@ -146,7 +146,6 @@ pub fn default_roots(resolved: &Resolved) -> Vec<usize> {
     ];
     const FREE_ROOTS: &[&str] = &[
         "gauss_seidel",
-        "gauss_seidel_budgeted",
         "gauss_seidel_multi",
         "solve_dense",
         "solve_dense_multi",

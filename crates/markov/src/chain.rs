@@ -9,7 +9,9 @@
 //! through the exploration's own id map (`ExploredIds`, which shares the
 //! intern table rather than copying it), and the almost-sure-absorption
 //! check is one sinks-first pass over `Q`'s strongly connected blocks,
-//! by the same rule the checker uses for reach-to-`L`.
+//! by the same rule the checker uses for reach-to-`L`. The chain walks
+//! `Q` for those blocks once and keeps them: they are also the
+//! Gauss–Seidel solver's block order.
 //!
 //! [`AbsorbingChain::build_with`] accepts the engine's exploration options:
 //! over a **symmetry quotient** (ring rotations, ring dihedral, or leaf
@@ -69,10 +71,12 @@ pub struct AbsorbingChain<S> {
     /// Expected number of process activations in one step from each
     /// transient state (the *moves* reward of the quantitative study).
     step_moves: Vec<f64>,
-    /// Whether every transient state reaches absorption with probability 1:
-    /// `Ok(())` or the first offending transient index. Computed lazily on
-    /// the first [`AbsorbingChain::almost_surely_absorbing`] call.
-    absorbing: OnceLock<Result<(), u32>>,
+    /// `Q`'s strongly connected blocks from its one walk, and whether every
+    /// transient state reaches absorption with probability 1: `Ok(())` or
+    /// the first offending transient index. Computed lazily on the first
+    /// [`AbsorbingChain::almost_surely_absorbing`] call or Gauss–Seidel
+    /// solve, whichever comes first; the other reuses it.
+    absorbing: OnceLock<(linalg::Blocks, Result<(), u32>)>,
 }
 
 impl<S: LocalState> AbsorbingChain<S> {
@@ -320,39 +324,45 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// finite expected hitting times. Computed once, lazily; builds that
     /// never ask never pay for it.
     ///
-    /// One pass over `Q`'s strongly connected blocks, sinks first (the
-    /// solver's block order), by the rule the checker's verdict stage
-    /// uses for reach-to-`L`
+    /// One pass over `Q`'s strongly connected blocks, sinks first, by the
+    /// rule the checker's verdict stage uses for reach-to-`L`
     /// ([`Components::mark_reaching`](stab_core::engine::Components::mark_reaching)):
     /// a block reaches absorption iff one of its rows absorbs or steps
     /// into a block already known to. The absorbing state is node `n`,
     /// marked from the start, and a row with absorbing mass steps into
-    /// it. No tier materialises the reverse of `Q`; the state is O(n)
-    /// `u32`s and one bitset.
+    /// it. These components are the Gauss–Seidel solver's block order:
+    /// the chain walks `Q` once for both. No tier materialises the reverse
+    /// of `Q`; the state is O(n) `u32`s and one bitset.
     pub fn almost_surely_absorbing(&self) -> Result<(), MarkovError> {
-        let outcome = self.absorbing.get_or_init(|| {
+        match self.decomposition().1 {
+            Ok(()) => Ok(()),
+            Err(t) => Err(MarkovError::NotAbsorbing {
+                config: self.render(t as usize),
+            }),
+        }
+    }
+
+    /// The chain's one walk of `Q` (the Gauss–Seidel block order) and the
+    /// absorption check read off it.
+    pub(crate) fn decomposition(&self) -> &(linalg::Blocks, Result<(), u32>) {
+        self.absorbing.get_or_init(|| {
             let n = self.n_transient();
             let successors = |i: u32| self.q.row_iter(i as usize).map(|(j, _)| j);
             let blocks = linalg::blocks(n, successors);
             let mut can = BitSet::new(n + 1);
             can.insert(n);
             let absorbed = ids::id_u32(n, "transient ids fit u32");
-            blocks.mark_reaching(
+            blocks.0.mark_reaching(
                 |i| successors(i).chain((self.absorb[i as usize] > 0.0).then_some(absorbed)),
                 &mut can,
             );
-            match (0..n).find(|&i| !can.get(i)) {
+            let outcome = match (0..n).find(|&i| !can.get(i)) {
                 None => Ok(()),
                 // lint: cast-ok(row indices are bounded by the u32 id width)
                 Some(t) => Err(t as u32),
-            }
-        });
-        match *outcome {
-            Ok(()) => Ok(()),
-            Err(t) => Err(MarkovError::NotAbsorbing {
-                config: self.render(t as usize),
-            }),
-        }
+            };
+            (blocks, outcome)
+        })
     }
 }
 

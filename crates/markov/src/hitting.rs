@@ -8,8 +8,15 @@
 //! own tolerance, so the fused expected-times-and-absorption solve is bit
 //! identical to the two solo solves, and a chain whose transient states
 //! form one block iterates exactly as a whole-chain sweep would.
+//!
+//! The blocks come from the chain's one walk of `Q`, the walk that also
+//! decided [`AbsorbingChain::almost_surely_absorbing`], so a solve walks
+//! `Q` only if no absorption check ran before it. Each block is decoded
+//! once into the solver's flat scratch while that fits the engine's
+//! byte budget (`DEFAULT_BYTE_BUDGET`), and swept from the store
+//! otherwise (see [`linalg`]).
 
-use stab_core::engine::Budget;
+use stab_core::engine::{Budget, DEFAULT_BYTE_BUDGET};
 use stab_core::{Configuration, LocalState};
 
 use crate::chain::AbsorbingChain;
@@ -90,17 +97,19 @@ impl HittingTimes {
 }
 
 /// Solves `(I − Q) x = b` for every side in `bs` on one concrete `Q` tier:
-/// dense Gaussian elimination up to [`DENSE_LIMIT`] rows, budget-probed
-/// block-ordered Gauss–Seidel above it.
+/// block-ordered Gauss–Seidel over the chain's `blocks` when given (above
+/// [`DENSE_LIMIT`] rows), dense Gaussian elimination otherwise.
 fn solve_on<M: QRows, const K: usize>(
     q: &M,
+    blocks: Option<&linalg::Blocks>,
     bs: [&[f64]; K],
     budget: &Budget,
 ) -> Result<[Vec<f64>; K], MarkovError> {
-    let n = q.n_rows();
-    if n > DENSE_LIMIT {
-        return linalg::gauss_seidel_multi(q, bs, TOL, 1_000_000, budget);
+    if let Some(blocks) = blocks {
+        let bound = DEFAULT_BYTE_BUDGET;
+        return linalg::gauss_seidel_blocks(q, blocks, bs, TOL, 1_000_000, budget, bound);
     }
+    let n = q.n_rows();
     let mut a = vec![vec![0.0; n]; n];
     for (i, row) in a.iter_mut().enumerate() {
         row[i] = 1.0;
@@ -127,9 +136,10 @@ impl<S: LocalState> AbsorbingChain<S> {
             return Ok(std::array::from_fn(|_| Vec::new()));
         }
         budget.probe("solver", 0, 0)?;
+        let blocks = (self.n_transient() > DENSE_LIMIT).then(|| &self.decomposition().0);
         match self.q() {
-            QStorage::Flat(q) => solve_on(q, bs, budget),
-            QStorage::Stream(q) => solve_on(q, bs, budget),
+            QStorage::Flat(q) => solve_on(q, blocks, bs, budget),
+            QStorage::Stream(q) => solve_on(q, blocks, bs, budget),
         }
     }
 

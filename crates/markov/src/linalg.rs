@@ -21,19 +21,32 @@
 //! sweeps) to 5.4 M, the Tarjan walk included. A chain whose transient
 //! rows form one block runs the plain whole-chain iteration, bit for bit.
 //!
-//! The sparse solver is generic over [`QRows`], so it runs unchanged over
-//! the flat [`QMatrix`](crate::QMatrix) and over the delta stream that
-//! holds the compressed and disk tiers
+//! The sparse solver is generic over [`QRows`], so it runs unchanged
+//! over the flat [`QMatrix`](crate::QMatrix) and over the delta stream
+//! that holds the compressed and disk tiers
 //! ([`DeltaStream`](stab_core::engine::DeltaStream), resident or
-//! spilled). The block order costs one extra decode of `Q` (the
-//! Tarjan walk) and O(n) `u32`s; each sweep then decodes its block's rows
-//! once, for all right-hand sides together — on the compressed and disk
-//! tiers that decode is most of a sweep's cost, paid for the memory that
-//! lets 10⁸-entry chains fit.
+//! spilled). The block order costs one decode of `Q` (the Tarjan walk,
+//! which also counts each block's stored entries) and O(n) `u32`s. A
+//! chain walks its `Q` once: the same blocks decide its almost-sure
+//! absorption check and order its solves.
+//!
+//! Each block of more than one row is then decoded once into a flat
+//! scratch — `u32` columns, `f64` probabilities, row ends, and the
+//! self-loop mass split off as a diagonal — reused across blocks, and
+//! its sweeps read the scratch: on the compressed and disk tiers, where
+//! the varint decode is most of a sweep's cost, that decode is paid once
+//! per block instead of once per sweep. The scratch obeys the
+//! byte-budget rule the engine's orbit table keeps to: a block whose
+//! scratch would exceed [`DEFAULT_BYTE_BUDGET`] is swept straight from
+//! the store, decoding its rows once per sweep, which is what lets
+//! 10⁸-entry chains fit. A singleton block is swept once, so it is read
+//! from the store too. Both row sources hand a sweep the same entries in
+//! the same order, so the iterates are bit-identical either way.
 
+use std::cell::Cell;
 use std::convert::Infallible;
 
-use stab_core::engine::{Budget, Components};
+use stab_core::engine::{Budget, Components, DEFAULT_BYTE_BUDGET};
 
 use crate::error::MarkovError;
 use crate::qstore::QRows;
@@ -105,7 +118,8 @@ pub fn solve_dense_multi<const K: usize>(
 
 /// Solves `(I − Q) x = b` by Gauss–Seidel iteration, where row `i` of the
 /// CSR matrix `q` holds the sparse entries `(j, Q_ij)` of the
-/// substochastic matrix `Q`.
+/// substochastic matrix `Q` (the one-side case of [`gauss_seidel_multi`],
+/// unbudgeted).
 ///
 /// The iteration `x_i ← b_i + Σ_j Q_ij x_j` converges whenever every state
 /// eventually absorbs (spectral radius of `Q` below 1).
@@ -120,28 +134,14 @@ pub fn gauss_seidel<M: QRows>(
     tol: f64,
     max_iter: usize,
 ) -> Result<Vec<f64>, MarkovError> {
-    gauss_seidel_budgeted(q, b, tol, max_iter, &Budget::unlimited())
-}
-
-/// [`gauss_seidel`] under a cooperative [`Budget`] (the one-side case of
-/// [`gauss_seidel_multi`]).
-///
-/// # Errors
-///
-/// As [`gauss_seidel_multi`].
-pub fn gauss_seidel_budgeted<M: QRows>(
-    q: &M,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    budget: &Budget,
-) -> Result<Vec<f64>, MarkovError> {
-    let [x] = gauss_seidel_multi(q, [b], tol, max_iter, budget)?;
+    let [x] = gauss_seidel_multi(q, [b], tol, max_iter, &Budget::unlimited())?;
     Ok(x)
 }
 
 /// Gauss–Seidel over `K` right-hand sides at once, one strongly
-/// connected block of `q` at a time.
+/// connected block of `q` at a time: one walk of `q` orders the blocks,
+/// and each block is decoded once into a flat scratch when that fits the
+/// byte budget (see the module docs).
 ///
 /// The blocks of `q`'s off-diagonal graph come from the engine's Tarjan
 /// pass ([`tarjan`](stab_core::engine::tarjan)), which emits a block only
@@ -152,7 +152,7 @@ pub fn gauss_seidel_budgeted<M: QRows>(
 /// pass, since its first value is already the fixed point. A chain whose
 /// rows form one block therefore runs the plain whole-chain iteration.
 ///
-/// Every sweep decodes each row of its block once and updates every side
+/// Every sweep reads each row of its block once and updates every side
 /// that is still live in the block. A side freezes in a block once its
 /// own max-update falls below `tol`, so its iterates, sweep counts and
 /// result are bit-identical to a one-side solve.
@@ -161,8 +161,9 @@ pub fn gauss_seidel_budgeted<M: QRows>(
 /// count, so an exhausted wall-clock budget interrupts a slowly
 /// converging iteration with a typed error instead of spinning to
 /// `max_iter`. The probe carries [`QRows::resident_bytes`] — the disk
-/// tier's cache-pressure figure — so a byte budget observes the cache,
-/// not the spilled stream.
+/// tier's cache-pressure figure — plus the block scratch, so a byte
+/// budget observes the cache and the decoded block, not the spilled
+/// stream.
 ///
 /// # Errors
 ///
@@ -183,76 +184,229 @@ pub fn gauss_seidel_multi<M: QRows, const K: usize>(
     max_iter: usize,
     budget: &Budget,
 ) -> Result<[Vec<f64>; K], MarkovError> {
+    let blocks = blocks(q.n_rows(), |i| q.row_iter(i as usize).map(|(j, _)| j));
+    gauss_seidel_blocks(q, &blocks, bs, tol, max_iter, budget, DEFAULT_BYTE_BUDGET)
+}
+
+/// [`gauss_seidel_multi`] over blocks already walked (the chain's one
+/// decomposition of its `Q`, which also decided its absorption check).
+///
+/// A block whose [`scratch_bytes`] fit `bound` is read from `q` once,
+/// into a flat scratch reused across blocks, and its sweeps read the
+/// scratch; any other block is read from `q` on every sweep. Both row
+/// sources hand the sweep the same entries in the same order, so the
+/// iterates are bit-identical either way.
+///
+/// # Errors
+///
+/// As [`gauss_seidel_multi`].
+///
+/// # Panics
+///
+/// As [`gauss_seidel_multi`], and on a block row outside `q`: `blocks`
+/// must come from a walk of `q` ([`blocks`]).
+pub(crate) fn gauss_seidel_blocks<M: QRows, const K: usize>(
+    q: &M,
+    blocks: &Blocks,
+    bs: [&[f64]; K],
+    tol: f64,
+    max_iter: usize,
+    budget: &Budget,
+    bound: u64,
+) -> Result<[Vec<f64>; K], MarkovError> {
     let n = q.n_rows();
     assert!(bs.iter().all(|b| b.len() == n), "dimension mismatch");
     let mut xs = bs.map(<[f64]>::to_vec);
-    let blocks = blocks(n, |i| q.row_iter(i as usize).map(|(j, _)| j));
-    let mut sweep = 0u64;
-    for block in blocks.iter() {
-        let mut live = [true; K];
-        let mut residual = [f64::INFINITY; K];
-        for _ in 0..max_iter {
-            if !live.contains(&true) {
-                break;
-            }
-            budget.probe("solver", q.resident_bytes(), sweep)?;
-            sweep += 1;
-            residual = [0.0; K];
-            for &i in block {
-                let i = i as usize;
-                let mut acc: [f64; K] = std::array::from_fn(|s| bs[s][i]);
-                let mut diag = 0.0;
-                for (j, p) in q.row_iter(i) {
-                    if j as usize == i {
-                        diag += p;
-                    } else {
-                        (0..K).for_each(|s| acc[s] += p * xs[s][j as usize]);
-                    }
-                }
-                // Self-loop mass folds into the diagonal: (1 − Q_ii) x_i = acc.
-                let denom = 1.0 - diag;
-                if denom.abs() < 1e-300 {
-                    // A transient state that never leaves itself: hitting
-                    // times diverge (callers rule this out via absorption
-                    // checks).
-                    return Err(MarkovError::SolverDiverged {
-                        iterations: 0,
-                        residual: f64::INFINITY,
-                    });
-                }
-                for s in (0..K).filter(|&s| live[s]) {
-                    let next = acc[s] / denom;
-                    residual[s] = residual[s].max((next - xs[s][i]).abs());
-                    xs[s][i] = next;
-                }
-            }
-            live = std::array::from_fn(|s| live[s] && residual[s] >= tol && block.len() > 1);
+    let mut scratch = Scratch::default();
+    let (mut held, mut sweep) = (0, 0u64);
+    for (block, &entries) in blocks.0.iter().zip(&blocks.1) {
+        let decoded = scratch_bytes(block.len(), entries, bound);
+        if let Some(bytes) = decoded {
+            held = held.max(bytes);
+            scratch.fill(q, block, entries);
         }
-        if let Some(s) = live.iter().position(|&l| l) {
-            return Err(MarkovError::SolverDiverged {
-                iterations: max_iter,
-                residual: residual[s],
-            });
+        let probe = || {
+            budget.probe("solver", q.resident_bytes() + held, sweep)?;
+            sweep += 1;
+            Ok(())
+        };
+        match decoded {
+            Some(_) => sweep_block(&scratch, block, bs, &mut xs, tol, max_iter, probe)?,
+            None => sweep_block(q, block, bs, &mut xs, tol, max_iter, probe)?,
         }
     }
     Ok(xs)
 }
 
+/// Sweeps one block read from `rows`, rows in ascending index order,
+/// until every side's max-update over it falls below `tol` (one sweep
+/// for a singleton), calling `probe` before each sweep.
+fn sweep_block<R: BlockRows, const K: usize>(
+    rows: &R,
+    block: &[u32],
+    bs: [&[f64]; K],
+    xs: &mut [Vec<f64>; K],
+    tol: f64,
+    max_iter: usize,
+    mut probe: impl FnMut() -> Result<(), MarkovError>,
+) -> Result<(), MarkovError> {
+    let mut live = [true; K];
+    let mut residual = [f64::INFINITY; K];
+    for _ in 0..max_iter {
+        if !live.contains(&true) {
+            break;
+        }
+        probe()?;
+        residual = [0.0; K];
+        for (k, &i) in block.iter().enumerate() {
+            let i = i as usize;
+            let mut acc: [f64; K] = std::array::from_fn(|s| bs[s][i]);
+            let diag = rows.fold_row(k, i, |j, p| {
+                (0..K).for_each(|s| acc[s] += p * xs[s][j as usize]);
+            });
+            // Self-loop mass folds into the diagonal: (1 − Q_ii) x_i = acc.
+            let denom = 1.0 - diag;
+            if denom.abs() < 1e-300 {
+                // A transient state that never leaves itself: hitting
+                // times diverge (callers rule this out via absorption
+                // checks).
+                return Err(MarkovError::SolverDiverged {
+                    iterations: 0,
+                    residual: f64::INFINITY,
+                });
+            }
+            for s in (0..K).filter(|&s| live[s]) {
+                let next = acc[s] / denom;
+                residual[s] = residual[s].max((next - xs[s][i]).abs());
+                xs[s][i] = next;
+            }
+        }
+        live = std::array::from_fn(|s| live[s] && residual[s] >= tol && block.len() > 1);
+    }
+    match live.iter().position(|&l| l) {
+        Some(s) => Err(MarkovError::SolverDiverged {
+            iterations: max_iter,
+            residual: residual[s],
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The scratch bytes of a block of `rows` rows storing `entries` entries
+/// — a `u32` column and an `f64` probability per entry, a `u32` row end
+/// and an `f64` self-loop mass per row — if the block is decoded: a
+/// singleton is swept once, so it never is, and a larger block is while
+/// its scratch fits `bound` (outside the tests [`DEFAULT_BYTE_BUDGET`],
+/// the bound the engine's orbit table keeps to).
+fn scratch_bytes(rows: usize, entries: u64, bound: u64) -> Option<u64> {
+    // lint: cast-ok(usize fits u64 on every supported target)
+    let bytes = entries.saturating_add(rows as u64).saturating_mul(12);
+    (rows > 1 && bytes <= bound).then_some(bytes)
+}
+
+/// A block's rows as a sweep reads them: `Q` itself, or the block's
+/// [`Scratch`].
+trait BlockRows {
+    /// Hands the off-diagonal entries of row `i` — the block's `k`-th —
+    /// to `f` in stored order and returns the row's self-loop mass.
+    fn fold_row(&self, k: usize, i: usize, f: impl FnMut(u32, f64)) -> f64;
+}
+
+impl<M: QRows> BlockRows for M {
+    #[inline]
+    fn fold_row(&self, _: usize, i: usize, mut f: impl FnMut(u32, f64)) -> f64 {
+        let mut diag = 0.0;
+        for (j, p) in self.row_iter(i) {
+            if j as usize == i {
+                diag += p;
+            } else {
+                f(j, p);
+            }
+        }
+        diag
+    }
+}
+
+/// One block of `Q` decoded for its sweeps: its rows' off-diagonal
+/// entries in stored order, split into columns and probabilities, the
+/// row ends, and each row's self-loop mass.
+#[derive(Debug, Default)]
+struct Scratch {
+    cols: Vec<u32>,
+    probs: Vec<f64>,
+    ends: Vec<u32>,
+    diag: Vec<f64>,
+}
+
+impl Scratch {
+    /// Decodes `block`'s rows, storing `entries` entries, in place of the
+    /// previous block's (capacity from a larger block is kept).
+    fn fill<M: QRows>(&mut self, q: &M, block: &[u32], entries: u64) {
+        self.cols.clear();
+        self.probs.clear();
+        self.ends.clear();
+        self.diag.clear();
+        // lint: cast-ok(a decoded block's bytes fit the byte budget)
+        self.cols.reserve_exact(entries as usize);
+        // lint: cast-ok(a decoded block's bytes fit the byte budget)
+        self.probs.reserve_exact(entries as usize);
+        self.ends.reserve_exact(block.len());
+        self.diag.reserve_exact(block.len());
+        for (k, &i) in block.iter().enumerate() {
+            let diag = q.fold_row(k, i as usize, |j, p| {
+                self.cols.push(j);
+                self.probs.push(p);
+            });
+            // lint: cast-ok(a decoded block's entries fit u32: its bytes fit the byte budget)
+            self.ends.push(self.cols.len() as u32);
+            self.diag.push(diag);
+        }
+    }
+}
+
+impl BlockRows for Scratch {
+    #[inline]
+    fn fold_row(&self, k: usize, _: usize, mut f: impl FnMut(u32, f64)) -> f64 {
+        let start = k.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        let range = start..self.ends[k] as usize;
+        let row = self.cols[range.clone()].iter().zip(&self.probs[range]);
+        row.for_each(|(&j, &p)| f(j, p));
+        self.diag[k]
+    }
+}
+
+/// `Q`'s strongly connected blocks from one walk, sinks first, each with
+/// the number of entries its rows store (self-loops included): the block
+/// order of [`gauss_seidel_blocks`] and the components of the chain's
+/// absorption check.
+pub(crate) type Blocks = (Components, Vec<u64>);
+
 /// The rows `0..n` grouped by strongly connected block of the graph with
 /// successors `row(i)`, blocks sinks first and rows ascending within a
-/// block. Self-loops do not change the blocks, so `Q`'s rows can be
-/// walked as stored.
-pub(crate) fn blocks<I: Iterator<Item = u32>>(n: usize, row: impl FnMut(u32) -> I) -> Components {
+/// block, each block with the number of successors its rows yield.
+/// Self-loops do not change the blocks, so `Q`'s rows can be walked as
+/// stored.
+pub(crate) fn blocks<I: Iterator<Item = u32>>(n: usize, mut row: impl FnMut(u32) -> I) -> Blocks {
+    // The walk reads every row to its end exactly once, so counting what
+    // each row yields sizes the blocks without another read.
+    let lens = vec![Cell::new(0u64); n];
+    let mut entries = Vec::new();
     let walk = Components::walk(
         n,
         // lint: cast-ok(Q columns are u32, so row indices fit u32)
         0..n as u32,
-        row,
+        |i| {
+            let len = &lens[i as usize];
+            row(i).inspect(move |_| len.set(len.get() + 1))
+        },
         |_| Ok::<(), Infallible>(()),
-        |block| block.sort_unstable(),
+        |block| {
+            block.sort_unstable();
+            entries.push(block.iter().map(|&i| lens[i as usize].get()).sum());
+        },
     );
-    let Ok(blocks) = walk;
-    blocks
+    let Ok(components) = walk;
+    (components, entries)
 }
 
 #[cfg(test)]
@@ -336,7 +490,7 @@ mod tests {
     fn gauss_seidel_budget_trips_as_typed_core_error() {
         let q = QMatrix::from_rows(vec![vec![(0u32, 0.5)]]);
         let expired = Budget::unlimited().with_wall_time(std::time::Duration::ZERO);
-        let err = gauss_seidel_budgeted(&q, &[1.0], 1e-12, 10_000, &expired).unwrap_err();
+        let err = gauss_seidel_multi(&q, [&[1.0]], 1e-12, 10_000, &expired).unwrap_err();
         assert!(matches!(
             err,
             MarkovError::Core(stab_core::CoreError::BudgetExhausted {
@@ -500,17 +654,77 @@ mod tests {
         ])
     }
 
+    fn walk(q: &QMatrix) -> Blocks {
+        blocks(q.n_rows(), |i| q.row(i as usize).iter().map(|e| e.0))
+    }
+
     #[test]
     fn blocks_come_sinks_first_rows_ascending() {
         let of = |q: &QMatrix| {
-            let blocks = blocks(q.n_rows(), |i| q.row(i as usize).iter().map(|e| e.0));
-            blocks.iter().map(<[u32]>::to_vec).collect::<Vec<_>>()
+            let blocks = walk(q);
+            let blocks = blocks.0.iter().zip(blocks.1);
+            let rows = blocks.map(|(b, entries)| (b.to_vec(), entries));
+            rows.collect::<Vec<_>>()
         };
+        // Each block with its rows' stored entries, self-loops included.
         assert_eq!(
             of(&multi_block()),
-            [vec![1, 4], vec![0, 2], vec![3], vec![5]]
+            [(vec![1, 4], 2), (vec![0, 2], 5), (vec![3], 3), (vec![5], 1)]
         );
-        assert_eq!(of(&leaky4()), [vec![0, 1, 2, 3]]);
+        assert_eq!(of(&leaky4()), [(vec![0, 1, 2, 3], 7)]);
+    }
+
+    /// The largest block that fits the byte budget is decoded and one
+    /// entry more is streamed; a singleton is never decoded. Entries and
+    /// rows cost 12 bytes each, and the budget is no multiple of 12, so
+    /// the largest block falls 8 bytes short of it.
+    #[test]
+    fn block_scratch_bound_is_the_byte_budget() {
+        let (largest, budget) = (DEFAULT_BYTE_BUDGET / 12 - 2, DEFAULT_BYTE_BUDGET);
+        assert_eq!(scratch_bytes(2, largest, budget), Some(budget - 8));
+        assert_eq!(scratch_bytes(2, largest + 1, budget), None);
+        assert_eq!(scratch_bytes(3, largest, budget), None);
+        assert_eq!(scratch_bytes(1, 0, budget), None);
+        assert_eq!(scratch_bytes(2, u64::MAX, u64::MAX - 1), None);
+    }
+
+    #[test]
+    fn decoded_blocks_are_bit_identical_to_streamed_ones() {
+        let q = multi_block();
+        let blocks = walk(&q);
+        let ones = [1.0; 6];
+        let absorb: Vec<f64> = q
+            .rows()
+            .map(|r| 1.0 - r.iter().map(|e| e.1).sum::<f64>())
+            .collect();
+        // The cycle {1, 4} takes 48 scratch bytes and {0, 2} 84: an
+        // unbounded solve decodes both, a 48-byte bound only the first, a
+        // zero bound neither.
+        let solve = |bound| {
+            let budget = Budget::unlimited();
+            let sides = [&ones[..], &absorb];
+            let x = gauss_seidel_blocks(&q, &blocks, sides, 1e-13, 10_000, &budget, bound);
+            (x.unwrap(), budget.probes_seen())
+        };
+        let (streamed, streamed_sweeps) = solve(0);
+        for bound in [48, u64::MAX] {
+            let (decoded, decoded_sweeps) = solve(bound);
+            assert_eq!(decoded_sweeps, streamed_sweeps);
+            for (d, s) in decoded.iter().zip(&streamed) {
+                assert_eq!(bits(d), bits(s));
+            }
+        }
+        // The production rule decodes both cycles of this chain.
+        let multi = gauss_seidel_multi(
+            &q,
+            [&ones[..], &absorb],
+            1e-13,
+            10_000,
+            &Budget::unlimited(),
+        );
+        for (m, s) in multi.unwrap().iter().zip(&streamed) {
+            assert_eq!(bits(m), bits(s));
+        }
     }
 
     #[test]

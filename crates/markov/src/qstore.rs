@@ -22,14 +22,14 @@
 //! materialise a flat copy. The chain matches on [`QStorage`] once per
 //! solve and hands the solver the concrete store, so no per-entry tier
 //! dispatch sits in a sweep ([`QStorage::row_iter`] serves everything
-//! else). The tradeoff is deliberate: each Gauss–Seidel sweep decodes
-//! its block's rows (and, on the disk tier, re-faults the chunks holding
-//! them through the cache) once for all right-hand sides solved
-//! together, paying time for the memory reduction that lets 10⁹-entry
-//! chains fit at all. The solver sweeps one strongly connected block at a
-//! time, sinks first, and a block stops being decoded once it converges;
-//! a block's rows need not be contiguous, so a sweep reads rows in
-//! ascending index order but may skip between chunks.
+//! else). The solver sweeps one strongly connected block at a time,
+//! sinks first, and decodes each block once into a flat scratch while the
+//! scratch fits the engine's byte budget; only a block too large for it
+//! is decoded again on every sweep (and, on the disk tier, re-faults the
+//! chunks holding it through the cache), paying time for the memory
+//! reduction that lets 10⁹-entry chains fit at all. A block's rows need
+//! not be contiguous, so a decode reads rows in ascending index order but
+//! may skip between chunks.
 
 use stab_core::engine::{
     Csr, DeltaStream, DeltaStreamWriter, EdgeStoreKind, SpillConfig, StreamCursor,

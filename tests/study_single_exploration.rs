@@ -17,8 +17,8 @@ use weak_stabilization::study::{Outcome, Study};
 
 use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_core::engine::{
-    canonical_count, explore_count, gate_count, Budget, EdgeStoreKind, ExploreOptions, Plan,
-    PlanRequest, Quotient, TransitionSystem, DEFAULT_BYTE_BUDGET,
+    canonical_count, explore_count, gate_count, tarjan_count, Budget, EdgeStoreKind,
+    ExploreOptions, Plan, PlanRequest, Quotient, TransitionSystem, DEFAULT_BYTE_BUDGET,
 };
 use stab_core::{DaemonSpec, FairnessSet, SpaceIndexer};
 use stab_graph::builders;
@@ -179,6 +179,32 @@ fn herman13_auto_plan_picks_quotient_and_compressed_and_matches_pr4() {
         solved.average,
         pr4_avg
     );
+}
+
+/// Two strongly-connected-components walks per study: the verdict
+/// stage's walk of the illegitimate region, and the chain's one walk of
+/// `Q`, which decides almost-sure absorption and orders the block solve.
+/// Herman N=13 on ring rotations has 630 transient necklaces, above the
+/// solver's dense limit (600), so the expected times take the block
+/// Gauss–Seidel path.
+#[test]
+fn verdicts_and_expected_times_walk_twice() {
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
+    let spec = alg.legitimacy();
+    let before = tarjan_count();
+    let report = Study::of(&alg)
+        .daemon(DaemonSpec::synchronous())
+        .spec(&spec)
+        .verdicts(FairnessSet::ALL)
+        .expected_times()
+        .options(ExploreOptions::full().with_quotient(Quotient::RingRotation))
+        .run()
+        .unwrap();
+    assert_eq!(tarjan_count() - before, 2);
+    assert!(report.verdicts.is_some());
+    let section = report.expected_times.expect("expected times requested");
+    assert_eq!(section.solved().expect("absorbing").n_transient, 630);
 }
 
 /// Runs `f` and returns how many equivariance-gate runs and explorations
