@@ -3,7 +3,7 @@
 //! verdicts ask about.
 //!
 //! The components come from one walk of the engine's Tarjan pass
-//! ([`stab_core::engine::tarjan`], kept as [`Components`]), fed the edge
+//! ([`Components::walk`]), fed the edge
 //! store's zero-alloc row cursors ([`EdgeIter`](stab_core::engine::EdgeIter))
 //! — one live cursor per DFS frame — so it runs unchanged over the flat
 //! CSR, the compressed byte-stream, and the disk-spilled chunk tiers (a

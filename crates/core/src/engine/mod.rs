@@ -97,6 +97,6 @@ pub use onthefly::{ExploreMode, ExploreOptions, Quotient, TraversalMode};
 pub use plan::{Plan, PlanDecision, PlanRequest, DEFAULT_BYTE_BUDGET, DEFAULT_DISK_BYTE_BUDGET};
 pub use quotient::{least_rotation, CanonScratch, GroupCanonicalizer};
 pub use resilience::{Budget, CheckpointConfig, FaultPlan, RunGuard};
-pub use scc::{tarjan, tarjan_count, Components};
+pub use scc::{tarjan_count, Components};
 pub use spill::{SpillConfig, SpillStore};
 pub use traverse::canonical_count;

@@ -25,7 +25,7 @@
 use std::sync::OnceLock;
 
 use stab_core::engine::ids;
-use stab_core::engine::{BitSet, ExploreOptions, ExploredIds, TransitionSystem};
+use stab_core::engine::{BitSet, Components, ExploreOptions, ExploredIds, TransitionSystem};
 use stab_core::{Algorithm, Configuration, DaemonSpec, Legitimacy, LocalState, SpaceIndexer};
 
 use crate::error::MarkovError;
@@ -76,7 +76,7 @@ pub struct AbsorbingChain<S> {
     /// the first offending transient index. Computed lazily on the first
     /// [`AbsorbingChain::almost_surely_absorbing`] call or Gauss–Seidel
     /// solve, whichever comes first; the other reuses it.
-    absorbing: OnceLock<(linalg::Blocks, Result<(), u32>)>,
+    absorbing: OnceLock<(Components, Result<(), u32>)>,
 }
 
 impl<S: LocalState> AbsorbingChain<S> {
@@ -326,7 +326,7 @@ impl<S: LocalState> AbsorbingChain<S> {
     ///
     /// One pass over `Q`'s strongly connected blocks, sinks first, by the
     /// rule the checker's verdict stage uses for reach-to-`L`
-    /// ([`Components::mark_reaching`](stab_core::engine::Components::mark_reaching)):
+    /// ([`Components::mark_reaching`]):
     /// a block reaches absorption iff one of its rows absorbs or steps
     /// into a block already known to. The absorbing state is node `n`,
     /// marked from the start, and a row with absorbing mass steps into
@@ -344,7 +344,7 @@ impl<S: LocalState> AbsorbingChain<S> {
 
     /// The chain's one walk of `Q` (the Gauss–Seidel block order) and the
     /// absorption check read off it.
-    pub(crate) fn decomposition(&self) -> &(linalg::Blocks, Result<(), u32>) {
+    pub(crate) fn decomposition(&self) -> &(Components, Result<(), u32>) {
         self.absorbing.get_or_init(|| {
             let n = self.n_transient();
             let successors = |i: u32| self.q.row_iter(i as usize).map(|(j, _)| j);
@@ -352,16 +352,13 @@ impl<S: LocalState> AbsorbingChain<S> {
             let mut can = BitSet::new(n + 1);
             can.insert(n);
             let absorbed = ids::id_u32(n, "transient ids fit u32");
-            blocks.0.mark_reaching(
+            blocks.mark_reaching(
                 |i| successors(i).chain((self.absorb[i as usize] > 0.0).then_some(absorbed)),
                 &mut can,
             );
-            let outcome = match (0..n).find(|&i| !can.get(i)) {
-                None => Ok(()),
-                // lint: cast-ok(row indices are bounded by the u32 id width)
-                Some(t) => Err(t as u32),
-            };
-            (blocks, outcome)
+            let unabsorbed = (0..n).find(|&i| !can.get(i));
+            // lint: cast-ok(row indices are bounded by the u32 id width)
+            (blocks, unabsorbed.map_or(Ok(()), |t| Err(t as u32)))
         })
     }
 }

@@ -11,12 +11,13 @@
 //!
 //! The blocks come from the chain's one walk of `Q`, the walk that also
 //! decided [`AbsorbingChain::almost_surely_absorbing`], so a solve walks
-//! `Q` only if no absorption check ran before it. Each block is decoded
-//! once into the solver's flat scratch while that fits the engine's
-//! byte budget (`DEFAULT_BYTE_BUDGET`), and swept from the store
-//! otherwise (see [`linalg`]).
+//! `Q` only if no absorption check ran before it. On the compressed and
+//! disk tiers each block is decoded once into the solver's flat scratch
+//! while that fits the engine's byte budget (`DEFAULT_BYTE_BUDGET`), and
+//! swept from the store otherwise (see [`linalg`]); a flat `Q` is swept
+//! in place, its rows being flat already.
 
-use stab_core::engine::{Budget, DEFAULT_BYTE_BUDGET};
+use stab_core::engine::{Budget, Components, DEFAULT_BYTE_BUDGET};
 use stab_core::{Configuration, LocalState};
 
 use crate::chain::AbsorbingChain;
@@ -97,16 +98,17 @@ impl HittingTimes {
 }
 
 /// Solves `(I − Q) x = b` for every side in `bs` on one concrete `Q` tier:
-/// block-ordered Gauss–Seidel over the chain's `blocks` when given (above
-/// [`DENSE_LIMIT`] rows), dense Gaussian elimination otherwise.
+/// budget-probed Gauss–Seidel over the chain's `blocks` when given (above
+/// [`DENSE_LIMIT`] rows), its block scratch bounded by `bound` bytes, and
+/// dense Gaussian elimination otherwise.
 fn solve_on<M: QRows, const K: usize>(
     q: &M,
-    blocks: Option<&linalg::Blocks>,
+    blocks: Option<&Components>,
     bs: [&[f64]; K],
     budget: &Budget,
+    bound: u64,
 ) -> Result<[Vec<f64>; K], MarkovError> {
     if let Some(blocks) = blocks {
-        let bound = DEFAULT_BYTE_BUDGET;
         return linalg::gauss_seidel_blocks(q, blocks, bs, TOL, 1_000_000, budget, bound);
     }
     let n = q.n_rows();
@@ -138,8 +140,9 @@ impl<S: LocalState> AbsorbingChain<S> {
         budget.probe("solver", 0, 0)?;
         let blocks = (self.n_transient() > DENSE_LIMIT).then(|| &self.decomposition().0);
         match self.q() {
-            QStorage::Flat(q) => solve_on(q, blocks, bs, budget),
-            QStorage::Stream(q) => solve_on(q, blocks, bs, budget),
+            // A flat row is a slice already: a scratch would only copy it.
+            QStorage::Flat(q) => solve_on(q, blocks, bs, budget, 0),
+            QStorage::Stream(q) => solve_on(q, blocks, bs, budget, DEFAULT_BYTE_BUDGET),
         }
     }
 

@@ -25,31 +25,30 @@
 //! over the flat [`QMatrix`](crate::QMatrix) and over the delta stream
 //! that holds the compressed and disk tiers
 //! ([`DeltaStream`](stab_core::engine::DeltaStream), resident or
-//! spilled). The block order costs one decode of `Q` (the Tarjan walk,
-//! which also counts each block's stored entries) and O(n) `u32`s. A
-//! chain walks its `Q` once: the same blocks decide its almost-sure
-//! absorption check and order its solves.
+//! spilled). The block order costs one decode of `Q` (the Tarjan walk)
+//! and O(n) `u32`s. A chain walks its `Q` once: the same blocks decide
+//! its almost-sure absorption check and order its solves.
 //!
 //! Each block of more than one row is then decoded once into a flat
-//! scratch — `u32` columns, `f64` probabilities, row ends, and the
-//! self-loop mass split off as a diagonal — reused across blocks, and
-//! its sweeps read the scratch: on the compressed and disk tiers, where
-//! the varint decode is most of a sweep's cost, that decode is paid once
-//! per block instead of once per sweep. The scratch obeys the
-//! byte-budget rule the engine's orbit table keeps to: a block whose
-//! scratch would exceed [`DEFAULT_BYTE_BUDGET`] is swept straight from
-//! the store, decoding its rows once per sweep, which is what lets
-//! 10⁸-entry chains fit. A singleton block is swept once, so it is read
-//! from the store too. Both row sources hand a sweep the same entries in
-//! the same order, so the iterates are bit-identical either way.
+//! [`QMatrix`] — its `(column, probability)` entries and row ends — and
+//! its sweeps read that scratch: on the compressed and
+//! disk tiers, where the varint decode is most of a sweep's cost, that
+//! decode is paid once per block instead of once per sweep. The scratch
+//! obeys the byte-budget rule the engine's orbit table keeps to: the
+//! decode stops as soon as the scratch would exceed its bound
+//! ([`DEFAULT_BYTE_BUDGET`] unless the caller picks another), and such a
+//! block is swept straight from the store, decoding its rows once per
+//! sweep, which is what lets 10⁸-entry chains fit. A singleton block is
+//! swept once, so it is read from the store too. Both row sources hand a
+//! sweep the same entries in the same order, so the iterates are
+//! bit-identical either way.
 
-use std::cell::Cell;
 use std::convert::Infallible;
 
 use stab_core::engine::{Budget, Components, DEFAULT_BYTE_BUDGET};
 
 use crate::error::MarkovError;
-use crate::qstore::QRows;
+use crate::qstore::{QMatrix, QRows};
 
 /// Solves the dense system `A x = b` by Gaussian elimination with partial
 /// pivoting, consuming the inputs (the one-side case of
@@ -59,8 +58,7 @@ use crate::qstore::QRows;
 ///
 /// [`MarkovError::Singular`] on a vanishing pivot.
 pub fn solve_dense(a: Vec<Vec<f64>>, b: Vec<f64>) -> Result<Vec<f64>, MarkovError> {
-    let [x] = solve_dense_multi(a, [b])?;
-    Ok(x)
+    solve_dense_multi(a, [b]).map(|[x]| x)
 }
 
 /// Solves `A X = B` for `K` right-hand-side columns with one elimination:
@@ -134,8 +132,7 @@ pub fn gauss_seidel<M: QRows>(
     tol: f64,
     max_iter: usize,
 ) -> Result<Vec<f64>, MarkovError> {
-    let [x] = gauss_seidel_multi(q, [b], tol, max_iter, &Budget::unlimited())?;
-    Ok(x)
+    gauss_seidel_multi(q, [b], tol, max_iter, &Budget::unlimited()).map(|[x]| x)
 }
 
 /// Gauss–Seidel over `K` right-hand sides at once, one strongly
@@ -144,11 +141,11 @@ pub fn gauss_seidel<M: QRows>(
 /// byte budget (see the module docs).
 ///
 /// The blocks of `q`'s off-diagonal graph come from the engine's Tarjan
-/// pass ([`tarjan`](stab_core::engine::tarjan)), which emits a block only
-/// after every block it reaches, so solving them in emission order (sinks
-/// first) means a block reads only final values and its own. Each block
-/// is swept, rows in ascending index order, until every side's max-update
-/// over the block falls below `tol`; a singleton block is solved in one
+/// pass ([`Components::walk`]), which emits a block only
+/// after every block it reaches, so each block is solved with its
+/// successors' values already final. Rows are swept in ascending index
+/// order within a block. A block converges when every side's max-update
+/// over it falls below `tol`; a singleton block is solved by one exact
 /// pass, since its first value is already the fixed point. A chain whose
 /// rows form one block therefore runs the plain whole-chain iteration.
 ///
@@ -157,7 +154,7 @@ pub fn gauss_seidel<M: QRows>(
 /// own max-update falls below `tol`, so its iterates, sweep counts and
 /// result are bit-identical to a one-side solve.
 ///
-/// Each sweep probes the `solver` stage of `budget` with the global sweep
+/// The `budget` is probed once per sweep with the running sweep
 /// count, so an exhausted wall-clock budget interrupts a slowly
 /// converging iteration with a typed error instead of spinning to
 /// `max_iter`. The probe carries [`QRows::resident_bytes`] — the disk
@@ -189,13 +186,9 @@ pub fn gauss_seidel_multi<M: QRows, const K: usize>(
 }
 
 /// [`gauss_seidel_multi`] over blocks already walked (the chain's one
-/// decomposition of its `Q`, which also decided its absorption check).
-///
-/// A block whose [`scratch_bytes`] fit `bound` is read from `q` once,
-/// into a flat scratch reused across blocks, and its sweeps read the
-/// scratch; any other block is read from `q` on every sweep. Both row
-/// sources hand the sweep the same entries in the same order, so the
-/// iterates are bit-identical either way.
+/// decomposition of its `Q`, which also decided its absorption check),
+/// decoding a block of more than one row once while it fits `bound`
+/// bytes ([`decode`]) and sweeping any other block from `q`.
 ///
 /// # Errors
 ///
@@ -207,7 +200,7 @@ pub fn gauss_seidel_multi<M: QRows, const K: usize>(
 /// must come from a walk of `q` ([`blocks`]).
 pub(crate) fn gauss_seidel_blocks<M: QRows, const K: usize>(
     q: &M,
-    blocks: &Blocks,
+    blocks: &Components,
     bs: [&[f64]; K],
     tol: f64,
     max_iter: usize,
@@ -216,203 +209,117 @@ pub(crate) fn gauss_seidel_blocks<M: QRows, const K: usize>(
 ) -> Result<[Vec<f64>; K], MarkovError> {
     let n = q.n_rows();
     assert!(bs.iter().all(|b| b.len() == n), "dimension mismatch");
-    let mut xs = bs.map(<[f64]>::to_vec);
-    let mut scratch = Scratch::default();
-    let (mut held, mut sweep) = (0, 0u64);
-    for (block, &entries) in blocks.0.iter().zip(&blocks.1) {
-        let decoded = scratch_bytes(block.len(), entries, bound);
-        if let Some(bytes) = decoded {
-            held = held.max(bytes);
-            scratch.fill(q, block, entries);
-        }
-        let probe = || {
+    let (mut xs, mut sweep) = (bs.map(<[f64]>::to_vec), 0u64);
+    for block in blocks.iter() {
+        let decoded = (block.len() > 1).then(|| decode(q, block, bound)).flatten();
+        // lint: cast-ok(usize fits u64 on every supported target)
+        let held = 16 * decoded.as_ref().map_or(0, |d| d.n_entries() + d.n_rows()) as u64;
+        let (mut live, mut residual) = ([true; K], [f64::INFINITY; K]);
+        for _ in 0..max_iter {
+            if !live.contains(&true) {
+                break;
+            }
             budget.probe("solver", q.resident_bytes() + held, sweep)?;
             sweep += 1;
-            Ok(())
-        };
-        match decoded {
-            Some(_) => sweep_block(&scratch, block, bs, &mut xs, tol, max_iter, probe)?,
-            None => sweep_block(q, block, bs, &mut xs, tol, max_iter, probe)?,
+            residual = [0.0; K];
+            for (k, &i) in block.iter().enumerate() {
+                let i = i as usize;
+                let mut acc: [f64; K] = std::array::from_fn(|s| bs[s][i]);
+                let diag = match &decoded {
+                    Some(d) => fold_row(d.row_iter(k), i, &mut acc, &xs),
+                    None => fold_row(q.row_iter(i), i, &mut acc, &xs),
+                };
+                // Self-loop mass folds into the diagonal: (1 − Q_ii) x_i = acc.
+                let denom = 1.0 - diag;
+                if denom.abs() < 1e-300 {
+                    // A transient state that never leaves itself: hitting
+                    // times diverge (callers rule this out via absorption
+                    // checks).
+                    return Err(MarkovError::SolverDiverged {
+                        iterations: 0,
+                        residual: f64::INFINITY,
+                    });
+                }
+                for s in (0..K).filter(|&s| live[s]) {
+                    let next = acc[s] / denom;
+                    residual[s] = residual[s].max((next - xs[s][i]).abs());
+                    xs[s][i] = next;
+                }
+            }
+            live = std::array::from_fn(|s| live[s] && residual[s] >= tol && block.len() > 1);
+        }
+        if let Some(s) = live.iter().position(|&l| l) {
+            return Err(MarkovError::SolverDiverged {
+                iterations: max_iter,
+                residual: residual[s],
+            });
         }
     }
     Ok(xs)
 }
 
-/// Sweeps one block read from `rows`, rows in ascending index order,
-/// until every side's max-update over it falls below `tol` (one sweep
-/// for a singleton), calling `probe` before each sweep.
-fn sweep_block<R: BlockRows, const K: usize>(
-    rows: &R,
-    block: &[u32],
-    bs: [&[f64]; K],
-    xs: &mut [Vec<f64>; K],
-    tol: f64,
-    max_iter: usize,
-    mut probe: impl FnMut() -> Result<(), MarkovError>,
-) -> Result<(), MarkovError> {
-    let mut live = [true; K];
-    let mut residual = [f64::INFINITY; K];
-    for _ in 0..max_iter {
-        if !live.contains(&true) {
-            break;
+/// Adds row `i`'s off-diagonal entries, in stored order, times the
+/// current iterates into `acc`, and returns the row's self-loop mass.
+/// The row comes from the block scratch or from the store: the same
+/// entries in the same order, so the sums are bit-identical.
+fn fold_row<const K: usize>(
+    row: impl Iterator<Item = (u32, f64)>,
+    i: usize,
+    acc: &mut [f64; K],
+    xs: &[Vec<f64>; K],
+) -> f64 {
+    let mut diag = 0.0;
+    for (j, p) in row {
+        if j as usize == i {
+            diag += p;
+        } else {
+            (0..K).for_each(|s| acc[s] += p * xs[s][j as usize]);
         }
-        probe()?;
-        residual = [0.0; K];
-        for (k, &i) in block.iter().enumerate() {
-            let i = i as usize;
-            let mut acc: [f64; K] = std::array::from_fn(|s| bs[s][i]);
-            let diag = rows.fold_row(k, i, |j, p| {
-                (0..K).for_each(|s| acc[s] += p * xs[s][j as usize]);
-            });
-            // Self-loop mass folds into the diagonal: (1 − Q_ii) x_i = acc.
-            let denom = 1.0 - diag;
-            if denom.abs() < 1e-300 {
-                // A transient state that never leaves itself: hitting
-                // times diverge (callers rule this out via absorption
-                // checks).
-                return Err(MarkovError::SolverDiverged {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                });
-            }
-            for s in (0..K).filter(|&s| live[s]) {
-                let next = acc[s] / denom;
-                residual[s] = residual[s].max((next - xs[s][i]).abs());
-                xs[s][i] = next;
-            }
-        }
-        live = std::array::from_fn(|s| live[s] && residual[s] >= tol && block.len() > 1);
     }
-    match live.iter().position(|&l| l) {
-        Some(s) => Err(MarkovError::SolverDiverged {
-            iterations: max_iter,
-            residual: residual[s],
-        }),
-        None => Ok(()),
-    }
+    diag
 }
 
-/// The scratch bytes of a block of `rows` rows storing `entries` entries
-/// — a `u32` column and an `f64` probability per entry, a `u32` row end
-/// and an `f64` self-loop mass per row — if the block is decoded: a
-/// singleton is swept once, so it never is, and a larger block is while
-/// its scratch fits `bound` (outside the tests [`DEFAULT_BYTE_BUDGET`],
-/// the bound the engine's orbit table keeps to).
-fn scratch_bytes(rows: usize, entries: u64, bound: u64) -> Option<u64> {
+/// `block`'s rows read once from `q` into a flat [`QMatrix`], row `k`
+/// the block's `k`-th, or `None` — and its sweeps read `q` — if that
+/// would take more than `bound` bytes, counting 16 per row and per
+/// `(column, probability)` entry. The decode stops at the first row past
+/// the bound, so an oversized block costs one bounded partial decode;
+/// the entry buffer's capacity may run ahead of its length, but the
+/// pages past it are never written.
+fn decode<M: QRows>(q: &M, block: &[u32], bound: u64) -> Option<QMatrix> {
     // lint: cast-ok(usize fits u64 on every supported target)
-    let bytes = entries.saturating_add(rows as u64).saturating_mul(12);
-    (rows > 1 && bytes <= bound).then_some(bytes)
-}
-
-/// A block's rows as a sweep reads them: `Q` itself, or the block's
-/// [`Scratch`].
-trait BlockRows {
-    /// Hands the off-diagonal entries of row `i` — the block's `k`-th —
-    /// to `f` in stored order and returns the row's self-loop mass.
-    fn fold_row(&self, k: usize, i: usize, f: impl FnMut(u32, f64)) -> f64;
-}
-
-impl<M: QRows> BlockRows for M {
-    #[inline]
-    fn fold_row(&self, _: usize, i: usize, mut f: impl FnMut(u32, f64)) -> f64 {
-        let mut diag = 0.0;
-        for (j, p) in self.row_iter(i) {
-            if j as usize == i {
-                diag += p;
-            } else {
-                f(j, p);
-            }
-        }
-        diag
+    let limit = (bound / 16).saturating_sub(block.len() as u64);
+    let (mut counts, mut entries) = (Vec::with_capacity(block.len()), Vec::new());
+    for &i in block {
+        let start = entries.len();
+        entries.extend(q.row_iter(i as usize));
+        // Stop at the first row past the bound.
+        // lint: cast-ok(usize fits u64 on every supported target)
+        (limit >= entries.len() as u64).then_some(())?;
+        counts.push(u32::try_from(entries.len() - start).ok()?);
     }
+    QMatrix::try_from_counts(&counts, entries).ok()
 }
-
-/// One block of `Q` decoded for its sweeps: its rows' off-diagonal
-/// entries in stored order, split into columns and probabilities, the
-/// row ends, and each row's self-loop mass.
-#[derive(Debug, Default)]
-struct Scratch {
-    cols: Vec<u32>,
-    probs: Vec<f64>,
-    ends: Vec<u32>,
-    diag: Vec<f64>,
-}
-
-impl Scratch {
-    /// Decodes `block`'s rows, storing `entries` entries, in place of the
-    /// previous block's (capacity from a larger block is kept).
-    fn fill<M: QRows>(&mut self, q: &M, block: &[u32], entries: u64) {
-        self.cols.clear();
-        self.probs.clear();
-        self.ends.clear();
-        self.diag.clear();
-        // lint: cast-ok(a decoded block's bytes fit the byte budget)
-        self.cols.reserve_exact(entries as usize);
-        // lint: cast-ok(a decoded block's bytes fit the byte budget)
-        self.probs.reserve_exact(entries as usize);
-        self.ends.reserve_exact(block.len());
-        self.diag.reserve_exact(block.len());
-        for (k, &i) in block.iter().enumerate() {
-            let diag = q.fold_row(k, i as usize, |j, p| {
-                self.cols.push(j);
-                self.probs.push(p);
-            });
-            // lint: cast-ok(a decoded block's entries fit u32: its bytes fit the byte budget)
-            self.ends.push(self.cols.len() as u32);
-            self.diag.push(diag);
-        }
-    }
-}
-
-impl BlockRows for Scratch {
-    #[inline]
-    fn fold_row(&self, k: usize, _: usize, mut f: impl FnMut(u32, f64)) -> f64 {
-        let start = k.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        let range = start..self.ends[k] as usize;
-        let row = self.cols[range.clone()].iter().zip(&self.probs[range]);
-        row.for_each(|(&j, &p)| f(j, p));
-        self.diag[k]
-    }
-}
-
-/// `Q`'s strongly connected blocks from one walk, sinks first, each with
-/// the number of entries its rows store (self-loops included): the block
-/// order of [`gauss_seidel_blocks`] and the components of the chain's
-/// absorption check.
-pub(crate) type Blocks = (Components, Vec<u64>);
 
 /// The rows `0..n` grouped by strongly connected block of the graph with
 /// successors `row(i)`, blocks sinks first and rows ascending within a
-/// block, each block with the number of successors its rows yield.
-/// Self-loops do not change the blocks, so `Q`'s rows can be walked as
-/// stored.
-pub(crate) fn blocks<I: Iterator<Item = u32>>(n: usize, mut row: impl FnMut(u32) -> I) -> Blocks {
-    // The walk reads every row to its end exactly once, so counting what
-    // each row yields sizes the blocks without another read.
-    let lens = vec![Cell::new(0u64); n];
-    let mut entries = Vec::new();
-    let walk = Components::walk(
+/// block. Self-loops do not change the blocks, so `Q`'s rows can be
+/// walked as stored.
+pub(crate) fn blocks<I: Iterator<Item = u32>>(n: usize, row: impl FnMut(u32) -> I) -> Components {
+    let Ok(blocks) = Components::walk(
         n,
         // lint: cast-ok(Q columns are u32, so row indices fit u32)
         0..n as u32,
-        |i| {
-            let len = &lens[i as usize];
-            row(i).inspect(move |_| len.set(len.get() + 1))
-        },
+        row,
         |_| Ok::<(), Infallible>(()),
-        |block| {
-            block.sort_unstable();
-            entries.push(block.iter().map(|&i| lens[i as usize].get()).sum());
-        },
+        |block| block.sort_unstable(),
     );
-    let Ok(components) = walk;
-    (components, entries)
+    blocks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qstore::QMatrix;
 
     #[test]
     fn dense_solves_identity() {
@@ -654,38 +561,56 @@ mod tests {
         ])
     }
 
-    fn walk(q: &QMatrix) -> Blocks {
+    fn walk(q: &QMatrix) -> Components {
         blocks(q.n_rows(), |i| q.row(i as usize).iter().map(|e| e.0))
     }
 
     #[test]
     fn blocks_come_sinks_first_rows_ascending() {
-        let of = |q: &QMatrix| {
-            let blocks = walk(q);
-            let blocks = blocks.0.iter().zip(blocks.1);
-            let rows = blocks.map(|(b, entries)| (b.to_vec(), entries));
-            rows.collect::<Vec<_>>()
-        };
-        // Each block with its rows' stored entries, self-loops included.
+        let of = |q: &QMatrix| walk(q).iter().map(<[u32]>::to_vec).collect::<Vec<_>>();
         assert_eq!(
             of(&multi_block()),
-            [(vec![1, 4], 2), (vec![0, 2], 5), (vec![3], 3), (vec![5], 1)]
+            [vec![1, 4], vec![0, 2], vec![3], vec![5]]
         );
-        assert_eq!(of(&leaky4()), [(vec![0, 1, 2, 3], 7)]);
+        assert_eq!(of(&leaky4()), [vec![0, 1, 2, 3]]);
     }
 
-    /// The largest block that fits the byte budget is decoded and one
-    /// entry more is streamed; a singleton is never decoded. Entries and
-    /// rows cost 12 bytes each, and the budget is no multiple of 12, so
-    /// the largest block falls 8 bytes short of it.
+    /// Two rows, each other's successor: row 0 repeats one entry `.0`
+    /// times, row 1 holds one.
+    struct Wide(usize);
+
+    impl QRows for Wide {
+        type Row<'a> = std::iter::RepeatN<(u32, f64)>;
+
+        fn n_rows(&self) -> usize {
+            2
+        }
+
+        fn row_iter(&self, i: usize) -> Self::Row<'_> {
+            let (to, len) = if i == 0 { (1, self.0) } else { (0, 1) };
+            std::iter::repeat_n((to, 1e-9), len)
+        }
+    }
+
+    /// A block decodes while its rows and entries, 16 bytes each, fit
+    /// the byte budget, and one entry more is swept from the store: the
+    /// two-row block whose 2^21 − 2 entries fill the 32 MiB budget
+    /// exactly decodes. A bound below a block's first row stops the
+    /// decode there.
     #[test]
     fn block_scratch_bound_is_the_byte_budget() {
-        let (largest, budget) = (DEFAULT_BYTE_BUDGET / 12 - 2, DEFAULT_BYTE_BUDGET);
-        assert_eq!(scratch_bytes(2, largest, budget), Some(budget - 8));
-        assert_eq!(scratch_bytes(2, largest + 1, budget), None);
-        assert_eq!(scratch_bytes(3, largest, budget), None);
-        assert_eq!(scratch_bytes(1, 0, budget), None);
-        assert_eq!(scratch_bytes(2, u64::MAX, u64::MAX - 1), None);
+        let fits = DEFAULT_BYTE_BUDGET as usize / 16 - 2;
+        let decoded = decode(&Wide(fits - 1), &[0, 1], DEFAULT_BYTE_BUDGET).unwrap();
+        assert_eq!((decoded.n_rows(), decoded.n_entries()), (2, fits));
+        assert_eq!(decoded.row_iter(1).collect::<Vec<_>>(), [(0, 1e-9)]);
+        drop(decoded);
+        assert!(decode(&Wide(fits), &[0, 1], DEFAULT_BYTE_BUDGET).is_none());
+        // multi_block's cycle {0, 2} stores 5 entries: 112 bytes.
+        let q = multi_block();
+        let decoded = decode(&q, &[0, 2], 112).unwrap();
+        assert_eq!(decoded.row(1), q.row(2));
+        assert!(decode(&q, &[0, 2], 111).is_none());
+        assert!(decode(&q, &[0, 2], 0).is_none());
     }
 
     #[test]
@@ -697,8 +622,8 @@ mod tests {
             .rows()
             .map(|r| 1.0 - r.iter().map(|e| e.1).sum::<f64>())
             .collect();
-        // The cycle {1, 4} takes 48 scratch bytes and {0, 2} 84: an
-        // unbounded solve decodes both, a 48-byte bound only the first, a
+        // The cycle {1, 4} takes 64 scratch bytes and {0, 2} 112: an
+        // unbounded solve decodes both, a 64-byte bound only the first, a
         // zero bound neither.
         let solve = |bound| {
             let budget = Budget::unlimited();
@@ -707,7 +632,7 @@ mod tests {
             (x.unwrap(), budget.probes_seen())
         };
         let (streamed, streamed_sweeps) = solve(0);
-        for bound in [48, u64::MAX] {
+        for bound in [64, u64::MAX] {
             let (decoded, decoded_sweeps) = solve(bound);
             assert_eq!(decoded_sweeps, streamed_sweeps);
             for (d, s) in decoded.iter().zip(&streamed) {
