@@ -334,12 +334,10 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// the chain walks `Q` once for both. No tier materialises the reverse
     /// of `Q`; the state is O(n) `u32`s and one bitset.
     pub fn almost_surely_absorbing(&self) -> Result<(), MarkovError> {
-        match self.decomposition().1 {
-            Ok(()) => Ok(()),
-            Err(t) => Err(MarkovError::NotAbsorbing {
-                config: self.render(t as usize),
-            }),
-        }
+        let (_, absorbing) = self.decomposition();
+        absorbing.map_err(|t| MarkovError::NotAbsorbing {
+            config: self.render(t as usize),
+        })
     }
 
     /// The chain's one walk of `Q` (the Gauss–Seidel block order) and the

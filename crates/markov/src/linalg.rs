@@ -221,31 +221,10 @@ pub(crate) fn gauss_seidel_blocks<M: QRows, const K: usize>(
             }
             budget.probe("solver", q.resident_bytes() + held, sweep)?;
             sweep += 1;
-            residual = [0.0; K];
-            for (k, &i) in block.iter().enumerate() {
-                let i = i as usize;
-                let mut acc: [f64; K] = std::array::from_fn(|s| bs[s][i]);
-                let diag = match &decoded {
-                    Some(d) => fold_row(d.row_iter(k), i, &mut acc, &xs),
-                    None => fold_row(q.row_iter(i), i, &mut acc, &xs),
-                };
-                // Self-loop mass folds into the diagonal: (1 − Q_ii) x_i = acc.
-                let denom = 1.0 - diag;
-                if denom.abs() < 1e-300 {
-                    // A transient state that never leaves itself: hitting
-                    // times diverge (callers rule this out via absorption
-                    // checks).
-                    return Err(MarkovError::SolverDiverged {
-                        iterations: 0,
-                        residual: f64::INFINITY,
-                    });
-                }
-                for s in (0..K).filter(|&s| live[s]) {
-                    let next = acc[s] / denom;
-                    residual[s] = residual[s].max((next - xs[s][i]).abs());
-                    xs[s][i] = next;
-                }
-            }
+            residual = match &decoded {
+                Some(d) => sweep_block(block, bs, &mut xs, live, |k, _| d.row_iter(k))?,
+                None => sweep_block(block, bs, &mut xs, live, |_, i| q.row_iter(i))?,
+            };
             live = std::array::from_fn(|s| live[s] && residual[s] >= tol && block.len() > 1);
         }
         if let Some(s) = live.iter().position(|&l| l) {
@@ -258,25 +237,49 @@ pub(crate) fn gauss_seidel_blocks<M: QRows, const K: usize>(
     Ok(xs)
 }
 
-/// Adds row `i`'s off-diagonal entries, in stored order, times the
-/// current iterates into `acc`, and returns the row's self-loop mass.
-/// The row comes from the block scratch or from the store: the same
-/// entries in the same order, so the sums are bit-identical.
-fn fold_row<const K: usize>(
-    row: impl Iterator<Item = (u32, f64)>,
-    i: usize,
-    acc: &mut [f64; K],
-    xs: &[Vec<f64>; K],
-) -> f64 {
-    let mut diag = 0.0;
-    for (j, p) in row {
-        if j as usize == i {
-            diag += p;
-        } else {
-            (0..K).for_each(|s| acc[s] += p * xs[s][j as usize]);
+/// One sweep of `block`, rows in ascending index order, updating the
+/// `live` sides; returns each side's max-update. `row(k, i)` yields row
+/// `i`, the block's `k`-th, from the block's scratch or from the store:
+/// the same entries in the same order, so the iterates are
+/// bit-identical. Generic over the row source, so each source gets its
+/// own copy of the loop.
+fn sweep_block<I: Iterator<Item = (u32, f64)>, const K: usize>(
+    block: &[u32],
+    bs: [&[f64]; K],
+    xs: &mut [Vec<f64>; K],
+    live: [bool; K],
+    row: impl Fn(usize, usize) -> I,
+) -> Result<[f64; K], MarkovError> {
+    let mut residual = [0.0f64; K];
+    for (k, &i) in block.iter().enumerate() {
+        let i = i as usize;
+        let mut acc: [f64; K] = std::array::from_fn(|s| bs[s][i]);
+        let mut diag = 0.0;
+        for (j, p) in row(k, i) {
+            if j as usize == i {
+                diag += p;
+            } else {
+                (0..K).for_each(|s| acc[s] += p * xs[s][j as usize]);
+            }
+        }
+        // Self-loop mass folds into the diagonal: (1 − Q_ii) x_i = acc.
+        let denom = 1.0 - diag;
+        if denom.abs() < 1e-300 {
+            // A transient state that never leaves itself: hitting
+            // times diverge (callers rule this out via absorption
+            // checks).
+            return Err(MarkovError::SolverDiverged {
+                iterations: 0,
+                residual: f64::INFINITY,
+            });
+        }
+        for s in (0..K).filter(|&s| live[s]) {
+            let next = acc[s] / denom;
+            residual[s] = residual[s].max((next - xs[s][i]).abs());
+            xs[s][i] = next;
         }
     }
-    diag
+    Ok(residual)
 }
 
 /// `block`'s rows read once from `q` into a flat [`QMatrix`], row `k`
