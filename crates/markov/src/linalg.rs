@@ -22,7 +22,7 @@
 //! rows form one block runs the plain whole-chain iteration, bit for bit.
 //!
 //! The sparse solver is generic over [`QRows`], so it runs unchanged
-//! over the flat [`QMatrix`](crate::QMatrix) and over the delta stream
+//! over the flat [`QMatrix`] and over the delta stream
 //! that holds the compressed and disk tiers
 //! ([`DeltaStream`](stab_core::engine::DeltaStream), resident or
 //! spilled). The block order costs one decode of `Q` (the Tarjan walk)
@@ -31,17 +31,19 @@
 //!
 //! Each block of more than one row is then decoded once into a flat
 //! [`QMatrix`] — its `(column, probability)` entries and row ends — and
-//! its sweeps read that scratch: on the compressed and
-//! disk tiers, where the varint decode is most of a sweep's cost, that
-//! decode is paid once per block instead of once per sweep. The scratch
-//! obeys the byte-budget rule the engine's orbit table keeps to: the
-//! decode stops as soon as the scratch would exceed its bound
-//! ([`DEFAULT_BYTE_BUDGET`] unless the caller picks another), and such a
+//! its sweeps read that scratch: on the compressed and disk tiers, where
+//! the varint decode is most of a sweep's cost, that decode is paid once
+//! per block instead of once per sweep. The scratch obeys the
+//! byte-budget rule the engine's orbit table keeps to: the decode stops
+//! at the first row that takes the scratch past its bound, and such a
 //! block is swept straight from the store, decoding its rows once per
-//! sweep, which is what lets 10⁸-entry chains fit. A singleton block is
-//! swept once, so it is read from the store too. Both row sources hand a
-//! sweep the same entries in the same order, so the iterates are
-//! bit-identical either way.
+//! sweep, which is what lets 10⁸-entry chains fit. The chain's solves
+//! bound the scratch by [`DEFAULT_BYTE_BUDGET`] on the compressed and
+//! disk tiers and by 0 on a flat `Q`, whose rows are flat already, so a
+//! copy would buy nothing; [`gauss_seidel_multi`] uses the budget on any
+//! store. A singleton block is swept once, so it is read from the store
+//! too. Both row sources hand a sweep the same entries in the same
+//! order, so the iterates are bit-identical either way.
 
 use std::convert::Infallible;
 

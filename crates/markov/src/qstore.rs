@@ -23,9 +23,9 @@
 //! solve and hands the solver the concrete store, so no per-entry tier
 //! dispatch sits in a sweep ([`QStorage::row_iter`] serves everything
 //! else). The solver sweeps one strongly connected block at a time,
-//! sinks first, and decodes each block once into a flat scratch while the
-//! scratch fits the engine's byte budget; only a block too large for it
-//! is decoded again on every sweep (and, on the disk tier, re-faults the
+//! sinks first, and on the compressed and disk tiers decodes each block
+//! once into a flat scratch while the scratch fits the engine's byte
+//! budget; only a block too large for it is decoded again on every sweep (and, on the disk tier, re-faults the
 //! chunks holding it through the cache), paying time for the memory
 //! reduction that lets 10⁹-entry chains fit at all. A block's rows need
 //! not be contiguous, so a decode reads rows in ascending index order but
