@@ -455,3 +455,68 @@ fn reachable_from_strict_seeds_matches_full_reachability() {
     assert!(report.weak.holds());
     assert!(report.probabilistic.holds());
 }
+
+// ---- Fold order ---------------------------------------------------------
+
+/// Quotient folding sums the probabilities of the raw successors that
+/// land on one `(orbit id, movers)` pair. With a biased coin and the
+/// distributed daemon those sums have three or more unequal terms, so
+/// their bits depend on the order they are added in. A fixed rotation
+/// sweep resolves targets through its orbit table; a killed run resumed
+/// from its checkpoint skips pass 1 and resolves the rest of its rows
+/// through the per-row memo. Both sum each pair in raw successor order,
+/// so the two systems are bit-identical, on every edge-store tier.
+///
+/// ring(5) has 208 representatives, fewer than one 2048-row batch, so
+/// its first frame is the whole sweep and its resumed run only replays
+/// frames; ring(7) has 2344, so its resumed run explores the last 296
+/// rows through the memo. The pinned digests are the systems this
+/// order gives.
+#[test]
+fn orbit_table_and_resumed_sweeps_fold_alike() {
+    use stab_core::engine::{Budget, EdgeStoreKind, FaultPlan, RunGuard, TransitionSystem};
+    use stab_core::{CoreError, ProjectedLegitimacy, Transformed};
+
+    let daemon = DaemonSpec::distributed();
+    for (n, reps, want) in [
+        (5, 208, 0xe06c_de7d_fd3a_a9a7_u64),
+        (7, 2344, 0xfbbb_0ca1_3de9_0371),
+    ] {
+        let base = TokenCirculation::on_ring(&builders::ring(n)).unwrap();
+        let spec = ProjectedLegitimacy::new(base.legitimacy());
+        let alg = Transformed::with_bias(base, 0.3);
+        let ix = SpaceIndexer::new(&alg, CAP).unwrap();
+        for kind in [
+            EdgeStoreKind::Flat,
+            EdgeStoreKind::Compressed,
+            EdgeStoreKind::Disk,
+        ] {
+            let label = format!("ring({n}) on {kind:?}");
+            let opts = ExploreOptions::full()
+                .with_quotient(Quotient::RingRotation)
+                .with_edge_store(kind);
+            let table = TransitionSystem::explore_with(&alg, &ix, daemon, &spec, &opts).unwrap();
+            assert_eq!(table.n_configs(), reps, "{label}");
+            assert_eq!(table.content_digest(), want, "{label}: orbit-table sweep");
+
+            let dir = std::env::temp_dir().join(format!(
+                "stab-fold-order-{}-{n}-{kind:?}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let ck = opts.with_checkpoint(&dir, 1);
+            let guard = RunGuard::new(
+                Budget::unlimited(),
+                FaultPlan::none().with_kill_after_frames(1),
+            );
+            let killed = TransitionSystem::explore_guarded(&alg, &ix, daemon, &spec, &ck, &guard);
+            assert!(
+                matches!(killed, Err(CoreError::Interrupted { after_frames: 1 })),
+                "{label}: the first run dies after its first frame"
+            );
+            let resumed = TransitionSystem::explore_with(&alg, &ix, daemon, &spec, &ck).unwrap();
+            assert_eq!(resumed.content_digest(), want, "{label}: resumed sweep");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}

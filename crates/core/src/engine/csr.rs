@@ -19,6 +19,16 @@ pub struct Csr<E> {
     data: Vec<E>,
 }
 
+impl<E> Default for Csr<E> {
+    /// No rows.
+    fn default() -> Self {
+        Csr {
+            offsets: vec![0],
+            data: Vec::new(),
+        }
+    }
+}
+
 impl<E> Csr<E> {
     /// Fallible [`Csr::from_counts`]: the offset accumulation is
     /// `checked_add`, so a total past the u32 offset width surfaces as
@@ -65,20 +75,26 @@ impl<E> Csr<E> {
         Self::try_from_counts(counts, data).expect("CSR size exceeds u32 offsets")
     }
 
-    /// Fallible [`Csr::from_rows`]: oversized rows and oversized totals
-    /// surface as [`CoreError::OffsetOverflow`].
+    /// Appends a row. A row that would take the total past the u32
+    /// offset width is not appended.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::OffsetOverflow`] when a single row exceeds
-    /// `u32::MAX` entries or `Σ` row lengths exceeds `u32::MAX`.
-    pub fn try_from_rows(rows: Vec<Vec<E>>) -> Result<Self, CoreError> {
-        let counts: Vec<u32> = rows
-            .iter()
-            .map(|r| super::ids::try_id(r.len(), "CSR row length"))
-            .collect::<Result<_, _>>()?;
-        let data: Vec<E> = rows.into_iter().flatten().collect();
-        Self::try_from_counts(&counts, data)
+    /// Returns [`CoreError::OffsetOverflow`] when the total would exceed
+    /// `u32::MAX`.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = E>) -> Result<(), CoreError> {
+        let start = self.data.len();
+        self.data.extend(row);
+        let end = super::ids::try_id(self.data.len(), "CSR offset")
+            .inspect_err(|_| self.data.truncate(start))?;
+        self.offsets.push(end);
+        Ok(())
+    }
+
+    /// Removes every row, keeping both buffers' capacity.
+    pub fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.data.clear();
     }
 
     /// Builds a CSR from nested rows (convenience for tests and small
@@ -86,12 +102,15 @@ impl<E> Csr<E> {
     ///
     /// # Panics
     ///
-    /// Panics if any single row holds more than `u32::MAX` entries (the
-    /// per-row counts are u32 — a checked conversion, so oversized rows
-    /// fail loudly instead of silently corrupting the offsets), or if the
-    /// total exceeds `u32::MAX` (as [`Csr::from_counts`]).
+    /// Panics if the total exceeds `u32::MAX` (checked row by row, so
+    /// oversized rows fail loudly instead of silently corrupting the
+    /// offsets).
     pub fn from_rows(rows: Vec<Vec<E>>) -> Self {
-        Self::try_from_rows(rows).expect("CSR row lengths or offsets exceed u32")
+        let mut csr = Self::default();
+        for row in rows {
+            csr.push_row(row).expect("CSR offsets exceed u32");
+        }
+        csr
     }
 
     /// Number of rows.
@@ -213,10 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn try_from_rows_round_trips_small_rows() {
-        let csr = Csr::try_from_rows(vec![vec![1u32], vec![], vec![2, 3]]).unwrap();
-        assert_eq!(csr.row(0), &[1]);
-        assert_eq!(csr.row(2), &[2, 3]);
+    fn push_row_appends_and_clear_keeps_no_rows() {
+        let mut csr = Csr::from_rows(vec![vec![1u32], vec![], vec![2, 3]]);
+        csr.clear();
+        assert_eq!(csr, Csr::default());
+        csr.push_row([4, 5]).unwrap();
+        csr.push_row([]).unwrap();
+        assert_eq!(csr, Csr::from_rows(vec![vec![4, 5], vec![]]));
     }
 
     #[test]

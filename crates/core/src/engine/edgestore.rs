@@ -745,13 +745,8 @@ impl EdgeStorage {
 /// out of [`EdgeStorageBuilder::finish`].
 #[derive(Debug)]
 pub enum EdgeStorageBuilder {
-    /// Accumulates per-row counts + flat edges for `Csr::from_counts`.
-    Flat {
-        /// Per-row edge counts.
-        counts: Vec<u32>,
-        /// Concatenated row data.
-        edges: Vec<Edge>,
-    },
+    /// Appends rows to the flat [`Csr`] itself.
+    Flat(Csr<Edge>),
     /// Streams rows into the delta encoding, each edge as `(target
     /// delta, movers, prob id)` — resident, or spilling chunks to disk as
     /// they fill.
@@ -769,10 +764,7 @@ impl EdgeStorageBuilder {
     /// disk tier (`cfg` is ignored by the in-RAM tiers).
     pub fn with_spill(kind: EdgeStoreKind, cfg: &SpillConfig) -> Self {
         match kind {
-            EdgeStoreKind::Flat => EdgeStorageBuilder::Flat {
-                counts: Vec::new(),
-                edges: Vec::new(),
-            },
+            EdgeStoreKind::Flat => EdgeStorageBuilder::Flat(Csr::default()),
             EdgeStoreKind::Compressed => EdgeStorageBuilder::Stream(DeltaStreamWriter::new()),
             EdgeStoreKind::Disk => EdgeStorageBuilder::Stream(DeltaStreamWriter::spilling(cfg)),
         }
@@ -784,8 +776,8 @@ impl EdgeStorageBuilder {
     /// the pending chunk), not the spilled bytes.
     pub fn bytes_estimate(&self) -> u64 {
         match self {
-            EdgeStorageBuilder::Flat { counts, edges } => {
-                (edges.len() * std::mem::size_of::<Edge>() + counts.len() * 4) as u64
+            EdgeStorageBuilder::Flat(rows) => {
+                (rows.n_entries() * std::mem::size_of::<Edge>() + rows.n_rows() * 4) as u64
             }
             EdgeStorageBuilder::Stream(w) => w.resident_bytes(),
         }
@@ -796,14 +788,14 @@ impl EdgeStorageBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on the flat tier if the row holds more than `u32::MAX`
-    /// edges (u32 per-row counts).
+    /// Panics on the flat tier past `u32::MAX` edges in all (u32
+    /// offsets) — the stream tiers are the supported representations at
+    /// that scale.
     pub fn push_row(&mut self, row: &[Edge]) {
         match self {
-            EdgeStorageBuilder::Flat { counts, edges } => {
-                counts.push(u32::try_from(row.len()).expect("row length exceeds u32::MAX edges"));
-                edges.extend_from_slice(row);
-            }
+            EdgeStorageBuilder::Flat(rows) => rows
+                .push_row(row.iter().copied())
+                .expect("flat edges fit the u32 offset width"),
             EdgeStorageBuilder::Stream(w) => {
                 for e in row {
                     w.target(e.to);
@@ -815,36 +807,22 @@ impl EdgeStorageBuilder {
         }
     }
 
-    /// Appends a whole chunk of rows (`chunk_counts[i]` edges each,
-    /// concatenated in `chunk_edges`) — the bulk path of the parallel
+    /// Appends every row of `chunk` — a parallel worker's part of the
     /// full sweep.
-    pub fn push_chunk(&mut self, chunk_counts: &[u32], chunk_edges: &[Edge]) {
-        if let EdgeStorageBuilder::Flat { counts, edges } = self {
-            counts.extend_from_slice(chunk_counts);
-            edges.extend_from_slice(chunk_edges);
-            return;
-        }
-        let mut base = 0usize;
-        for &c in chunk_counts {
-            // lint: arith-ok(base plus per-chunk counts stays within the slice the counts describe)
-            self.push_row(&chunk_edges[base..base + c as usize]);
-            // lint: arith-ok(cursor stays within chunk_edges.len, itself a valid usize)
-            base += c as usize;
+    ///
+    /// # Panics
+    ///
+    /// As [`EdgeStorageBuilder::push_row`].
+    pub fn push_chunk(&mut self, chunk: &Csr<Edge>) {
+        for row in chunk.rows() {
+            self.push_row(row);
         }
     }
 
     /// Finalises the selected store.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the flat tier past `u32::MAX` total edges
-    /// ([`Csr::from_counts`]'s checked offsets) — the stream tiers are
-    /// the supported representations at that scale.
     pub fn finish(self) -> EdgeStorage {
         match self {
-            EdgeStorageBuilder::Flat { counts, edges } => {
-                EdgeStorage::Flat(Csr::from_counts(&counts, edges))
-            }
+            EdgeStorageBuilder::Flat(rows) => EdgeStorage::Flat(rows),
             EdgeStorageBuilder::Stream(w) => EdgeStorage::Stream(w.finish()),
         }
     }
@@ -992,9 +970,6 @@ mod tests {
             vec![],
             vec![edge(2, 4, 1.0)],
         ];
-        // lint: cast-ok(four-row test fixture)
-        let counts: Vec<u32> = rows.iter().map(|r| r.len() as u32).collect();
-        let flat_edges: Vec<Edge> = rows.iter().flatten().copied().collect();
         for kind in [
             EdgeStoreKind::Flat,
             EdgeStoreKind::Compressed,
@@ -1005,7 +980,7 @@ mod tests {
                 by_row.push_row(r);
             }
             let mut by_chunk = EdgeStorageBuilder::new(kind);
-            by_chunk.push_chunk(&counts, &flat_edges);
+            by_chunk.push_chunk(&Csr::from_rows(rows.clone()));
             let (a, b) = (by_row.finish(), by_chunk.finish());
             for i in 0..rows.len() {
                 let ra: Vec<Edge> = a.row_iter(i).collect();

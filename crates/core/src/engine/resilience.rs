@@ -69,8 +69,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::bitset::BitSet;
+use super::csr::Csr;
 use super::edgestore::{DeltaStreamWriter, EdgeStorageBuilder, EdgeStoreKind};
 use super::explore::{Edge, TransitionSystem};
+use super::ids;
 use super::onthefly::{Quotient, StateIds, StateTable, TraversalMode};
 use super::quotient::{GroupCanonicalizer, Strategy};
 use super::spill::SpillConfig;
@@ -1014,7 +1016,7 @@ impl Checkpointer {
                 ck.mark = replay.cursor;
                 ck.wm_table = replay.table.len();
                 ck.wm_edges = match &replay.builder {
-                    ReplayBuilder::Flat { edges, .. } => edges.len(),
+                    ReplayBuilder::Flat(rows) => rows.n_entries(),
                     ReplayBuilder::Stream { .. } => 0,
                 };
                 prune_from(&cfg.dir, ck.seq)?;
@@ -1102,12 +1104,13 @@ impl Checkpointer {
         e.bitmap(rows, |i| src.initial.get(from + i));
         // Edge-store delta.
         match src.builder {
-            EdgeStorageBuilder::Flat { counts, edges } => {
+            EdgeStorageBuilder::Flat(csr) => {
                 debug_assert_eq!(self.tier, EdgeStoreKind::Flat);
                 e.u64(rows as u64);
-                for &c in &counts[from..to] {
-                    e.u32(c);
+                for i in from..to {
+                    e.u32(ids::id_u32(csr.row(i).len(), "flat rows fit u32"));
                 }
+                let edges = csr.flat();
                 e.u64((edges.len() - self.wm_edges) as u64);
                 for edge in &edges[self.wm_edges..] {
                     e.u32(edge.to);
@@ -1257,10 +1260,7 @@ enum BuilderDelta {
 
 /// Accumulated edge-store state rebuilt from the frame chain.
 pub(super) enum ReplayBuilder {
-    Flat {
-        counts: Vec<u32>,
-        edges: Vec<Edge>,
-    },
+    Flat(Csr<Edge>),
     Stream {
         offsets: Vec<u64>,
         stream: Vec<u8>,
@@ -1272,10 +1272,7 @@ pub(super) enum ReplayBuilder {
 impl ReplayBuilder {
     fn new(tier: EdgeStoreKind) -> Self {
         match tier {
-            EdgeStoreKind::Flat => ReplayBuilder::Flat {
-                counts: Vec::new(),
-                edges: Vec::new(),
-            },
+            EdgeStoreKind::Flat => ReplayBuilder::Flat(Csr::default()),
             // Both stream tiers replay through one accumulator — the
             // chain carries the stream bytes; on the disk tier they are
             // re-spilled to chunks as the resumed builder fills back up.
@@ -1297,7 +1294,7 @@ impl ReplayBuilder {
         spill: &SpillConfig,
     ) -> EdgeStorageBuilder {
         match self {
-            ReplayBuilder::Flat { counts, edges } => EdgeStorageBuilder::Flat { counts, edges },
+            ReplayBuilder::Flat(rows) => EdgeStorageBuilder::Flat(rows),
             ReplayBuilder::Stream {
                 offsets,
                 stream,
@@ -1377,13 +1374,16 @@ impl Replay {
         }
         let rows = (d.cursor_after - d.cursor_before) as usize;
         match (&self.builder, &d.builder) {
-            (ReplayBuilder::Flat { .. }, BuilderDelta::Flat { counts, edges }) => {
+            (ReplayBuilder::Flat(built), BuilderDelta::Flat { counts, edges }) => {
                 let total: u64 = counts.iter().map(|&c| c as u64).sum();
                 if total != edges.len() as u64 {
                     return Err(format!(
                         "flat delta declares {total} edges but carries {}",
                         edges.len()
                     ));
+                }
+                if built.n_entries() as u64 + total > u32::MAX as u64 {
+                    return Err("flat edges exceed the u32 offset width".into());
                 }
             }
             (
@@ -1420,15 +1420,12 @@ impl Replay {
         self.legit.extend(d.legit);
         self.initial.extend(d.initial);
         match (&mut self.builder, d.builder) {
-            (
-                ReplayBuilder::Flat { counts, edges },
-                BuilderDelta::Flat {
-                    counts: nc,
-                    edges: ne,
-                },
-            ) => {
-                counts.extend(nc);
-                edges.extend(ne);
+            (ReplayBuilder::Flat(built), BuilderDelta::Flat { counts, edges }) => {
+                let mut edges = edges.into_iter();
+                for c in counts {
+                    let row = edges.by_ref().take(c as usize);
+                    built.push_row(row).expect("validated above");
+                }
             }
             (
                 ReplayBuilder::Stream {
@@ -1894,10 +1891,7 @@ mod tests {
             });
             enabled.push(u64::from(row) + 10);
             legit.push(row % 2 == 0);
-            let builder = EdgeStorageBuilder::Flat {
-                counts: counts.clone(),
-                edges: edges.clone(),
-            };
+            let builder = EdgeStorageBuilder::Flat(Csr::from_counts(&counts, edges.clone()));
             let src = SnapshotSource {
                 builder: &builder,
                 enabled: &enabled,
@@ -1940,10 +1934,10 @@ mod tests {
         assert_eq!(replay.enabled, vec![10, 11, 12, 13, 14, 15]);
         assert_eq!(replay.legit, vec![true, false, true, false, true, false]);
         match &replay.builder {
-            ReplayBuilder::Flat { counts, edges } => {
-                assert_eq!(counts.len(), 6);
-                assert_eq!(edges.len(), 6);
-                assert_eq!(edges[5].movers, 1 << 5);
+            ReplayBuilder::Flat(rows) => {
+                assert_eq!(rows.n_rows(), 6);
+                assert_eq!(rows.n_entries(), 6);
+                assert_eq!(rows.row(5)[0].movers, 1 << 5);
             }
             _ => panic!("expected flat builder"),
         }

@@ -55,8 +55,11 @@ pub(super) struct RowGen {
     branches_next: Vec<(i64, f64)>,
     /// The assembled row, sorted by `(to, movers)` (see the module docs).
     /// Distinct raw edges are distinct pairs by construction; only id
-    /// *mapping* (quotienting) can introduce duplicates, which the mapping
-    /// stage merges.
+    /// *mapping* (quotienting) can introduce duplicates, which the
+    /// traversal (`traverse::Rows::explore`) merges by summing each
+    /// pair's probabilities in this row's order: through the slot array
+    /// where an orbit table resolves the targets, by a stable sort
+    /// otherwise.
     pub row: Vec<RawEdge>,
 }
 
@@ -156,12 +159,7 @@ impl RowGen {
                 }
             }
             Distribution::Synchronous => {
-                let movers = enabled_mask;
-                self.product_branches(id, movers);
-                for bi in 0..self.branches.len() {
-                    let (to, p) = self.branches[bi];
-                    push_edge(&mut self.row, total, to, movers, p);
-                }
+                self.push_product(total, id, enabled_mask, 1.0);
                 // One activation, built in successor order: no sort.
                 debug_assert!(self.row.windows(2).all(|w| w[0].to < w[1].to));
                 return Ok((enabled_mask, deterministic));
@@ -214,15 +212,10 @@ impl RowGen {
                         &self.enabled_nodes,
                         conflicts,
                         &mut self.activations,
-                    )?;
+                    );
                     let act_prob = 1.0 / self.activations.len() as f64;
                     for ai in 0..self.activations.len() {
-                        let movers = self.activations[ai];
-                        self.product_branches(id, movers);
-                        for bi in 0..self.branches.len() {
-                            let (to, p) = self.branches[bi];
-                            push_edge(&mut self.row, total, to, movers, act_prob * p);
-                        }
+                        self.push_product(total, id, self.activations[ai], act_prob);
                     }
                 }
             }
@@ -231,11 +224,12 @@ impl RowGen {
         Ok((enabled_mask, deterministic))
     }
 
-    /// Computes the successor distribution of one activation into
-    /// `self.branches`, strictly ascending by successor id: the product of
-    /// the movers' outcome deltas (see the module docs), each probability
-    /// multiplied in ascending node order.
-    fn product_branches(&mut self, id: i64, movers: u64) {
+    /// Appends the successor distribution of one activation to
+    /// `self.row`, strictly ascending by successor id: the product of the
+    /// movers' outcome deltas (see the module docs), each probability
+    /// multiplied in ascending node order and then scaled by `scale`, the
+    /// activation's probability.
+    fn push_product(&mut self, total: u64, id: i64, movers: u64, scale: f64) {
         self.branches.clear();
         self.branches.push((id, 1.0));
         for (i, &v) in self.enabled_nodes.iter().enumerate() {
@@ -262,6 +256,9 @@ impl RowGen {
             }
             std::mem::swap(&mut self.branches, &mut self.branches_next);
         }
+        for &(to, p) in &self.branches {
+            push_edge(&mut self.row, total, to, movers, scale * p);
+        }
     }
 }
 
@@ -269,7 +266,6 @@ impl RowGen {
 #[inline]
 fn push_edge(row: &mut Vec<RawEdge>, total: u64, to: i64, movers: u64, prob: f64) {
     debug_assert!(to >= 0 && (to as u64) < total, "delta-encoded id in range");
-    let _ = total;
     row.push(RawEdge {
         to: to as u64,
         movers,
@@ -282,25 +278,16 @@ fn push_edge(row: &mut Vec<RawEdge>, total: u64, to: i64, movers: u64, prob: f64
 /// global node bitmasks, into `out` (cleared first). Matches
 /// [`DaemonSpec::activations`] up to representation. Single-mover and
 /// synchronous distributions never reach here — `generate` routes them to
-/// their dedicated paths.
+/// their dedicated paths, and checks `enabled` against
+/// [`DISTRIBUTED_ENUM_CAP`] first.
 fn enumerate_activations(
     k_max: Option<u32>,
     enabled: &[NodeId],
     conflicts: &[u64],
     out: &mut Vec<u64>,
-) -> Result<(), CoreError> {
+) {
     out.clear();
-    let k = enabled.len();
-    if k == 0 {
-        return Ok(());
-    }
-    if k > DISTRIBUTED_ENUM_CAP {
-        return Err(CoreError::TooManyEnabled {
-            enabled: k,
-            cap: DISTRIBUTED_ENUM_CAP,
-        });
-    }
-    'subset: for local in 1u64..(1u64 << k) {
+    'subset: for local in 1u64..(1u64 << enabled.len()) {
         if k_max.is_some_and(|m| local.count_ones() > m) {
             continue;
         }
@@ -320,7 +307,6 @@ fn enumerate_activations(
         // constraint.
         out.push(movers);
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -333,20 +319,27 @@ mod tests {
 
     /// A random test algorithm: whether a process is
     /// enabled, and which distribution it draws from (certain, fair coin,
-    /// biased coin p = 0.3, or three outcomes), is a hash of its node, its
-    /// state and how many neighbours hold state 1. Outcome entries are
-    /// listed out of digit order on purpose.
+    /// biased coin p = 0.3, or three outcomes), is a hash of its node
+    /// (unless `anonymous`), its state and how many neighbours hold
+    /// state 1. Outcome entries are listed out of digit order on purpose.
+    /// An anonymous table on a ring with one radix is symmetric under
+    /// every rotation and reflection.
     struct Table {
         g: Graph,
         radix: Vec<u8>,
         seed: u64,
+        anonymous: bool,
     }
 
     impl Table {
         fn hash<V: View<u8>>(&self, view: &V) -> u64 {
-            let key = (view.node().index() as u64) << 16
-                | u64::from(*view.me()) << 8
-                | view.count_neighbors(|s| *s == 1) as u64;
+            let node = if self.anonymous {
+                0
+            } else {
+                view.node().index() as u64
+            };
+            let key =
+                node << 16 | u64::from(*view.me()) << 8 | view.count_neighbors(|s| *s == 1) as u64;
             let mut h = (self.seed ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             h ^= h >> 29;
             h.wrapping_mul(0xBF58_476D_1CE4_E5B9)
@@ -398,7 +391,19 @@ mod tests {
                 },
                 radix,
                 seed,
+                anonymous: false,
             })
+        })
+    }
+
+    /// Anonymous tables on rings of 3 to 6 nodes with one radix: inputs
+    /// every ring quotient admits.
+    fn ring_table_strategy() -> impl Strategy<Value = Table> {
+        (3usize..7, 2u8..4, any::<u64>()).prop_map(|(n, radix, seed)| Table {
+            g: builders::ring(n),
+            radix: vec![radix; n],
+            seed,
+            anonymous: true,
         })
     }
 
@@ -504,6 +509,69 @@ mod tests {
                     prop_assert_eq!(bits(&gen.row), bits(&expected), "{:?} at {}", distribution, full);
                     if distribution == Distribution::Synchronous {
                         prop_assert!(gen.row.windows(2).all(|w| w[0].to < w[1].to));
+                    }
+                }
+            }
+        }
+
+        /// Every row of a quotient sweep whose orbit table resolves its
+        /// targets equals, bit for bit, the raw row with each target
+        /// mapped to its orbit's id, stably sorted by `(to, movers)` and
+        /// each run of equal pairs summed left to right: the slot fold
+        /// sums in raw order without sorting the raw successors.
+        #[test]
+        fn orbit_table_rows_fold_like_a_stable_sort_of_the_raw_row(alg in ring_table_strategy()) {
+            use crate::engine::{Edge, ExploreOptions, Quotient, TransitionSystem};
+            use crate::Predicate;
+            let ix = SpaceIndexer::new(&alg, 1 << 12).unwrap();
+            let spec = Predicate::new("uniform", |c: &Configuration<u8>| {
+                c.states().windows(2).all(|w| w[0] == w[1])
+            });
+            let mut gen = RowGen::default();
+            let mut digits = Vec::new();
+            for quotient in [Quotient::RingRotation, Quotient::RingDihedral] {
+                for distribution in DISTRIBUTIONS {
+                    let spec_daemon = DaemonSpec { distribution, ..DaemonSpec::central() };
+                    let opts = ExploreOptions::full().with_quotient(quotient);
+                    let ts =
+                        TransitionSystem::explore_with(&alg, &ix, spec_daemon, &spec, &opts).unwrap();
+                    prop_assert!(ts.group_order() > 1);
+                    let conflicts = conflict_masks(&alg, spec_daemon);
+                    for id in 0..ts.n_configs() {
+                        let full = ts.full_index_of(id);
+                        ix.write_digits(full, &mut digits);
+                        let cfg = ix.decode(full);
+                        gen.generate(&alg, &ix, spec_daemon, &conflicts, &cfg, &digits, full)
+                            .unwrap();
+                        let mut expected: Vec<Edge> = gen
+                            .row
+                            .iter()
+                            .map(|e| Edge {
+                                to: ts.id_of_full_index(e.to).unwrap(),
+                                movers: e.movers,
+                                prob: e.prob,
+                            })
+                            .collect();
+                        expected.sort_by_key(|e| (e.to, e.movers));
+                        expected.dedup_by(|later, kept| {
+                            let same = (later.to, later.movers) == (kept.to, kept.movers);
+                            if same {
+                                kept.prob += later.prob;
+                            }
+                            same
+                        });
+                        let bits = |row: &[Edge]| -> Vec<(u32, u64, u64)> {
+                            row.iter().map(|e| (e.to, e.movers, e.prob.to_bits())).collect()
+                        };
+                        let got: Vec<Edge> = ts.edge_iter(id).collect();
+                        prop_assert_eq!(
+                            bits(&got),
+                            bits(&expected),
+                            "{:?} {:?} at {}",
+                            quotient,
+                            distribution,
+                            full
+                        );
                     }
                 }
             }

@@ -9,16 +9,20 @@
 //! * the **id map** ([`IdMap`]) — dense (id = mixed-radix index, rows
 //!   enumerated in place by [`ConfigCursor`], edges passed through as
 //!   generated, since `RowGen` rows are already sorted and distinct) or
-//!   interned ([`StateTable`]; successors are then sorted and merged,
-//!   since id mapping can fold distinct successors onto one
-//!   `(to, movers)` pair). A fixed frontier's pass 1 canonicalizes every
-//!   index once and, while the result fits [`DEFAULT_BYTE_BUDGET`]
-//!   ([`orbit_table_bytes`], which the plan reads too), keeps the id of
-//!   each index's orbit in a dense `u32` **orbit table**, so a row target
-//!   costs one load. Otherwise — a larger space, a resumed run (which
-//!   skips pass 1) or a growing frontier — each distinct successor of a
-//!   row is canonicalized once (a per-row memo), then looked up (fixed)
-//!   or interned (growing). A states budget is probed with pass 1's
+//!   interned ([`StateTable`]; id mapping can fold distinct successors
+//!   onto one `(to, movers)` pair, whose probabilities are then summed).
+//!   A fixed frontier's pass 1 canonicalizes every index once and, while
+//!   the result fits [`DEFAULT_BYTE_BUDGET`] ([`orbit_table_bytes`],
+//!   which the plan reads too), keeps the id of each index's orbit in a
+//!   dense `u32` **orbit table**, so a row target costs one load, and
+//!   the row is folded through a per-worker slot array of one `u32` per
+//!   id without sorting its raw successors (`Scratch::fold_by_slot`).
+//!   Otherwise — a larger space, a resumed run (which skips pass 1) or a
+//!   growing frontier — each distinct successor of a row is
+//!   canonicalized once (a per-row memo), then looked up (fixed) or
+//!   interned (growing), and the mapped row is stably sorted and its runs
+//!   summed. Both folds sum each pair's probabilities in raw order, so
+//!   both give the same bits. A states budget is probed with pass 1's
 //!   lower bound, ⌈total/|G|⌉ representatives, before pass 1 runs;
 //! * the **group** — none, or a [`GroupCanonicalizer`] that maps every
 //!   index to its orbit representative ([`canonical_count`] tallies the
@@ -361,6 +365,55 @@ struct Scratch {
     /// repeat across activations, and each repeat would otherwise pay a
     /// fresh canonicalization and lookup or intern.
     memo: U64Map<u32>,
+    /// Where an orbit table resolves targets: per interned id, the `row`
+    /// index of the latest entry on that id, [`EMPTY`] between rows.
+    slot: Vec<u32>,
+    /// Per `row` entry, the index of the previous entry on its id
+    /// ([`EMPTY`] ends the chain): one entry per movers mask.
+    next: Vec<u32>,
+}
+
+/// An empty `slot` or the end of a `next` chain.
+const EMPTY: u32 = u32::MAX;
+
+impl Scratch {
+    /// Maps `gen.row` through the orbit table into `row` without sorting
+    /// the raw successors: each one adds its probability to the entry
+    /// with its `(id, movers)` pair, found through the id's `slot` and
+    /// `next` chain, so an entry's probability is the left fold of its
+    /// successors in raw order (ascending full index, then movers). The
+    /// slots are reset through the row's distinct entries, and only those
+    /// are sorted. `slot` grows to `n_ids` entries once per worker: 4 B
+    /// per id, within the orbit table's own bound.
+    fn fold_by_slot(&mut self, orbit_ids: &[u32], n_ids: usize) {
+        self.slot.resize(n_ids.max(self.slot.len()), EMPTY);
+        self.row.clear();
+        self.next.clear();
+        for e in &self.gen.row {
+            let to = orbit_ids[e.to as usize];
+            let mut k = self.slot[to as usize];
+            while k != EMPTY && self.row[k as usize].movers != e.movers {
+                k = self.next[k as usize];
+            }
+            // `EMPTY` lies past any row, so a miss appends a new entry.
+            if let Some(kept) = self.row.get_mut(k as usize) {
+                kept.prob += e.prob;
+                continue;
+            }
+            self.next.push(self.slot[to as usize]);
+            self.slot[to as usize] = ids::id_u32(self.row.len(), "row entries fit u32");
+            self.row.push(Edge {
+                to,
+                movers: e.movers,
+                prob: e.prob,
+            });
+        }
+        for e in &self.row {
+            self.slot[e.to as usize] = EMPTY;
+        }
+        // The pairs are distinct now, so the order is fully determined.
+        self.row.sort_unstable_by_key(|e| (e.to, e.movers));
+    }
 }
 
 /// The read-only context every row worker shares.
@@ -421,36 +474,39 @@ where
             let (mask, det) =
                 s.gen
                     .generate(alg, ix, daemon, &self.conflicts, &cfg, &s.digits, full)?;
-            s.row.clear();
-            s.memo.clear();
-            for e in &s.gen.row {
-                let to = match ids {
-                    Ids::Fixed(_, Some(orbit_ids)) => orbit_ids[e.to as usize],
-                    _ => *s.memo.entry(e.to).or_insert_with(|| match ids {
+            if let Ids::Fixed(table, Some(orbit_ids)) = ids {
+                s.fold_by_slot(orbit_ids, table.len());
+            } else {
+                s.row.clear();
+                s.memo.clear();
+                for e in &s.gen.row {
+                    let to = *s.memo.entry(e.to).or_insert_with(|| match ids {
                         Ids::Fixed(table, _) => table
                             .lookup(self.canonical(e.to, &mut s.canon))
                             .expect("canonical successors are representatives"),
                         Ids::Growing(table) => self.intern(table, e.to, &mut s.canon),
-                    }),
-                };
-                s.row.push(Edge {
-                    to,
-                    movers: e.movers,
-                    prob: e.prob,
+                    });
+                    s.row.push(Edge {
+                        to,
+                        movers: e.movers,
+                        prob: e.prob,
+                    });
+                }
+                canonicalized += s.memo.len() as u64;
+                // Id mapping can fold several successors onto one
+                // `(to, movers)` pair (the orbit multiplicities of
+                // quotient folding): a stable sort keeps each run in raw
+                // order, so each run sums left to right as the slot fold
+                // does.
+                s.row.sort_by_key(|e| (e.to, e.movers));
+                s.row.dedup_by(|later, kept| {
+                    let same = (later.to, later.movers) == (kept.to, kept.movers);
+                    if same {
+                        kept.prob += later.prob;
+                    }
+                    same
                 });
             }
-            canonicalized += s.memo.len() as u64;
-            // Id mapping can fold several successors onto one
-            // `(to, movers)` pair (the orbit multiplicities of quotient
-            // folding): sort, then sum each run's probabilities.
-            s.row.sort_unstable_by_key(|e| (e.to, e.movers));
-            s.row.dedup_by(|later, kept| {
-                let same = (later.to, later.movers) == (kept.to, kept.movers);
-                if same {
-                    kept.prob += later.prob;
-                }
-                same
-            });
             let initial = !seeded && alg.is_initial(&cfg);
             acc.push(&s.row, mask, det, self.spec.is_legitimate(&cfg), initial);
         }
@@ -554,10 +610,10 @@ impl MergeState {
 
     /// Appends a parallel worker's flat-tier part (merged in chunk order).
     fn absorb(&mut self, part: MergeState) {
-        let EdgeStorageBuilder::Flat { counts, edges } = &part.builder else {
+        let EdgeStorageBuilder::Flat(rows) = &part.builder else {
             unreachable!("parallel parts are built on the flat tier");
         };
-        self.builder.push_chunk(counts, edges);
+        self.builder.push_chunk(rows);
         self.enabled.extend_from_slice(&part.enabled);
         for i in 0..part.enabled.len() {
             self.legit.push(part.legit.get(i));

@@ -31,8 +31,9 @@
 //!
 //! Each block of more than one row is then decoded once into a flat
 //! [`QMatrix`] — its `(column, probability)` entries and row ends — and
-//! its sweeps read that scratch: on the compressed and disk tiers, where
-//! the varint decode is most of a sweep's cost, that decode is paid once
+//! its sweeps read that scratch (one per solve, cleared per block with
+//! its capacity kept): on the compressed and disk tiers, where the
+//! varint decode is most of a sweep's cost, that decode is paid once
 //! per block instead of once per sweep. The scratch obeys the
 //! byte-budget rule the engine's orbit table keeps to: the decode stops
 //! at the first row that takes the scratch past its bound, and such a
@@ -190,7 +191,7 @@ pub fn gauss_seidel_multi<M: QRows, const K: usize>(
 /// [`gauss_seidel_multi`] over blocks already walked (the chain's one
 /// decomposition of its `Q`, which also decided its absorption check),
 /// decoding a block of more than one row once while it fits `bound`
-/// bytes ([`decode`]) and sweeping any other block from `q`.
+/// bytes ([`decode_into`]) and sweeping any other block from `q`.
 ///
 /// # Errors
 ///
@@ -212,8 +213,10 @@ pub(crate) fn gauss_seidel_blocks<M: QRows, const K: usize>(
     let n = q.n_rows();
     assert!(bs.iter().all(|b| b.len() == n), "dimension mismatch");
     let (mut xs, mut sweep) = (bs.map(<[f64]>::to_vec), 0u64);
+    let mut scratch = QMatrix::default();
     for block in blocks.iter() {
-        let decoded = (block.len() > 1).then(|| decode(q, block, bound)).flatten();
+        let decoded =
+            (block.len() > 1 && decode_into(q, block, bound, &mut scratch)).then_some(&scratch);
         // lint: cast-ok(usize fits u64 on every supported target)
         let held = 16 * decoded.as_ref().map_or(0, |d| d.n_entries() + d.n_rows()) as u64;
         let (mut live, mut residual) = ([true; K], [f64::INFINITY; K]);
@@ -284,26 +287,22 @@ fn sweep_block<I: Iterator<Item = (u32, f64)>, const K: usize>(
     Ok(residual)
 }
 
-/// `block`'s rows read once from `q` into a flat [`QMatrix`], row `k`
-/// the block's `k`-th, or `None` — and its sweeps read `q` — if that
-/// would take more than `bound` bytes, counting 16 per row and per
-/// `(column, probability)` entry. The decode stops at the first row past
-/// the bound, so an oversized block costs one bounded partial decode;
-/// the entry buffer's capacity may run ahead of its length, but the
-/// pages past it are never written.
-fn decode<M: QRows>(q: &M, block: &[u32], bound: u64) -> Option<QMatrix> {
+/// Reads `block`'s rows once from `q` into `scratch`, row `k` the
+/// block's `k`-th, and returns whether they fit `bound` bytes, counting
+/// 16 per row and per `(column, probability)` entry; if not, its sweeps
+/// read `q`. The decode stops at the first row past the bound, so an
+/// oversized block costs one bounded partial decode. One scratch serves
+/// every block of a solve: it is cleared per block and keeps its
+/// capacity, which may run ahead of its length, but the pages past the
+/// longest decode are never written.
+fn decode_into<M: QRows>(q: &M, block: &[u32], bound: u64, scratch: &mut QMatrix) -> bool {
     // lint: cast-ok(usize fits u64 on every supported target)
     let limit = (bound / 16).saturating_sub(block.len() as u64);
-    let (mut counts, mut entries) = (Vec::with_capacity(block.len()), Vec::new());
-    for &i in block {
-        let start = entries.len();
-        entries.extend(q.row_iter(i as usize));
-        // Stop at the first row past the bound.
+    scratch.clear();
+    block.iter().all(|&i| {
         // lint: cast-ok(usize fits u64 on every supported target)
-        (limit >= entries.len() as u64).then_some(())?;
-        counts.push(u32::try_from(entries.len() - start).ok()?);
-    }
-    QMatrix::try_from_counts(&counts, entries).ok()
+        scratch.push_row(q.row_iter(i as usize)).is_ok() && limit >= scratch.n_entries() as u64
+    })
 }
 
 /// The rows `0..n` grouped by strongly connected block of the graph with
@@ -594,6 +593,30 @@ mod tests {
         fn row_iter(&self, i: usize) -> Self::Row<'_> {
             let (to, len) = if i == 0 { (1, self.0) } else { (0, 1) };
             std::iter::repeat_n((to, 1e-9), len)
+        }
+    }
+
+    /// [`decode_into`] a fresh scratch: the block's rows, or `None` if
+    /// they take more than `bound` bytes.
+    fn decode<M: QRows>(q: &M, block: &[u32], bound: u64) -> Option<QMatrix> {
+        let mut scratch = QMatrix::default();
+        decode_into(q, block, bound, &mut scratch).then_some(scratch)
+    }
+
+    /// A scratch that held a larger block, or stopped part way through
+    /// one, decodes the next block as a fresh one does.
+    #[test]
+    fn a_reused_block_scratch_decodes_like_a_fresh_one() {
+        let q = multi_block();
+        let mut scratch = QMatrix::default();
+        for (block, bound) in [([0u32, 2], 112), ([1, 4], 64), ([0, 2], 111), ([1, 4], 64)] {
+            let fresh = decode(&q, &block, bound);
+            let fits = decode_into(&q, &block, bound, &mut scratch);
+            assert_eq!(
+                fits.then_some(&scratch),
+                fresh.as_ref(),
+                "{block:?} in {bound} B"
+            );
         }
     }
 

@@ -211,13 +211,8 @@ impl QStorage {
 /// order.
 #[derive(Debug)]
 pub enum QStorageBuilder {
-    /// Accumulates counts + flat entries for `Csr::from_counts`.
-    Flat {
-        /// Per-row entry counts.
-        counts: Vec<u32>,
-        /// Concatenated row data.
-        entries: Vec<(u32, f64)>,
-    },
+    /// Appends rows to a flat [`QMatrix`].
+    Flat(QMatrix),
     /// Streams rows into the engine's delta encoding — each item is
     /// `(column delta, prob id)` — resident, or spilling sealed chunks to
     /// a temp directory as the pending tail crosses the chunk size.
@@ -228,10 +223,7 @@ impl QStorageBuilder {
     /// An empty builder of the selected tier.
     pub fn new(kind: EdgeStoreKind) -> Self {
         match kind {
-            EdgeStoreKind::Flat => QStorageBuilder::Flat {
-                counts: Vec::new(),
-                entries: Vec::new(),
-            },
+            EdgeStoreKind::Flat => QStorageBuilder::Flat(QMatrix::default()),
             EdgeStoreKind::Compressed => QStorageBuilder::Stream(DeltaStreamWriter::new()),
             // `Q` is never checkpointed, so the spill is always a
             // self-cleaning temp directory with the default budgets.
@@ -243,13 +235,15 @@ impl QStorageBuilder {
 
     /// Appends the next row (entries sorted by column, as the chain build
     /// produces them).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the flat tier past `u32::MAX` entries in all.
     pub fn push_row(&mut self, row: &[(u32, f64)]) {
         match self {
-            QStorageBuilder::Flat { counts, entries } => {
-                counts
-                    .push(u32::try_from(row.len()).expect("Q row length exceeds u32::MAX entries"));
-                entries.extend_from_slice(row);
-            }
+            QStorageBuilder::Flat(q) => q
+                .push_row(row.iter().copied())
+                .expect("Q entries fit the u32 offset width"),
             QStorageBuilder::Stream(w) => {
                 for &(j, p) in row {
                     w.target(j);
@@ -263,9 +257,7 @@ impl QStorageBuilder {
     /// Finalises the selected store.
     pub fn finish(self) -> QStorage {
         match self {
-            QStorageBuilder::Flat { counts, entries } => {
-                QStorage::Flat(QMatrix::from_counts(&counts, entries))
-            }
+            QStorageBuilder::Flat(q) => QStorage::Flat(q),
             QStorageBuilder::Stream(w) => QStorage::Stream(w.finish()),
         }
     }
